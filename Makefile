@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-raw memsmoke loadsmoke reproduce verify
+.PHONY: build test race vet bench bench-raw benchcheck memsmoke loadsmoke reproduce verify
 
 build:
 	$(GO) build ./...
@@ -41,12 +41,19 @@ loadsmoke:
 	$(GO) run -race ./cmd/falconload -inproc -n 120 -c 16 -workers 2 \
 		-hot 0.3 -unique 0.1 -dup 0.6 -dupwidth 6 -sse 0.3 -smoke
 
+# The repo benchmark (BENCHMARK.json, benchmark/) is a module of its
+# own, so `./...` from the root never reaches it: vet it and run its
+# unit tests and toy-size smoke of all four workloads here.
+benchcheck:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
 reproduce:
 	$(GO) run ./cmd/reproduce
 
-# Full gate: static checks, build, the race-enabled suite, and every
-# checked-in scenario document parsing AND compiling.
-verify:
+# Full gate: static checks, build, the race-enabled suite, the
+# benchmark module's own checks, and every checked-in scenario document
+# parsing AND compiling.
+verify: benchcheck
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -19,7 +19,7 @@
 // links (session i routes over link i mod K); each link's sessions run
 // as their own shard and -shards bounds how many shards step
 // concurrently. -json replaces the report with a one-line summary
-// (Jain, aggregate Gbps, wall seconds, sessions/sec, peak heap,
+// (Jain, aggregate Gbps, wall seconds, session-seconds/sec, peak heap,
 // decision-memo hit rates, record mode).
 //
 // -record selects recording fidelity (see experiments.FleetConfig):
@@ -197,17 +197,10 @@ func run() int {
 		return 1
 	}
 	peakHeap, peakRSS := peakMemory()
+	sessSec := float64(*n) * *duration / wall.Seconds()
 	if *jsonOut {
-		out := struct {
-			experiments.FleetSummary
-			WallSeconds     float64 `json:"wall_seconds"`
-			SessionsPerSec  float64 `json:"sessions_per_sec"`
-			PeakHeapBytes   uint64  `json:"peak_heap_bytes"`
-			PeakRSSBytes    uint64  `json:"peak_rss_bytes"`
-			BytesPerSession float64 `json:"bytes_per_session"`
-		}{*sum, wall.Seconds(), float64(*n) / wall.Seconds(),
-			peakHeap, peakRSS, float64(peakHeap) / float64(*n)}
-		enc, err := json.Marshal(out)
+		enc, err := json.Marshal(jsonSummary{*sum, wall.Seconds(), sessSec,
+			peakHeap, peakRSS, float64(peakHeap) / float64(*n)})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 			return 1
@@ -217,7 +210,6 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 		return 1
 	}
-	sessSec := float64(*n) * *duration / wall.Seconds()
 	fmt.Fprintf(os.Stderr, "fleet: %d sessions × %.0f s simulated in %.2f s wall — %.0f session-seconds/sec\n",
 		*n, *duration, wall.Seconds(), sessSec)
 	fmt.Fprintf(os.Stderr, "fleet: record %s, peak heap %.1f MB (%.0f B/session), peak RSS %.1f MB\n",
@@ -232,6 +224,19 @@ func run() int {
 		return 1
 	}
 	return 0
+}
+
+// jsonSummary is the -json line: the run's FleetSummary plus the
+// process-level figures. SessionsPerSec is simulated session-seconds
+// per wall second (sessions × duration / wall) — the same quantity the
+// stderr line, simbench, and the repo benchmark report under that name.
+type jsonSummary struct {
+	experiments.FleetSummary
+	WallSeconds     float64 `json:"wall_seconds"`
+	SessionsPerSec  float64 `json:"sessions_per_sec"`
+	PeakHeapBytes   uint64  `json:"peak_heap_bytes"`
+	PeakRSSBytes    uint64  `json:"peak_rss_bytes"`
+	BytesPerSession float64 `json:"bytes_per_session"`
 }
 
 // peakMemory reports the process's peak heap (runtime HeapSys — the

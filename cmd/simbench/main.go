@@ -233,10 +233,11 @@ func main() {
 // requiredBenchmarks are the hot-path benchmarks BENCH_sim.json must
 // always carry: the decision path (Search.Next at the experiments'
 // MaxN=32 domain and the 64-point large domain), the simulator loop,
-// and the fleet-scale allocator (the 1000-flow class water-fill and
-// the 256-task engine tick it feeds). A rename or accidental deletion
-// fails the run instead of silently dropping the number reviewers
-// track.
+// the fleet-scale allocator (the 1000-flow class water-fill and the
+// 256-task engine tick it feeds), and the 10k-session scheduler step
+// with and without the full-recording boundary. A rename or accidental
+// deletion fails the run instead of silently dropping the number
+// reviewers track.
 var requiredBenchmarks = []string{
 	"BenchmarkSearchNext",
 	"BenchmarkSearchNextLargeDomain",
@@ -244,6 +245,7 @@ var requiredBenchmarks = []string{
 	"BenchmarkAllocate1kFlows",
 	"BenchmarkFleetStep",
 	"BenchmarkFleetStep10k",
+	"BenchmarkFleetRecordFull10k",
 	"BenchmarkFleetStep100k",
 }
 

@@ -1,0 +1,167 @@
+package scenario
+
+import (
+	"bufio"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"io"
+	"math"
+	"sort"
+	"testing"
+
+	"repro/internal/session"
+	"repro/internal/testbed"
+	"repro/internal/trace"
+)
+
+// Goldens of goldenFleetDoc's full-recording Timeline and merged event
+// stream, pinned at the commit before task handles replaced ID lookups
+// in the engine. Worker width and scheduler orchestration must not
+// move them; regenerate (and say why) only for a deliberate change to
+// the simulated numbers, their order, or the event taxonomy.
+const (
+	goldenFleetTimeline = "4b8c671f1b8ea5387eefbaab67eb2c260351122a91515e4bde8cb14940fb03f7"
+	goldenFleetEvents   = "c7fcc88e15ff98f9258c0eadba77b99ada27e8ff6ff58607b64bdf648a1d4f14"
+)
+
+// goldenFleetDoc is a 1 000-session fleet over four pinned bottleneck
+// links: per link 210 long-lived hc/gd/bo sessions, 20 that leave at
+// half time, 15 late joiners, and 5 short transfers that drain — so
+// joins, leaves, finishes, a cross-traffic wave, and the shard merge
+// all contribute to the hashed output.
+func goldenFleetDoc() *Document {
+	doc := &Document{
+		Name:            "golden-fleet",
+		Preset:          "fleet",
+		Seed:            7,
+		DurationSeconds: 60,
+		Topology: &TopologySpec{
+			Nodes: []string{"src", "sw1", "sw2", "dst"},
+			Src:   "src",
+			Dst:   "dst",
+			Links: []LinkSpec{{ID: "access-src", A: "src", B: "sw1", Capacity: 400e9, Latency: 0.001}},
+		},
+	}
+	shared := &DatasetSpec{Label: "fleet"}
+	for k := 0; k < 4; k++ {
+		link := fmt.Sprintf("lnk%d", k)
+		doc.Topology.Links = append(doc.Topology.Links,
+			LinkSpec{ID: link, A: "sw1", B: "sw2", Capacity: 10e9, Latency: 0.013})
+		for _, algo := range []string{"hc", "gd", "bo"} {
+			doc.Agents = append(doc.Agents, AgentSpec{
+				ID: fmt.Sprintf("l%d-%s-", k, algo), Count: 70, Algorithm: algo, Link: link,
+				JoinStagger: 0.07, MaxConcurrency: 8, Dataset: shared,
+			})
+		}
+		doc.Agents = append(doc.Agents,
+			AgentSpec{ID: fmt.Sprintf("l%d-leave-", k), Count: 20, Algorithm: "hc", Link: link,
+				JoinAt: 1, JoinStagger: 0.1, LeaveAt: 30, MaxConcurrency: 8, Dataset: shared},
+			AgentSpec{ID: fmt.Sprintf("l%d-late-", k), Count: 15, Algorithm: "gd", Link: link,
+				JoinAt: 31, JoinStagger: 0.2, MaxConcurrency: 8, Dataset: shared},
+			AgentSpec{ID: fmt.Sprintf("l%d-short-", k), Count: 5, Algorithm: "gd", Link: link,
+				JoinAt: 2, JoinStagger: 3, MaxConcurrency: 4, Dataset: &DatasetSpec{Count: 4, Size: 4_000_000}},
+		)
+		doc.Mutations = append(doc.Mutations, MutationSpec{
+			At: 20 + float64(k), Kind: KindCrossTraffic, Link: link, Rate: 4e9, DurationSeconds: 10,
+		})
+	}
+	doc.Topology.Links = append(doc.Topology.Links,
+		LinkSpec{ID: "access-dst", A: "sw2", B: "dst", Capacity: 400e9, Latency: 0.001})
+	return doc
+}
+
+func putFloats(w io.Writer, vs ...float64) {
+	var buf [8]byte
+	for _, v := range vs {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+		w.Write(buf[:])
+	}
+}
+
+func hashTimeSet(w io.Writer, ts *trace.TimeSet) {
+	for _, s := range ts.Series {
+		fmt.Fprintf(w, "%s:%d;", s.Name, len(s.Points))
+		for _, p := range s.Points {
+			putFloats(w, p.Time, p.Value)
+		}
+	}
+}
+
+// hashTimeline digests every series (in creation order, names and
+// points bit for bit) and the sorted completion times.
+func hashTimeline(tl *testbed.Timeline) string {
+	sum := sha256.New()
+	w := bufio.NewWriter(sum)
+	hashTimeSet(w, &tl.Throughput)
+	hashTimeSet(w, &tl.Concurrency)
+	hashTimeSet(w, &tl.Loss)
+	ids := make([]string, 0, len(tl.Finished))
+	for id := range tl.Finished {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	for _, id := range ids {
+		fmt.Fprintf(w, "%s=", id)
+		putFloats(w, tl.Finished[id])
+	}
+	w.Flush()
+	return hex.EncodeToString(sum.Sum(nil))
+}
+
+// hashEvent digests the rendered content of one event: kind, session,
+// time, sample, setting, and error text. Driver bookkeeping that no
+// consumer renders is deliberately left out.
+func hashEvent(w io.Writer, e session.Event) {
+	fmt.Fprintf(w, "%s|%s|%v|%v|", e.Kind, e.Session, e.Sample.Setting, e.Setting)
+	putFloats(w, e.Time, e.Sample.Duration, e.Sample.Throughput, e.Sample.Loss, e.Sample.Time)
+	if e.Err != nil {
+		io.WriteString(w, e.Err.Error())
+	}
+}
+
+// TestFleetGolden runs goldenFleetDoc with full recording on the
+// event-queue and scan schedulers and in exact stepping, each at
+// -shards 1 and 4, and checks the Timeline and the merged event stream
+// against the checked-in hashes.
+func TestFleetGolden(t *testing.T) {
+	defer testbed.SetDefaultEventQueue(true)
+	defer testbed.SetDefaultExact(false)
+	for _, mode := range []struct {
+		name         string
+		queue, exact bool
+	}{{"queue", true, false}, {"scan", false, false}, {"queue-exact", true, true}} {
+		testbed.SetDefaultEventQueue(mode.queue)
+		testbed.SetDefaultExact(mode.exact)
+		for _, workers := range []int{1, 4} {
+			run, err := goldenFleetDoc().Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := len(run.AgentIDs); got != 1000 {
+				t.Fatalf("golden fleet has %d sessions, want 1000", got)
+			}
+			sum := sha256.New()
+			w := bufio.NewWriter(sum)
+			counts := map[session.Kind]int{}
+			tl, err := run.Execute(ExecOptions{Workers: workers, Events: func(e session.Event) {
+				counts[e.Kind]++
+				hashEvent(w, e)
+			}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.Flush()
+			if counts[session.Join] != 1000 || counts[session.Leave] != 80 || counts[session.Finish] != 20 || counts[session.Error] != 0 {
+				t.Errorf("%s shards=%d: event counts %v, want 1000 joins, 80 leaves, 20 finishes, no errors", mode.name, workers, counts)
+			}
+			if got := hashTimeline(tl); got != goldenFleetTimeline {
+				t.Errorf("%s shards=%d: timeline sha256 = %s, want %s", mode.name, workers, got, goldenFleetTimeline)
+			}
+			if got := hex.EncodeToString(sum.Sum(nil)); got != goldenFleetEvents {
+				t.Errorf("%s shards=%d: event stream sha256 = %s, want %s", mode.name, workers, got, goldenFleetEvents)
+			}
+		}
+	}
+}

@@ -38,6 +38,11 @@ type Event struct {
 	Kind Kind
 	// Session identifies the emitting session (the task ID).
 	Session string
+	// Index is the session's Config.Index: a dense position its driver
+	// assigned (the testbed scheduler stamps the participant index), so
+	// per-session consumers can index a table instead of hashing
+	// Session. Zero when the driver set none; never rendered.
+	Index int
 	// Time is the clock time in seconds (virtual or wall).
 	Time float64
 	// Sample is the observation for Sample and Decision events.

@@ -65,6 +65,10 @@ type Config struct {
 	// ID names the session in events (usually the task ID). Empty
 	// defaults to "session".
 	ID string
+	// Index is stamped on every event beside the ID (see Event.Index).
+	// Drivers that keep their sessions in a table set it to the
+	// session's position there.
+	Index int
 	// Interval is the decision-epoch cadence in seconds. Values ≤ 0
 	// default to 3 (the paper's LAN sample-transfer duration).
 	Interval float64
@@ -275,7 +279,7 @@ func (s *Session) emit(e Event) {
 	if s.cfg.Events == nil {
 		return
 	}
-	e.Session = s.cfg.ID
+	e.Session, e.Index = s.cfg.ID, s.cfg.Index
 	s.cfg.Events(e)
 }
 

@@ -74,7 +74,12 @@ func TestEngineDrainedMatchesOracle(t *testing.T) {
 				}
 			}
 			sort.Strings(want)
-			got := append([]string(nil), eng.Drained()...)
+			// Drained reports handles; the tasks are still registered
+			// here, so each resolves back to its ID.
+			var got []string
+			for _, h := range eng.Drained() {
+				got = append(got, eng.soa.task[eng.slotOf(h)].ID())
+			}
 			sorted := append([]string(nil), got...)
 			sort.Strings(sorted)
 			if !reflect.DeepEqual(sorted, want) {

@@ -30,7 +30,8 @@ const (
 // tasks) is the difference between streaming cache lines and a pointer
 // miss per task per tick.
 type taskSoA struct {
-	task []*transfer.Task
+	task   []*transfer.Task
+	handle []int32 // the slot's task handle (see Engine.hslot)
 
 	// rate is the smoothed aggregate rate in bits/s (ramping toward
 	// the equilibrium allocation); loss the most recent equilibrium
@@ -69,8 +70,9 @@ type taskSoA struct {
 }
 
 // add appends a slot for t and returns its index.
-func (s *taskSoA) add(t *transfer.Task, now float64) int32 {
+func (s *taskSoA) add(t *transfer.Task, h int32, now float64) int32 {
 	s.task = append(s.task, t)
+	s.handle = append(s.handle, h)
 	s.rate = append(s.rate, 0)
 	s.loss = append(s.loss, 0)
 	s.carry = append(s.carry, 0)
@@ -93,6 +95,7 @@ func (s *taskSoA) add(t *transfer.Task, now float64) int32 {
 // move copies slot j's fields into slot i (swap-remove support).
 func (s *taskSoA) move(i, j int32) {
 	s.task[i] = s.task[j]
+	s.handle[i] = s.handle[j]
 	s.rate[i] = s.rate[j]
 	s.loss[i] = s.loss[j]
 	s.carry[i] = s.carry[j]
@@ -116,6 +119,7 @@ func (s *taskSoA) truncate() {
 	last := len(s.task) - 1
 	s.task[last] = nil // release the pointer for GC
 	s.task = s.task[:last]
+	s.handle = s.handle[:last]
 	s.rate = s.rate[:last]
 	s.loss = s.loss[:last]
 	s.carry = s.carry[:last]
@@ -149,13 +153,25 @@ type demandKey struct {
 // Engine advances a set of transfer tasks through a Config's resources
 // in simulated time. It is deterministic for a given seed.
 type Engine struct {
-	cfg  Config
-	net  *netsim.Network
-	rng  *rand.Rand
-	now  float64
-	soa  taskSoA
-	slot map[string]int32 // task ID -> slot in soa
-	order []string        // deterministic task iteration order
+	cfg Config
+	net *netsim.Network
+	rng *rand.Rand
+	now float64
+	soa taskSoA
+
+	// Task identity. Every AddTask mints the next dense handle; handles
+	// are never reused, so a stale one can never alias a newcomer. byID
+	// is consulted only at the API boundary (AddTask, RemoveTask, the
+	// by-ID accessors); the per-tick and per-point paths carry handles.
+	// hslot maps handle → soa slot (-1 once removed) and is patched on
+	// every swap-remove. order lists handles in insertion order, the
+	// deterministic iteration order; a removal leaves a tombstone
+	// (hslot < 0) that walks skip and compactOrder squeezes out once
+	// tombstones reach half the list.
+	byID  map[string]int32
+	hslot []int32
+	order []int32
+	dead  int // tombstones in order
 
 	// Step scratch buffers, reused every tick so the steady-state hot
 	// path performs no heap allocations.
@@ -202,13 +218,13 @@ type Engine struct {
 	mutNext int
 	mutSeq  int
 
-	// drained lists the IDs of tasks that completed their dataset during
-	// the most recent public advance (Step or RunTicks call), in
+	// drained lists the handles of tasks that completed their dataset
+	// during the most recent public advance (Step or RunTicks call), in
 	// deterministic task order. The engine already detects the
 	// file-count horizon crossing per tick, so completion consumers
 	// (the scheduler's event-queue path) read this list instead of
 	// polling every task's Done() — see Drained.
-	drained []string
+	drained []int32
 }
 
 // defaultExact seeds every new engine's stepping mode. Commands set it
@@ -247,7 +263,7 @@ func NewEngine(cfg Config, seed int64) (*Engine, error) {
 		cfg:   cfg,
 		net:   n,
 		rng:   rand.New(rand.NewSource(seed)),
-		slot:  make(map[string]int32),
+		byID:  make(map[string]int32),
 		path:  enginePath,
 		exact: defaultExact,
 	}, nil
@@ -299,45 +315,82 @@ func (e *Engine) Now() float64 { return e.now }
 // AddTask registers a task. The task starts transferring on the next
 // Step. It returns an error on duplicate IDs.
 func (e *Engine) AddTask(t *transfer.Task) error {
+	_, err := e.addTask(t)
+	return err
+}
+
+// addTask is AddTask returning the new task's handle.
+func (e *Engine) addTask(t *transfer.Task) (int32, error) {
 	if t == nil {
-		return fmt.Errorf("testbed: nil task")
+		return -1, fmt.Errorf("testbed: nil task")
 	}
-	if _, dup := e.slot[t.ID()]; dup {
-		return fmt.Errorf("testbed: duplicate task %q", t.ID())
+	if _, dup := e.byID[t.ID()]; dup {
+		return -1, fmt.Errorf("testbed: duplicate task %q", t.ID())
 	}
-	e.slot[t.ID()] = e.soa.add(t, e.now)
-	e.order = append(e.order, t.ID())
+	h := int32(len(e.hslot))
+	e.byID[t.ID()] = h
+	e.hslot = append(e.hslot, e.soa.add(t, h, e.now))
+	e.order = append(e.order, h)
 	e.fastOK = false
-	return nil
+	return h, nil
 }
 
 // RemoveTask deregisters a task (e.g. a departing competitor). Removing
 // an unknown ID is a no-op. The last slot is swapped into the vacated
-// one, so the arrays stay dense; iteration order is owned by e.order,
-// which is spliced independently.
+// one, so the arrays stay dense; the task's handle is retired for good
+// and its order entry becomes a tombstone.
 func (e *Engine) RemoveTask(id string) {
-	i, ok := e.slot[id]
+	h, ok := e.byID[id]
 	if !ok {
 		return
 	}
-	delete(e.slot, id)
+	delete(e.byID, id)
+	i := e.hslot[h]
+	e.hslot[h] = -1
 	if last := int32(e.soa.len() - 1); i != last {
 		e.soa.move(i, last)
-		e.slot[e.soa.task[i].ID()] = i
+		e.hslot[e.soa.handle[i]] = i
 	}
 	e.soa.truncate()
-	for j, tid := range e.order {
-		if tid == id {
-			e.order = append(e.order[:j], e.order[j+1:]...)
-			break
-		}
+	if e.dead++; 2*e.dead >= len(e.order) {
+		e.compactOrder()
 	}
 	e.fastOK = false
 }
 
+// compactOrder drops the tombstones from order, keeping the survivors'
+// relative (insertion) order.
+func (e *Engine) compactOrder() {
+	live := e.order[:0]
+	for _, h := range e.order {
+		if e.hslot[h] >= 0 {
+			live = append(live, h)
+		}
+	}
+	e.order, e.dead = live, 0
+}
+
+// Handle returns the task's dense handle — what Drained reports — or
+// -1 for an unknown ID.
+func (e *Engine) Handle(id string) int32 {
+	if h, ok := e.byID[id]; ok {
+		return h
+	}
+	return -1
+}
+
+// slotOf returns the soa slot behind a handle, or -1 for a handle that
+// was never minted or whose task has been removed.
+func (e *Engine) slotOf(h int32) int32 {
+	if uint32(h) >= uint32(len(e.hslot)) {
+		return -1
+	}
+	return e.hslot[h]
+}
+
 // Task returns the task with the given ID, or nil.
 func (e *Engine) Task(id string) *transfer.Task {
-	if i, ok := e.slot[id]; ok {
+	if i := e.slotOf(e.Handle(id)); i >= 0 {
 		return e.soa.task[i]
 	}
 	return nil
@@ -345,13 +398,22 @@ func (e *Engine) Task(id string) *transfer.Task {
 
 // TaskIDs returns the registered task IDs in insertion order.
 func (e *Engine) TaskIDs() []string {
-	return append([]string(nil), e.order...)
+	ids := make([]string, 0, e.soa.len())
+	for _, h := range e.order {
+		if i := e.hslot[h]; i >= 0 {
+			ids = append(ids, e.soa.task[i].ID())
+		}
+	}
+	return ids
 }
 
 // CurrentRate returns the task's instantaneous (smoothed) throughput in
 // bits/s, or 0 for unknown tasks.
-func (e *Engine) CurrentRate(id string) float64 {
-	if i, ok := e.slot[id]; ok {
+func (e *Engine) CurrentRate(id string) float64 { return e.rateOf(e.Handle(id)) }
+
+// rateOf is CurrentRate by handle.
+func (e *Engine) rateOf(h int32) float64 {
+	if i := e.slotOf(h); i >= 0 {
 		return e.soa.rate[i]
 	}
 	return 0
@@ -359,7 +421,7 @@ func (e *Engine) CurrentRate(id string) float64 {
 
 // CurrentLoss returns the task's latest loss estimate.
 func (e *Engine) CurrentLoss(id string) float64 {
-	if i, ok := e.slot[id]; ok {
+	if i := e.slotOf(e.Handle(id)); i >= 0 {
 		return e.soa.loss[i]
 	}
 	return 0
@@ -380,9 +442,8 @@ func (e *Engine) AggregateRate() float64 {
 // until the next call.
 func (e *Engine) activeSlots() []int32 {
 	e.active = e.active[:0]
-	for _, id := range e.order {
-		i := e.slot[id]
-		if !e.soa.task[i].Done() {
+	for _, h := range e.order {
+		if i := e.hslot[h]; i >= 0 && !e.soa.task[i].Done() {
 			e.active = append(e.active, i)
 		}
 	}
@@ -396,10 +457,10 @@ func (e *Engine) Step(dt float64) {
 	e.step(dt)
 }
 
-// Drained returns the IDs of tasks that drained their dataset during
-// the most recent Step or RunTicks call, in deterministic task order.
-// The slice is engine-owned and valid until the next advance.
-func (e *Engine) Drained() []string { return e.drained }
+// Drained returns the handles of tasks that drained their dataset
+// during the most recent Step or RunTicks call, in deterministic task
+// order. The slice is engine-owned and valid until the next advance.
+func (e *Engine) Drained() []int32 { return e.drained }
 
 // step is one full tick: rebuild demands, allocate (or replay the
 // memo), and advance every active task.
@@ -479,6 +540,11 @@ func (e *Engine) step(dt float64) {
 	// advance the tasks. Along the way, snapshot the allocation inputs
 	// per slot so subsequent ticks can be replayed by fastTick while
 	// nothing observable changes.
+	// The ramp factors are tick-invariant: hoisted out of the fold, as
+	// in fastTick, and bit-identical to computing them per task.
+	tau := e.cfg.rampTau()
+	fUp := 1 - math.Exp(-dt/tau)
+	fDown := 1 - math.Exp(-dt/(tau/3))
 	changed := false
 	e.factive = e.factive[:0]
 	s := &e.soa
@@ -505,11 +571,11 @@ func (e *Engine) step(dt float64) {
 		// a share to a newcomer, dropping connections) take effect
 		// faster than slow-start growth: congestion control backs off
 		// within a few RTTs.
-		tau := e.cfg.rampTau()
+		f := fUp
 		if eq < s.rate[i] {
-			tau /= 3
+			f = fDown
 		}
-		s.rate[i] += (eq - s.rate[i]) * (1 - math.Exp(-dt/tau))
+		s.rate[i] += (eq - s.rate[i]) * f
 		if s.rate[i] < 0 {
 			s.rate[i] = 0
 		}
@@ -537,7 +603,7 @@ func (e *Engine) step(dt float64) {
 		if t.ActiveFiles() != files {
 			changed = true
 			if t.Done() {
-				e.drained = append(e.drained, t.ID())
+				e.drained = append(e.drained, s.handle[i])
 			}
 		}
 	}
@@ -580,8 +646,8 @@ func (e *Engine) fastTick(dt float64) bool {
 		return false
 	}
 	// Hoist the ramp factors: dt and tau are tick-invariant, and
-	// math.Exp is deterministic, so these are bit-identical to the
-	// inline per-task computation in Step.
+	// math.Exp is deterministic, so these are bit-identical to a
+	// per-task computation. step hoists the same two.
 	tau := e.cfg.rampTau()
 	fUp := 1 - math.Exp(-dt/tau)
 	fDown := 1 - math.Exp(-dt/(tau/3))
@@ -634,7 +700,7 @@ func (e *Engine) fastTick(dt float64) bool {
 		if af != s.files[i] {
 			changed = true
 			if af == 0 { // min(cc, remaining) == 0 ⇔ the task drained
-				e.drained = append(e.drained, s.task[i].ID())
+				e.drained = append(e.drained, s.handle[i])
 			}
 		}
 	}
@@ -718,12 +784,12 @@ func (e *Engine) StepUntil(t, dt float64) {
 // +Inf when nothing is in sight (no active tasks, or all rates zero).
 func (e *Engine) NextEvent() float64 {
 	h := e.NextMutation()
-	for _, id := range e.order {
-		i := e.slot[id]
-		t := e.soa.task[i]
-		if t.Done() {
+	for _, th := range e.order {
+		i := e.hslot[th]
+		if i < 0 || e.soa.task[i].Done() {
 			continue
 		}
+		t := e.soa.task[i]
 		bound := e.soa.rate[i]
 		if eq := e.soa.eqRate[i] * float64(e.soa.conns[i]); eq > bound {
 			bound = eq
@@ -800,25 +866,40 @@ func (e *Engine) streamCap() float64 {
 
 // BeginWindow resets the task's measurement window. Unknown IDs are a
 // no-op.
-func (e *Engine) BeginWindow(id string) {
-	if i, ok := e.slot[id]; ok {
-		e.soa.windowStart[i] = e.now
-		e.soa.windowBytes[i] = 0
-		e.soa.windowLossSum[i] = 0
-		e.soa.windowDur[i] = 0
+func (e *Engine) BeginWindow(id string) { e.beginWindowOf(e.Handle(id)) }
+
+// beginWindowOf is BeginWindow by handle.
+func (e *Engine) beginWindowOf(h int32) {
+	i := e.slotOf(h)
+	if i < 0 {
+		return
 	}
+	e.soa.windowStart[i] = e.now
+	e.soa.windowBytes[i] = 0
+	e.soa.windowLossSum[i] = 0
+	e.soa.windowDur[i] = 0
 }
 
 // TakeSample closes the task's measurement window and returns the
 // observed sample with measurement noise applied, then begins a new
 // window. It returns an error for unknown tasks or empty windows.
 func (e *Engine) TakeSample(id string) (transfer.Sample, error) {
-	i, ok := e.slot[id]
-	if !ok {
+	h := e.Handle(id)
+	if h < 0 {
 		return transfer.Sample{}, fmt.Errorf("testbed: unknown task %q", id)
 	}
+	return e.takeSampleOf(h)
+}
+
+// takeSampleOf is TakeSample by handle; a retired handle is an unknown
+// task, never the task whose slot was swapped in behind it.
+func (e *Engine) takeSampleOf(h int32) (transfer.Sample, error) {
+	i := e.slotOf(h)
+	if i < 0 {
+		return transfer.Sample{}, fmt.Errorf("testbed: unknown task handle %d", h)
+	}
 	if e.soa.windowDur[i] <= 0 {
-		return transfer.Sample{}, fmt.Errorf("testbed: empty measurement window for %q", id)
+		return transfer.Sample{}, fmt.Errorf("testbed: empty measurement window for %q", e.soa.task[i].ID())
 	}
 	tput := e.soa.windowBytes[i] * 8 / e.soa.windowDur[i]
 	if e.cfg.NoiseStdDev > 0 {
@@ -839,7 +920,7 @@ func (e *Engine) TakeSample(id string) (transfer.Sample, error) {
 		Loss:       loss,
 		Time:       e.now,
 	}
-	e.BeginWindow(id)
+	e.beginWindowOf(h)
 	return s, nil
 }
 

@@ -23,6 +23,7 @@ import (
 type SimEnvironment struct {
 	eng  *Engine
 	task *transfer.Task
+	h    int32 // the task's engine handle, minted at registration
 
 	// Tick is the Step granularity Measure uses when advancing
 	// simulated time. Values ≤ 0 default to 0.25 s.
@@ -32,10 +33,11 @@ type SimEnvironment struct {
 // NewSimEnvironment registers task with eng and returns its session
 // environment. It returns an error for duplicate or nil tasks.
 func NewSimEnvironment(eng *Engine, task *transfer.Task) (*SimEnvironment, error) {
-	if err := eng.AddTask(task); err != nil {
+	e := new(SimEnvironment)
+	if err := initSimEnvironment(e, eng, task); err != nil {
 		return nil, err
 	}
-	return &SimEnvironment{eng: eng, task: task}, nil
+	return e, nil
 }
 
 // Task returns the adapted task.
@@ -53,12 +55,12 @@ func (e *SimEnvironment) Setting() transfer.Setting { return e.task.Setting() }
 
 // BeginWindow implements session.WindowEnv: it restarts the task's
 // measurement window.
-func (e *SimEnvironment) BeginWindow() { e.eng.BeginWindow(e.task.ID()) }
+func (e *SimEnvironment) BeginWindow() { e.eng.beginWindowOf(e.h) }
 
 // TakeSample implements session.WindowEnv: it closes the measurement
 // window and returns the observed sample.
 func (e *SimEnvironment) TakeSample() (transfer.Sample, error) {
-	return e.eng.TakeSample(e.task.ID())
+	return e.eng.takeSampleOf(e.h)
 }
 
 // Clock implements session.ClockSource: the environment's time base is

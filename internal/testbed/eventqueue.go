@@ -40,6 +40,11 @@ type queueRun struct {
 	due  []int32 // scratch: handles due at the current loop head
 	done []int32 // scratch: part indexes to sweep for completion
 
+	// partOf maps an engine task handle to the part that joined with it
+	// (-1 for handles minted outside this run), so the engine's drained
+	// list resolves to parts without touching a task ID.
+	partOf []int32
+
 	// Live-session set: intrusive doubly-linked list over part
 	// indexes, kept in ascending order, with the sentinel at
 	// len(parts). Completion and recording walk it instead of parts.
@@ -54,19 +59,7 @@ type queueRun struct {
 
 func (s *Scheduler) newQueueRun(until, tick float64) *queueRun {
 	n := len(s.parts)
-	finishedHint := n
-	if s.recMode != RecordFull {
-		finishedHint = 0
-	}
-	tl := &Timeline{Finished: make(map[string]float64, finishedHint)}
-	if s.recMode == RecordFull {
-		// Reserving the series maps and the heap/list storage up front
-		// keeps the steady-state orchestration loop allocation-free.
-		// Outside full mode no series accumulate, so the maps stay empty.
-		tl.Throughput.Reserve(n)
-		tl.Concurrency.Reserve(n)
-		tl.Loss.Reserve(n)
-	}
+	tl := s.newTimeline()
 	r := &queueRun{
 		s:        s,
 		until:    until,
@@ -77,6 +70,7 @@ func (s *Scheduler) newQueueRun(until, tick float64) *queueRun {
 		hint:     int32(2 * n),
 		sessions: make([]session.Session, n),
 		envs:     make([]SimEnvironment, n),
+		partOf:   make([]int32, 0, n),
 	}
 	// All int32 storage — heap order and positions, due/done scratch,
 	// live-list links — lives in one backing block, so a Run costs two
@@ -172,9 +166,9 @@ func (r *queueRun) step() bool {
 	// during the advance; tasks that were already done when they
 	// joined were queued by lifecycle. Sorting recovers the scan
 	// loop's part-order sweep.
-	for _, id := range eng.Drained() {
-		if i, ok := s.partIndex(id); ok {
-			r.done = append(r.done, int32(i))
+	for _, h := range eng.Drained() {
+		if int(h) < len(r.partOf) && r.partOf[h] >= 0 {
+			r.done = append(r.done, r.partOf[h])
 		}
 	}
 	if len(r.done) > 0 {
@@ -200,19 +194,11 @@ func (r *queueRun) step() bool {
 
 	// Recording. The boundary advances in every mode — it bounds the
 	// macro-step sizing — only what gets written differs.
-	if eng.Now() >= r.nextRecord {
-		t := eng.Now()
-		sen := int32(len(s.parts))
-		switch s.recMode {
-		case RecordFull:
+	if t := eng.Now(); t >= r.nextRecord {
+		if s.recMode != RecordOff {
+			sen := int32(len(s.parts))
 			for i := r.next[sen]; i != sen; i = r.next[i] {
-				id := s.parts[i].p.Task.ID()
-				r.tl.Throughput.Append(id, t, eng.CurrentRate(id)/1e9)
-			}
-		case RecordAggregate:
-			for i := r.next[sen]; i != sen; i = r.next[i] {
-				e := &s.parts[i]
-				s.recorder.Record(e.rec, t, eng.CurrentRate(e.p.Task.ID())/1e9)
+				s.recordPoint(r.tl, int(i), r.envs[i].h, t)
 			}
 		}
 		r.nextRecord = t + s.record
@@ -227,9 +213,14 @@ func (r *queueRun) lifecycle(i int, now float64) {
 	s := r.s
 	e := &s.parts[i]
 	if e.sess == nil {
-		s.join(e, &r.envs[i], &r.sessions[i], r.sink)
+		s.join(i, &r.envs[i], &r.sessions[i], r.sink)
+		h := r.envs[i].h
+		for int(h) >= len(r.partOf) {
+			r.partOf = append(r.partOf, -1)
+		}
+		r.partOf[h] = int32(i)
 		if s.recMode == RecordFull {
-			s.reserveSeries(r.tl, e, now, r.until)
+			s.reserveSeries(r.tl, i, now, r.until)
 		}
 		r.link(int32(i))
 		e.sess.Start(now, e.p.Task.Setting())

@@ -21,12 +21,19 @@ type fleetBench struct {
 }
 
 func newFleetBench(b *testing.B, n int, queue bool, seed int64) *fleetBench {
+	return newFleetBenchRecording(b, n, queue, seed, 5, 600)
+}
+
+// newFleetBenchRecording is newFleetBench with the recording interval
+// and the horizon (which sizes every series reservation) chosen by the
+// caller.
+func newFleetBenchRecording(b *testing.B, n int, queue bool, seed int64, record, until float64) *fleetBench {
 	b.Helper()
 	eng, err := NewEngine(HPCLab(), seed)
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := NewScheduler(eng, 5)
+	s := NewScheduler(eng, record)
 	s.SetEventQueue(queue)
 	ds := dataset.Uniform("fleet-bench", 64, 400*int64(dataset.TB))
 	settings := []int{2, 4, 6, 8}
@@ -45,7 +52,6 @@ func newFleetBench(b *testing.B, n int, queue bool, seed int64) *fleetBench {
 		}
 	}
 	f := &fleetBench{eng: eng, s: s}
-	const until = 600
 	if queue {
 		f.run = s.newQueueRun(until, 0.25)
 	} else {
@@ -59,16 +65,21 @@ func newFleetBench(b *testing.B, n int, queue bool, seed int64) *fleetBench {
 	return f
 }
 
-// benchFleetStep times one scheduler macro-step at fleet scale. The
-// run is rebuilt (untimed) whenever the 600 s horizon drains.
+// benchFleetStep times one scheduler macro-step at fleet scale.
 func benchFleetStep(b *testing.B, n int, queue bool) {
-	f := newFleetBench(b, n, queue, 1)
+	benchFleetRun(b, func() *fleetBench { return newFleetBench(b, n, queue, 1) })
+}
+
+// benchFleetRun times one macro-step per op of the run build returns,
+// rebuilding it (untimed) whenever its horizon drains.
+func benchFleetRun(b *testing.B, build func() *fleetBench) {
+	f := build()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if !f.run.step() {
 			b.StopTimer()
-			f = newFleetBench(b, n, queue, 1)
+			f = build()
 			b.StartTimer()
 			f.run.step()
 		}
@@ -80,6 +91,18 @@ func benchFleetStep(b *testing.B, n int, queue bool) {
 // — the orchestration loop touches only preallocated heap, list, and
 // series storage.
 func BenchmarkFleetStep10k(b *testing.B) { benchFleetStep(b, 10000, true) }
+
+// BenchmarkFleetRecordFull10k is BenchmarkFleetStep10k with the record
+// boundary inside every op: full recording at an interval of one tick,
+// so each macro-step also appends all 10k sessions' throughput points
+// (and the due sessions' loss/concurrency points) to their series. The
+// 60 s horizon keeps the reserved series at ~40 MB. Must run at
+// 0 allocs/op — every point
+// lands in reserved storage through the per-part series table, with no
+// by-name lookup.
+func BenchmarkFleetRecordFull10k(b *testing.B) {
+	benchFleetRun(b, func() *fleetBench { return newFleetBenchRecording(b, 10000, true, 1, 0.25, 60) })
+}
 
 // BenchmarkFleetStep10kScan is the A/B baseline: the same workload on
 // the legacy linear-scan loop.

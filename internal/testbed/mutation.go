@@ -206,13 +206,13 @@ func (e *Engine) applyDueMutations() {
 				e.cfg.DstStore.PerProcCap = m.PerProc
 			}
 		case MutGrowDataset:
-			i, ok := e.slot[m.Task]
-			if !ok {
+			t := e.Task(m.Task)
+			if t == nil {
 				// The task finished or left before the growth arrived;
 				// scenario semantics make this a no-op, not an error.
 				continue
 			}
-			if err := e.soa.task[i].Extend(m.Files); err != nil {
+			if err := t.Extend(m.Files); err != nil {
 				// Scenario validation rejects colliding file names up
 				// front, so a failure here is a driver bug.
 				panic(fmt.Sprintf("testbed: grow-dataset mutation at %v for %q: %v", m.At, m.Task, err))

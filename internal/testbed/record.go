@@ -92,9 +92,10 @@ func (s *Scheduler) SetRecording(mode RecordMode, rec Recorder) {
 // their environments out of one flat slab instead of a million heap
 // objects.
 func initSimEnvironment(e *SimEnvironment, eng *Engine, task *transfer.Task) error {
-	if err := eng.AddTask(task); err != nil {
+	h, err := eng.addTask(task)
+	if err != nil {
 		return err
 	}
-	*e = SimEnvironment{eng: eng, task: task}
+	*e = SimEnvironment{eng: eng, task: task, h: h}
 	return nil
 }

@@ -54,6 +54,27 @@ type Timeline struct {
 	// Finished maps task ID to completion time for tasks that drained
 	// their dataset before the run ended.
 	Finished map[string]float64
+
+	// series is the recording run's per-participant series table,
+	// indexed by the Index its sessions stamp on their events, so a
+	// recorded point lands in its series without a by-name lookup.
+	series []partSeries
+}
+
+// partSeries is one participant's three series, resolved by name once.
+type partSeries struct{ tput, conc, loss *trace.Series }
+
+// seriesOf returns the series of the participant with the given index
+// and task ID, creating them on first use.
+func (tl *Timeline) seriesOf(i int, id string) *partSeries {
+	for i >= len(tl.series) {
+		tl.series = append(tl.series, partSeries{})
+	}
+	ps := &tl.series[i]
+	if ps.tput == nil {
+		*ps = partSeries{tl.Throughput.Get(id), tl.Concurrency.Get(id), tl.Loss.Get(id)}
+	}
+	return ps
 }
 
 // MeanThroughputGbps returns a task's average recorded throughput in
@@ -71,13 +92,15 @@ func (tl *Timeline) MeanThroughputGbps(id string, t0, t1 float64) float64 {
 // to the concurrency series, and Finish events mark completion times.
 // The trace timelines are thereby just one consumer of the session
 // event stream, alongside live status endpoints and CLI reporters.
+// Series are found by Event.Index, so the stream must come from one
+// driver whose sessions carry distinct indexes.
 func (tl *Timeline) Sink() session.Sink {
 	return func(e session.Event) {
 		switch e.Kind {
 		case session.Sample:
-			tl.Loss.Append(e.Session, e.Time, e.Sample.Loss)
+			tl.seriesOf(e.Index, e.Session).loss.Append(e.Time, e.Sample.Loss)
 		case session.Decision:
-			tl.Concurrency.Append(e.Session, e.Time, float64(e.Setting.Concurrency))
+			tl.seriesOf(e.Index, e.Session).conc.Append(e.Time, float64(e.Setting.Concurrency))
 		case session.Finish:
 			if tl.Finished == nil {
 				tl.Finished = make(map[string]float64)
@@ -283,7 +306,7 @@ type scanRun struct {
 }
 
 func (s *Scheduler) newScanRun(until, tick float64) *scanRun {
-	tl := &Timeline{Finished: make(map[string]float64)}
+	tl := s.newTimeline()
 	return &scanRun{
 		s:        s,
 		until:    until,
@@ -296,6 +319,22 @@ func (s *Scheduler) newScanRun(until, tick float64) *scanRun {
 	}
 }
 
+// newTimeline returns a run's empty timeline. RecordFull sizes the
+// series slices, the series table and the completion map for the whole
+// roster up front, keeping the steady-state loop allocation-free;
+// outside full mode nothing accumulates, so they stay empty.
+func (s *Scheduler) newTimeline() *Timeline {
+	if s.recMode != RecordFull {
+		return &Timeline{Finished: make(map[string]float64)}
+	}
+	n := len(s.parts)
+	tl := &Timeline{Finished: make(map[string]float64, n), series: make([]partSeries, n)}
+	tl.Throughput.Reserve(n)
+	tl.Concurrency.Reserve(n)
+	tl.Loss.Reserve(n)
+	return tl
+}
+
 // runSink assembles a run's session-event sink. Outside RecordFull the
 // timeline consumer is dropped — no per-session series accumulate —
 // while the progress log and any external sink still see every event.
@@ -306,18 +345,20 @@ func (s *Scheduler) runSink(tl *Timeline) session.Sink {
 	return session.MultiSink(s.logSink(), s.events)
 }
 
-// join constructs part e's environment and session in the supplied
+// join constructs part i's environment and session in the supplied
 // arena slots and attaches the aggregate recorder — the construction
-// half of a join, shared verbatim by the scan and queue orchestrators.
-// The caller wires the session into its own bookkeeping and calls
-// Start.
-func (s *Scheduler) join(e *schedEntry, env *SimEnvironment, sess *session.Session, sink session.Sink) {
+// half of a join, shared verbatim by the scan and queue orchestrators,
+// so both stamp the same Index on the session's events. The caller
+// wires the session into its own bookkeeping and calls Start.
+func (s *Scheduler) join(i int, env *SimEnvironment, sess *session.Session, sink session.Sink) {
+	e := &s.parts[i]
 	id := e.p.Task.ID()
 	if err := initSimEnvironment(env, s.eng, e.p.Task); err != nil {
 		panic(fmt.Sprintf("testbed: join %q: %v", id, err))
 	}
 	if err := session.Init(sess, env, e.p.Controller, session.Config{
 		ID:       id,
+		Index:    i,
 		Interval: e.interval,
 		Warmup:   s.Warmup,
 		Events:   sink,
@@ -333,18 +374,33 @@ func (s *Scheduler) join(e *schedEntry, env *SimEnvironment, sess *session.Sessi
 // reserveSeries pre-sizes a joining participant's timeline series for
 // the remaining horizon (RecordFull only): one throughput point per
 // recording interval and one concurrency/loss point per decision
-// epoch, so the run loop's appends never reallocate.
-func (s *Scheduler) reserveSeries(tl *Timeline, e *schedEntry, now, until float64) {
+// epoch, so the run loop's appends never reallocate. This is also where
+// a part that can still record gets its entry in the series table.
+func (s *Scheduler) reserveSeries(tl *Timeline, i int, now, until float64) {
+	e := &s.parts[i]
 	end := until
 	if e.p.LeaveAt > 0 && e.p.LeaveAt < end {
 		end = e.p.LeaveAt
 	}
 	if remaining := end - now; remaining > 0 {
-		id := e.p.Task.ID()
+		ps := tl.seriesOf(i, e.p.Task.ID())
 		epochs := int(remaining/e.interval) + 2
-		tl.Throughput.Get(id).Grow(int(remaining/s.record) + 2)
-		tl.Concurrency.Get(id).Grow(epochs)
-		tl.Loss.Get(id).Grow(epochs)
+		ps.tput.Grow(int(remaining/s.record) + 2)
+		ps.conc.Grow(epochs)
+		ps.loss.Grow(epochs)
+	}
+}
+
+// recordPoint writes live part i's recording point at time t: its rate,
+// read by its task handle h, appended to the throughput series
+// reserveSeries resolved (RecordFull) or streamed to the recorder
+// (RecordAggregate).
+func (s *Scheduler) recordPoint(tl *Timeline, i int, h int32, t float64) {
+	gbps := s.eng.rateOf(h) / 1e9
+	if s.recMode == RecordFull {
+		tl.series[i].tput.Append(t, gbps)
+	} else {
+		s.recorder.Record(s.parts[i].rec, t, gbps)
 	}
 }
 
@@ -361,14 +417,14 @@ func (r *scanRun) step() bool {
 	for i := range s.parts {
 		e := &s.parts[i]
 		if e.sess == nil && now >= e.p.JoinAt {
-			s.join(e, &r.envs[i], &r.sessions[i], r.sink)
+			s.join(i, &r.envs[i], &r.sessions[i], r.sink)
 			// The horizon fixes how many points this session can
 			// record: one throughput sample per recording interval
 			// and one concurrency/loss point per decision epoch.
 			// Reserving them now keeps the append path in the run
 			// loop allocation-free.
 			if s.recMode == RecordFull {
-				s.reserveSeries(r.tl, e, now, r.until)
+				s.reserveSeries(r.tl, i, now, r.until)
 			}
 			e.sess.Start(now, e.p.Task.Setting())
 		}
@@ -411,25 +467,15 @@ func (r *scanRun) step() bool {
 
 	// Recording. The boundary advances in every mode — it bounds the
 	// macro-step sizing above — only what gets written differs.
-	if s.eng.Now() >= r.nextRecord {
-		switch s.recMode {
-		case RecordFull:
+	if t := s.eng.Now(); t >= r.nextRecord {
+		if s.recMode != RecordOff {
 			for i := range s.parts {
-				e := &s.parts[i]
-				if e.sess != nil && !e.sess.Finished() {
-					id := e.p.Task.ID()
-					r.tl.Throughput.Append(id, s.eng.Now(), s.eng.CurrentRate(id)/1e9)
-				}
-			}
-		case RecordAggregate:
-			for i := range s.parts {
-				e := &s.parts[i]
-				if e.sess != nil && !e.sess.Finished() {
-					s.recorder.Record(e.rec, s.eng.Now(), s.eng.CurrentRate(e.p.Task.ID())/1e9)
+				if e := &s.parts[i]; e.sess != nil && !e.sess.Finished() {
+					s.recordPoint(r.tl, i, r.envs[i].h, t)
 				}
 			}
 		}
-		r.nextRecord = s.eng.Now() + s.record
+		r.nextRecord = t + s.record
 	}
 	return true
 }
