@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-raw benchcheck memsmoke loadsmoke reproduce verify
+.PHONY: build test race vet bench bench-raw benchcheck memsmoke loadsmoke reproduce transparency verify
 
 build:
 	$(GO) build ./...
@@ -50,10 +50,30 @@ benchcheck:
 reproduce:
 	$(GO) run ./cmd/reproduce
 
+# The byte-identity matrix: every test that pins one execution mode
+# against another (or against a checked-in golden), re-run twice under
+# the race detector. This list is the one place such a test is added —
+# and the place it leaves from when its mode does. CI calls the target.
+RACE2 = $(GO) test -race -count=2 -run
+
+transparency:
+	$(RACE2) TestPredictIntoMatchesPredict ./internal/bayesopt/
+	$(RACE2) 'TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls' ./internal/netsim/
+	$(RACE2) 'TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestCapacityGeneration' ./internal/netsim/
+	$(RACE2) TestTickEqualsPhases ./internal/session/
+	$(RACE2) 'TestClassAllocIsTransparent|TestRecordModesEngineTransparent' ./internal/testbed/
+	$(RACE2) 'TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestHorizonHeapProperty' ./internal/testbed/
+	$(RACE2) 'TestMutationsTransparentAcrossModes|TestMutationsMemoTransparent' ./internal/testbed/
+	$(RACE2) 'TestUndeclaredControllersStayOnTheShardGoroutine|TestParallelControllerPanicSurfacesOnDriver' ./internal/testbed/
+	$(RACE2) 'TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault' ./internal/scenario/
+	$(RACE2) 'TestDecisionMemoTransparent|TestSweepMemoTransparent' ./internal/core/ ./internal/bayesopt/
+	$(RACE2) 'TestFleetMemoTransparent|TestFleetMemoTransparentNoisy|TestFleetAggregateMatchesFull' ./internal/experiments/
+	$(RACE2) 'TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients' ./internal/webservice/
+
 # Full gate: static checks, build, the race-enabled suite, the
-# benchmark module's own checks, and every checked-in scenario document
-# parsing AND compiling.
-verify: benchcheck
+# transparency re-runs, the benchmark module's own checks, and every
+# checked-in scenario document parsing AND compiling.
+verify: benchcheck transparency
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

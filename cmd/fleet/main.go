@@ -18,9 +18,12 @@
 // With -links K > 1 the fleet spreads over K independent bottleneck
 // links (session i routes over link i mod K); each link's sessions run
 // as their own shard and -shards bounds how many shards step
-// concurrently. -json replaces the report with a one-line summary
-// (Jain, aggregate Gbps, wall seconds, session-seconds/sec, peak heap,
-// decision-memo hit rates, record mode).
+// concurrently; where shards are fewer than -shards, each shard decides
+// its due sessions that many times wider instead (the decide width,
+// printed on stderr beside cpu/wall). -json replaces the report with a
+// one-line summary (Jain, aggregate Gbps, wall seconds,
+// session-seconds/sec, cpu/wall, decide width, peak heap, decision-memo
+// hit rates, record mode).
 //
 // -record selects recording fidelity (see experiments.FleetConfig):
 // "auto" (default) uses full per-session timelines below 50 000
@@ -53,6 +56,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"syscall"
 	"time"
 
 	"repro/internal/experiments"
@@ -72,7 +76,7 @@ func run() int {
 	seed := flag.Int64("seed", 1, "base seed (session i's agent is seeded seed+i)")
 	algos := flag.String("algos", "hc,gd,bo", "comma-separated algorithm mix cycled across sessions")
 	links := flag.Int("links", 1, "number of independent bottleneck links; session i routes over link i mod links, each link runs as its own shard")
-	shards := flag.Int("shards", 0, "max shards stepped concurrently (0 = harness default, 1 = serial); never affects output")
+	shards := flag.Int("shards", 0, "worker budget: max shards stepped concurrently, and with fewer shards than workers the width each decides on (0 = harness default, 1 = serial); never affects output")
 	record := flag.String("record", "auto", "recording fidelity: auto, full, aggregate, or off (auto = aggregate at ≥50000 sessions, full below); metrics are bitwise identical between full and aggregate")
 	memo := flag.String("memo", "auto", "cross-session decision memoization: auto, on, or off (auto = on iff -nonoise); never affects output")
 	nonoise := flag.Bool("nonoise", false, "zero the environment's measurement noise, making same-seed sessions exact twins")
@@ -176,7 +180,7 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "fleet: unknown -memo %q (want auto, on, or off)\n", *memo)
 		return 1
 	}
-	start := time.Now()
+	start, cpu0 := time.Now(), cpuSeconds()
 	res, sum, err := experiments.Fleet(experiments.FleetConfig{
 		Sessions:   *n,
 		Duration:   *duration,
@@ -192,6 +196,7 @@ func run() int {
 		SeedGroups: *seedgroups,
 	})
 	wall := time.Since(start)
+	cpuOverWall := (cpuSeconds() - cpu0) / wall.Seconds()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
 		return 1
@@ -199,7 +204,7 @@ func run() int {
 	peakHeap, peakRSS := peakMemory()
 	sessSec := float64(*n) * *duration / wall.Seconds()
 	if *jsonOut {
-		enc, err := json.Marshal(jsonSummary{*sum, wall.Seconds(), sessSec,
+		enc, err := json.Marshal(jsonSummary{*sum, wall.Seconds(), sessSec, cpuOverWall,
 			peakHeap, peakRSS, float64(peakHeap) / float64(*n)})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
@@ -212,6 +217,7 @@ func run() int {
 	}
 	fmt.Fprintf(os.Stderr, "fleet: %d sessions × %.0f s simulated in %.2f s wall — %.0f session-seconds/sec\n",
 		*n, *duration, wall.Seconds(), sessSec)
+	fmt.Fprintf(os.Stderr, "fleet: cpu/wall %.2f, decide width %d\n", cpuOverWall, sum.DecideWidth)
 	fmt.Fprintf(os.Stderr, "fleet: record %s, peak heap %.1f MB (%.0f B/session), peak RSS %.1f MB\n",
 		sum.RecordMode, float64(peakHeap)/1e6, float64(peakHeap)/float64(*n), float64(peakRSS)/1e6)
 	if useMemo {
@@ -230,13 +236,28 @@ func run() int {
 // process-level figures. SessionsPerSec is simulated session-seconds
 // per wall second (sessions × duration / wall) — the same quantity the
 // stderr line, simbench, and the repo benchmark report under that name.
+// CPUOverWall is the process's CPU seconds per wall second of the run:
+// read beside decide_width, it says whether a fleet is using the
+// machine or stepping on one core.
 type jsonSummary struct {
 	experiments.FleetSummary
 	WallSeconds     float64 `json:"wall_seconds"`
 	SessionsPerSec  float64 `json:"sessions_per_sec"`
+	CPUOverWall     float64 `json:"cpu_over_wall"`
 	PeakHeapBytes   uint64  `json:"peak_heap_bytes"`
 	PeakRSSBytes    uint64  `json:"peak_rss_bytes"`
 	BytesPerSession float64 `json:"bytes_per_session"`
+}
+
+// cpuSeconds is the process's user plus system CPU time so far, from
+// getrusage; 0 where that fails.
+func cpuSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	tv := func(t syscall.Timeval) float64 { return float64(t.Sec) + float64(t.Usec)/1e6 }
+	return tv(ru.Utime) + tv(ru.Stime)
 }
 
 // peakMemory reports the process's peak heap (runtime HeapSys — the

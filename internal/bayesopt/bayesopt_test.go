@@ -370,3 +370,24 @@ func TestHedgeGainsUpdate(t *testing.T) {
 		t.Fatal("second Propose did not update gains")
 	}
 }
+
+// TestSearchAllocationsIndependentOfCallCount pins the buffer
+// reservation: every scratch buffer of a fresh searcher is sized to its
+// window on first use, so running it through the fill of its window and
+// five slides beyond allocates exactly as often as stopping after the
+// first fit — nothing grows by one element per decision.
+func TestSearchAllocationsIndependentOfCallCount(t *testing.T) {
+	allocs := func(calls int) float64 {
+		return testing.AllocsPerRun(20, func() {
+			s := New(8, 42)
+			n := 1
+			for i := 0; i < calls; i++ {
+				n = s.Next(optimizer.Observation{N: n, Utility: float64((i*7)%11) - 0.1*float64(n)})
+			}
+		})
+	}
+	first, full := allocs(4), allocs(25)
+	if first != full {
+		t.Errorf("fresh Search allocates %v times over 4 Next calls but %v over 25; want equal", first, full)
+	}
+}

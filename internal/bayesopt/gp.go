@@ -71,7 +71,7 @@ type GP struct {
 	// direct path evaluates, so lookups are bitwise identical.
 	// kTabHyper records the (LengthScale, SignalVar) the table was
 	// built with; syncKTab drops it when they change.
-	kTab     []float64
+	kTab      []float64
 	kTabHyper [2]float64
 }
 
@@ -82,6 +82,26 @@ func NewGP(lengthScale, signalVar, noiseVar float64) *GP {
 		panic(fmt.Sprintf("bayesopt: invalid GP hyperparameters ℓ=%v σf²=%v σn²=%v", lengthScale, signalVar, noiseVar))
 	}
 	return &GP{LengthScale: lengthScale, SignalVar: signalVar, NoiseVar: noiseVar, chol: linalg.NewChol(24)}
+}
+
+// reserve sizes the fit and sweep scratch, in one block, for a window of
+// n observations swept over an m-point grid, so a searcher's buffers are
+// allocated once instead of growing by one element per decision while
+// its window fills. Fitted state carries over; anything larger than the
+// reservation still grows on demand.
+func (g *GP) reserve(n, m int) {
+	buf := make([]float64, 4*n+n*m+m)
+	carve := func(old []float64, c int) []float64 {
+		s := append(buf[:0:c], old...)
+		buf = buf[c:]
+		return s
+	}
+	g.rowBuf = carve(nil, n)
+	g.yStd = carve(g.yStd, n)
+	g.alpha = carve(g.alpha, n)
+	g.xs = carve(g.xs, n)
+	g.bbuf = carve(nil, n*m)
+	g.kTab = carve(g.kTab, m)
 }
 
 // maxKernelTable bounds the integer-distance kernel table (64 KiB of
@@ -333,8 +353,9 @@ func (g *GP) Predict(x float64) (mean, std float64) {
 	g.syncKTab()
 	n := len(g.xs)
 	if cap(g.kstar) < n {
-		g.kstar = make([]float64, n)
-		g.vbuf = make([]float64, n)
+		// Sized to the reserved window, not the current fill.
+		g.kstar = make([]float64, max(n, cap(g.xs)))
+		g.vbuf = make([]float64, cap(g.kstar))
 	}
 	kstar := g.kstar[:n]
 	v := g.vbuf[:n]

@@ -241,6 +241,17 @@ func (s *Search) observe(x, y float64) {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return
 	}
+	if c := s.Window + 1; cap(s.xs) < c {
+		// First use (or a raised Window): size the window buffers — one
+		// slot over, for the append that precedes an eviction — and every
+		// candidate's scratch once, for the whole window.
+		w := make([]float64, 2*c)
+		s.xs = append(w[:0:c], s.xs...)
+		s.ys = append(w[c:c], s.ys...)
+		for _, g := range s.cands {
+			g.reserve(s.Window, s.MaxN)
+		}
+	}
 	s.xs = append(s.xs, x)
 	s.ys = append(s.ys, y)
 	if drop := len(s.xs) - s.Window; drop > 0 {

@@ -54,6 +54,8 @@ type Agent struct {
 	// is the search's Memoizable facet, asserted once at attach time.
 	memo       *DecisionMemo
 	memoSearch optimizer.Memoizable
+	// sweepMemo records that the BO search shares a bayesopt.SweepMemo.
+	sweepMemo bool
 }
 
 // UtilityFunc maps one sample's observables to a utility value:
@@ -174,6 +176,14 @@ func (a *Agent) Decide(s transfer.Sample) transfer.Setting {
 	return transfer.Setting{Concurrency: next, Parallelism: a.parallelism, Pipelining: a.pipelining}
 }
 
+// DecideIsolated implements session.IsolatedDecider: Decide touches
+// only the agent's own search, rng and history, so agents may decide
+// concurrently — unless the agent shares a memo with its shard, or runs
+// a caller-supplied utility function the agent cannot vouch for.
+func (a *Agent) DecideIsolated() bool {
+	return a.memo == nil && !a.sweepMemo && a.utilFn == nil
+}
+
 // History returns a copy of the recorded decisions, so callers can
 // hold or mutate the slice without aliasing the agent's live log.
 func (a *Agent) History() []Decision {
@@ -234,6 +244,10 @@ func NewDefaultMultiAgent(maxN, maxP, maxQ int) *MultiAgent {
 	}
 	return m
 }
+
+// DecideIsolated implements session.IsolatedDecider: the agent's search
+// and parameters are its own.
+func (m *MultiAgent) DecideIsolated() bool { return true }
 
 // Decide implements testbed.Controller for the multi-parameter agent.
 // Pipelining carries no regret term (Eq 7): it is "merely command

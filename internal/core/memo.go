@@ -105,6 +105,7 @@ func (a *Agent) SetSweepMemo(m *bayesopt.SweepMemo) bool {
 		return false
 	}
 	bs.SetSweepMemo(m)
+	a.sweepMemo = m != nil
 	return true
 }
 

@@ -4,6 +4,8 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/bayesopt"
+	"repro/internal/session"
 	"repro/internal/transfer"
 )
 
@@ -125,6 +127,44 @@ func TestFleetAgentMatchesByNameForSeedless(t *testing.T) {
 				t.Fatalf("%s step %d: fleet %d != byname %d", algo, step, a, b)
 			}
 			n1, n2 = a, b
+		}
+	}
+}
+
+// TestDecideIsolatedOnlyOnPrivateState: an agent declares its Decide
+// isolated — safe to run beside other agents' — exactly while nothing
+// it touches is shared: a decision memo, a sweep memo, or a
+// caller-supplied utility function each withdraw the declaration, and
+// detaching them restores it.
+func TestDecideIsolatedOnlyOnPrivateState(t *testing.T) {
+	var _ session.IsolatedDecider = (*Agent)(nil)
+	var _ session.IsolatedDecider = (*MultiAgent)(nil)
+	if !NewDefaultMultiAgent(8, 4, 4).DecideIsolated() {
+		t.Error("a multi-parameter agent is not isolated")
+	}
+	for _, algo := range []string{AlgoHillClimbing, AlgoGradient, AlgoBayesian, AlgoDirectSearch, AlgoSPSA} {
+		a, err := NewFleetAgent(algo, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.DecideIsolated() {
+			t.Errorf("%s: a fresh agent is not isolated", algo)
+		}
+		a.SetUtilityFunc(func(n, p int, aggregate, loss float64) float64 { return aggregate })
+		if a.DecideIsolated() {
+			t.Errorf("%s: isolated with a caller-supplied utility function", algo)
+		}
+		a.SetUtilityFunc(nil)
+		if a.SetDecisionMemo(NewDecisionMemo(0)) == a.DecideIsolated() {
+			t.Errorf("%s: isolated = %v with a decision memo attached", algo, a.DecideIsolated())
+		}
+		a.SetDecisionMemo(nil)
+		if a.SetSweepMemo(bayesopt.NewSweepMemo(0)) == a.DecideIsolated() {
+			t.Errorf("%s: isolated = %v with a sweep memo attached", algo, a.DecideIsolated())
+		}
+		a.SetSweepMemo(nil)
+		if !a.DecideIsolated() {
+			t.Errorf("%s: not isolated again after detaching every memo", algo)
 		}
 	}
 }

@@ -115,6 +115,10 @@ type FleetSummary struct {
 	AggregateGbps      float64 `json:"aggregate_gbps"`
 	// RecordMode is the recording fidelity the run used.
 	RecordMode string `json:"record_mode"`
+	// DecideWidth is how many goroutines each shard decided its due
+	// sets on (testbed.ShardSet.DecideWidth): a function of the worker
+	// budget and the shard count, never of the output.
+	DecideWidth int `json:"decide_width"`
 	// Decision/sweep memo counters aggregate across shards; rates are
 	// hits/lookups, or 0 when the memo was off (no lookups).
 	DecisionMemoHits    uint64  `json:"decision_memo_hits"`
@@ -269,6 +273,7 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 		DurationSeconds:    cfg.Duration,
 		ConvergedAtSeconds: -1,
 		RecordMode:         mode.String(),
+		DecideWidth:        ss.DecideWidth(),
 	}
 	for k := range dms {
 		h, l := dms[k].Stats()

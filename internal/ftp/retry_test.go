@@ -151,9 +151,13 @@ func (p *killingProxy) forward(in net.Conn, idx int64) {
 func TestClientRetriesSeveredDataConnections(t *testing.T) {
 	sink := &DiscardSink{}
 	srv := startServer(t, sink, 0)
-	// Connection 0 is the control channel; sever data connections 1
-	// and 3 partway through their stripes.
-	proxy := newKillingProxy(t, srv.Addr(), map[int64]bool{1: true, 3: true}, 8*1024)
+	// Connection 0 is the control channel; sever the first two data
+	// connections partway through their stripes. Connection 1 dying
+	// forces a second dial, so both are always dialled — by the two
+	// workers, or by one worker's retry — and each costs a retry however
+	// the workers interleave. (Severing 1 and 3 did not: a survivor 2
+	// can carry everything and 3 is then never dialled.)
+	proxy := newKillingProxy(t, srv.Addr(), map[int64]bool{1: true, 2: true}, 8*1024)
 
 	c := &Client{
 		Addr:   proxy.addr(),

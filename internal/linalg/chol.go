@@ -29,12 +29,14 @@ type Chol struct {
 }
 
 // NewChol returns an empty factor with capacity reserved for an n×n
-// matrix.
+// matrix, DropFirst's scratch included, in one block.
 func NewChol(n int) *Chol {
 	if n < 0 {
 		n = 0
 	}
-	return &Chol{data: make([]float64, 0, n*(n+1)/2)}
+	tri := n * (n + 1) / 2
+	buf := make([]float64, tri+n)
+	return &Chol{data: buf[:0:tri], xbuf: buf[tri:]}
 }
 
 // Size returns the current dimension of the factored matrix.

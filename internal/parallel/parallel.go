@@ -36,11 +36,13 @@ func SetWorkers(n int) {
 // and returns when all calls have finished.
 func ForEach(n int, fn func(i int)) { ForEachN(n, Workers(), fn) }
 
-// ForEachN runs fn(0) … fn(n-1) across at most workers goroutines and
-// returns when all calls have finished. With workers ≤ 1 (or n == 1)
-// it runs fn inline, so serial execution has no goroutine overhead and
-// an identical call stack. If any fn panics, ForEachN re-panics with
-// the first recovered value after all workers have stopped.
+// ForEachN runs fn(0) … fn(n-1) across at most workers goroutines —
+// the caller's own and workers-1 helpers, so a short fan-out costs no
+// hand-off and the caller never idles — and returns when all calls have
+// finished. With workers ≤ 1 (or n == 1) it runs fn inline, so serial
+// execution has no goroutine overhead and an identical call stack. If
+// any fn panics, ForEachN re-panics on the caller's goroutine with the
+// first recovered value after all helpers have stopped.
 func ForEachN(n, workers int, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -59,26 +61,30 @@ func ForEachN(n, workers int, fn func(i int)) {
 		wg       sync.WaitGroup
 		panicked atomic.Value
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						panicked.CompareAndSwap(nil, fmt.Sprintf("parallel: worker panic on item %d: %v", i, r))
+					}
+				}()
+				fn(i)
+			}()
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				func() {
-					defer func() {
-						if r := recover(); r != nil {
-							panicked.CompareAndSwap(nil, fmt.Sprintf("parallel: worker panic on item %d: %v", i, r))
-						}
-					}()
-					fn(i)
-				}()
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
 	if p := panicked.Load(); p != nil {
 		panic(p)

@@ -439,8 +439,9 @@ type ExecOptions struct {
 	// runs deliver events live; multi-shard runs deliver them after
 	// the run in merged (time, shard) order.
 	Events session.Sink
-	// Workers bounds how many shards step concurrently: ≤1 serial, 0
-	// the parallel harness default. Output never depends on it.
+	// Workers is the run's worker budget (testbed.ShardSet.SetWorkers):
+	// ≤1 serial, except 0, the parallel harness default. Output never
+	// depends on it.
 	Workers int
 }
 

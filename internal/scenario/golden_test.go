@@ -9,11 +9,16 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
+	"time"
+	_ "unsafe" // go:linkname, for the test hook below
 
+	"repro/internal/parallel"
 	"repro/internal/session"
 	"repro/internal/testbed"
 	"repro/internal/trace"
+	"repro/internal/transfer"
 )
 
 // Goldens of goldenFleetDoc's full-recording Timeline and merged event
@@ -25,6 +30,13 @@ const (
 	goldenFleetTimeline = "4b8c671f1b8ea5387eefbaab67eb2c260351122a91515e4bde8cb14940fb03f7"
 	goldenFleetEvents   = "c7fcc88e15ff98f9258c0eadba77b99ada27e8ff6ff58607b64bdf648a1d4f14"
 )
+
+// decideFanout is testbed's fan-out threshold, an unexported variable
+// that exists so tests can lower it; production has no setter, and this
+// package's tests reach it by name.
+//
+//go:linkname decideFanout repro/internal/testbed.decideFanout
+var decideFanout int
 
 // goldenFleetDoc is a 1 000-session fleet over four pinned bottleneck
 // links: per link 210 long-lived hc/gd/bo sessions, 20 that leave at
@@ -122,19 +134,24 @@ func hashEvent(w io.Writer, e session.Event) {
 }
 
 // TestFleetGolden runs goldenFleetDoc with full recording on the
-// event-queue and scan schedulers and in exact stepping, each at
-// -shards 1 and 4, and checks the Timeline and the merged event stream
-// against the checked-in hashes.
+// event-queue and scan schedulers and in exact stepping, each on 1, 4,
+// 8 and 32 workers — over the document's four shards that is decide
+// width 1, 1, 2 and 8, with the fan-out threshold lowered to two
+// isolated decisions so the parallel phase runs throughout — and checks
+// the Timeline and the merged event stream against the checked-in
+// hashes.
 func TestFleetGolden(t *testing.T) {
 	defer testbed.SetDefaultEventQueue(true)
 	defer testbed.SetDefaultExact(false)
+	defer func(old int) { decideFanout = old }(decideFanout)
+	decideFanout = 2
 	for _, mode := range []struct {
 		name         string
 		queue, exact bool
 	}{{"queue", true, false}, {"scan", false, false}, {"queue-exact", true, true}} {
 		testbed.SetDefaultEventQueue(mode.queue)
 		testbed.SetDefaultExact(mode.exact)
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 4, 8, 32} {
 			run, err := goldenFleetDoc().Build()
 			if err != nil {
 				t.Fatal(err)
@@ -163,5 +180,75 @@ func TestFleetGolden(t *testing.T) {
 				t.Errorf("%s shards=%d: event stream sha256 = %s, want %s", mode.name, workers, got, goldenFleetEvents)
 			}
 		}
+	}
+}
+
+// rendezvous is a transparent controller wrapper whose first decision
+// waits until every one of its peers has reached its own — which can
+// only happen if their shards are being stepped at the same time.
+type rendezvous struct {
+	inner   testbed.Controller
+	met     *bool
+	arrive  func()
+	allHere <-chan struct{}
+	timeout *atomic.Bool
+}
+
+func (r *rendezvous) Decide(s transfer.Sample) transfer.Setting {
+	if !*r.met {
+		*r.met = true
+		r.arrive()
+		select {
+		case <-r.allHere:
+		case <-time.After(10 * time.Second):
+			r.timeout.Store(true)
+		}
+	}
+	return r.inner.Decide(s)
+}
+
+// TestZeroWorkersMeansHarnessDefault: ExecOptions.Workers (and
+// ShardSet.SetWorkers beneath it) document 0 as "the parallel harness
+// default". With that default at 4, the golden fleet's four shards must
+// really step side by side — the first controller of each shard waits
+// for the other three — and produce the checked-in bytes.
+func TestZeroWorkersMeansHarnessDefault(t *testing.T) {
+	old := parallel.Workers()
+	defer parallel.SetWorkers(old)
+	parallel.SetWorkers(4)
+
+	run, err := goldenFleetDoc().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var (
+		arrived  atomic.Int32
+		timedOut atomic.Bool
+		allHere  = make(chan struct{})
+	)
+	for _, sh := range run.Shards {
+		p := &run.Participants[sh.Participants[0]]
+		p.Controller = &rendezvous{inner: p.Controller, met: new(bool), allHere: allHere, timeout: &timedOut,
+			arrive: func() {
+				if int(arrived.Add(1)) == len(run.Shards) {
+					close(allHere)
+				}
+			}}
+	}
+	sum := sha256.New()
+	w := bufio.NewWriter(sum)
+	tl, err := run.Execute(ExecOptions{Workers: 0, Events: func(e session.Event) { hashEvent(w, e) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.Flush()
+	if timedOut.Load() {
+		t.Error("a shard's first decision waited 10 s for the other shards to reach theirs: Workers 0 did not step them side by side")
+	}
+	if got := hashTimeline(tl); got != goldenFleetTimeline {
+		t.Errorf("timeline sha256 = %s, want %s", got, goldenFleetTimeline)
+	}
+	if got := hex.EncodeToString(sum.Sum(nil)); got != goldenFleetEvents {
+		t.Errorf("event stream sha256 = %s, want %s", got, goldenFleetEvents)
 	}
 }

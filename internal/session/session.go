@@ -30,6 +30,16 @@ type Decider interface {
 	Decide(s transfer.Sample) transfer.Setting
 }
 
+// IsolatedDecider is the opt-in a Decider makes when its Decide touches
+// nothing but state the controller itself owns (its own searcher, rng
+// and history): DecideIsolated reporting true lets a driver run Decide
+// off its own goroutine, concurrently with other sessions' controllers.
+// Controllers that do not implement it are only ever called inline.
+type IsolatedDecider interface {
+	Decider
+	DecideIsolated() bool
+}
+
 // Env is the minimal contract a Session drives: reconfigure the
 // transfer and report completion.
 type Env interface {
@@ -99,6 +109,7 @@ type Session struct {
 
 	started  bool
 	finished bool
+	isolated bool // dec declared itself an IsolatedDecider at Init
 	// nextDecision is the time of the next decision epoch.
 	nextDecision float64
 	// resetAt is a pending measurement-window restart (warm-up expiry);
@@ -134,7 +145,8 @@ func Init(s *Session, env Env, dec Decider, cfg Config) error {
 		cfg.Interval = 3
 	}
 	win, _ := env.(WindowEnv)
-	*s = Session{env: env, win: win, dec: dec, cfg: cfg}
+	iso, ok := dec.(IsolatedDecider)
+	*s = Session{env: env, win: win, dec: dec, cfg: cfg, isolated: ok && iso.DecideIsolated()}
 	return nil
 }
 
@@ -189,22 +201,85 @@ func (s *Session) NextDeadline() float64 {
 // time between ticks by stepping the simulation. A failed sample (an
 // empty window after a join race) is reported as an Error event and
 // retried at the next epoch, not the next tick. Tick returns the apply
-// error, if any.
+// error, if any. It is Sample followed by Commit; a driver ticking many
+// sessions at one instant may call the steps itself (see Pending).
 func (s *Session) Tick(now float64) error {
+	var p Pending
+	s.Sample(now, &p)
+	return s.Commit(now, &p)
+}
+
+// Pending carries one tick of one session between its steps, so a
+// driver can run the steps of many sessions due at the same instant as
+// phases: every Sample in its serial order (sampling reads the
+// environment, which sessions may share), then Decide for the ticks
+// that report Isolated — from any goroutine, concurrently — then every
+// Commit, again serially and in order, which emits the tick's events
+// exactly as Tick would. Decide is optional: Commit runs the controller
+// inline for a tick nobody decided.
+type Pending struct {
+	sample transfer.Sample
+	next   transfer.Setting
+	err    error // the sample step's failure, reported at Commit
+	live   bool  // Sample found the session ticking: Commit has work
+	epoch  bool  // a decision epoch was due and its window is closed
+	ready  bool  // next already holds the controller's decision
+	iso    bool  // a sampled epoch whose controller is isolated
+}
+
+// Isolated reports whether the tick holds a sampled epoch whose
+// controller may be run by Decide off the driver's goroutine.
+func (p *Pending) Isolated() bool { return p.iso }
+
+// Sample is the first step of a tick: if a decision epoch is due it
+// closes the measurement window into p and advances the epoch — before
+// the outcome is handled, so a failed sample waits a full interval
+// instead of busy-retrying. It emits nothing; Commit reports whatever
+// went wrong.
+func (s *Session) Sample(now float64, p *Pending) {
+	*p = Pending{}
 	if !s.started || s.finished {
-		return nil
+		return
 	}
 	if s.win == nil {
-		return errors.New("session: Tick requires a window environment")
+		p.err = errors.New("session: Tick requires a window environment")
+		return
 	}
+	p.live = true
 	if now >= s.nextDecision && !s.env.Done() {
-		sample, err := s.win.TakeSample()
-		// Advance the epoch before handling the outcome, so a failed
-		// sample waits a full interval instead of busy-retrying.
+		p.sample, p.err = s.win.TakeSample()
+		p.epoch = true
+		p.iso = s.isolated && p.err == nil
 		s.nextDecision = now + s.cfg.Interval
-		if err != nil {
-			s.emit(Event{Kind: Error, Time: now, Err: err})
-		} else if err := s.Observe(now, sample); err != nil {
+	}
+}
+
+// Decide is the optional middle step: it runs the controller (without
+// one the sampled setting stands) on p's sample, once. It touches the
+// controller and p only, so for an Isolated tick it is safe beside
+// other sessions' Decide calls.
+func (s *Session) Decide(p *Pending) {
+	if !p.epoch || p.err != nil || p.ready {
+		return
+	}
+	p.next, p.ready = p.sample.Setting, true
+	if s.dec != nil {
+		p.next = s.dec.Decide(p.sample)
+	}
+}
+
+// Commit is the last step: it reports the sampled epoch — Sample,
+// Decision and Apply events around the apply itself, or the Error of a
+// failed sample — and then restarts the window if a warm-up expired.
+// It returns the apply error, if any.
+func (s *Session) Commit(now float64, p *Pending) error {
+	if !p.live {
+		return p.err
+	}
+	if p.err != nil {
+		s.emit(Event{Kind: Error, Time: now, Err: p.err})
+	} else if p.epoch {
+		if err := s.conclude(now, p); err != nil {
 			return err
 		}
 	}
@@ -221,12 +296,17 @@ func (s *Session) Tick(now float64) error {
 // (Tick) and wall-clock (Run) paths. The returned error is the apply
 // failure, if any.
 func (s *Session) Observe(now float64, sample transfer.Sample) error {
+	return s.conclude(now, &Pending{sample: sample, epoch: true})
+}
+
+// conclude is the decision flow over p's sample, running the controller
+// between the Sample and Decision events unless Decide already has.
+func (s *Session) conclude(now float64, p *Pending) error {
+	sample := p.sample
 	s.epochs++
 	s.emit(Event{Kind: Sample, Time: now, Sample: sample})
-	next := sample.Setting
-	if s.dec != nil {
-		next = s.dec.Decide(sample)
-	}
+	s.Decide(p)
+	next := p.next
 	s.emit(Event{Kind: Decision, Time: now, Sample: sample, Setting: next})
 	if s.cfg.OnSample != nil {
 		s.cfg.OnSample(sample, next)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/parallel"
 	"repro/internal/session"
 )
 
@@ -39,6 +40,9 @@ type queueRun struct {
 
 	due  []int32 // scratch: handles due at the current loop head
 	done []int32 // scratch: part indexes to sweep for completion
+	// pend is the sessions ticking at the current loop head, in part
+	// order, each carried from its sample through its commit.
+	pend []pendingTick
 
 	// partOf maps an engine task handle to the part that joined with it
 	// (-1 for handles minted outside this run), so the engine's drained
@@ -56,6 +60,32 @@ type queueRun struct {
 	sessions []session.Session
 	envs     []SimEnvironment
 }
+
+// pendingTick is one session's tick in flight, with its part index.
+type pendingTick struct {
+	session.Pending
+	part int32
+}
+
+// decideFanout is the number of isolated decisions due at one loop head
+// from which deciding them on the scheduler's decide width pays for
+// waking the helpers. Measured with BenchmarkDecideFanout on the 2-core
+// reference VM (n hc/gd/bo agents all due together, 99 epochs, width 2
+// against width 1, medians of four runs): a fan-out costs its caller
+// 50–80 µs — a helper starts ≈ 0.3 ms late and the caller then waits
+// out the chunk it took — so 64 decisions lose 30 % (16.8 → 21.8 ms),
+// 128 lose 22 %, 160 lose 7 %, 192 and 224 break even, 256 gain 12 %
+// (81 → 71 ms) and 512 gain 17 % (170 → 141 ms). A variable, not a
+// constant, only so tests can lower it and drive the parallel phase
+// with small fleets.
+var decideFanout = 192
+
+// decideChunk is how many consecutive pending ticks one fan-out work
+// item covers: workers take whole chunks, so neighbours in pend — which
+// share cache lines — are written by one goroutine, and the shared
+// cursor is touched once per chunk. Per-tick items cost a quarter of
+// the phase's speed-up on the 10k-session fleet (0.80 s against 0.64 s).
+const decideChunk = 32
 
 func (s *Scheduler) newQueueRun(until, tick float64) *queueRun {
 	n := len(s.parts)
@@ -104,7 +134,9 @@ func (s *Scheduler) newQueueRun(until, tick float64) *queueRun {
 // step executes one macro-step of the event-queue loop; it reports
 // false once the horizon is reached. The phase order — lifecycle,
 // session ticks, engine advance, completion sweep, recording — and
-// every boundary comparison mirror scanRun.step exactly.
+// every boundary comparison mirror scanRun.step exactly; within the
+// session ticks, what scanRun does session by session through
+// Session.Tick runs here as sample, decide and commit phases.
 func (r *queueRun) step() bool {
 	s := r.s
 	eng := s.eng
@@ -132,21 +164,38 @@ func (r *queueRun) step() bool {
 		}
 	}
 
-	// Decision epochs and warm-up expiry, owned by each session. The
-	// popped deadline handles are exactly the sessions the scan loop's
-	// deadline check would not skip; exact mode ticks every live
-	// session every step, as the always-tick loop does.
+	// Decision epochs and warm-up expiry, owned by each session, in
+	// three phases. The popped deadline handles are exactly the sessions
+	// the scan loop's deadline check would not skip; exact mode ticks
+	// every live session every step, as the always-tick loop does.
+	//
+	// Sample, in part order: this is where the engine's noise stream is
+	// drawn, so the order is the scan loop's.
+	r.pend = r.pend[:0]
+	isolated := 0
 	if r.exact {
 		sen := int32(len(s.parts))
 		for i := r.next[sen]; i != sen; i = r.next[i] {
-			r.tickSession(int(i), now)
+			isolated += r.sample(i, now)
 		}
 	} else {
 		for _, h := range r.due {
 			if h&1 == 1 {
-				r.tickSession(int(h>>1), now)
+				isolated += r.sample(h>>1, now)
 			}
 		}
+	}
+	// Decide: controllers that declared themselves isolated run on
+	// private state only, so a due set worth the wake-up is spread over
+	// the decide width. Everything else is decided inline by the commit.
+	if s.decideWidth > 1 && isolated >= decideFanout {
+		parallel.ForEachN((len(r.pend)+decideChunk-1)/decideChunk, s.decideWidth, r.decide)
+	}
+	// Commit, in part order: events, Apply to the session's own task,
+	// the warm-up restart, and the re-armed deadline — all as the scan
+	// loop's Tick interleaves them per session.
+	for k := range r.pend {
+		r.commit(&r.pend[k], now)
 	}
 
 	if r.exact {
@@ -257,17 +306,50 @@ func (r *queueRun) leave(i int, now float64) {
 	r.unlink(int32(i))
 }
 
-// tickSession ticks part i's session and re-arms its deadline horizon.
-func (r *queueRun) tickSession(i int, now float64) {
-	e := &r.s.parts[i]
-	if e.sess == nil || e.sess.Finished() {
-		return
+// sample runs part i's sample step, queueing its tick for the commit;
+// it reports 1 if the tick awaits an isolated decision, else 0.
+func (r *queueRun) sample(i int32, now float64) int {
+	sess := r.s.parts[i].sess
+	if sess == nil || sess.Finished() {
+		return 0
 	}
-	if err := e.sess.Tick(now); err != nil {
+	r.pend = append(r.pend, pendingTick{part: i})
+	p := &r.pend[len(r.pend)-1]
+	sess.Sample(now, &p.Pending)
+	if p.Isolated() {
+		return 1
+	}
+	return 0
+}
+
+// decide runs the isolated controllers of the c-th chunk of pend. It is
+// the body of the parallel phase: a controller's panic is re-raised
+// naming its task and surfaces, through parallel.ForEachN, on the
+// scheduler's goroutine.
+func (r *queueRun) decide(c int) {
+	var e *schedEntry
+	defer func() {
+		if v := recover(); v != nil {
+			panic(fmt.Sprintf("testbed: controller for %q panicked: %v", e.p.Task.ID(), v))
+		}
+	}()
+	chunk := r.pend[c*decideChunk : min((c+1)*decideChunk, len(r.pend))]
+	for k := range chunk {
+		if p := &chunk[k]; p.Isolated() {
+			e = &r.s.parts[p.part]
+			e.sess.Decide(&p.Pending)
+		}
+	}
+}
+
+// commit finishes p's tick and re-arms its part's deadline horizon.
+func (r *queueRun) commit(p *pendingTick, now float64) {
+	e := &r.s.parts[p.part]
+	if err := e.sess.Commit(now, &p.Pending); err != nil {
 		panic(fmt.Sprintf("testbed: controller for %q produced invalid setting: %v", e.p.Task.ID(), err))
 	}
 	if !r.exact {
-		r.hz.push(int32(2*i+1), e.sess.NextDeadline())
+		r.hz.push(2*p.part+1, e.sess.NextDeadline())
 	}
 }
 

@@ -8,17 +8,32 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/session"
 	"repro/internal/transfer"
 )
+
+// lowerDecideFanout sets the fan-out threshold for the test, so fleets
+// of tens of sessions drive the parallel decide phase. It is the only
+// way to set it: production has no setter.
+func lowerDecideFanout(t testing.TB, n int) {
+	t.Helper()
+	old := decideFanout
+	decideFanout = n
+	t.Cleanup(func() { decideFanout = old })
+}
 
 // fleetScenario builds a mixed fleet designed to stress every ordering
 // decision the event-queue scheduler makes: staggered joins with many
 // identical join times, departures at identical leave times, small
 // tasks that drain mid-run, sessions sharing the default sample
 // interval (identical decision deadlines every epoch), and a few
-// off-cadence intervals so deadlines also interleave.
+// off-cadence intervals so deadlines also interleave. A third of the
+// fleet is test doubles decided inline, a third Falcon agents (hc, gd
+// and bo in turn) that declare themselves isolated and react to the
+// engine's noisy samples — so the order the noise stream is drawn in
+// shows in every later decision — and a third has no controller.
 func fleetScenario(t *testing.T, s *Scheduler, n int) {
 	t.Helper()
 	shared := dataset.Uniform("eq-fleet", 5000, int64(dataset.GB))
@@ -28,8 +43,9 @@ func fleetScenario(t *testing.T, s *Scheduler, n int) {
 		var err error
 		if i%7 == 3 {
 			// Finisher: drains well inside the horizon at any fleet
-			// size (≈2 Gb against a ≥80 Mbps max-min share).
-			task, err = transfer.NewTask(id, dataset.Uniform(id, 4, 64_000_000),
+			// size (≈0.5 Gb against a ≥20 Mbps max-min share once the
+			// agents have raised everyone's concurrency).
+			task, err = transfer.NewTask(id, dataset.Uniform(id, 4, 16_000_000),
 				transfer.Setting{Concurrency: 2, Parallelism: 1, Pipelining: 1})
 		} else {
 			task, err = transfer.NewTask(id, shared,
@@ -39,9 +55,16 @@ func fleetScenario(t *testing.T, s *Scheduler, n int) {
 			t.Fatal(err)
 		}
 		p := Participant{Task: task, JoinAt: float64(i%5) * 7}
-		if i%3 == 0 {
+		switch i % 3 {
+		case 0:
 			ci := new(int)
 			p.Controller = cycler{vals: []int{2, 4, 4, 3, 5}, i: ci}
+		case 1:
+			agent, err := core.NewFleetAgent([]string{"hc", "gd", "bo"}[i/3%3], 8, int64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.Controller = agent
 		}
 		if i%11 == 5 {
 			// Departures in identical-time clusters (60, 70, 80 s).
@@ -60,14 +83,18 @@ func fleetScenario(t *testing.T, s *Scheduler, n int) {
 // a pure fast path — on a fleet with mixed joins, leaves, mid-run
 // finishes, and identically-timed deadlines it must produce a timeline
 // and a session event stream identical, event for event, to the legacy
-// linear-scan loop, at both a small (45) and a large (500) fleet and in
-// both exact and batched stepping modes.
+// linear-scan loop, at both a small (45) and a large (500) fleet, in
+// both exact and batched stepping modes, and at decide widths 1, 2 and
+// 8 with the fan-out threshold lowered to two isolated decisions, so
+// the parallel phase runs at nearly every epoch. The scan loop ticks
+// its sessions one by one through Session.Tick and is the oracle.
 func TestEventQueueSchedulerIsTransparent(t *testing.T) {
+	lowerDecideFanout(t, 2)
 	type outcome struct {
 		tl     *Timeline
 		events []session.Event
 	}
-	run := func(n int, horizon float64, queue, exact bool) outcome {
+	run := func(n int, horizon float64, queue, exact bool, width int) outcome {
 		eng, err := NewEngine(HPCLab(), 11)
 		if err != nil {
 			t.Fatal(err)
@@ -75,6 +102,7 @@ func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 		eng.SetExact(exact)
 		s := NewScheduler(eng, 1)
 		s.SetEventQueue(queue)
+		s.decideWidth = width
 		var events []session.Event
 		s.SetEventSink(func(e session.Event) { events = append(events, e) })
 		fleetScenario(t, s, n)
@@ -88,34 +116,47 @@ func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 		{n: 500, horizon: 90},
 	} {
 		for _, exact := range []bool{false, true} {
-			name := fmt.Sprintf("n=%d/exact=%v", tc.n, exact)
-			t.Run(name, func(t *testing.T) {
-				queue := run(tc.n, tc.horizon, true, exact)
-				scan := run(tc.n, tc.horizon, false, exact)
-
-				if len(queue.tl.Finished) == 0 {
+			t.Run(fmt.Sprintf("n=%d/exact=%v", tc.n, exact), func(t *testing.T) {
+				scan := run(tc.n, tc.horizon, false, exact, 1)
+				if len(scan.tl.Finished) == 0 {
 					t.Fatal("scenario did not exercise completion: no task finished")
 				}
-				sawLeave := false
-				for _, e := range queue.events {
-					if e.Kind == session.Leave {
-						sawLeave = true
-						break
+				// Agents are parts 1, 4, 7, …: count their decisions per
+				// instant to show the lowered threshold is met.
+				sawLeave, isolatedAt := false, map[float64]int{}
+				for _, e := range scan.events {
+					sawLeave = sawLeave || e.Kind == session.Leave
+					if e.Kind == session.Decision && e.Index%3 == 1 {
+						isolatedAt[e.Time]++
 					}
 				}
 				if !sawLeave {
 					t.Fatal("scenario did not exercise departure: no Leave event")
 				}
-				if !reflect.DeepEqual(queue.tl, scan.tl) {
-					t.Error("event-queue timeline differs from linear-scan timeline")
-				}
-				if len(queue.events) != len(scan.events) {
-					t.Fatalf("event counts differ: queue %d, scan %d", len(queue.events), len(scan.events))
-				}
-				for i := range queue.events {
-					if !reflect.DeepEqual(queue.events[i], scan.events[i]) {
-						t.Fatalf("event %d differs:\n  queue: %+v\n  scan:  %+v", i, queue.events[i], scan.events[i])
+				fanouts := 0
+				for _, k := range isolatedAt {
+					if k >= decideFanout {
+						fanouts++
 					}
+				}
+				if fanouts < 10 {
+					t.Fatalf("scenario reaches the fan-out threshold at only %d instants", fanouts)
+				}
+				for _, width := range []int{1, 2, 8} {
+					t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
+						queue := run(tc.n, tc.horizon, true, exact, width)
+						if !reflect.DeepEqual(queue.tl, scan.tl) {
+							t.Error("event-queue timeline differs from linear-scan timeline")
+						}
+						if len(queue.events) != len(scan.events) {
+							t.Fatalf("event counts differ: queue %d, scan %d", len(queue.events), len(scan.events))
+						}
+						for i := range queue.events {
+							if !reflect.DeepEqual(queue.events[i], scan.events[i]) {
+								t.Fatalf("event %d differs:\n  queue: %+v\n  scan:  %+v", i, queue.events[i], scan.events[i])
+							}
+						}
+					})
 				}
 			})
 		}

@@ -125,6 +125,10 @@ type Scheduler struct {
 	verbose func(format string, args ...any)
 	events  session.Sink // optional external event consumer
 	queue   bool         // event-queue orchestration (default); false = legacy scan loop
+	// decideWidth is how many goroutines the event-queue run may decide
+	// one loop head's isolated due set on; ≤ 1 decides inline. Derived
+	// by ShardSet from its worker budget, never set by callers.
+	decideWidth int
 
 	// recMode/recorder select what a run writes down (see RecordMode);
 	// the cadence — and therefore the simulation — is mode-invariant.

@@ -102,10 +102,30 @@ func (ss *ShardSet) SetRecording(mode RecordMode, rec Recorder) {
 	ss.recorder = rec
 }
 
-// SetWorkers bounds how many shards step concurrently (the -shards
-// flag). Values ≤ 1 run the shards serially; 0 keeps the parallel
-// harness default. Worker width never affects output, only wall time.
+// SetWorkers sets the run's worker budget (the -shards flag): how many
+// shards step concurrently and, where shards are fewer than workers,
+// how wide each decides (see DecideWidth). 1 or less runs serially,
+// except 0, which keeps the parallel harness default. The budget never
+// affects output, only wall time.
 func (ss *ShardSet) SetWorkers(n int) { ss.workers = n }
+
+// budget resolves the worker budget: at least 1, 0 meaning the parallel
+// harness default.
+func (ss *ShardSet) budget() int {
+	if ss.workers == 0 {
+		return parallel.Workers()
+	}
+	return max(ss.workers, 1)
+}
+
+// DecideWidth is how many goroutines each shard's scheduler may decide
+// one loop head's due set on: the worker budget divided among the
+// shards stepping at once, so a one-bottleneck fleet gets the whole
+// budget and a fleet with a shard per worker decides serially.
+func (ss *ShardSet) DecideWidth() int {
+	w := ss.budget()
+	return w / min(w, len(ss.shards))
+}
 
 // Shards returns the number of shards.
 func (ss *ShardSet) Shards() int { return len(ss.shards) }
@@ -132,7 +152,7 @@ func (ss *ShardSet) Run(until, tick float64) (*Timeline, error) {
 	bufs := make([][]session.Event, len(ss.shards))
 	errs := make([]error, len(ss.shards))
 	capture := ss.events != nil || ss.logf != nil
-	parallel.ForEachN(len(ss.shards), ss.workers, func(i int) {
+	parallel.ForEachN(len(ss.shards), ss.budget(), func(i int) {
 		var sink session.Sink
 		if capture {
 			buf := &bufs[i]
@@ -170,6 +190,7 @@ func (ss *ShardSet) build(sh *ShardSpec, sink session.Sink, logf func(format str
 	}
 	sched := NewScheduler(eng, ss.record)
 	sched.Warmup = ss.Warmup
+	sched.decideWidth = ss.DecideWidth()
 	sched.SetRecording(ss.recMode, ss.recorder)
 	if sink != nil {
 		sched.SetEventSink(sink)

@@ -502,8 +502,10 @@ func (s *Service) execute(sc *Scenario, fl *flight) {
 	st := *sc.snap()
 	st.Status = "running"
 	sc.publish(st)
-	s.runFn(sc)
+	// Counted before the run publishes its terminal state, so a client
+	// that has seen "done" never scrapes a counter that has not.
 	s.met.simulations.Add(1)
+	s.runFn(sc)
 
 	final := sc.snap()
 	s.mu.Lock()
