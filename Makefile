@@ -68,7 +68,7 @@ transparency:
 	$(RACE2) 'TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault' ./internal/scenario/
 	$(RACE2) 'TestDecisionMemoTransparent|TestSweepMemoTransparent' ./internal/core/ ./internal/bayesopt/
 	$(RACE2) 'TestFleetMemoTransparent|TestFleetMemoTransparentNoisy|TestFleetAggregateMatchesFull' ./internal/experiments/
-	$(RACE2) 'TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients' ./internal/webservice/
+	$(RACE2) 'TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant' ./internal/webservice/
 
 # Full gate: static checks, build, the race-enabled suite, the
 # transparency re-runs, the benchmark module's own checks, and every

@@ -50,6 +50,8 @@ type metricsRegistry struct {
 	coalesceHits atomic.Uint64
 	simulations  atomic.Uint64
 	evictions    atomic.Uint64
+	feedRecords  atomic.Uint64
+	sseWrites    atomic.Uint64
 
 	queueDepth  atomic.Int64
 	workersBusy atomic.Int64
@@ -153,6 +155,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	counter("falcon_coalesce_hits_total", "Scenario submissions coalesced onto an in-flight identical simulation.", m.coalesceHits.Load())
 	counter("falcon_simulations_total", "Simulations actually executed (cache and coalesce hits excluded).", m.simulations.Load())
 	counter("falcon_store_evictions_total", "Completed scenarios evicted from the bounded store.", m.evictions.Load())
+	counter("falcon_feed_records_total", "Session event records appended to scenario feeds, counted once per finished run.", m.feedRecords.Load())
+	counter("falcon_sse_writes_total", "Writes made by server-sent-event streams: one per batch of session frames, one per terminal event.", m.sseWrites.Load())
 
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)

@@ -117,3 +117,27 @@ func TestMetricsEndpoint(t *testing.T) {
 		cum = v
 	}
 }
+
+// TestFeedAndSSEWriteCounters pins falcon_feed_records_total (bumped
+// once per finished run by its feed length) and falcon_sse_writes_total
+// (one per stream write), whose ratio is records per SSE write.
+func TestFeedAndSSEWriteCounters(t *testing.T) {
+	_, ts := startService(t)
+	_, out := postScenario(t, ts.URL, `{"testbed":"emulab","algorithm":"gd","duration_seconds":120}`)
+	resp, err := http.Get(ts.URL + "/api/scenarios/" + out["id"] + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := readSSE(t, resp)
+	resp.Body.Close()
+
+	m := scrape(t, ts.URL)
+	if got, want := m["falcon_feed_records_total"], float64(len(events)-1); got != want {
+		t.Fatalf("falcon_feed_records_total = %v, want the %v streamed session events", got, want)
+	}
+	// At least one write carries session frames and one the done event;
+	// batching keeps the writes well below one per record.
+	if got := m["falcon_sse_writes_total"]; got < 2 || got > float64(len(events)) {
+		t.Fatalf("falcon_sse_writes_total = %v for %d events", got, len(events))
+	}
+}

@@ -1,7 +1,9 @@
 package webservice
 
 import (
+	"encoding/json"
 	"net/http"
+	"slices"
 	"sync"
 
 	"repro/internal/session"
@@ -63,26 +65,42 @@ func recordOf(e session.Event) EventRecord {
 	return rec
 }
 
+// feedKinds are the session event kinds a feedRecord's kind indexes.
+var feedKinds = [...]session.Kind{session.Join, session.Leave, session.Sample, session.Decision, session.Apply, session.Finish, session.Error}
+
+// feedRecord is the retained, pointer-free form of one EventRecord (40
+// bytes; the GC never scans a feed). agent indexes the tracker's agent
+// table; kind indexes feedKinds, the whole (closed) session taxonomy.
+type feedRecord struct {
+	time, gbps, loss   float64
+	concurrency, agent int32
+	kind               uint8
+}
+
 // progressTracker is a session event consumer that retains the event
 // feed and folds it into a queryable per-agent view — the live
-// counterpart of the Timeline sink, for scenarios still in flight. SSE
-// clients replay the retained records and then follow live appends via
-// the broadcast channel.
+// counterpart of the Timeline sink, for scenarios still in flight. The
+// simulation goroutine only appends; SSE followers read the sealed
+// prefix of the append-only feed and encode it on their own goroutine.
 type progressTracker struct {
 	mu      sync.Mutex
 	simTime float64
-	order   []string
-	agents  map[string]*AgentProgress
-	records []EventRecord
-	// finished is set once the run's event stream is complete.
-	finished bool
-	// signal is closed and replaced on every append and on finish, so
-	// streaming clients can wait for feed growth without polling.
-	signal chan struct{}
+	// agents is the fold's view in join order, names each agent's ID
+	// JSON-encoded once on first sight, byID an ID's index in both.
+	agents  []AgentProgress
+	names   [][]byte
+	byID    map[string]int32
+	records []feedRecord
+	// sealed counts the records before the latest instant (all once
+	// finished); followers read only this prefix, one instant per batch.
+	sealed int
+	// wake is non-nil while a follower is parked; seal closes it (wakes).
+	wake  chan struct{}
+	wakes int
 }
 
 func newProgressTracker() *progressTracker {
-	return &progressTracker{agents: make(map[string]*AgentProgress), signal: make(chan struct{})}
+	return &progressTracker{byID: make(map[string]int32)}
 }
 
 // Sink returns the event consumer to install on the scheduler.
@@ -90,36 +108,48 @@ func (p *progressTracker) Sink() session.Sink {
 	return func(e session.Event) {
 		rec := recordOf(e)
 		p.mu.Lock()
-		p.records = append(p.records, rec)
-		p.apply(rec)
-		p.broadcastLocked()
+		r := p.lower(rec)
+		if n := len(p.records); n > 0 && p.records[n-1].time != r.time {
+			p.seal(n)
+		}
+		p.records = append(p.records, r)
+		p.apply(r)
 		p.mu.Unlock()
 	}
+}
+
+// lower interns rec's agent and returns its retained form.
+func (p *progressTracker) lower(rec EventRecord) feedRecord {
+	i, ok := p.byID[rec.Agent]
+	if !ok {
+		i = int32(len(p.agents))
+		p.byID[rec.Agent] = i
+		p.agents = append(p.agents, AgentProgress{ID: rec.Agent})
+		name, _ := json.Marshal(rec.Agent) // a string always encodes
+		p.names = append(p.names, name)
+	}
+	return feedRecord{time: rec.Time, gbps: rec.Gbps, loss: rec.Loss, concurrency: int32(rec.Concurrency),
+		agent: i, kind: uint8(slices.Index(feedKinds[:], session.Kind(rec.Kind)))}
 }
 
 // apply folds one record into the per-agent view. Every consumer of
 // the feed — the polled snapshot and any client replaying the SSE
 // stream — sees the same fold, so the views cannot drift.
-func (p *progressTracker) apply(rec EventRecord) {
-	a, ok := p.agents[rec.Agent]
-	if !ok {
-		a = &AgentProgress{ID: rec.Agent}
-		p.agents[rec.Agent] = a
-		p.order = append(p.order, rec.Agent)
+func (p *progressTracker) apply(rec feedRecord) {
+	a := &p.agents[rec.agent]
+	if rec.time > p.simTime {
+		p.simTime = rec.time
 	}
-	if rec.Time > p.simTime {
-		p.simTime = rec.Time
-	}
-	switch session.Kind(rec.Kind) {
+	switch feedKinds[rec.kind] {
 	case session.Join:
 		a.Joined = true
-		a.Concurrency = rec.Concurrency
+		a.Concurrency = int(rec.concurrency)
 	case session.Sample:
 		a.Epochs++
-		a.LastGbps = rec.Gbps
-		a.LastLoss = rec.Loss
+		a.LastGbps = rec.gbps
+		a.LastLoss = rec.loss
 	case session.Decision:
-		a.Concurrency = rec.Concurrency
+		a.Concurrency = int(rec.concurrency)
 	case session.Finish, session.Leave:
 		a.Finished = true
 	}
@@ -131,49 +161,50 @@ func (p *progressTracker) apply(rec EventRecord) {
 func foldRecords(recs []EventRecord) (float64, []AgentProgress) {
 	t := newProgressTracker()
 	for _, r := range recs {
-		t.apply(r)
+		t.apply(t.lower(r))
 	}
-	out := make([]AgentProgress, 0, len(t.order))
-	for _, id := range t.order {
-		out = append(out, *t.agents[id])
-	}
-	return t.simTime, out
+	return t.snapshot()
 }
 
-// finish marks the feed complete and wakes streaming clients.
-func (p *progressTracker) finish() {
-	p.mu.Lock()
-	p.finished = true
-	p.broadcastLocked()
-	p.mu.Unlock()
-}
-
-func (p *progressTracker) broadcastLocked() {
-	close(p.signal)
-	p.signal = make(chan struct{})
-}
-
-// tail returns a copy of the records from index from onward. When the
-// feed has not grown past from, it instead returns a channel that is
-// closed on the next append or on finish.
-func (p *progressTracker) tail(from int) (recs []EventRecord, finished bool, wait <-chan struct{}) {
+// finish seals the whole feed and returns its length.
+func (p *progressTracker) finish() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.records) > from {
-		return append([]EventRecord(nil), p.records[from:]...), p.finished, nil
+	p.seal(len(p.records))
+	return len(p.records)
+}
+
+// seal advances the sealed prefix to n and wakes a parked follower:
+// once per distinct event time (times never decrease) and on finish.
+func (p *progressTracker) seal(n int) {
+	p.sealed = n
+	if p.wake != nil {
+		close(p.wake)
+		p.wake = nil
+		p.wakes++
 	}
-	return nil, p.finished, p.signal
+}
+
+// tail returns the sealed records from index from onward and the name
+// table they index: views of append-only slices, read without the lock.
+// When nothing past from is sealed it returns a channel to park on.
+func (p *progressTracker) tail(from int) (recs []feedRecord, names [][]byte, wait <-chan struct{}) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.sealed > from {
+		return p.records[from:p.sealed:p.sealed], p.names, nil
+	}
+	if p.wake == nil {
+		p.wake = make(chan struct{})
+	}
+	return nil, nil, p.wake
 }
 
 // snapshot returns the agents in join order.
 func (p *progressTracker) snapshot() (float64, []AgentProgress) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]AgentProgress, 0, len(p.order))
-	for _, id := range p.order {
-		out = append(out, *p.agents[id])
-	}
-	return p.simTime, out
+	return p.simTime, append(make([]AgentProgress, 0, len(p.agents)), p.agents...)
 }
 
 // handleProgress serves the live view of a scenario: its status plus

@@ -299,6 +299,8 @@ type Service struct {
 	sem chan struct{}
 	// runFn executes one admitted scenario (swapped out by tests).
 	runFn func(*Scenario)
+	// parked runs when an SSE stream has drained the feed (tests only).
+	parked func(*Scenario)
 
 	met metricsRegistry
 
@@ -586,7 +588,7 @@ func (s *Service) run(sc *Scenario) {
 		results = append(results, AgentResult{ID: id, MeanGbps: round3(mean), MeanConcurrency: round3(cc)})
 		shares = append(shares, mean)
 	}
-	sc.progress.finish()
+	s.met.feedRecords.Add(uint64(sc.progress.finish()))
 	sc.publish(scenarioState{
 		Status: "done", Results: results,
 		JainIndex: round3(stats.JainIndex(shares)), timeline: tl,
@@ -598,7 +600,7 @@ func (s *Service) run(sc *Scenario) {
 func round3(v float64) float64 { return math.Round(v*1000) / 1000 }
 
 func (s *Service) fail(sc *Scenario, err error) {
-	sc.progress.finish()
+	s.met.feedRecords.Add(uint64(sc.progress.finish()))
 	sc.publish(scenarioState{Status: "failed", Err: err.Error()})
 }
 

@@ -1,9 +1,10 @@
 package webservice
 
 import (
-	"encoding/json"
-	"fmt"
+	"math"
 	"net/http"
+	"slices"
+	"strconv"
 )
 
 // handleEvents streams a scenario's event feed as server-sent events
@@ -44,28 +45,37 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 	flusher.Flush()
 
 	idx := 0
+	var buf []byte
 	for {
-		recs, _, wait := sc.progress.tail(idx)
-		if len(recs) > 0 {
-			for _, rec := range recs {
-				data, err := json.Marshal(rec)
-				if err != nil {
-					return
-				}
-				if !writeSSE(w, "session", data) {
-					return
-				}
+		// State before feed: runs finish the feed before publishing (waiters
+		// after their leader), so terminal here means the tail is complete.
+		st := sc.snap()
+		recs, names, wait := sc.progress.tail(idx)
+		// Encode outside the tracker's lock into one sseChunk buffer per
+		// Write, so replaying a long feed holds one chunk, not the feed.
+		for len(recs) > 0 {
+			buf = slices.Grow(buf[:0], sseChunk)
+			n, ok := 0, true
+			for ; ok && n < len(recs) && len(buf) <= sseChunk-sseFrameRoom; n++ {
+				buf, ok = appendSessionFrame(buf, recs[n], names[recs[n].agent])
 			}
-			idx += len(recs)
+			// A record json.Marshal refuses ends the stream (!ok).
+			if !s.writeSSE(w, buf) || !ok {
+				return
+			}
 			flusher.Flush()
+			recs, idx = recs[n:], idx+n
+		}
+		if wait == nil {
 			continue
 		}
-		// Feed is drained. A terminal snapshot means no further records
-		// can arrive (runs finish their feed before publishing, and
-		// waiters resolve after their leader), so the stream completes
-		// with the final body.
-		if st := sc.snap(); st.terminal() {
-			writeSSE(w, "done", st.body)
+		if s.parked != nil {
+			s.parked(sc)
+		}
+		// Feed is drained and was terminal before the tail: the stream
+		// completes with the final body.
+		if st.terminal() {
+			s.writeSSE(w, appendSSE(buf[:0], "done", st.body))
 			flusher.Flush()
 			return
 		}
@@ -75,16 +85,68 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-s.draining:
-			writeSSE(w, "shutdown", []byte("{}"))
+			s.writeSSE(w, appendSSE(buf[:0], "shutdown", []byte("{}")))
 			flusher.Flush()
 			return
 		}
 	}
 }
 
-// writeSSE emits one server-sent event, reporting write failure so the
-// stream loop can stop on a gone client.
-func writeSSE(w http.ResponseWriter, event string, data []byte) bool {
-	_, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", event, data)
+// Frames are appended to a stream's sseChunk buffer while sseFrameRoom
+// bytes are left (a frame is ~90 bytes plus the agent ID).
+const sseChunk, sseFrameRoom = 64 << 10, 512
+
+// writeSSE writes encoded events in one Write, counting it, and
+// reports failure so the stream loop can stop on a gone client.
+func (s *Service) writeSSE(w http.ResponseWriter, events []byte) bool {
+	s.met.sseWrites.Add(1)
+	_, err := w.Write(events)
 	return err == nil
+}
+
+// appendSSE appends one server-sent event.
+func appendSSE(b []byte, event string, data []byte) []byte {
+	b = append(append(append(b, "event: "...), event...), "\ndata: "...)
+	return append(append(b, data...), "\n\n"...)
+}
+
+// appendSessionFrame appends rec as the "session" event that
+// appendSSE(b, "session", json.Marshal(EventRecord)) gives, byte for
+// byte; name is the agent's JSON-encoded ID. Like json.Marshal it
+// refuses a non-finite float (false, b unchanged).
+func appendSessionFrame(b []byte, rec feedRecord, name []byte) ([]byte, bool) {
+	for _, f := range [...]float64{rec.time, rec.gbps, rec.loss} {
+		if math.IsInf(f, 0) || math.IsNaN(f) {
+			return b, false
+		}
+	}
+	b = append(b, "event: session\ndata: {\"kind\":\""...)
+	b = append(b, feedKinds[rec.kind]...)
+	b = append(append(b, `","agent":`...), name...)
+	b = appendJSONFloat(append(b, `,"time":`...), rec.time)
+	if rec.gbps != 0 {
+		b = appendJSONFloat(append(b, `,"gbps":`...), rec.gbps)
+	}
+	if rec.loss != 0 {
+		b = appendJSONFloat(append(b, `,"loss":`...), rec.loss)
+	}
+	if rec.concurrency != 0 {
+		b = strconv.AppendInt(append(b, `,"concurrency":`...), int64(rec.concurrency), 10)
+	}
+	return append(b, "}\n\n"...), true
+}
+
+// appendJSONFloat is encoding/json's float64 encoding: shortest 'f', or
+// 'e' below 1e-6 and from 1e21 in magnitude, written 1e-7 not 1e-07.
+func appendJSONFloat(b []byte, f float64) []byte {
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
+	}
+	return b
 }
