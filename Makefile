@@ -66,8 +66,7 @@ transparency:
 	$(RACE2) 'TestMutationsTransparentAcrossModes|TestMutationsMemoTransparent' ./internal/testbed/
 	$(RACE2) 'TestUndeclaredControllersStayOnTheShardGoroutine|TestParallelControllerPanicSurfacesOnDriver' ./internal/testbed/
 	$(RACE2) 'TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault' ./internal/scenario/
-	$(RACE2) 'TestDecisionMemoTransparent|TestSweepMemoTransparent' ./internal/core/ ./internal/bayesopt/
-	$(RACE2) 'TestFleetMemoTransparent|TestFleetMemoTransparentNoisy|TestFleetAggregateMatchesFull' ./internal/experiments/
+	$(RACE2) 'TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetWorkersTransparent' ./internal/experiments/
 	$(RACE2) 'TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant' ./internal/webservice/
 
 # Full gate: static checks, build, the race-enabled suite, the

@@ -10,10 +10,10 @@
 // Usage:
 //
 //	fleet [-n N] [-duration S] [-stagger S] [-maxn N] [-seed N] [-algos hc,gd,bo]
-//	      [-links K] [-shards W] [-record auto|full|aggregate|off]
-//	      [-memo auto|on|off] [-nonoise] [-seedgroups G] [-maxheap BYTES]
+//	      [-links K] [-shards W] [-record auto|full|aggregate|off] [-maxheap BYTES]
 //	      [-json] [-exact] [-scan] [-cpuprofile FILE] [-memprofile FILE]
 //	fleet -scenario FILE.json [-seed N] [-shards W] [-exact] [-scan]
+//	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -links K > 1 the fleet spreads over K independent bottleneck
 // links (session i routes over link i mod K); each link's sessions run
@@ -22,36 +22,34 @@
 // its due sessions that many times wider instead (the decide width,
 // printed on stderr beside cpu/wall). -json replaces the report with a
 // one-line summary (Jain, aggregate Gbps, wall seconds,
-// session-seconds/sec, cpu/wall, decide width, peak heap, decision-memo
-// hit rates, record mode).
+// session-seconds/sec, cpu/wall, decide width, peak heap, record mode).
 //
 // -record selects recording fidelity (see experiments.FleetConfig):
 // "auto" (default) uses full per-session timelines below 50 000
 // sessions and the constant-space streaming aggregates at or above —
-// both produce bitwise-identical metrics. -memo enables cross-session
-// decision memoization; "auto" turns it on exactly when -nonoise is
-// set, since caching only hits when identical sessions exist (and the
-// per-decision store traffic is wasted otherwise). -nonoise zeroes
-// measurement noise and -seedgroups G collapses the fleet to G
-// distinct agent populations — together they create the exact twins
-// memoization collapses. -maxheap, when positive, exits with status 1
-// if the post-run peak heap exceeds the budget (the CI memory smoke).
+// both produce bitwise-identical metrics. -maxheap, when positive,
+// exits with status 1 if the post-run peak heap exceeds the budget (the
+// CI memory smoke).
 //
 // With -scenario, the flag-built fleet is replaced by a declarative
 // scenario document (see internal/scenario) and the run reports
 // time-to-refairness around every compiled link-capacity horizon via
-// experiments.DynamicFleet.
+// experiments.DynamicFleet. The document describes the fleet, so the
+// flags that build one (-n, -duration, -stagger, -maxn, -algos, -links,
+// -record, -maxheap, -json) are refused beside it rather than ignored;
+// a noise-free fleet is a document whose "env" sets "noise_std_dev": 0.
 //
 // The run is deterministic for a given flag set: the same seed always
-// produces byte-identical output, in the event-horizon (default) and
-// -exact stepping modes, and with the event-queue (default) and -scan
-// scheduler orchestration.
+// produces byte-identical output, at any -shards, in the event-horizon
+// (default) and -exact stepping modes, and with the event-queue
+// (default) and -scan scheduler orchestration.
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
@@ -64,42 +62,52 @@ import (
 	"repro/internal/testbed"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// flagRoadOnly names the flags that build a fleet from flags; a
+// scenario document describes its own fleet, so -scenario refuses them.
+var flagRoadOnly = []string{"n", "duration", "stagger", "maxn", "algos", "links", "record", "maxheap", "json"}
 
 // run holds main's body so profile-flushing defers execute before the
 // process exits with a status code.
-func run() int {
-	n := flag.Int("n", 500, "number of concurrent sessions")
-	duration := flag.Float64("duration", 600, "simulated horizon in seconds")
-	stagger := flag.Float64("stagger", 0.5, "join spacing in seconds (session i joins at i*stagger)")
-	maxn := flag.Int("maxn", 8, "concurrency search-domain bound per agent")
-	seed := flag.Int64("seed", 1, "base seed (session i's agent is seeded seed+i)")
-	algos := flag.String("algos", "hc,gd,bo", "comma-separated algorithm mix cycled across sessions")
-	links := flag.Int("links", 1, "number of independent bottleneck links; session i routes over link i mod links, each link runs as its own shard")
-	shards := flag.Int("shards", 0, "worker budget: max shards stepped concurrently, and with fewer shards than workers the width each decides on (0 = harness default, 1 = serial); never affects output")
-	record := flag.String("record", "auto", "recording fidelity: auto, full, aggregate, or off (auto = aggregate at ≥50000 sessions, full below); metrics are bitwise identical between full and aggregate")
-	memo := flag.String("memo", "auto", "cross-session decision memoization: auto, on, or off (auto = on iff -nonoise); never affects output")
-	nonoise := flag.Bool("nonoise", false, "zero the environment's measurement noise, making same-seed sessions exact twins")
-	seedgroups := flag.Int("seedgroups", 0, "collapse agent seeds to seed+i%G, creating G distinct populations of identical sessions (0 = all distinct)")
-	maxheap := flag.Uint64("maxheap", 0, "exit 1 if post-run peak heap (runtime HeapSys) exceeds this many bytes (0 = no budget)")
-	jsonOut := flag.Bool("json", false, "emit a one-line machine-readable JSON summary instead of the report")
-	scenarioPath := flag.String("scenario", "", "run a declarative scenario document (JSON) through the dynamic-fleet report instead of the flag-built fleet")
-	exact := flag.Bool("exact", false, "simulate on the exact always-tick path instead of event-horizon stepping")
-	scan := flag.Bool("scan", false, "use the legacy linear-scan scheduler loop instead of the event queue (A/B baseline; output must be byte-identical)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
-	flag.Parse()
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fleet", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	n := fs.Int("n", 500, "number of concurrent sessions")
+	duration := fs.Float64("duration", 600, "simulated horizon in seconds")
+	stagger := fs.Float64("stagger", 0.5, "join spacing in seconds (session i joins at i*stagger)")
+	maxn := fs.Int("maxn", 8, "concurrency search-domain bound per agent")
+	seed := fs.Int64("seed", 1, "base seed (session i's agent is seeded seed+i)")
+	algos := fs.String("algos", "hc,gd,bo", "comma-separated algorithm mix cycled across sessions")
+	links := fs.Int("links", 1, "number of independent bottleneck links; session i routes over link i mod links, each link runs as its own shard")
+	shards := fs.Int("shards", 0, "worker budget: max shards stepped concurrently, and with fewer shards than workers the width each decides on (0 = harness default, 1 = serial); never affects output")
+	record := fs.String("record", "auto", "recording fidelity: auto, full, aggregate, or off (auto = aggregate at ≥50000 sessions, full below); metrics are bitwise identical between full and aggregate")
+	maxheap := fs.Uint64("maxheap", 0, "exit 1 if post-run peak heap (runtime HeapSys) exceeds this many bytes (0 = no budget)")
+	jsonOut := fs.Bool("json", false, "emit a one-line machine-readable JSON summary instead of the report")
+	scenarioPath := fs.String("scenario", "", "run a declarative scenario document (JSON) through the dynamic-fleet report instead of the flag-built fleet")
+	exact := fs.Bool("exact", false, "simulate on the exact always-tick path instead of event-horizon stepping")
+	scan := fs.Bool("scan", false, "use the legacy linear-scan scheduler loop instead of the event queue (A/B baseline; output must be byte-identical)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
+		}
+		return 2
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	testbed.SetDefaultExact(*exact)
 	testbed.SetDefaultEventQueue(!*scan)
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
 		defer pprof.StopCPUProfile()
@@ -108,43 +116,51 @@ func run() int {
 		defer func() {
 			f, err := os.Create(*memprofile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+				fmt.Fprintf(stderr, "fleet: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC()
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+				fmt.Fprintf(stderr, "fleet: %v\n", err)
 			}
 		}()
 	}
 
 	if *scenarioPath != "" {
+		var refused []string
+		for _, name := range flagRoadOnly {
+			if set[name] {
+				refused = append(refused, "-"+name)
+			}
+		}
+		if len(refused) > 0 {
+			fmt.Fprintf(stderr, "fleet: %s cannot be used with -scenario: the document describes the fleet\n", strings.Join(refused, ", "))
+			return 1
+		}
 		doc, err := scenario.ParseFile(*scenarioPath)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
 		// -seed overrides the document's seed only when set explicitly.
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				doc.Seed = *seed
-			}
-		})
+		if set["seed"] {
+			doc.Seed = *seed
+		}
 		sessions := len(doc.AgentIDs())
 		start := time.Now()
-		res, err := experiments.DynamicFleet(doc)
+		res, err := experiments.DynamicFleet(doc, *shards)
 		wall := time.Since(start)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
-		if err := res.Render(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+		if err := res.Render(stdout); err != nil {
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
 		sessSec := float64(sessions) * doc.DurationSeconds / wall.Seconds()
-		fmt.Fprintf(os.Stderr, "fleet: %d sessions × %.0f s simulated in %.2f s wall — %.0f session-seconds/sec\n",
+		fmt.Fprintf(stderr, "fleet: %d sessions × %.0f s simulated in %.2f s wall — %.0f session-seconds/sec\n",
 			sessions, doc.DurationSeconds, wall.Seconds(), sessSec)
 		return 0
 	}
@@ -166,20 +182,6 @@ func run() int {
 			recordMode = "full"
 		}
 	}
-	useMemo := false
-	switch *memo {
-	case "on":
-		useMemo = true
-	case "off":
-	case "auto":
-		// Memoization only hits when identical sessions exist, which
-		// requires noise off; on a noisy fleet every lookup misses and
-		// every BO decision stores a dead GP snapshot.
-		useMemo = *nonoise
-	default:
-		fmt.Fprintf(os.Stderr, "fleet: unknown -memo %q (want auto, on, or off)\n", *memo)
-		return 1
-	}
 	start, cpu0 := time.Now(), cpuSeconds()
 	res, sum, err := experiments.Fleet(experiments.FleetConfig{
 		Sessions:   *n,
@@ -191,14 +193,11 @@ func run() int {
 		Links:      *links,
 		Workers:    *shards,
 		RecordMode: recordMode,
-		Memo:       useMemo,
-		NoNoise:    *nonoise,
-		SeedGroups: *seedgroups,
 	})
 	wall := time.Since(start)
 	cpuOverWall := (cpuSeconds() - cpu0) / wall.Seconds()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+		fmt.Fprintf(stderr, "fleet: %v\n", err)
 		return 1
 	}
 	peakHeap, peakRSS := peakMemory()
@@ -207,26 +206,21 @@ func run() int {
 		enc, err := json.Marshal(jsonSummary{*sum, wall.Seconds(), sessSec, cpuOverWall,
 			peakHeap, peakRSS, float64(peakHeap) / float64(*n)})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
-		fmt.Println(string(enc))
-	} else if err := res.Render(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "fleet: %v\n", err)
+		fmt.Fprintln(stdout, string(enc))
+	} else if err := res.Render(stdout); err != nil {
+		fmt.Fprintf(stderr, "fleet: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(os.Stderr, "fleet: %d sessions × %.0f s simulated in %.2f s wall — %.0f session-seconds/sec\n",
+	fmt.Fprintf(stderr, "fleet: %d sessions × %.0f s simulated in %.2f s wall — %.0f session-seconds/sec\n",
 		*n, *duration, wall.Seconds(), sessSec)
-	fmt.Fprintf(os.Stderr, "fleet: cpu/wall %.2f, decide width %d\n", cpuOverWall, sum.DecideWidth)
-	fmt.Fprintf(os.Stderr, "fleet: record %s, peak heap %.1f MB (%.0f B/session), peak RSS %.1f MB\n",
+	fmt.Fprintf(stderr, "fleet: cpu/wall %.2f, decide width %d\n", cpuOverWall, sum.DecideWidth)
+	fmt.Fprintf(stderr, "fleet: record %s, peak heap %.1f MB (%.0f B/session), peak RSS %.1f MB\n",
 		sum.RecordMode, float64(peakHeap)/1e6, float64(peakHeap)/float64(*n), float64(peakRSS)/1e6)
-	if useMemo {
-		fmt.Fprintf(os.Stderr, "fleet: decision memo %d/%d hits (%.1f%%), sweep memo %d/%d hits (%.1f%%)\n",
-			sum.DecisionMemoHits, sum.DecisionMemoLookups, 100*sum.DecisionMemoHitRate,
-			sum.SweepMemoHits, sum.SweepMemoLookups, 100*sum.SweepMemoHitRate)
-	}
 	if *maxheap > 0 && peakHeap > *maxheap {
-		fmt.Fprintf(os.Stderr, "fleet: peak heap %d bytes exceeds -maxheap budget %d\n", peakHeap, *maxheap)
+		fmt.Fprintf(stderr, "fleet: peak heap %d bytes exceeds -maxheap budget %d\n", peakHeap, *maxheap)
 		return 1
 	}
 	return 0

@@ -3,9 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"math"
-	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -16,19 +16,10 @@ import (
 // two keys that answer "is the fleet using the machine?": the decide
 // width derived from -shards and the shard count, and cpu_over_wall.
 func TestJSONSummarySessionSeconds(t *testing.T) {
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldArgs, oldStdout := os.Args, os.Stdout
-	os.Args = []string{"fleet", "-n", "30", "-duration", "40", "-stagger", "0.1", "-shards", "6", "-links", "2", "-json"}
-	os.Stdout = w
-	code := run()
-	os.Args, os.Stdout = oldArgs, oldStdout
-	w.Close()
-	out, err := io.ReadAll(r)
-	if err != nil || code != 0 {
-		t.Fatalf("fleet -json exited %d (read error %v)", code, err)
+	var out, errOut bytes.Buffer
+	args := []string{"-n", "30", "-duration", "40", "-stagger", "0.1", "-shards", "6", "-links", "2", "-json"}
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("fleet -json exited %d:\n%s", code, errOut.String())
 	}
 	var sum struct {
 		Sessions        int      `json:"sessions"`
@@ -38,8 +29,8 @@ func TestJSONSummarySessionSeconds(t *testing.T) {
 		CPUOverWall     *float64 `json:"cpu_over_wall"`
 		DecideWidth     *int     `json:"decide_width"`
 	}
-	if err := json.Unmarshal(bytes.TrimSpace(out), &sum); err != nil {
-		t.Fatalf("summary is not one JSON object: %v\n%s", err, out)
+	if err := json.Unmarshal(bytes.TrimSpace(out.Bytes()), &sum); err != nil {
+		t.Fatalf("summary is not one JSON object: %v\n%s", err, out.String())
 	}
 	if sum.Sessions != 30 || sum.DurationSeconds != 40 || sum.WallSeconds <= 0 {
 		t.Fatalf("unexpected summary %+v", sum)
@@ -54,5 +45,23 @@ func TestJSONSummarySessionSeconds(t *testing.T) {
 	want := float64(sum.Sessions) * sum.DurationSeconds / sum.WallSeconds
 	if math.Abs(sum.SessionsPerSec-want) > 1e-9*want {
 		t.Errorf("sessions_per_sec = %v, want sessions × duration / wall = %v", sum.SessionsPerSec, want)
+	}
+}
+
+// TestScenarioRefusesFlagRoadFlags: a scenario document describes its
+// own fleet, so a fleet-building flag set beside -scenario is an error
+// that names the flag, not a value silently dropped.
+func TestScenarioRefusesFlagRoadFlags(t *testing.T) {
+	doc := filepath.Join("..", "..", "examples", "scenarios", "fleet-flap.json")
+	var out, errOut bytes.Buffer
+	code := run([]string{"-scenario", doc, "-n", "5"}, &out, &errOut)
+	if code == 0 {
+		t.Fatalf("fleet -scenario … -n 5 exited 0:\n%s", out.String())
+	}
+	if !strings.Contains(errOut.String(), "-n") || !strings.Contains(errOut.String(), "-scenario") {
+		t.Errorf("error does not name -n and -scenario: %q", errOut.String())
+	}
+	if out.Len() != 0 {
+		t.Errorf("refused run wrote a report:\n%s", out.String())
 	}
 }

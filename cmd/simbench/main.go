@@ -15,8 +15,8 @@
 // serial `reproduce -seed N` run in both stepping modes, and the fleet
 // timings — 10k static, 100k sharded, a dynamic scenario, and the
 // million-session memory-diet runs (skippable with -skip-million; they
-// take tens of minutes) with peak heap, bytes/session, and decision-
-// memo hit rates parsed from fleet's -json summary. Required
+// take tens of minutes) with peak heap and bytes/session parsed from
+// fleet's -json summary. Required
 // benchmarks and fleet sizes are checked, so a rename or dropped run
 // fails loudly instead of silently thinning the artifact. simbench
 // shells out to the go toolchain, so it must run from the repo root
@@ -87,14 +87,12 @@ type FleetTiming struct {
 	SessionsPerSec float64 `json:"sessions_per_sec"`
 	// The remaining fields are parsed from fleet -json output and are
 	// absent for runs that cannot emit it (the scenario document path).
-	RecordMode          string  `json:"record_mode,omitempty"`
-	PeakHeapBytes       uint64  `json:"peak_heap_bytes,omitempty"`
-	PeakRSSBytes        uint64  `json:"peak_rss_bytes,omitempty"`
-	BytesPerSession     float64 `json:"bytes_per_session,omitempty"`
-	EquilibriumJain     float64 `json:"equilibrium_jain,omitempty"`
-	AggregateGbps       float64 `json:"aggregate_gbps,omitempty"`
-	DecisionMemoHitRate float64 `json:"decision_memo_hit_rate,omitempty"`
-	SweepMemoHitRate    float64 `json:"sweep_memo_hit_rate,omitempty"`
+	RecordMode      string  `json:"record_mode,omitempty"`
+	PeakHeapBytes   uint64  `json:"peak_heap_bytes,omitempty"`
+	PeakRSSBytes    uint64  `json:"peak_rss_bytes,omitempty"`
+	BytesPerSession float64 `json:"bytes_per_session,omitempty"`
+	EquilibriumJain float64 `json:"equilibrium_jain,omitempty"`
+	AggregateGbps   float64 `json:"aggregate_gbps,omitempty"`
 }
 
 // ServiceTiming is the measured outcome of one falconload mixture run
@@ -378,8 +376,8 @@ func parseBenchLine(line, pkg string) (Benchmark, bool) {
 // on the event-queue scheduler — the static 10k workload, the sharded
 // 100k fleet, a dynamic scenario document, and (unless skipped) the
 // million-session memory-diet runs — recording sessions_per_sec
-// (simulated session-seconds per wall second) plus the memory and
-// memoization figures each run's -json summary reports.
+// (simulated session-seconds per wall second) plus the memory figures
+// each run's -json summary reports.
 func timeFleet(seed int64, skipMillion bool) ([]FleetTiming, error) {
 	dir, err := os.MkdirTemp("", "simbench-fleet")
 	if err != nil {
@@ -399,7 +397,7 @@ func timeFleet(seed int64, skipMillion bool) ([]FleetTiming, error) {
 		fmt.Fprintf(os.Stderr, "simbench: timing fleet %s...\n", strings.Join(args, " "))
 		// The scenario path renders a report and cannot emit the JSON
 		// summary; every flag-built run is timed with -json so the
-		// memory and memo figures land in the artifact.
+		// memory figures land in the artifact.
 		isScenario := len(args) > 0 && args[0] == "-scenario"
 		runArgs := args
 		if !isScenario {
@@ -420,15 +418,12 @@ func timeFleet(seed int64, skipMillion bool) ([]FleetTiming, error) {
 		tm.SessionsPerSec = float64(tm.Sessions) * tm.DurationSec / tm.Seconds
 		if !isScenario {
 			var sum struct {
-				RecordMode          string  `json:"record_mode"`
-				EquilibriumJain     float64 `json:"equilibrium_jain"`
-				AggregateGbps       float64 `json:"aggregate_gbps"`
-				DecisionMemoLookups uint64  `json:"decision_memo_lookups"`
-				DecisionMemoHitRate float64 `json:"decision_memo_hit_rate"`
-				SweepMemoHitRate    float64 `json:"sweep_memo_hit_rate"`
-				PeakHeapBytes       uint64  `json:"peak_heap_bytes"`
-				PeakRSSBytes        uint64  `json:"peak_rss_bytes"`
-				BytesPerSession     float64 `json:"bytes_per_session"`
+				RecordMode      string  `json:"record_mode"`
+				EquilibriumJain float64 `json:"equilibrium_jain"`
+				AggregateGbps   float64 `json:"aggregate_gbps"`
+				PeakHeapBytes   uint64  `json:"peak_heap_bytes"`
+				PeakRSSBytes    uint64  `json:"peak_rss_bytes"`
+				BytesPerSession float64 `json:"bytes_per_session"`
 			}
 			if err := json.Unmarshal(bytes.TrimSpace(stdout.Bytes()), &sum); err != nil {
 				return tm, fmt.Errorf("fleet %s: parse -json summary: %v\n%s", strings.Join(args, " "), err, stdout.String())
@@ -439,10 +434,6 @@ func timeFleet(seed int64, skipMillion bool) ([]FleetTiming, error) {
 			tm.PeakHeapBytes = sum.PeakHeapBytes
 			tm.PeakRSSBytes = sum.PeakRSSBytes
 			tm.BytesPerSession = sum.BytesPerSession
-			if sum.DecisionMemoLookups > 0 {
-				tm.DecisionMemoHitRate = sum.DecisionMemoHitRate
-				tm.SweepMemoHitRate = sum.SweepMemoHitRate
-			}
 		}
 		return tm, nil
 	}
@@ -508,10 +499,7 @@ func timeFleet(seed int64, skipMillion bool) ([]FleetTiming, error) {
 
 	// The million-session fleet, one process: 100 links, 10k sessions
 	// each, streaming-aggregate recording (the full-fidelity timelines
-	// would need tens of GB). The headline run is the default noisy
-	// fleet; the -nonoise -seedgroups pair then times the same shape
-	// with cross-session decision memoization off and on, so the memo's
-	// wall-clock win and hit rate are tracked next to the memory diet.
+	// would need tens of GB).
 	const (
 		millionSessions = 1000000
 		millionDuration = 60.0
@@ -527,25 +515,7 @@ func timeFleet(seed int64, skipMillion bool) ([]FleetTiming, error) {
 	if err != nil {
 		return nil, err
 	}
-	fleets = append(fleets, million)
-	for _, memo := range []string{"off", "on"} {
-		tm, err := run(FleetTiming{Sessions: millionSessions, DurationSec: millionDuration}, []string{
-			"-n", strconv.Itoa(millionSessions),
-			"-duration", strconv.FormatFloat(millionDuration, 'f', -1, 64),
-			"-stagger", "0.05",
-			"-links", "100",
-			"-shards", "1",
-			"-nonoise",
-			"-seedgroups", "50",
-			"-memo", memo,
-			"-seed", strconv.FormatInt(seed, 10),
-		})
-		if err != nil {
-			return nil, err
-		}
-		fleets = append(fleets, tm)
-	}
-	return fleets, nil
+	return append(fleets, million), nil
 }
 
 // timeReproduce builds cmd/reproduce once and times a full serial run

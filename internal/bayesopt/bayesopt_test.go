@@ -302,6 +302,21 @@ func TestBODeterministicPerSeed(t *testing.T) {
 	}
 }
 
+// TestNewWithSourcesMatchesNew pins the delegation: New(maxN, seed)
+// must stay bitwise equivalent to NewWithSources with math/rand
+// sources seeded seed and seed+1, since the pinned experiments rely on
+// that stream.
+func TestNewWithSourcesMatchesNew(t *testing.T) {
+	util := emulabUtility(10e6, 100e6)
+	a := driveBO(New(16, 5), util, 50)
+	b := driveBO(NewWithSources(16, rand.NewSource(5), rand.NewSource(6)), util, 50)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("step %d: New chose %d, NewWithSources %d", i, a[i], b[i])
+		}
+	}
+}
+
 // Property: BO proposals always stay in bounds for arbitrary bounded
 // utility streams.
 func TestBOBoundsProperty(t *testing.T) {

@@ -40,10 +40,6 @@ type Search struct {
 	grid  []float64
 	means []float64
 	stds  []float64
-
-	// memo, when attached, shares the fit+sweep stage across twin
-	// searchers within a scheduling shard (see SweepMemo).
-	memo *SweepMemo
 }
 
 var _ optimizer.Search = (*Search)(nil)
@@ -100,22 +96,17 @@ func (s *Search) Next(obs optimizer.Observation) int {
 		// Uniform random sampling phase (uniform prior, no bias).
 		return 1 + s.rng.Intn(s.MaxN)
 	}
-	if s.memo != nil {
-		// Shared fit/sweep memo: a hit restores the complete post-fit
-		// state (factors, alphas, winner, posterior sweep) captured
-		// from a twin searcher, bitwise equal to running the fit below.
-		// The portfolio draw stays local either way.
-		s.ensureSweepBuffers()
-		if s.memo.fetch(s) {
-			return s.hedge.ProposeSweep(s.gp, 1, s.bestY(), s.means, s.stds)
-		}
-	}
 	if err := s.fitWithModelSelection(); err != nil {
 		// Degenerate window (should not happen with noise+jitter):
 		// fall back to random exploration rather than halting.
 		return 1 + s.rng.Intn(s.MaxN)
 	}
-	best := s.bestY()
+	best := math.Inf(-1)
+	for _, y := range s.ys {
+		if y > best {
+			best = y
+		}
+	}
 	// Standardised "best" consistent with Score inputs: the posterior
 	// sweep is in original units, so pass best in original units too.
 	// One batched PredictInto over the whole grid replaces MaxN scalar
@@ -123,22 +114,7 @@ func (s *Search) Next(obs optimizer.Observation) int {
 	// this single (mean, std) sweep.
 	s.ensureSweepBuffers()
 	s.gp.PredictInto(s.grid, s.means, s.stds)
-	if s.memo != nil {
-		s.memo.store(s)
-	}
 	return s.hedge.ProposeSweep(s.gp, 1, best, s.means, s.stds)
-}
-
-// bestY returns the best utility in the current window (original
-// units), the incumbent the acquisition functions improve upon.
-func (s *Search) bestY() float64 {
-	best := math.Inf(-1)
-	for _, y := range s.ys {
-		if y > best {
-			best = y
-		}
-	}
-	return best
 }
 
 // ensureSweepBuffers sizes the candidate grid and sweep buffers to the

@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/bayesopt"
+	"repro/internal/fastrand"
 	"repro/internal/optimizer"
 	"repro/internal/transfer"
 	"repro/internal/utility"
@@ -49,13 +50,6 @@ type Agent struct {
 
 	history   []Decision
 	noHistory bool
-
-	// memo caches decisions across agents sharing a shard; memoSearch
-	// is the search's Memoizable facet, asserted once at attach time.
-	memo       *DecisionMemo
-	memoSearch optimizer.Memoizable
-	// sweepMemo records that the BO search shares a bayesopt.SweepMemo.
-	sweepMemo bool
 }
 
 // UtilityFunc maps one sample's observables to a utility value:
@@ -134,6 +128,32 @@ func NewAgentByName(algo string, maxN int, seed int64) (*Agent, error) {
 	}
 }
 
+// NewFleetAgent builds an agent for fleet-scale runs: the same decision
+// arithmetic as NewAgentByName, but with the per-agent footprint pared
+// down — the diagnostic decision history is off, and the seeded BO
+// searcher draws from 8-byte fastrand sources instead of math/rand's
+// ~4.9 KiB table sources (two tables per BO agent ≈ 9.8 KiB, which
+// alone is ~3 GiB across a million sessions). The BO random stream
+// therefore differs from NewAgentByName's; the pinned reproduce
+// experiments keep the math/rand constructors.
+func NewFleetAgent(algo string, maxN int, seed int64) (*Agent, error) {
+	var a *Agent
+	var err error
+	if algo == AlgoBayesian {
+		a, err = NewAgent(
+			bayesopt.NewWithSources(maxN, fastrand.New(seed), fastrand.New(seed+1)),
+			utility.DefaultParams(),
+		)
+	} else {
+		a, err = NewAgentByName(algo, maxN, seed)
+	}
+	if err != nil {
+		return nil, err
+	}
+	a.DisableHistory()
+	return a, nil
+}
+
 // SetFixedKnobs fixes the parallelism and pipelining the agent attaches
 // to every decision (a single-parameter agent tunes only concurrency).
 // It returns an error for values below 1.
@@ -164,12 +184,7 @@ func (a *Agent) Decide(s transfer.Sample) transfer.Setting {
 	} else {
 		u = a.params.Evaluate(s.Setting.Concurrency, s.Setting.Parallelism, s.Throughput, s.Loss)
 	}
-	var next int
-	if a.memo != nil {
-		next = a.memoDecide(s.Setting.Concurrency, u)
-	} else {
-		next = a.search.Next(optimizer.Observation{N: s.Setting.Concurrency, Utility: u})
-	}
+	next := a.search.Next(optimizer.Observation{N: s.Setting.Concurrency, Utility: u})
 	if !a.noHistory {
 		a.history = append(a.history, Decision{Sample: s, Utility: u, Next: next})
 	}
@@ -178,11 +193,16 @@ func (a *Agent) Decide(s transfer.Sample) transfer.Setting {
 
 // DecideIsolated implements session.IsolatedDecider: Decide touches
 // only the agent's own search, rng and history, so agents may decide
-// concurrently — unless the agent shares a memo with its shard, or runs
-// a caller-supplied utility function the agent cannot vouch for.
-func (a *Agent) DecideIsolated() bool {
-	return a.memo == nil && !a.sweepMemo && a.utilFn == nil
-}
+// concurrently — unless the agent runs a caller-supplied utility
+// function it cannot vouch for.
+func (a *Agent) DecideIsolated() bool { return a.utilFn == nil }
+
+// DisableHistory stops the agent from appending to its diagnostic
+// decision log. The log is the one per-agent allocation that grows
+// without bound (one Decision per epoch); fleet runs with a million
+// agents disable it and rely on the timeline/aggregate recorders
+// instead.
+func (a *Agent) DisableHistory() { a.noHistory = true }
 
 // History returns a copy of the recorded decisions, so callers can
 // hold or mutate the slice without aliasing the agent's live log.

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/optimizer"
+	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/transfer"
@@ -296,5 +297,88 @@ func TestRunnerIsExercisedBySimEnv(t *testing.T) {
 	// environment in internal/ftp; here we check its input validation.
 	if err := Run(nil, nil, nil, RunConfig{}); err == nil {
 		t.Fatal("Run accepted nil environment")
+	}
+}
+
+// sampleFor builds a deterministic noise-free sample whose throughput
+// follows a concave curve in n — enough structure for every searcher
+// to produce a nontrivial trajectory.
+func sampleFor(n int, t float64) transfer.Sample {
+	tput := 1e9 * (math.Log(float64(n)+1) - 0.02*float64(n) + 1)
+	return transfer.Sample{
+		Setting:    transfer.Setting{Concurrency: n, Parallelism: 1, Pipelining: 1},
+		Duration:   3,
+		Throughput: tput,
+		Loss:       0.001 * float64(n),
+		Time:       t,
+	}
+}
+
+// TestFleetAgentHistoryOff pins the fleet constructor's memory diet:
+// no decision history accumulates.
+func TestFleetAgentHistoryOff(t *testing.T) {
+	a, err := NewFleetAgent(AlgoHillClimbing, 8, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 2
+	for step := 0; step < 50; step++ {
+		n = a.Decide(sampleFor(n, float64(step)*3)).Concurrency
+	}
+	if h := a.History(); len(h) != 0 {
+		t.Fatalf("fleet agent recorded %d history entries, want 0", len(h))
+	}
+}
+
+// TestFleetAgentMatchesByNameForSeedless pins that hc/gd fleet agents
+// decide exactly like their NewAgentByName counterparts (only BO's rng
+// source differs).
+func TestFleetAgentMatchesByNameForSeedless(t *testing.T) {
+	for _, algo := range []string{AlgoHillClimbing, AlgoGradient} {
+		fa, err := NewFleetAgent(algo, 16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ba, _ := NewAgentByName(algo, 16, 1)
+		n1, n2 := 2, 2
+		for step := 0; step < 100; step++ {
+			now := float64(step) * 3
+			a := fa.Decide(sampleFor(n1, now)).Concurrency
+			b := ba.Decide(sampleFor(n2, now)).Concurrency
+			if a != b {
+				t.Fatalf("%s step %d: fleet %d != byname %d", algo, step, a, b)
+			}
+			n1, n2 = a, b
+		}
+	}
+}
+
+// TestDecideIsolatedOnlyOnPrivateState: an agent declares its Decide
+// isolated — safe to run beside other agents' — exactly while nothing
+// it touches is shared. Every built-in algorithm is isolated; a
+// caller-supplied utility function withdraws the declaration, and
+// clearing it restores it.
+func TestDecideIsolatedOnlyOnPrivateState(t *testing.T) {
+	var _ session.IsolatedDecider = (*Agent)(nil)
+	var _ session.IsolatedDecider = (*MultiAgent)(nil)
+	if !NewDefaultMultiAgent(8, 4, 4).DecideIsolated() {
+		t.Error("a multi-parameter agent is not isolated")
+	}
+	for _, algo := range []string{AlgoHillClimbing, AlgoGradient, AlgoBayesian, AlgoDirectSearch, AlgoSPSA} {
+		a, err := NewFleetAgent(algo, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !a.DecideIsolated() {
+			t.Errorf("%s: a fresh agent is not isolated", algo)
+		}
+		a.SetUtilityFunc(func(n, p int, aggregate, loss float64) float64 { return aggregate })
+		if a.DecideIsolated() {
+			t.Errorf("%s: isolated with a caller-supplied utility function", algo)
+		}
+		a.SetUtilityFunc(nil)
+		if !a.DecideIsolated() {
+			t.Errorf("%s: not isolated again after SetUtilityFunc(nil)", algo)
+		}
 	}
 }

@@ -43,8 +43,10 @@ func FleetFlapDoc() *scenario.Document {
 // horizon, the fleet-wide Jain index immediately before the change,
 // the deepest dip after it, and when (and whether) the fleet
 // re-converges to Jain ≥ 0.95 — the paper's online-tuning argument
-// quantified under a non-stationary network.
-func DynamicFleet(doc *scenario.Document) (*Result, error) {
+// quantified under a non-stationary network. workers is the run's
+// worker budget (scenario.ExecOptions.Workers): ≤1 serial, except 0,
+// the parallel harness default; the report never depends on it.
+func DynamicFleet(doc *scenario.Document, workers int) (*Result, error) {
 	run, err := doc.Build()
 	if err != nil {
 		return nil, err
@@ -65,7 +67,7 @@ func DynamicFleet(doc *scenario.Document) (*Result, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("dynamicfleet: scenario %q has no link mutations", doc.Name)
 	}
-	tl, err := run.Execute(scenario.ExecOptions{})
+	tl, err := run.Execute(scenario.ExecOptions{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
@@ -146,7 +148,7 @@ func Extra() []Runner {
 		{"fleet-flap", "Dynamic fleet: capacity flap on the shared bottleneck", func(seed int64) (*Result, error) {
 			doc := FleetFlapDoc()
 			doc.Seed = seed
-			return DynamicFleet(doc)
+			return DynamicFleet(doc, 0)
 		}},
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/bayesopt"
 	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -27,8 +26,7 @@ type FleetConfig struct {
 	Stagger float64
 	// MaxN bounds each agent's concurrency search domain.
 	MaxN int
-	// Seed is the base seed; session i's agent is seeded Seed+i
-	// (Seed + i mod SeedGroups when SeedGroups > 0).
+	// Seed is the base seed; session i's agent is seeded Seed+i.
 	Seed int64
 	// Algorithms are cycled across sessions by index. Empty means
 	// the hc/gd/bo mix.
@@ -50,29 +48,6 @@ type FleetConfig struct {
 	// identical between full and aggregate; off skips metrics
 	// entirely.
 	RecordMode string
-	// Memo enables cross-session decision memoization: agents in the
-	// same shard share per-algorithm decision caches, so identically-
-	// seeded sessions in identical states reuse each other's search
-	// work instead of re-running it. Decisions are bitwise identical
-	// with the memo on or off; it only pays off when sessions actually
-	// coincide (NoNoise plus SeedGroups).
-	Memo bool
-	// NoNoise zeroes the environment's measurement noise, making
-	// same-seed sessions on the same link exact twins — the setting
-	// under which memoization hits.
-	NoNoise bool
-	// SeedGroups, when positive, seeds session i's agent with
-	// Seed + i mod SeedGroups instead of Seed + i, creating
-	// SeedGroups distinct agent populations whose members are
-	// identical — the fleet-scale workload memoization collapses.
-	// Join times then cycle with period lcm(Links, SeedGroups,
-	// len(Algorithms)) instead of growing without bound, so sessions
-	// with identical (link, seed, algorithm) join at the same instant:
-	// joined together on one link with equal settings, such twins
-	// receive bitwise-equal samples forever and the shared decision
-	// caches hit. Staggered twins would interleave with evolving
-	// contention and never coincide.
-	SeedGroups int
 }
 
 // withDefaults fills zero fields with the standard fleet shape:
@@ -119,14 +94,6 @@ type FleetSummary struct {
 	// sets on (testbed.ShardSet.DecideWidth): a function of the worker
 	// budget and the shard count, never of the output.
 	DecideWidth int `json:"decide_width"`
-	// Decision/sweep memo counters aggregate across shards; rates are
-	// hits/lookups, or 0 when the memo was off (no lookups).
-	DecisionMemoHits    uint64  `json:"decision_memo_hits"`
-	DecisionMemoLookups uint64  `json:"decision_memo_lookups"`
-	DecisionMemoHitRate float64 `json:"decision_memo_hit_rate"`
-	SweepMemoHits       uint64  `json:"sweep_memo_hits"`
-	SweepMemoLookups    uint64  `json:"sweep_memo_lookups"`
-	SweepMemoHitRate    float64 `json:"sweep_memo_hit_rate"`
 }
 
 // FleetTestbed returns the shared-bottleneck environment for fleet
@@ -167,9 +134,6 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 		return nil, nil, err
 	}
 	env := FleetTestbed()
-	if cfg.NoNoise {
-		env.NoiseStdDev = 0
-	}
 	bottle := fmt.Sprintf("one %.0f Gbps bottleneck", env.LinkCapacity/1e9)
 	if cfg.Links > 1 {
 		bottle = fmt.Sprintf("%d × %.0f Gbps bottlenecks", cfg.Links, env.LinkCapacity/1e9)
@@ -181,36 +145,10 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 		Header: []string{"Algorithm", "Sessions", "Mean ± σ (Mbps, equilibrium)", "p50/p90/p99 (Mbps)", "Jain (within algo)"},
 	}
 
-	// Join times: session i joins at (i mod joinPeriod)·Stagger. With
-	// all-distinct seeds the period is the whole fleet (the classic
-	// ramp); with seed groups it is the twin-class period, so exact
-	// twins join together (see SeedGroups).
-	joinPeriod := cfg.Sessions
-	if cfg.SeedGroups > 0 {
-		joinPeriod = lcm(cfg.Links, lcm(cfg.SeedGroups, len(cfg.Algorithms)))
-	}
-	lastSlot := cfg.Sessions - 1
-	if joinPeriod < cfg.Sessions {
-		lastSlot = joinPeriod - 1
-	}
-	lastJoin := float64(lastSlot) * cfg.Stagger
+	// Session i joins at i·Stagger: the fleet ramps up in index order.
+	lastJoin := float64(cfg.Sessions-1) * cfg.Stagger
 	if lastJoin >= cfg.Duration {
 		return nil, nil, fmt.Errorf("fleet: last join %.0fs is past the %.0fs horizon", lastJoin, cfg.Duration)
-	}
-
-	// Per-shard decision caches. Sessions never migrate between shards,
-	// and each shard steps on one goroutine, so the memos need no
-	// locking; agents of the snapshot-able searchers share the shard's
-	// DecisionMemo and BO agents its SweepMemo.
-	var dms []*core.DecisionMemo
-	var sms []*bayesopt.SweepMemo
-	if cfg.Memo {
-		dms = make([]*core.DecisionMemo, cfg.Links)
-		sms = make([]*bayesopt.SweepMemo, cfg.Links)
-		for k := range dms {
-			dms[k] = core.NewDecisionMemo(0)
-			sms[k] = bayesopt.NewSweepMemo(0)
-		}
 	}
 
 	shards := make([]testbed.ShardSpec, cfg.Links)
@@ -225,27 +163,18 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 	algoOf := make([]string, cfg.Sessions)
 	for i := 0; i < cfg.Sessions; i++ {
 		algo := cfg.Algorithms[i%len(cfg.Algorithms)]
-		seed := cfg.Seed + int64(i)
-		if cfg.SeedGroups > 0 {
-			seed = cfg.Seed + int64(i%cfg.SeedGroups)
-		}
-		agent, err := core.NewFleetAgent(algo, cfg.MaxN, seed)
+		agent, err := core.NewFleetAgent(algo, cfg.MaxN, cfg.Seed+int64(i))
 		if err != nil {
 			return nil, nil, err
 		}
 		k := i % cfg.Links
-		if cfg.Memo {
-			if !agent.SetDecisionMemo(dms[k]) {
-				agent.SetSweepMemo(sms[k])
-			}
-		}
 		id := fmt.Sprintf("s%04d-%s", i, algo)
 		ids[i] = id
 		algoOf[i] = algo
 		shards[k].Parts = append(shards[k].Parts, testbed.Participant{
 			Task:       fleetTask(id, 2),
 			Controller: agent,
-			JoinAt:     float64(i%joinPeriod) * cfg.Stagger,
+			JoinAt:     float64(i) * cfg.Stagger,
 		})
 	}
 
@@ -274,20 +203,6 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 		ConvergedAtSeconds: -1,
 		RecordMode:         mode.String(),
 		DecideWidth:        ss.DecideWidth(),
-	}
-	for k := range dms {
-		h, l := dms[k].Stats()
-		sum.DecisionMemoHits += h
-		sum.DecisionMemoLookups += l
-		h, l = sms[k].Stats()
-		sum.SweepMemoHits += h
-		sum.SweepMemoLookups += l
-	}
-	if sum.DecisionMemoLookups > 0 {
-		sum.DecisionMemoHitRate = float64(sum.DecisionMemoHits) / float64(sum.DecisionMemoLookups)
-	}
-	if sum.SweepMemoLookups > 0 {
-		sum.SweepMemoHitRate = float64(sum.SweepMemoHits) / float64(sum.SweepMemoLookups)
 	}
 
 	if mode == testbed.RecordOff {
@@ -345,16 +260,6 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 	sum.AggregateGbps = aggregate
 	return r, sum, nil
 }
-
-// gcd and lcm for the twin-class join period.
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
-}
-
-func lcm(a, b int) int { return a / gcd(a, b) * b }
 
 // fleetStatsFromTimeline computes the fleet metrics from full-fidelity
 // per-session series — the reference arithmetic the streaming

@@ -39,57 +39,6 @@ func TestFleetAggregateMatchesFull(t *testing.T) {
 	}
 }
 
-// TestFleetMemoTransparent pins cross-session decision memoization's
-// transparency: with measurement noise off and the fleet collapsed
-// into seed groups (so twin sessions actually exist), the rendered
-// report must be byte-identical with the memo on and off, while the
-// memoized run reports a substantial hit rate — the cached decisions
-// are reused, not merely stored.
-func TestFleetMemoTransparent(t *testing.T) {
-	base := FleetConfig{
-		Sessions: 60, Duration: 300, Stagger: 0.05, Seed: 3,
-		Links: 4, NoNoise: true, SeedGroups: 4, RecordMode: "aggregate",
-	}
-	plain, plainSum := fleetOut(t, base)
-	memo := base
-	memo.Memo = true
-	warm, warmSum := fleetOut(t, memo)
-	if plain != warm {
-		t.Errorf("memoized output differs from unmemoized:\n--- memo off ---\n%s\n--- memo on ---\n%s", plain, warm)
-	}
-	if plainSum.DecisionMemoLookups != 0 || plainSum.SweepMemoLookups != 0 {
-		t.Errorf("memo-off run performed lookups: %+v", plainSum)
-	}
-	if warmSum.DecisionMemoLookups == 0 || warmSum.SweepMemoLookups == 0 {
-		t.Fatalf("memo-on run performed no lookups: %+v", warmSum)
-	}
-	// With 4 links × 4 seed groups the fleet is 16-way redundant per
-	// (link, seed, algo); most decisions should be cache hits.
-	if warmSum.DecisionMemoHitRate < 0.5 {
-		t.Errorf("decision memo hit rate %.3f, want ≥ 0.5 (%d/%d)",
-			warmSum.DecisionMemoHitRate, warmSum.DecisionMemoHits, warmSum.DecisionMemoLookups)
-	}
-	if warmSum.SweepMemoHitRate < 0.5 {
-		t.Errorf("sweep memo hit rate %.3f, want ≥ 0.5 (%d/%d)",
-			warmSum.SweepMemoHitRate, warmSum.SweepMemoHits, warmSum.SweepMemoLookups)
-	}
-}
-
-// TestFleetMemoTransparentNoisy pins the harder half of the memo
-// contract: even on the default noisy environment with all-distinct
-// seeds — where states essentially never repeat and the caches buy
-// nothing — the memoized run must still render byte-identically.
-func TestFleetMemoTransparentNoisy(t *testing.T) {
-	base := FleetConfig{Sessions: 45, Duration: 300, Stagger: 0.5, Seed: 3, Links: 3}
-	plain, _ := fleetOut(t, base)
-	memo := base
-	memo.Memo = true
-	warm, _ := fleetOut(t, memo)
-	if plain != warm {
-		t.Errorf("memoized output differs from unmemoized on the noisy fleet:\n--- memo off ---\n%s\n--- memo on ---\n%s", plain, warm)
-	}
-}
-
 // TestFleetRecordOff pins the off mode's contract: the run completes,
 // reports no metrics, and the summary carries the mode.
 func TestFleetRecordOff(t *testing.T) {

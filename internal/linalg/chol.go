@@ -237,37 +237,6 @@ func SolveInto3(c0, c1, c2 *Chol, x0, b0, x1, b1, x2, b2 []float64) {
 	}
 }
 
-// CopyFrom makes c a deep copy of o, reusing c's storage when it is
-// large enough. The copy reproduces o's packed factor verbatim, so
-// subsequent AppendRow/DropFirst/solve sequences on the copy are
-// bitwise identical to running them on o. The bayesopt fit memo uses
-// this to checkpoint and restore GP factor state across sessions.
-func (c *Chol) CopyFrom(o *Chol) {
-	c.n = o.n
-	c.data = append(c.data[:0], o.data...)
-}
-
-// Raw exposes the packed lower triangle (row-major, n(n+1)/2 entries
-// for an n×n factor) for hashing and comparison. The slice aliases the
-// factor's live storage: callers must treat it as read-only and must
-// not retain it across factor mutations.
-func (c *Chol) Raw() []float64 { return c.data }
-
-// EqualBits reports whether two factors hold bitwise-identical state
-// (same dimension, same packed entries — compared by bit pattern, so
-// 0 ≠ −0 and NaNs compare by payload). Scratch buffers are ignored.
-func (c *Chol) EqualBits(o *Chol) bool {
-	if c.n != o.n || len(c.data) != len(o.data) {
-		return false
-	}
-	for i, v := range c.data {
-		if math.Float64bits(v) != math.Float64bits(o.data[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // LogDet returns log|A| = 2·Σ log L[i][i].
 func (c *Chol) LogDet() float64 {
 	s := 0.0
