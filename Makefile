@@ -50,10 +50,11 @@ benchcheck:
 reproduce:
 	$(GO) run ./cmd/reproduce
 
-# The byte-identity matrix: every test that pins one execution mode
-# against another (or against a checked-in golden), re-run twice under
-# the race detector. This list is the one place such a test is added —
-# and the place it leaves from when its mode does. CI calls the target.
+# The byte-identity list: every test that pins a production path
+# against its test-side reference (the always-tick scheduler loop, the
+# per-flow water-fill) or against a checked-in golden, re-run twice
+# under the race detector. This list is the one place such a test is
+# added. CI calls the target.
 RACE2 = $(GO) test -race -count=2 -run
 
 transparency:
@@ -61,8 +62,8 @@ transparency:
 	$(RACE2) 'TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls' ./internal/netsim/
 	$(RACE2) 'TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestCapacityGeneration' ./internal/netsim/
 	$(RACE2) TestTickEqualsPhases ./internal/session/
-	$(RACE2) 'TestClassAllocIsTransparent|TestRecordModesEngineTransparent' ./internal/testbed/
-	$(RACE2) 'TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestHorizonHeapProperty' ./internal/testbed/
+	$(RACE2) 'TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestQueueLiveListUnderChurn|TestHorizonHeapProperty' ./internal/testbed/
+	$(RACE2) 'TestAllocMemoIsTransparent|TestClassAllocIsTransparent|TestRecordModesEngineTransparent|TestEventIndexAndSeriesByPart' ./internal/testbed/
 	$(RACE2) 'TestMutationsTransparentAcrossModes|TestMutationsMemoTransparent' ./internal/testbed/
 	$(RACE2) 'TestUndeclaredControllersStayOnTheShardGoroutine|TestParallelControllerPanicSurfacesOnDriver' ./internal/testbed/
 	$(RACE2) 'TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault' ./internal/scenario/

@@ -6,9 +6,9 @@
 //
 //	falconsim [-testbed NAME] [-algo gd|bo|hc|globus|harp|fixed:N]
 //	          [-agents N] [-stagger SECONDS] [-duration SECONDS]
-//	          [-seed N] [-chart] [-exact]
+//	          [-seed N] [-chart]
 //	          [-cpuprofile FILE] [-memprofile FILE]
-//	falconsim -scenario FILE.json [-seed N] [-chart] [-exact]
+//	falconsim -scenario FILE.json [-seed N] [-chart]
 //	falconsim -validate FILE.json|DIR...
 //
 // Examples:
@@ -25,14 +25,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/profiling"
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/stats"
@@ -198,31 +197,16 @@ func runScenarioFile(path string, seedOverride *int64, chart, events bool,
 }
 
 // startProfiles begins CPU profiling and returns a func that stops it
-// and writes the heap profile; either path may be empty.
+// and writes the heap profile; either path may be empty. Any profiling
+// error is fatal.
 func startProfiles(cpuprofile, memprofile string) func() {
-	if cpuprofile != "" {
-		f, err := os.Create(cpuprofile)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fail("%v", err)
-		}
+	stop, err := profiling.Start(cpuprofile, memprofile)
+	if err != nil {
+		fail("%v", err)
 	}
 	return func() {
-		if cpuprofile != "" {
-			pprof.StopCPUProfile()
-		}
-		if memprofile != "" {
-			f, err := os.Create(memprofile)
-			if err != nil {
-				fail("%v", err)
-			}
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fail("%v", err)
-			}
-			f.Close()
+		if err := stop(); err != nil {
+			fail("%v", err)
 		}
 	}
 }
@@ -237,7 +221,6 @@ func main() {
 	maxN := flag.Int("maxcc", 64, "search-space upper bound for concurrency")
 	chart := flag.Bool("chart", true, "print ASCII charts")
 	events := flag.Bool("events", false, "print the typed session event stream as it happens")
-	exact := flag.Bool("exact", false, "simulate on the exact always-tick path instead of event-horizon stepping (A/B verification; output must be byte-identical)")
 	scenarioPath := flag.String("scenario", "", "run a declarative scenario document (JSON) instead of the flag-built run")
 	validate := flag.Bool("validate", false, "validate the scenario files/directories given as arguments and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file")
@@ -247,7 +230,6 @@ func main() {
 	if *validate {
 		os.Exit(validateScenarios(flag.Args()))
 	}
-	testbed.SetDefaultExact(*exact)
 	if *scenarioPath != "" {
 		// -seed overrides the document's seed only when set explicitly.
 		var seedOverride *int64

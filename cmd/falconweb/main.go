@@ -33,18 +33,15 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/testbed"
 	"repro/internal/webservice"
 )
 
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address")
-	exact := flag.Bool("exact", false, "run scenario simulations on the exact always-tick path instead of event-horizon stepping")
 	workers := flag.Int("workers", 0, "max concurrent scenario simulations (0 = one per CPU)")
 	storeCap := flag.Int("store-cap", webservice.DefaultStoreCap, "max scenarios retained; oldest completed are evicted past this (queued/running stay pinned)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight HTTP handlers")
 	flag.Parse()
-	testbed.SetDefaultExact(*exact)
 
 	svc := webservice.NewWithOptions(webservice.Options{Workers: *workers, StoreCap: *storeCap})
 	srv := &http.Server{

@@ -11,8 +11,8 @@
 //
 //	fleet [-n N] [-duration S] [-stagger S] [-maxn N] [-seed N] [-algos hc,gd,bo]
 //	      [-links K] [-shards W] [-record auto|full|aggregate|off] [-maxheap BYTES]
-//	      [-json] [-exact] [-scan] [-cpuprofile FILE] [-memprofile FILE]
-//	fleet -scenario FILE.json [-seed N] [-shards W] [-exact] [-scan]
+//	      [-json] [-cpuprofile FILE] [-memprofile FILE]
+//	fleet -scenario FILE.json [-seed N] [-shards W]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -links K > 1 the fleet spreads over K independent bottleneck
@@ -40,9 +40,7 @@
 // a noise-free fleet is a document whose "env" sets "noise_std_dev": 0.
 //
 // The run is deterministic for a given flag set: the same seed always
-// produces byte-identical output, at any -shards, in the event-horizon
-// (default) and -exact stepping modes, and with the event-queue
-// (default) and -scan scheduler orchestration.
+// produces byte-identical output, at any -shards.
 package main
 
 import (
@@ -52,14 +50,13 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/profiling"
 	"repro/internal/scenario"
-	"repro/internal/testbed"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -85,8 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	maxheap := fs.Uint64("maxheap", 0, "exit 1 if post-run peak heap (runtime HeapSys) exceeds this many bytes (0 = no budget)")
 	jsonOut := fs.Bool("json", false, "emit a one-line machine-readable JSON summary instead of the report")
 	scenarioPath := fs.String("scenario", "", "run a declarative scenario document (JSON) through the dynamic-fleet report instead of the flag-built fleet")
-	exact := fs.Bool("exact", false, "simulate on the exact always-tick path instead of event-horizon stepping")
-	scan := fs.Bool("scan", false, "use the legacy linear-scan scheduler loop instead of the event queue (A/B baseline; output must be byte-identical)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this file on exit")
 	if err := fs.Parse(args); err != nil {
@@ -98,34 +93,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
-	testbed.SetDefaultExact(*exact)
-	testbed.SetDefaultEventQueue(!*scan)
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(stderr, "fleet: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(stderr, "fleet: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(stderr, "fleet: %v\n", err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(stderr, "fleet: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(stderr, "fleet: %v\n", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(stderr, "fleet: %v\n", err)
+		}
+	}()
 
 	if *scenarioPath != "" {
 		var refused []string

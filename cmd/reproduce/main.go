@@ -26,13 +26,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 
 	"repro/internal/experiments"
 	"repro/internal/parallel"
-	"repro/internal/testbed"
+	"repro/internal/profiling"
 )
 
 func main() { os.Exit(run()) }
@@ -46,38 +44,20 @@ func run() int {
 	svgDir := flag.String("svg", "", "directory to write SVG charts into")
 	chart := flag.Bool("chart", false, "print ASCII charts for timeline figures")
 	list := flag.Bool("list", false, "list experiment ids and exit")
-	exact := flag.Bool("exact", false, "simulate on the exact always-tick path instead of event-horizon stepping (A/B verification; output must be byte-identical)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	testbed.SetDefaultExact(*exact)
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			return 1
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			return 1
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+		return 1
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+		}
+	}()
 
 	if *list {
 		for _, r := range experiments.All() {

@@ -10,9 +10,9 @@
 //	         [-skip-reproduce] [-skip-fleet] [-skip-million]
 //
 // Three sets of numbers matter: the per-benchmark ns/op and allocs/op
-// for the hot paths (engine Step, fast-path SchedulerRun vs the exact
-// always-tick SchedulerRunExact), the wall-clock seconds of a full
-// serial `reproduce -seed N` run in both stepping modes, and the fleet
+// for the hot paths (engine Step, fast-path SchedulerRun vs the
+// always-tick reference SchedulerRunExact), the wall-clock seconds of a
+// full serial `reproduce -seed N` run, and the fleet
 // timings — 10k static, 100k sharded, a dynamic scenario, and the
 // million-session memory-diet runs (skippable with -skip-million; they
 // take tens of minutes) with peak heap and bytes/session parsed from
@@ -59,9 +59,6 @@ type Benchmark struct {
 // ReproduceTiming is the wall-clock measurement of one full serial
 // reproduce run.
 type ReproduceTiming struct {
-	// Mode is "batched" (event-horizon stepping, the default) or
-	// "exact" (-exact always-tick path).
-	Mode    string  `json:"mode"`
 	Args    string  `json:"args"`
 	Seconds float64 `json:"seconds"`
 }
@@ -143,9 +140,6 @@ type Report struct {
 	Reproduce  []ReproduceTiming `json:"reproduce,omitempty"`
 	Fleet      []FleetTiming     `json:"fleet,omitempty"`
 	Service    []ServiceTiming   `json:"service,omitempty"`
-	// SpeedupExactOverBatched is exact seconds / batched seconds for
-	// the reproduce runs — the stepping layer's end-to-end win.
-	SpeedupExactOverBatched float64 `json:"speedup_exact_over_batched,omitempty"`
 }
 
 func main() {
@@ -176,23 +170,11 @@ func main() {
 	report.Benchmarks = benches
 
 	if !*skipReproduce {
-		timings, err := timeReproduce(*seed)
+		timing, err := timeReproduce(*seed)
 		if err != nil {
 			fatal("%v", err)
 		}
-		report.Reproduce = timings
-		var batched, exact float64
-		for _, tm := range timings {
-			switch tm.Mode {
-			case "batched":
-				batched = tm.Seconds
-			case "exact":
-				exact = tm.Seconds
-			}
-		}
-		if batched > 0 {
-			report.SpeedupExactOverBatched = exact / batched
-		}
+		report.Reproduce = []ReproduceTiming{timing}
 	}
 
 	if !*skipFleet {
@@ -518,45 +500,30 @@ func timeFleet(seed int64, skipMillion bool) ([]FleetTiming, error) {
 	return append(fleets, million), nil
 }
 
-// timeReproduce builds cmd/reproduce once and times a full serial run
-// in both stepping modes, batched first.
-func timeReproduce(seed int64) ([]ReproduceTiming, error) {
+// timeReproduce builds cmd/reproduce and times a full serial run.
+func timeReproduce(seed int64) (ReproduceTiming, error) {
 	dir, err := os.MkdirTemp("", "simbench")
 	if err != nil {
-		return nil, err
+		return ReproduceTiming{}, err
 	}
 	defer os.RemoveAll(dir)
 	bin := filepath.Join(dir, "reproduce")
 	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/reproduce").CombinedOutput(); err != nil {
-		return nil, fmt.Errorf("build reproduce: %v\n%s", err, out)
+		return ReproduceTiming{}, fmt.Errorf("build reproduce: %v\n%s", err, out)
 	}
 
-	base := []string{"-seed", strconv.FormatInt(seed, 10), "-parallel", "1"}
-	var timings []ReproduceTiming
-	for _, mode := range []struct {
-		name  string
-		extra []string
-	}{
-		{name: "batched"},
-		{name: "exact", extra: []string{"-exact"}},
-	} {
-		args := append(append([]string{}, base...), mode.extra...)
-		fmt.Fprintf(os.Stderr, "simbench: timing reproduce %s...\n", strings.Join(args, " "))
-		cmd := exec.Command(bin, args...)
-		cmd.Stdout = nil // discard: only the wall time matters here
-		var stderr bytes.Buffer
-		cmd.Stderr = &stderr
-		start := time.Now()
-		if err := cmd.Run(); err != nil {
-			return nil, fmt.Errorf("reproduce %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
-		}
-		timings = append(timings, ReproduceTiming{
-			Mode:    mode.name,
-			Args:    strings.Join(args, " "),
-			Seconds: time.Since(start).Seconds(),
-		})
+	args := []string{"-seed", strconv.FormatInt(seed, 10), "-parallel", "1"}
+	line := strings.Join(args, " ")
+	fmt.Fprintf(os.Stderr, "simbench: timing reproduce %s...\n", line)
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout = nil // discard: only the wall time matters here
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	start := time.Now()
+	if err := cmd.Run(); err != nil {
+		return ReproduceTiming{}, fmt.Errorf("reproduce %s: %v\n%s", line, err, stderr.String())
 	}
-	return timings, nil
+	return ReproduceTiming{Args: line, Seconds: time.Since(start).Seconds()}, nil
 }
 
 // timeService builds cmd/falconload and runs it in-process against

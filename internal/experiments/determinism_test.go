@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/parallel"
-	"repro/internal/testbed"
 )
 
 // TestParallelRunMatchesSerial: the worker-pool harness must be
@@ -49,54 +48,6 @@ func TestParallelRunMatchesSerial(t *testing.T) {
 			if got[i] != serial[i] {
 				t.Errorf("%s: workers=%d output differs from serial:\n--- serial ---\n%s\n--- workers=%d ---\n%s",
 					runners[i].ID, workers, serial[i], workers, got[i])
-			}
-		}
-	}
-}
-
-// TestExactSteppingMatchesBatched: the engine's event-horizon stepping
-// (the default) must render every experiment byte-identically to the
-// exact always-tick path (-exact on the cmds), serial and parallel
-// alike — the end-to-end form of the ISSUE's bit-exactness guarantee.
-func TestExactSteppingMatchesBatched(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs full experiments")
-	}
-	ids := []string{"fig1a", "fig9", "abl-window"}
-	runners := make([]Runner, 0, len(ids))
-	for _, id := range ids {
-		r, ok := ByID(id)
-		if !ok {
-			t.Fatalf("unknown experiment %q", id)
-		}
-		runners = append(runners, r)
-	}
-	const seed = 1
-
-	render := func(exact bool, workers int) []string {
-		testbed.SetDefaultExact(exact)
-		defer testbed.SetDefaultExact(false)
-		old := parallel.Workers()
-		parallel.SetWorkers(workers)
-		defer parallel.SetWorkers(old)
-		outs := Run(runners, seed, workers)
-		strs := make([]string, len(outs))
-		for i, out := range outs {
-			if out.Err != nil {
-				t.Fatalf("%s (exact=%v workers=%d): %v", out.Runner.ID, exact, workers, out.Err)
-			}
-			strs[i] = out.Result.String()
-		}
-		return strs
-	}
-
-	exact := render(true, 1)
-	for _, workers := range []int{1, 4} {
-		got := render(false, workers)
-		for i := range exact {
-			if got[i] != exact[i] {
-				t.Errorf("%s: batched (workers=%d) output differs from exact:\n--- exact ---\n%s\n--- batched ---\n%s",
-					runners[i].ID, workers, exact[i], got[i])
 			}
 		}
 	}

@@ -83,29 +83,20 @@ func sameAlloc(a, b *Allocation) error {
 	return nil
 }
 
-// TestClassAggregationTransparencyProperty is the tentpole's pin:
-// across seeded random topologies, caps, RTTs, weights, and flow
-// counts, the class-aggregated allocation is bitwise identical to the
-// naive one-class-per-flow water-fill. Every float must match exactly
-// — the weighted fill charges each resource once per level with exact
-// integer weight sums, so no tolerance is needed or allowed.
+// TestClassAggregationTransparencyProperty: across seeded random
+// topologies, caps, RTTs, weights, and flow counts, the class-aggregated
+// allocation is bitwise identical to the textbook per-flow water-fill
+// (perFlowAllocate). Every float must match exactly — the weighted fill
+// charges each resource once per level with exact integer weight sums,
+// so no tolerance is needed or allowed.
 func TestClassAggregationTransparencyProperty(t *testing.T) {
 	f := func(seed uint32) bool {
 		nAgg, ds := randomScenario(seed)
-		nFlat, _ := randomScenario(seed) // identical network, fresh arena
-		nFlat.SetClassAggregation(false)
-		if nAgg.ClassAggregation() == nFlat.ClassAggregation() {
-			t.Fatal("toggle did not take effect")
-		}
 		aggAlloc, err := nAgg.Allocate(ds)
 		if err != nil {
 			t.Fatalf("seed %d: aggregated: %v", seed, err)
 		}
-		flatAlloc, err := nFlat.Allocate(ds)
-		if err != nil {
-			t.Fatalf("seed %d: per-flow: %v", seed, err)
-		}
-		if err := sameAlloc(aggAlloc, flatAlloc); err != nil {
+		if err := sameAlloc(aggAlloc, perFlowAllocate(nAgg, ds)); err != nil {
 			t.Fatalf("seed %d: aggregated vs per-flow: %v", seed, err)
 		}
 		if nAgg.Classes() > len(ds) || nAgg.Classes() < 1 {
@@ -137,9 +128,8 @@ func TestClassAggregationTransparencyProperty(t *testing.T) {
 // TestClassCacheAcrossCalls exercises the partition cache's dirty-
 // suffix path: joins append demands, leaves truncate, a retune changes
 // one demand's cap mid-list. After every mutation the cached Network's
-// allocation must remain bitwise identical to a fresh per-flow
-// computation, including while stale zero-member classes linger in the
-// table.
+// allocation must remain bitwise identical to the per-flow reference,
+// including while stale zero-member classes linger in the table.
 func TestClassCacheAcrossCalls(t *testing.T) {
 	build := func() *Network {
 		n := New()
@@ -167,14 +157,8 @@ func TestClassCacheAcrossCalls(t *testing.T) {
 		if err := cached.AllocateInto(&got, ds); err != nil {
 			t.Fatalf("%s: %v", step, err)
 		}
-		fresh := build()
-		fresh.SetClassAggregation(false)
-		want, err := fresh.Allocate(ds)
-		if err != nil {
-			t.Fatalf("%s: fresh: %v", step, err)
-		}
-		if err := sameAlloc(&got, want); err != nil {
-			t.Fatalf("%s: cached vs fresh: %v", step, err)
+		if err := sameAlloc(&got, perFlowAllocate(build(), ds)); err != nil {
+			t.Fatalf("%s: cached vs per-flow: %v", step, err)
 		}
 	}
 
@@ -217,12 +201,10 @@ func TestClassCacheAcrossCalls(t *testing.T) {
 		t.Fatalf("after rejoin Classes() = %d, want 3", cached.Classes())
 	}
 
-	// Toggling aggregation off and on mid-stream resets the cache and
+	// Dropping the cache mid-stream forces a rebuild from scratch and
 	// must not change results.
-	cached.SetClassAggregation(false)
-	check("aggregation off")
-	cached.SetClassAggregation(true)
-	check("aggregation back on")
+	cached.resetClasses()
+	check("cache reset")
 }
 
 // fleetDemands builds the acceptance-criteria demand set: 1000 flows
@@ -249,7 +231,7 @@ func fleetDemands() (*Network, []Demand) {
 
 // TestFleetDemandsTransparency pins the benchmark configuration itself:
 // the 1000-flow fleet set collapses to 4 classes and matches the
-// per-flow path bitwise.
+// per-flow reference bitwise.
 func TestFleetDemandsTransparency(t *testing.T) {
 	nAgg, ds := fleetDemands()
 	aggAlloc, err := nAgg.Allocate(ds)
@@ -259,17 +241,8 @@ func TestFleetDemandsTransparency(t *testing.T) {
 	if nAgg.Classes() != 4 {
 		t.Fatalf("Classes() = %d, want 4", nAgg.Classes())
 	}
-	nFlat, _ := fleetDemands()
-	nFlat.SetClassAggregation(false)
-	flatAlloc, err := nFlat.Allocate(ds)
-	if err != nil {
+	if err := sameAlloc(aggAlloc, perFlowAllocate(nAgg, ds)); err != nil {
 		t.Fatal(err)
-	}
-	if err := sameAlloc(aggAlloc, flatAlloc); err != nil {
-		t.Fatal(err)
-	}
-	if nFlat.Classes() != 1000 {
-		t.Fatalf("per-flow Classes() = %d, want 1000", nFlat.Classes())
 	}
 }
 
@@ -291,27 +264,6 @@ func BenchmarkAllocate1kFlows(b *testing.B) {
 		}
 	}); avg != 0 {
 		b.Fatalf("AllocateDense allocated %.1f times per call, want 0", avg)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := n.AllocateDense(&alloc, ds); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAllocate1kFlowsPerFlow is the same demand set and entry
-// point through the naive one-class-per-flow path (full revalidation
-// and a 1000-class water-fill every call, as the pre-aggregation
-// allocator did) — the baseline the class aggregation's ≥5x
-// acceptance criterion is measured against.
-func BenchmarkAllocate1kFlowsPerFlow(b *testing.B) {
-	n, ds := fleetDemands()
-	n.SetClassAggregation(false)
-	var alloc DenseAllocation
-	if err := n.AllocateDense(&alloc, ds); err != nil {
-		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

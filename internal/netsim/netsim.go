@@ -26,9 +26,9 @@
 // boundary. Every arithmetic step is independent of how flows are
 // grouped (weights are integer counts, so weight sums are exact, and
 // per-resource charging happens once per fill level), which makes the
-// aggregated allocation bit-identical to the degenerate one-flow-per-
-// class computation; SetClassAggregation(false) forces that per-flow
-// path for A/B verification.
+// aggregated allocation bit-identical to the textbook per-flow
+// computation; the package tests keep that per-flow fill as the
+// reference the class fill is checked against bitwise.
 //
 // The model is stateless in its observable behaviour: Allocate maps a
 // set of flow demands to rates and loss estimates, and the same inputs
@@ -294,12 +294,11 @@ func resizeFloats(s []float64, n int) []float64 {
 
 // Network is a set of resources plus a loss model.
 type Network struct {
-	index    map[string]int // resource ID → index into resList
-	resList  []Resource
-	loss     LossModel
-	scr      scratch
-	classOff bool // true forces the per-flow (one class per demand) path
-	classes  int  // live class count of the most recent allocation
+	index   map[string]int // resource ID → index into resList
+	resList []Resource
+	loss    LossModel
+	scr     scratch
+	classes int // live class count of the most recent allocation
 	// capGen counts capacity changes (SetCapacity calls that alter a
 	// resource's capacity; idempotent sets don't count). Allocation
 	// itself reads capacities fresh on every call — the partition cache
@@ -328,19 +327,6 @@ func (n *Network) SetLossModel(m LossModel) { n.loss = m }
 
 // LossModel returns the current loss model.
 func (n *Network) LossModel() LossModel { return n.loss }
-
-// SetClassAggregation enables or disables flow-class aggregation
-// (enabled by default). Disabling forces the degenerate one-class-per-
-// flow partition — the naive per-flow water-fill, with full
-// revalidation on every call — which produces bit-identical results;
-// the transparency tests pin that equivalence.
-func (n *Network) SetClassAggregation(enabled bool) {
-	n.classOff = !enabled
-	n.resetClasses()
-}
-
-// ClassAggregation reports whether flow-class aggregation is enabled.
-func (n *Network) ClassAggregation() bool { return !n.classOff }
 
 // Classes returns the number of distinct flow classes in the most
 // recent allocation (0 before any allocation call).
@@ -483,7 +469,7 @@ func (n *Network) allocateCore(demands []Demand, satOut *[]string) error {
 	// Stage 1: longest unchanged prefix against the previous call.
 	// Demands in the prefix are already validated, already assigned to
 	// their class, and their weight contributions are already in clsW.
-	wasOK := s.prevOK && !n.classOff
+	wasOK := s.prevOK
 	s.prevOK = false
 	k := 0
 	if wasOK {
@@ -584,87 +570,66 @@ func (n *Network) allocateCore(demands []Demand, satOut *[]string) error {
 		}
 	}
 
-	// Stage 3: partition bookkeeping.
-	var nc int
-	if n.classOff {
-		// Per-flow path: the degenerate one-class-per-demand partition,
-		// rebuilt in full every call like the pre-aggregation allocator.
-		s.classOf = growInts(s.classOf, nd)
-		s.clsCap = growFloats(s.clsCap, nd)
-		s.clsRTT = growFloats(s.clsRTT, nd)
-		s.clsRes = append(s.clsRes[:0], s.resIdx...)
-		s.clsOff = append(s.clsOff[:0], s.offsets...)
-		s.clsW = growFloats(s.clsW, nd)
-		s.clsCount = growInts(s.clsCount, nd)
-		for i := range demands {
-			s.classOf[i] = i
-			s.clsCap[i] = demands[i].Cap
-			s.clsRTT[i] = demands[i].RTT
-			s.clsW[i] = demands[i].weight()
-			s.clsCount[i] = 1
-		}
-		nc = nd
-	} else {
-		// Sweep stale classes once they outnumber the live demand set;
-		// the rebuild below then reassigns every demand.
-		if len(s.clsCap) > 2*nd+16 {
-			n.resetClasses()
-			wasOK = false
-			k = 0
-		}
-		n.ensureTable(len(s.clsCap) + (nd - k))
-		if wasOK {
-			// Subtract the departed/changed demands' contributions
-			// before their classOf entries are overwritten. Weights
-			// are integer-valued, so subtract-then-add reproduces the
-			// from-scratch sums exactly.
-			for i := k; i < s.prevN; i++ {
-				c := s.classOf[i]
-				w := 1.0
-				if s.prevWI[i] > 0 {
-					w = float64(s.prevWI[i])
-				}
-				s.clsW[c] -= w
-				s.clsCount[c]--
-			}
-		} else {
-			s.clsW = growFloats(s.clsW, len(s.clsCap))
-			s.clsCount = growInts(s.clsCount, len(s.clsCap))
-			k = 0
-		}
-		s.classOf = grow(s.classOf, nd)
-		for i := k; i < nd; i++ {
-			d := &demands[i]
-			c := n.classFor(d, i)
-			s.classOf[i] = c
-			s.clsW[c] += d.weight()
-			s.clsCount[c]++
-		}
-		nc = len(s.clsCap)
-
-		// Stage 4: snapshot the changed suffix for the next call's
-		// prefix comparison (the prefix entries are already equal).
-		s.prevIDs = grow(s.prevIDs, nd)
-		s.prevCaps = grow(s.prevCaps, nd)
-		s.prevRTTs = grow(s.prevRTTs, nd)
-		s.prevWI = grow(s.prevWI, nd)
-		for i := k; i < nd; i++ {
-			d := &demands[i]
-			s.prevIDs[i] = d.FlowID
-			s.prevCaps[i] = math.Float64bits(d.Cap)
-			s.prevRTTs[i] = math.Float64bits(d.RTT)
-			s.prevWI[i] = d.Weight
-		}
-		if !retune {
-			s.prevResStr = s.prevResStr[:0]
-			for i := range demands {
-				s.prevResStr = append(s.prevResStr, demands[i].Resources...)
-			}
-			s.prevOff = append(s.prevOff[:0], s.offsets...)
-		}
-		s.prevN = nd
-		s.prevOK = true
+	// Stage 3: partition bookkeeping. Sweep stale classes once they
+	// outnumber the live demand set; the rebuild below then reassigns
+	// every demand.
+	if len(s.clsCap) > 2*nd+16 {
+		n.resetClasses()
+		wasOK = false
+		k = 0
 	}
+	n.ensureTable(len(s.clsCap) + (nd - k))
+	if wasOK {
+		// Subtract the departed/changed demands' contributions before
+		// their classOf entries are overwritten. Weights are
+		// integer-valued, so subtract-then-add reproduces the
+		// from-scratch sums exactly.
+		for i := k; i < s.prevN; i++ {
+			c := s.classOf[i]
+			w := 1.0
+			if s.prevWI[i] > 0 {
+				w = float64(s.prevWI[i])
+			}
+			s.clsW[c] -= w
+			s.clsCount[c]--
+		}
+	} else {
+		s.clsW = growFloats(s.clsW, len(s.clsCap))
+		s.clsCount = growInts(s.clsCount, len(s.clsCap))
+		k = 0
+	}
+	s.classOf = grow(s.classOf, nd)
+	for i := k; i < nd; i++ {
+		d := &demands[i]
+		c := n.classFor(d, i)
+		s.classOf[i] = c
+		s.clsW[c] += d.weight()
+		s.clsCount[c]++
+	}
+	nc := len(s.clsCap)
+
+	// Stage 4: snapshot the changed suffix for the next call's prefix
+	// comparison (the prefix entries are already equal).
+	s.prevIDs = grow(s.prevIDs, nd)
+	s.prevCaps = grow(s.prevCaps, nd)
+	s.prevRTTs = grow(s.prevRTTs, nd)
+	s.prevWI = grow(s.prevWI, nd)
+	for i := k; i < nd; i++ {
+		d := &demands[i]
+		s.prevIDs[i] = d.FlowID
+		s.prevCaps[i] = math.Float64bits(d.Cap)
+		s.prevRTTs[i] = math.Float64bits(d.RTT)
+		s.prevWI[i] = d.Weight
+	}
+	if !retune {
+		s.prevResStr = s.prevResStr[:0]
+		for i := range demands {
+			s.prevResStr = append(s.prevResStr, demands[i].Resources...)
+		}
+		s.prevOff = append(s.prevOff[:0], s.offsets...)
+	}
+	s.prevN = nd
+	s.prevOK = true
 
 	n.classWaterFill(nc)
 

@@ -23,8 +23,7 @@ import (
 
 // Goldens of goldenFleetDoc's full-recording Timeline and merged event
 // stream, pinned at the commit before task handles replaced ID lookups
-// in the engine. Worker width and scheduler orchestration must not
-// move them; regenerate (and say why) only for a deliberate change to
+// in the engine. Worker width must not move them; regenerate (and say why) only for a deliberate change to
 // the simulated numbers, their order, or the event taxonomy.
 const (
 	goldenFleetTimeline = "4b8c671f1b8ea5387eefbaab67eb2c260351122a91515e4bde8cb14940fb03f7"
@@ -133,52 +132,41 @@ func hashEvent(w io.Writer, e session.Event) {
 	}
 }
 
-// TestFleetGolden runs goldenFleetDoc with full recording on the
-// event-queue and scan schedulers and in exact stepping, each on 1, 4,
-// 8 and 32 workers — over the document's four shards that is decide
-// width 1, 1, 2 and 8, with the fan-out threshold lowered to two
-// isolated decisions so the parallel phase runs throughout — and checks
-// the Timeline and the merged event stream against the checked-in
-// hashes.
+// TestFleetGolden runs goldenFleetDoc with full recording on 1, 4, 8
+// and 32 workers — over the document's four shards that is decide width
+// 1, 1, 2 and 8, with the fan-out threshold lowered to two isolated
+// decisions so the parallel phase runs throughout — and checks the
+// Timeline and the merged event stream against the checked-in hashes.
 func TestFleetGolden(t *testing.T) {
-	defer testbed.SetDefaultEventQueue(true)
-	defer testbed.SetDefaultExact(false)
 	defer func(old int) { decideFanout = old }(decideFanout)
 	decideFanout = 2
-	for _, mode := range []struct {
-		name         string
-		queue, exact bool
-	}{{"queue", true, false}, {"scan", false, false}, {"queue-exact", true, true}} {
-		testbed.SetDefaultEventQueue(mode.queue)
-		testbed.SetDefaultExact(mode.exact)
-		for _, workers := range []int{1, 4, 8, 32} {
-			run, err := goldenFleetDoc().Build()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := len(run.AgentIDs); got != 1000 {
-				t.Fatalf("golden fleet has %d sessions, want 1000", got)
-			}
-			sum := sha256.New()
-			w := bufio.NewWriter(sum)
-			counts := map[session.Kind]int{}
-			tl, err := run.Execute(ExecOptions{Workers: workers, Events: func(e session.Event) {
-				counts[e.Kind]++
-				hashEvent(w, e)
-			}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Flush()
-			if counts[session.Join] != 1000 || counts[session.Leave] != 80 || counts[session.Finish] != 20 || counts[session.Error] != 0 {
-				t.Errorf("%s shards=%d: event counts %v, want 1000 joins, 80 leaves, 20 finishes, no errors", mode.name, workers, counts)
-			}
-			if got := hashTimeline(tl); got != goldenFleetTimeline {
-				t.Errorf("%s shards=%d: timeline sha256 = %s, want %s", mode.name, workers, got, goldenFleetTimeline)
-			}
-			if got := hex.EncodeToString(sum.Sum(nil)); got != goldenFleetEvents {
-				t.Errorf("%s shards=%d: event stream sha256 = %s, want %s", mode.name, workers, got, goldenFleetEvents)
-			}
+	for _, workers := range []int{1, 4, 8, 32} {
+		run, err := goldenFleetDoc().Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := len(run.AgentIDs); got != 1000 {
+			t.Fatalf("golden fleet has %d sessions, want 1000", got)
+		}
+		sum := sha256.New()
+		w := bufio.NewWriter(sum)
+		counts := map[session.Kind]int{}
+		tl, err := run.Execute(ExecOptions{Workers: workers, Events: func(e session.Event) {
+			counts[e.Kind]++
+			hashEvent(w, e)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Flush()
+		if counts[session.Join] != 1000 || counts[session.Leave] != 80 || counts[session.Finish] != 20 || counts[session.Error] != 0 {
+			t.Errorf("shards=%d: event counts %v, want 1000 joins, 80 leaves, 20 finishes, no errors", workers, counts)
+		}
+		if got := hashTimeline(tl); got != goldenFleetTimeline {
+			t.Errorf("shards=%d: timeline sha256 = %s, want %s", workers, got, goldenFleetTimeline)
+		}
+		if got := hex.EncodeToString(sum.Sum(nil)); got != goldenFleetEvents {
+			t.Errorf("shards=%d: event stream sha256 = %s, want %s", workers, got, goldenFleetEvents)
 		}
 	}
 }

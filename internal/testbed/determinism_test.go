@@ -22,15 +22,15 @@ func (c cycler) Decide(transfer.Sample) transfer.Setting {
 
 // TestAllocMemoIsTransparent: the memoized allocator is a pure cache —
 // a scenario with competing tasks, joins, leaves, and a concurrency-
-// cycling controller must produce exactly the same timeline with the
-// memo on (default) and off.
+// cycling controller must produce exactly the same timeline under Run,
+// memo on, as on the always-tick reference loop with the memo cleared
+// before every Step.
 func TestAllocMemoIsTransparent(t *testing.T) {
-	run := func(memo bool) *Timeline {
+	run := func(ref bool) *Timeline {
 		eng, err := NewEngine(HPCLab(), 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetAllocMemo(memo)
 		s := NewScheduler(eng, 1)
 		i := 0
 		parts := []Participant{
@@ -43,11 +43,9 @@ func TestAllocMemoIsTransparent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return s.Run(150, 0.25)
+		return runVia(s, 150, ref, true)
 	}
-	with := run(true)
-	without := run(false)
-	if !reflect.DeepEqual(with, without) {
-		t.Fatal("memoized allocator changed the timeline vs unmemoized run")
+	if !reflect.DeepEqual(run(false), run(true)) {
+		t.Fatal("memoized allocator changed the timeline vs the memo-free reference")
 	}
 }

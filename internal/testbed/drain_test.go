@@ -122,8 +122,9 @@ func remove(ids []string, id string) []string {
 // that mutate the list — tasks that finish on the very tick they join,
 // leaves landing mid-run and in identical-time clusters, joins out of
 // part order — must produce timelines and event streams identical to
-// the linear-scan loop, which re-polls every participant each step and
-// so cannot have list corruption. Batched and exact stepping both run.
+// the always-tick reference loop, which re-polls every participant each
+// step and so cannot have list corruption. With exact=true the
+// reference also re-runs the water-fill every tick.
 func TestQueueLiveListUnderChurn(t *testing.T) {
 	build := func(rng *rand.Rand, s *Scheduler) {
 		for i := 0; i < 70; i++ {
@@ -162,20 +163,19 @@ func TestQueueLiveListUnderChurn(t *testing.T) {
 					tl     *Timeline
 					events []session.Event
 				}
-				run := func(queue bool) outcome {
+				run := func(ref bool) outcome {
 					eng, err := NewEngine(HPCLab(), seed)
 					if err != nil {
 						t.Fatal(err)
 					}
-					eng.SetExact(exact)
 					s := NewScheduler(eng, 1)
-					s.SetEventQueue(queue)
 					var events []session.Event
 					s.SetEventSink(func(e session.Event) { events = append(events, e) })
 					build(rand.New(rand.NewSource(seed)), s)
-					return outcome{tl: s.Run(100, 0.25), events: events}
+					tl := runVia(s, 100, ref, exact)
+					return outcome{tl: tl, events: events}
 				}
-				queue, scan := run(true), run(false)
+				queue, ref := run(false), run(true)
 				if len(queue.tl.Finished) == 0 {
 					t.Fatal("churn roster never finished a task")
 				}
@@ -188,11 +188,11 @@ func TestQueueLiveListUnderChurn(t *testing.T) {
 				if leaves == 0 {
 					t.Fatal("churn roster never left mid-run")
 				}
-				if !reflect.DeepEqual(queue.tl, scan.tl) {
-					t.Error("queue timeline differs from scan timeline under churn")
+				if !reflect.DeepEqual(queue.tl, ref.tl) {
+					t.Error("queue timeline differs from the reference timeline under churn")
 				}
-				if !reflect.DeepEqual(queue.events, scan.events) {
-					t.Error("queue event stream differs from scan event stream under churn")
+				if !reflect.DeepEqual(queue.events, ref.events) {
+					t.Error("queue event stream differs from the reference event stream under churn")
 				}
 			})
 		}

@@ -141,9 +141,8 @@ func (s *taskSoA) truncate() {
 // len returns the number of occupied slots.
 func (s *taskSoA) len() int { return len(s.task) }
 
-// demandKey is the memo key contribution of one demand. Together with
-// the contention-dependent capacities it fully determines the
-// allocation: resource path and RTT are fixed at engine construction.
+// demandKey is the memo key contribution of one demand (see
+// memoValid for what the key does and does not cover).
 type demandKey struct {
 	id     string
 	cap    float64
@@ -186,8 +185,8 @@ type Engine struct {
 	// re-running water-filling. memoKey/memoCaps record the inputs the
 	// cached allocation was computed for; netsim.Allocate is stateless
 	// and deterministic, so replaying the cached result is exactly what
-	// a re-run would produce.
-	memoOff  bool
+	// a re-run would produce. memoOK is the cache-validity bit: a
+	// mutation clears it (applyDueMutations).
 	memoOK   bool
 	memoKey  []demandKey
 	memoCaps [4]float64
@@ -195,8 +194,9 @@ type Engine struct {
 	// allocation was computed under. Contention capacities are covered
 	// by memoCaps, but the link (and any capacity touched by an
 	// environment mutation) is not — the generation counter makes a
-	// stale fill impossible even if a mutation path forgets to clear
-	// memoOK. Idempotent per-tick capacity refreshes don't advance it.
+	// stale fill after a capacity change impossible even if a mutation
+	// path forgets to clear memoOK. An RTT change has no such backstop.
+	// Idempotent per-tick capacity refreshes don't advance it.
 	memoGen uint64
 
 	// Event-horizon fast path (RunTicks). factive snapshots the active
@@ -204,9 +204,7 @@ type Engine struct {
 	// cached inputs still match the engine, so ticks can be replayed by
 	// fastTick without rebuilding demands; stepChanged records whether
 	// the last tick crossed a file-count horizon (a macro-step boundary
-	// callers must observe). exact forces the always-tick path for A/B
-	// verification (-exact on the cmds).
-	exact       bool
+	// callers must observe).
 	fastOK      bool
 	stepChanged bool
 	factive     []int32
@@ -227,20 +225,10 @@ type Engine struct {
 	drained []int32
 }
 
-// defaultExact seeds every new engine's stepping mode. Commands set it
-// once at startup (the -exact flag) before building engines; it is not
-// safe to toggle concurrently with engine construction.
-var defaultExact bool
-
 // enginePath is the fixed end-to-end resource path every engine's
 // demands traverse. It is read-only and shared across engines, so
 // construction doesn't re-allocate it.
 var enginePath = []string{resSrcStore, resSrcCPU, resSrcNIC, resLink, resDstNIC, resDstCPU, resDstStore}
-
-// SetDefaultExact makes engines built afterwards start in exact
-// (always-tick) stepping mode — the A/B verification path behind the
-// cmds' -exact flags. Call before constructing engines.
-func SetDefaultExact(v bool) { defaultExact = v }
 
 // NewEngine validates cfg and returns an engine seeded for
 // deterministic noise.
@@ -260,45 +248,12 @@ func NewEngine(cfg Config, seed int64) (*Engine, error) {
 		n.SetLossModel(netsim.BBRLossModel())
 	}
 	return &Engine{
-		cfg:   cfg,
-		net:   n,
-		rng:   rand.New(rand.NewSource(seed)),
-		byID:  make(map[string]int32),
-		path:  enginePath,
-		exact: defaultExact,
+		cfg:  cfg,
+		net:  n,
+		rng:  rand.New(rand.NewSource(seed)),
+		byID: make(map[string]int32),
+		path: enginePath,
 	}, nil
-}
-
-// SetExact forces (true) or lifts (false) exact always-tick stepping:
-// with it set, RunTicks and StepUntil degrade to per-tick full Steps.
-// The batched path is bit-identical by construction; the flag exists so
-// that claim stays checkable end to end.
-func (e *Engine) SetExact(v bool) {
-	e.exact = v
-	e.fastOK = false
-}
-
-// Exact reports whether the engine is in exact always-tick mode.
-func (e *Engine) Exact() bool { return e.exact }
-
-// SetAllocMemo enables or disables allocator memoization (enabled by
-// default). Disabling forces every Step to re-run water-filling; the
-// determinism regression tests use it to check that the memoized and
-// unmemoized paths produce identical results.
-func (e *Engine) SetAllocMemo(enabled bool) {
-	e.memoOff = !enabled
-	e.memoOK = false
-	e.fastOK = false
-}
-
-// SetClassAlloc enables or disables the allocator's flow-class
-// aggregation (enabled by default). Disabling forces per-flow
-// water-filling — bit-identical by construction; the transparency
-// tests use the flag to keep that claim checkable end to end.
-func (e *Engine) SetClassAlloc(enabled bool) {
-	e.net.SetClassAggregation(enabled)
-	e.memoOK = false
-	e.fastOK = false
 }
 
 // AllocClasses returns the number of distinct flow classes in the
@@ -471,8 +426,8 @@ func (e *Engine) step(dt float64) {
 	if e.mutationDue() {
 		// Apply before demands are rebuilt so this tick already runs
 		// under the mutated environment; the fast path refuses to replay
-		// a tick with a due mutation, so batched and exact stepping both
-		// land here at the same tick.
+		// a tick with a due mutation, so batched stepping lands here at
+		// the same tick as a per-tick Step loop.
 		e.applyDueMutations()
 	}
 	active := e.activeSlots()
@@ -612,7 +567,7 @@ func (e *Engine) step(dt float64) {
 	// The cached allocation and snapshots describe the current state
 	// only if the allocator memo is live and this tick crossed no file
 	// horizon.
-	e.fastOK = !e.memoOff && e.memoOK && !changed
+	e.fastOK = e.memoOK && !changed
 }
 
 // gensLive reports whether every snapshotted task's generation still
@@ -733,7 +688,7 @@ func (e *Engine) RunTicks(k int, dt float64) int {
 	// ticks of one RunTicks call.
 	gensOK := false
 	for consumed < k {
-		if !e.exact && e.fastOK && !e.mutationDue() && (gensOK || e.gensLive()) {
+		if e.fastOK && !e.mutationDue() && (gensOK || e.gensLive()) {
 			gensOK = true
 			if e.fastTick(dt) {
 				return consumed + 1
@@ -805,12 +760,14 @@ func (e *Engine) NextEvent() float64 {
 }
 
 // memoValid reports whether the cached allocation in e.alloc was
-// computed for exactly these demands and capacities. Resource paths,
-// RTT, and the loss model are fixed at construction, so (FlowID, Cap,
-// Weight) per demand plus the contention-dependent capacities fully
-// determine the allocator's output.
+// computed for exactly these demands and capacities. Resource paths
+// and the loss model are fixed at construction, so between mutations
+// (FlowID, Cap, Weight) per demand plus the contention-dependent
+// capacities and the capacity generation determine the allocator's
+// output. RTT is not in the key: a MutRTT changes it, and the memo stays
+// correct only because applyDueMutations clears memoOK.
 func (e *Engine) memoValid(demands []netsim.Demand, caps [4]float64) bool {
-	if e.memoOff || !e.memoOK || caps != e.memoCaps || len(demands) != len(e.memoKey) {
+	if !e.memoOK || caps != e.memoCaps || len(demands) != len(e.memoKey) {
 		return false
 	}
 	if e.net.CapacityGeneration() != e.memoGen {
@@ -828,9 +785,6 @@ func (e *Engine) memoValid(demands []netsim.Demand, caps [4]float64) bool {
 // memoRecord snapshots the inputs the just-computed allocation in
 // e.alloc corresponds to.
 func (e *Engine) memoRecord(demands []netsim.Demand, caps [4]float64) {
-	if e.memoOff {
-		return
-	}
 	e.memoKey = e.memoKey[:0]
 	for i := range demands {
 		e.memoKey = append(e.memoKey, demandKey{id: demands[i].FlowID, cap: demands[i].Cap, weight: demands[i].Weight})

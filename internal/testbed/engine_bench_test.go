@@ -49,16 +49,3 @@ func BenchmarkStep(b *testing.B) {
 		eng.Step(0.25)
 	}
 }
-
-// BenchmarkStepNoMemo measures the same tick with allocator memoization
-// disabled: every Step re-runs water-filling, isolating the cost of the
-// max-min computation itself.
-func BenchmarkStepNoMemo(b *testing.B) {
-	eng := benchEngine(b, 4, 8)
-	eng.SetAllocMemo(false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		eng.Step(0.25)
-	}
-}

@@ -8,8 +8,8 @@ import "math"
 // and heap position live in flat arrays instead of maps and every
 // operation after init is allocation-free. Ties break toward the lower
 // handle, which the scheduler arranges to mean "lower part index
-// first, lifecycle before deadline" — the order the scan loop visits
-// parts — so identically-timed events stay deterministic.
+// first, lifecycle before deadline" — the order an always-tick loop
+// visits parts — so identically-timed events stay deterministic.
 type horizonHeap struct {
 	key  []float64 // key[h]: horizon time of handle h, valid while pos[h] >= 0
 	heap []int32   // handles in heap order

@@ -24,13 +24,12 @@ import (
 // engine's NextEvent estimate. Because the heap breaks key ties by
 // handle and the due set is sorted before processing, identically-
 // timed events are handled in ascending part order with lifecycle
-// before deadline — exactly the scan loop's visit order, which keeps
-// the two paths byte-identical.
+// before deadline — exactly the visit order of the always-tick loop
+// that scans every part, which keeps the two byte-identical.
 type queueRun struct {
 	s          *Scheduler
 	until      float64
 	tick       float64
-	exact      bool
 	tl         *Timeline
 	sink       session.Sink
 	nextRecord float64
@@ -94,7 +93,6 @@ func (s *Scheduler) newQueueRun(until, tick float64) *queueRun {
 		s:        s,
 		until:    until,
 		tick:     tick,
-		exact:    s.eng.Exact(),
 		tl:       tl,
 		sink:     s.runSink(tl),
 		hint:     int32(2 * n),
@@ -123,20 +121,17 @@ func (s *Scheduler) newQueueRun(until, tick float64) *queueRun {
 	for i := range s.parts {
 		r.hz.push(int32(2*i), s.parts[i].p.JoinAt)
 	}
-	if !r.exact {
-		// The estimate starts due so the first macro-step computes it;
-		// exact mode steps one tick at a time and never consults it.
-		r.hz.push(r.hint, math.Inf(-1))
-	}
+	// The estimate starts due so the first macro-step computes it.
+	r.hz.push(r.hint, math.Inf(-1))
 	return r
 }
 
 // step executes one macro-step of the event-queue loop; it reports
 // false once the horizon is reached. The phase order — lifecycle,
-// session ticks, engine advance, completion sweep, recording — and
-// every boundary comparison mirror scanRun.step exactly; within the
-// session ticks, what scanRun does session by session through
-// Session.Tick runs here as sample, decide and commit phases.
+// session ticks, engine advance, completion sweep, recording — is the
+// always-tick loop's; within the session ticks, what that loop does
+// session by session through Session.Tick runs here as sample, decide
+// and commit phases.
 func (r *queueRun) step() bool {
 	s := r.s
 	eng := s.eng
@@ -146,8 +141,8 @@ func (r *queueRun) step() bool {
 	now := eng.Now()
 
 	// Pop every horizon due at this head, then sort: the heap yields
-	// (time, handle) order, the scan loop processes parts in index
-	// order, and ascending handle order is exactly ascending part
+	// (time, handle) order, the always-tick loop processes parts in
+	// index order, and ascending handle order is exactly ascending part
 	// order with lifecycle before deadline.
 	r.due = r.hz.popDue(now, r.due[:0])
 	slices.Sort(r.due)
@@ -166,23 +161,16 @@ func (r *queueRun) step() bool {
 
 	// Decision epochs and warm-up expiry, owned by each session, in
 	// three phases. The popped deadline handles are exactly the sessions
-	// the scan loop's deadline check would not skip; exact mode ticks
-	// every live session every step, as the always-tick loop does.
+	// whose Tick would do anything: a Tick before a session's deadline is
+	// a no-op by construction.
 	//
 	// Sample, in part order: this is where the engine's noise stream is
-	// drawn, so the order is the scan loop's.
+	// drawn, so the order is the always-tick loop's.
 	r.pend = r.pend[:0]
 	isolated := 0
-	if r.exact {
-		sen := int32(len(s.parts))
-		for i := r.next[sen]; i != sen; i = r.next[i] {
-			isolated += r.sample(i, now)
-		}
-	} else {
-		for _, h := range r.due {
-			if h&1 == 1 {
-				isolated += r.sample(h>>1, now)
-			}
+	for _, h := range r.due {
+		if h&1 == 1 {
+			isolated += r.sample(h>>1, now)
 		}
 	}
 	// Decide: controllers that declared themselves isolated run on
@@ -192,28 +180,24 @@ func (r *queueRun) step() bool {
 		parallel.ForEachN((len(r.pend)+decideChunk-1)/decideChunk, s.decideWidth, r.decide)
 	}
 	// Commit, in part order: events, Apply to the session's own task,
-	// the warm-up restart, and the re-armed deadline — all as the scan
-	// loop's Tick interleaves them per session.
+	// the warm-up restart, and the re-armed deadline — all as Tick
+	// interleaves them per session.
 	for k := range r.pend {
 		r.commit(&r.pend[k], now)
 	}
 
-	if r.exact {
-		eng.Step(r.tick)
-	} else {
-		if hintDue {
-			// Refresh the engine estimate lazily: it is advisory
-			// (RunTicks re-verifies every tick and stops at real
-			// file-count events), so a stale value can only change how
-			// often the loop regains control, never what it observes.
-			r.hz.push(r.hint, eng.NextEvent())
-		}
-		eng.RunTicks(r.batch(now), r.tick)
+	if hintDue {
+		// Refresh the engine estimate lazily: it is advisory (RunTicks
+		// re-verifies every tick and stops at real file-count events),
+		// so a stale value can only change how often the loop regains
+		// control, never what it observes.
+		r.hz.push(r.hint, eng.NextEvent())
 	}
+	eng.RunTicks(r.batch(now), r.tick)
 
 	// Completion bookkeeping: the engine reports which tasks drained
 	// during the advance; tasks that were already done when they
-	// joined were queued by lifecycle. Sorting recovers the scan
+	// joined were queued by lifecycle. Sorting recovers the always-tick
 	// loop's part-order sweep.
 	for _, h := range eng.Drained() {
 		if int(h) < len(r.partOf) && r.partOf[h] >= 0 {
@@ -256,8 +240,7 @@ func (r *queueRun) step() bool {
 }
 
 // lifecycle handles part i's due lifecycle horizon: its join if the
-// session does not exist yet, a pending leave otherwise. The body is
-// the scan loop's join/leave block verbatim.
+// session does not exist yet, a pending leave otherwise.
 func (r *queueRun) lifecycle(i int, now float64) {
 	s := r.s
 	e := &s.parts[i]
@@ -273,12 +256,10 @@ func (r *queueRun) lifecycle(i int, now float64) {
 		}
 		r.link(int32(i))
 		e.sess.Start(now, e.p.Task.Setting())
-		if !r.exact {
-			r.hz.push(int32(2*i+1), e.sess.NextDeadline())
-		}
+		r.hz.push(int32(2*i+1), e.sess.NextDeadline())
 		if e.p.Task.Done() {
-			// Joined already drained (empty horizon): the scan loop's
-			// completion sweep catches this right after the advance.
+			// Joined already drained (empty horizon): the completion
+			// sweep catches this right after the advance.
 			r.done = append(r.done, int32(i))
 		}
 		if e.p.LeaveAt > 0 {
@@ -348,17 +329,20 @@ func (r *queueRun) commit(p *pendingTick, now float64) {
 	if err := e.sess.Commit(now, &p.Pending); err != nil {
 		panic(fmt.Sprintf("testbed: controller for %q produced invalid setting: %v", e.p.Task.ID(), err))
 	}
-	if !r.exact {
-		r.hz.push(2*p.part+1, e.sess.NextDeadline())
-	}
+	r.hz.push(2*p.part+1, e.sess.NextDeadline())
 }
 
-// batch sizes one macro-step from the heap minimum — the same
-// replayed-clock loop as the scan path's batchTicks with the O(parts)
-// horizon scan replaced by the heap root. At this point the heap holds
-// every pending join and leave, every live session's post-Tick
-// deadline, and the engine estimate, so the bound matches batchTicks'
-// up to estimate staleness, which is advisory only.
+// batch sizes one macro-step: the number of consecutive ticks the
+// engine may take before the loop must regain control at the next
+// event horizon. The heap root bounds the loop-head times: at this
+// point the heap holds every pending join and leave, every live
+// session's post-Tick deadline, and the engine's estimate of the next
+// file-count event (advisory only: it can shorten a batch, since
+// RunTicks re-verifies each tick, never change results). The recording
+// point fires after a step, so it stops the batch right after the tick
+// that crosses it. Head times are replayed with the same additions the
+// engine clock performs, so every boundary comparison is bit-identical
+// to the always-tick loop's.
 func (r *queueRun) batch(now float64) int {
 	h := r.hz.minKey()
 	k, t := 0, now

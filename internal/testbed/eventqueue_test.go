@@ -81,32 +81,33 @@ func fleetScenario(t *testing.T, s *Scheduler, n int) {
 
 // TestEventQueueSchedulerIsTransparent: the event-queue orchestrator is
 // a pure fast path — on a fleet with mixed joins, leaves, mid-run
-// finishes, and identically-timed deadlines it must produce a timeline
-// and a session event stream identical, event for event, to the legacy
-// linear-scan loop, at both a small (45) and a large (500) fleet, in
-// both exact and batched stepping modes, and at decide widths 1, 2 and
-// 8 with the fan-out threshold lowered to two isolated decisions, so
-// the parallel phase runs at nearly every epoch. The scan loop ticks
-// its sessions one by one through Session.Tick and is the oracle.
+// finishes, and identically-timed deadlines Run must produce a timeline
+// and a session event stream identical, event for event, to the
+// always-tick reference loop, at both a small (45) and a large (500)
+// fleet, and at decide widths 1, 2 and 8 with the fan-out threshold
+// lowered to two isolated decisions, so the parallel phase runs at
+// nearly every epoch. The reference ticks its sessions one by one
+// through Session.Tick and takes a full engine Step every tick; with
+// exact=true it also clears the allocator memo before every Step, so
+// every tick's allocation is a fresh water-fill.
 func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 	lowerDecideFanout(t, 2)
 	type outcome struct {
 		tl     *Timeline
 		events []session.Event
 	}
-	run := func(n int, horizon float64, queue, exact bool, width int) outcome {
+	run := func(n int, horizon float64, width int, ref, noMemo bool) outcome {
 		eng, err := NewEngine(HPCLab(), 11)
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetExact(exact)
 		s := NewScheduler(eng, 1)
-		s.SetEventQueue(queue)
 		s.decideWidth = width
 		var events []session.Event
 		s.SetEventSink(func(e session.Event) { events = append(events, e) })
 		fleetScenario(t, s, n)
-		return outcome{tl: s.Run(horizon, 0.25), events: events}
+		tl := runVia(s, horizon, ref, noMemo)
+		return outcome{tl: tl, events: events}
 	}
 	for _, tc := range []struct {
 		n       int
@@ -117,14 +118,14 @@ func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 	} {
 		for _, exact := range []bool{false, true} {
 			t.Run(fmt.Sprintf("n=%d/exact=%v", tc.n, exact), func(t *testing.T) {
-				scan := run(tc.n, tc.horizon, false, exact, 1)
-				if len(scan.tl.Finished) == 0 {
+				ref := run(tc.n, tc.horizon, 1, true, exact)
+				if len(ref.tl.Finished) == 0 {
 					t.Fatal("scenario did not exercise completion: no task finished")
 				}
 				// Agents are parts 1, 4, 7, …: count their decisions per
 				// instant to show the lowered threshold is met.
 				sawLeave, isolatedAt := false, map[float64]int{}
-				for _, e := range scan.events {
+				for _, e := range ref.events {
 					sawLeave = sawLeave || e.Kind == session.Leave
 					if e.Kind == session.Decision && e.Index%3 == 1 {
 						isolatedAt[e.Time]++
@@ -144,16 +145,16 @@ func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 				}
 				for _, width := range []int{1, 2, 8} {
 					t.Run(fmt.Sprintf("width=%d", width), func(t *testing.T) {
-						queue := run(tc.n, tc.horizon, true, exact, width)
-						if !reflect.DeepEqual(queue.tl, scan.tl) {
-							t.Error("event-queue timeline differs from linear-scan timeline")
+						got := run(tc.n, tc.horizon, width, false, false)
+						if !reflect.DeepEqual(got.tl, ref.tl) {
+							t.Error("Run timeline differs from the reference timeline")
 						}
-						if len(queue.events) != len(scan.events) {
-							t.Fatalf("event counts differ: queue %d, scan %d", len(queue.events), len(scan.events))
+						if len(got.events) != len(ref.events) {
+							t.Fatalf("event counts differ: Run %d, reference %d", len(got.events), len(ref.events))
 						}
-						for i := range queue.events {
-							if !reflect.DeepEqual(queue.events[i], scan.events[i]) {
-								t.Fatalf("event %d differs:\n  queue: %+v\n  scan:  %+v", i, queue.events[i], scan.events[i])
+						for i := range got.events {
+							if !reflect.DeepEqual(got.events[i], ref.events[i]) {
+								t.Fatalf("event %d differs:\n  Run:       %+v\n  reference: %+v", i, got.events[i], ref.events[i])
 							}
 						}
 					})

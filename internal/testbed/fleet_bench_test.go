@@ -8,33 +8,26 @@ import (
 	"repro/internal/transfer"
 )
 
-// fleetBench is the 10k-session orchestration workload: a fleet of
-// endless transfers (one shared huge-file dataset, so no completion
-// events and negligible memory) with staggered joins and sample
-// intervals spread over 3–15 s, so each 0.25 s tick has a few hundred
-// deadlines due out of the full fleet — the regime where the scan
-// loop's O(sessions) per-step passes dwarf the due set.
-type fleetBench struct {
-	eng *Engine
-	s   *Scheduler
-	run interface{ step() bool }
-}
-
-func newFleetBench(b *testing.B, n int, queue bool, seed int64) *fleetBench {
-	return newFleetBenchRecording(b, n, queue, seed, 5, 600)
+// newFleetBench builds the 10k-session orchestration workload's run: a
+// fleet of endless transfers (one shared huge-file dataset, so no
+// completion events and negligible memory) with staggered joins and
+// sample intervals spread over 3–15 s, so each 0.25 s tick has a few
+// hundred deadlines due out of the full fleet — the regime where a loop
+// that visits every session per step would dwarf the due set.
+func newFleetBench(b *testing.B, n int, seed int64) *queueRun {
+	return newFleetBenchRecording(b, n, seed, 5, 600)
 }
 
 // newFleetBenchRecording is newFleetBench with the recording interval
 // and the horizon (which sizes every series reservation) chosen by the
 // caller.
-func newFleetBenchRecording(b *testing.B, n int, queue bool, seed int64, record, until float64) *fleetBench {
+func newFleetBenchRecording(b *testing.B, n int, seed int64, record, until float64) *queueRun {
 	b.Helper()
 	eng, err := NewEngine(HPCLab(), seed)
 	if err != nil {
 		b.Fatal(err)
 	}
 	s := NewScheduler(eng, record)
-	s.SetEventQueue(queue)
 	ds := dataset.Uniform("fleet-bench", 64, 400*int64(dataset.TB))
 	settings := []int{2, 4, 6, 8}
 	for i := 0; i < n; i++ {
@@ -51,37 +44,32 @@ func newFleetBenchRecording(b *testing.B, n int, queue bool, seed int64, record,
 			b.Fatal(err)
 		}
 	}
-	f := &fleetBench{eng: eng, s: s}
-	if queue {
-		f.run = s.newQueueRun(until, 0.25)
-	} else {
-		f.run = s.newScanRun(until, 0.25)
-	}
+	r := s.newQueueRun(until, 0.25)
 	// Drive past every join and the first decision epochs so the timed
 	// loop measures the steady state, not session construction.
 	for eng.Now() < 20 {
-		f.run.step()
+		r.step()
 	}
-	return f
+	return r
 }
 
 // benchFleetStep times one scheduler macro-step at fleet scale.
-func benchFleetStep(b *testing.B, n int, queue bool) {
-	benchFleetRun(b, func() *fleetBench { return newFleetBench(b, n, queue, 1) })
+func benchFleetStep(b *testing.B, n int) {
+	benchFleetRun(b, func() *queueRun { return newFleetBench(b, n, 1) })
 }
 
 // benchFleetRun times one macro-step per op of the run build returns,
 // rebuilding it (untimed) whenever its horizon drains.
-func benchFleetRun(b *testing.B, build func() *fleetBench) {
-	f := build()
+func benchFleetRun(b *testing.B, build func() *queueRun) {
+	r := build()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if !f.run.step() {
+		if !r.step() {
 			b.StopTimer()
-			f = build()
+			r = build()
 			b.StartTimer()
-			f.run.step()
+			r.step()
 		}
 	}
 }
@@ -90,7 +78,7 @@ func benchFleetRun(b *testing.B, build func() *fleetBench) {
 // the event-queue scheduler over 10k sessions. Must run at 0 allocs/op
 // — the orchestration loop touches only preallocated heap, list, and
 // series storage.
-func BenchmarkFleetStep10k(b *testing.B) { benchFleetStep(b, 10000, true) }
+func BenchmarkFleetStep10k(b *testing.B) { benchFleetStep(b, 10000) }
 
 // BenchmarkFleetRecordFull10k is BenchmarkFleetStep10k with the record
 // boundary inside every op: full recording at an interval of one tick,
@@ -101,19 +89,13 @@ func BenchmarkFleetStep10k(b *testing.B) { benchFleetStep(b, 10000, true) }
 // lands in reserved storage through the per-part series table, with no
 // by-name lookup.
 func BenchmarkFleetRecordFull10k(b *testing.B) {
-	benchFleetRun(b, func() *fleetBench { return newFleetBenchRecording(b, 10000, true, 1, 0.25, 60) })
+	benchFleetRun(b, func() *queueRun { return newFleetBenchRecording(b, 10000, 1, 0.25, 60) })
 }
 
-// BenchmarkFleetStep10kScan is the A/B baseline: the same workload on
-// the legacy linear-scan loop.
-func BenchmarkFleetStep10kScan(b *testing.B) { benchFleetStep(b, 10000, false) }
-
-// BenchmarkFleetStep1k / BenchmarkFleetStep1kScan pin the scaling
-// story: the queue path's overhead above the engine grows with the due
-// set, the scan path's with the fleet.
-func BenchmarkFleetStep1k(b *testing.B) { benchFleetStep(b, 1000, true) }
-
-func BenchmarkFleetStep1kScan(b *testing.B) { benchFleetStep(b, 1000, false) }
+// BenchmarkFleetStep1k pins the scaling story beside
+// BenchmarkFleetStep10k: the queue path's overhead above the engine
+// grows with the due set, not with the fleet.
+func BenchmarkFleetStep1k(b *testing.B) { benchFleetStep(b, 1000) }
 
 // BenchmarkFleetStep100k is the sharded-fleet number: one macro-step of
 // every shard of a 100k-session fleet partitioned into 10 independent
@@ -125,21 +107,21 @@ func BenchmarkFleetStep1kScan(b *testing.B) { benchFleetStep(b, 1000, false) }
 // single-engine loop.
 func BenchmarkFleetStep100k(b *testing.B) {
 	const shards, perShard = 10, 10000
-	build := func() []*fleetBench {
-		fs := make([]*fleetBench, shards)
-		for s := range fs {
-			fs[s] = newFleetBench(b, perShard, true, int64(1+s))
+	build := func() []*queueRun {
+		rs := make([]*queueRun, shards)
+		for s := range rs {
+			rs[s] = newFleetBench(b, perShard, int64(1+s))
 		}
-		return fs
+		return rs
 	}
-	fs := build()
+	rs := build()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, f := range fs {
-			if !f.run.step() {
+		for _, r := range rs {
+			if !r.step() {
 				b.StopTimer()
-				fs = build()
+				rs = build()
 				b.StartTimer()
 				break
 			}
@@ -147,7 +129,7 @@ func BenchmarkFleetStep100k(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetEngine10k is the floor under both scheduler paths: the
+// BenchmarkFleetEngine10k is the floor under the scheduler: the
 // bare engine advancing the same 10k tasks one tick per op, no
 // orchestration at all. Scheduler overhead is the Step benchmarks
 // minus this.

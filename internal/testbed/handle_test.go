@@ -192,9 +192,9 @@ func TestRetiredHandleIsUnknown(t *testing.T) {
 }
 
 // TestEventIndexAndSeriesByPart runs a fleet whose participants join
-// out of part order (with leaves and mid-run finishes) on both
-// orchestrators and checks that every event carries its participant's
-// part index, identically on the queue and scan paths, and that the
+// out of part order (with leaves and mid-run finishes) through Run and
+// through the always-tick reference loop and checks that every event
+// carries its participant's part index on both, and that the
 // timeline the index-addressed series table recorded is exactly the
 // one a by-name recorder builds from the same event stream.
 func TestEventIndexAndSeriesByPart(t *testing.T) {
@@ -204,7 +204,6 @@ func TestEventIndexAndSeriesByPart(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewScheduler(eng, 1)
-		s.SetEventQueue(queue)
 		var events []session.Event
 		s.SetEventSink(func(e session.Event) { events = append(events, e) })
 		fleetScenario(t, s, 45)
@@ -214,7 +213,7 @@ func TestEventIndexAndSeriesByPart(t *testing.T) {
 			part[s.parts[i].p.Task.ID()] = i
 			joinAt[s.parts[i].p.Task.ID()] = s.parts[i].p.JoinAt
 		}
-		tl := s.Run(120, 0.25)
+		tl := runVia(s, 120, !queue, false)
 
 		var byName Timeline
 		for _, e := range events {

@@ -15,8 +15,8 @@ import (
 // task that drains mid-run, and a competitor that joins between two
 // horizons (at a time that is neither a tick boundary nor any session
 // deadline) and later leaves must produce a timeline and a session
-// event stream identical, event for event, to the exact always-tick
-// path.
+// event stream identical, event for event, to the always-tick
+// reference loop.
 func TestEventHorizonSteppingIsTransparent(t *testing.T) {
 	type outcome struct {
 		tl     *Timeline
@@ -27,7 +27,6 @@ func TestEventHorizonSteppingIsTransparent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng.SetExact(exact)
 		s := NewScheduler(eng, 1)
 		var events []session.Event
 		s.SetEventSink(func(e session.Event) { events = append(events, e) })
@@ -47,7 +46,8 @@ func TestEventHorizonSteppingIsTransparent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return outcome{tl: s.Run(150, 0.25), events: events}
+		tl := runVia(s, 150, exact, false)
+		return outcome{tl: tl, events: events}
 	}
 	exact := run(true)
 	batched := run(false)

@@ -56,8 +56,8 @@ func (k MutationKind) String() string {
 // are applied at the top of the first full step whose start time has
 // reached At — before demands are rebuilt — so the tick covering
 // [At, At+tick) already runs under the new conditions, identically in
-// batched and exact stepping (a due mutation disqualifies the fast
-// replay path, forcing that full step).
+// batched stepping and a per-tick Step loop (a due mutation disqualifies
+// the fast replay path, forcing that full step).
 type Mutation struct {
 	// At is the simulated time in seconds at which the change takes
 	// effect.
@@ -178,7 +178,9 @@ func (e *Engine) mutationDue() bool {
 // applyDueMutations applies every pending mutation whose time has been
 // reached, in (At, scheduling) order, and invalidates the allocator
 // memo and fast-path snapshot so the current step recomputes the
-// allocation under the new conditions.
+// allocation under the new conditions. The memo key does not cover the
+// RTT, so clearing memoOK here is what keeps a MutRTT from replaying a
+// stale fill.
 func (e *Engine) applyDueMutations() {
 	applied := false
 	for e.mutNext < len(e.muts) && e.muts[e.mutNext].At <= e.now {

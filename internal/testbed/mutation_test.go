@@ -26,23 +26,21 @@ func flapMutations(growTask string) []Mutation {
 }
 
 // runMutated runs a three-task scenario with the full mutation schedule
-// under the given stepping/orchestration modes and returns the timeline
-// plus the captured event stream.
-func runMutated(t *testing.T, exact, queue, memo bool) (*Timeline, []session.Event) {
+// through Run, or through the always-tick reference loop (ref) with or
+// without the allocator memo, and returns the timeline plus the
+// captured event stream.
+func runMutated(t *testing.T, ref, noMemo bool) (*Timeline, []session.Event) {
 	t.Helper()
 	eng, err := NewEngine(HPCLab(), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.SetExact(exact)
-	eng.SetAllocMemo(memo)
 	for _, m := range flapMutations("t1") {
 		if err := eng.ScheduleMutation(m); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s := NewScheduler(eng, 1)
-	s.SetEventQueue(queue)
 	var events []session.Event
 	s.SetEventSink(func(e session.Event) { events = append(events, e) })
 	i := 0
@@ -56,43 +54,37 @@ func runMutated(t *testing.T, exact, queue, memo bool) (*Timeline, []session.Eve
 			t.Fatal(err)
 		}
 	}
-	return s.Run(150, 0.25), events
+	tl := runVia(s, 150, ref, noMemo)
+	return tl, events
 }
 
 // TestMutationsTransparentAcrossModes: a mutation schedule must produce
-// byte-identical timelines and event streams in all four stepping ×
-// orchestration combinations (event-horizon/exact × queue/scan). This
-// is the determinism contract that lets -scenario runs A/B between
-// modes: mutations are applied at the top of the engine step for their
-// tick, and the batched fast path refuses to leap over a due mutation.
+// a timeline and event stream under Run byte-identical to the
+// always-tick reference loop's. This is the determinism contract for
+// -scenario runs: mutations are applied at the top of the engine step
+// for their tick, and the batched fast path refuses to leap over a due
+// mutation.
 func TestMutationsTransparentAcrossModes(t *testing.T) {
-	refTL, refEv := runMutated(t, true, false, true)
-	for _, mode := range []struct {
-		name         string
-		exact, queue bool
-	}{
-		{"batched-scan", false, false},
-		{"batched-queue", false, true},
-		{"exact-queue", true, true},
-	} {
-		tl, ev := runMutated(t, mode.exact, mode.queue, true)
-		if !reflect.DeepEqual(tl, refTL) {
-			t.Errorf("%s: timeline differs from exact-scan reference", mode.name)
-		}
-		if !reflect.DeepEqual(ev, refEv) {
-			t.Errorf("%s: event stream differs from exact-scan reference", mode.name)
-		}
+	refTL, refEv := runMutated(t, true, false)
+	tl, ev := runMutated(t, false, false)
+	if !reflect.DeepEqual(tl, refTL) {
+		t.Error("timeline differs from the always-tick reference")
+	}
+	if !reflect.DeepEqual(ev, refEv) {
+		t.Error("event stream differs from the always-tick reference")
 	}
 }
 
-// TestMutationsMemoTransparent: the allocator memo must be invalidated
-// by capacity mutations — a mutated run with the memo on equals the
-// same run with the memo off.
+// TestMutationsMemoTransparent: every mutation must invalidate the
+// allocator memo — a mutated run under Run, memo on, equals the
+// reference loop that re-runs the water-fill every tick. The RTT
+// mutation is the one only this test catches: RTT is not in the memo
+// key, so nothing but the invalidation keeps a stale fill out.
 func TestMutationsMemoTransparent(t *testing.T) {
-	with, _ := runMutated(t, false, true, true)
-	without, _ := runMutated(t, false, true, false)
+	with, _ := runMutated(t, false, false)
+	without, _ := runMutated(t, true, true)
 	if !reflect.DeepEqual(with, without) {
-		t.Fatal("memoized allocator changed a mutated timeline vs unmemoized run")
+		t.Fatal("memoized allocator changed a mutated timeline vs the memo-free reference")
 	}
 }
 

@@ -37,8 +37,9 @@ func (c *captureRecorder) Record(h int32, t, gbps float64) {
 // because the recording cadence still bounds every macro-step and only
 // what gets written differs. It further requires the aggregate stream
 // to reproduce the full-mode throughput series bitwise, and non-full
-// timelines to stay empty. Both orchestrators are exercised, since each
-// has its own recording loop.
+// timelines to stay empty. Both Run (queue=true) and the always-tick
+// reference loop (queue=false) are exercised, since each has its own
+// recording loop.
 func TestRecordModesEngineTransparent(t *testing.T) {
 	const n, horizon = 45, 120
 	type outcome struct {
@@ -52,7 +53,6 @@ func TestRecordModesEngineTransparent(t *testing.T) {
 			t.Fatal(err)
 		}
 		s := NewScheduler(eng, 1)
-		s.SetEventQueue(queue)
 		var rec *captureRecorder
 		if mode == RecordAggregate {
 			rec = newCaptureRecorder()
@@ -63,7 +63,8 @@ func TestRecordModesEngineTransparent(t *testing.T) {
 		var events []session.Event
 		s.SetEventSink(func(e session.Event) { events = append(events, e) })
 		fleetScenario(t, s, n)
-		return outcome{tl: s.Run(horizon, 0.25), events: events, rec: rec}
+		tl := runVia(s, horizon, !queue, false)
+		return outcome{tl: tl, events: events, rec: rec}
 	}
 
 	for _, queue := range []bool{true, false} {

@@ -114,9 +114,9 @@ func (tl *Timeline) Sink() session.Sink {
 
 // Scheduler orchestrates N session loops over an Engine's shared
 // virtual clock: it admits participants at their join times, ticks
-// every live session each simulation step (the sessions own epoch
-// cadence, warm-up, and decision flow), and records timelines by
-// consuming the sessions' event streams.
+// each live session at its decision and warm-up deadlines (the
+// sessions own epoch cadence, warm-up, and decision flow), and records
+// timelines by consuming the sessions' event streams.
 type Scheduler struct {
 	eng     *Engine
 	parts   []schedEntry
@@ -124,7 +124,6 @@ type Scheduler struct {
 	record  float64        // recording interval, seconds
 	verbose func(format string, args ...any)
 	events  session.Sink // optional external event consumer
-	queue   bool         // event-queue orchestration (default); false = legacy scan loop
 	// decideWidth is how many goroutines the event-queue run may decide
 	// one loop head's isolated due set on; ≤ 1 decides inline. Derived
 	// by ShardSet from its worker budget, never set by callers.
@@ -150,28 +149,13 @@ type schedEntry struct {
 	rec      int32            // Recorder handle (RecordAggregate), set at join
 }
 
-// defaultEventQueue seeds every new scheduler's orchestration mode.
-// Commands flip it once at startup (the -scan flags) before building
-// schedulers, mirroring defaultExact.
-var defaultEventQueue = true
-
-// SetDefaultEventQueue makes schedulers built afterwards start with
-// (true) or without (false) event-queue orchestration. The scan loop
-// is the A/B and transparency baseline; both produce byte-identical
-// timelines and event streams. Call before constructing schedulers.
-func SetDefaultEventQueue(v bool) { defaultEventQueue = v }
-
-// SetEventQueue enables (true) or disables (false) event-queue
-// orchestration for this scheduler. Must be called before Run.
-func (s *Scheduler) SetEventQueue(v bool) { s.queue = v }
-
 // NewScheduler wraps an engine. recordInterval controls the granularity
 // of the throughput timeline (seconds); values ≤ 0 default to 1 s.
 func NewScheduler(eng *Engine, recordInterval float64) *Scheduler {
 	if recordInterval <= 0 {
 		recordInterval = 1
 	}
-	return &Scheduler{eng: eng, record: recordInterval, Warmup: 1, queue: defaultEventQueue}
+	return &Scheduler{eng: eng, record: recordInterval, Warmup: 1}
 }
 
 // smallFleet is the participant count below which the scheduler keeps
@@ -259,68 +243,23 @@ func (s *Scheduler) Add(p Participant) error {
 //
 // Between those boundaries nothing observable can happen, so Run
 // advances the engine in one macro-step per loop iteration
-// (Engine.RunTicks) rather than regaining control every tick; with the
-// engine in exact mode every tick is a full Step and every live
-// session is Ticked every step — the original always-tick loop. Both
-// paths execute identical per-tick arithmetic and produce identical
-// timelines and event streams.
-//
-// By default the loop is orchestrated by an event queue (see
-// eventqueue.go): an indexed min-heap of horizons pops only the
-// sessions whose deadlines are actually due each macro-step, so
-// per-step orchestration cost scales with the due set rather than the
-// fleet size. SetEventQueue(false) (or the cmds' -scan flags) selects
-// the legacy linear-scan loop, the A/B baseline the transparency tests
-// pin the heap path against — both produce byte-identical timelines
-// and event streams. Run panics on non-positive tick or horizon —
+// (Engine.RunTicks) rather than regaining control every tick, and an
+// event queue (see eventqueue.go) — an indexed min-heap of horizons —
+// pops only the sessions whose deadlines are actually due, so per-step
+// orchestration cost scales with the due set rather than the fleet
+// size. The timelines and event streams are identical, event for
+// event, to the always-tick loop that ticks every live session and
+// takes a full engine Step every tick; the package tests keep that
+// loop as the reference. Run panics on non-positive tick or horizon —
 // driver bugs.
 func (s *Scheduler) Run(until, tick float64) *Timeline {
 	if tick <= 0 || until <= 0 {
 		panic(fmt.Sprintf("testbed: Run(until=%v, tick=%v) invalid", until, tick))
 	}
-	if s.queue {
-		r := s.newQueueRun(until, tick)
-		for r.step() {
-		}
-		return r.tl
-	}
-	r := s.newScanRun(until, tick)
+	r := s.newQueueRun(until, tick)
 	for r.step() {
 	}
 	return r.tl
-}
-
-// scanRun is one Run invocation on the legacy scan path: every
-// macro-step visits every participant. Retained behind
-// SetEventQueue(false) as the A/B and transparency baseline for the
-// event-queue orchestrator.
-type scanRun struct {
-	s          *Scheduler
-	until      float64
-	tick       float64
-	exact      bool
-	tl         *Timeline
-	sink       session.Sink
-	nextRecord float64
-
-	// sessions/envs are the run's arenas: two flat slabs indexed by
-	// part, instead of two heap objects per join.
-	sessions []session.Session
-	envs     []SimEnvironment
-}
-
-func (s *Scheduler) newScanRun(until, tick float64) *scanRun {
-	tl := s.newTimeline()
-	return &scanRun{
-		s:        s,
-		until:    until,
-		tick:     tick,
-		exact:    s.eng.Exact(),
-		tl:       tl,
-		sink:     s.runSink(tl),
-		sessions: make([]session.Session, len(s.parts)),
-		envs:     make([]SimEnvironment, len(s.parts)),
-	}
 }
 
 // newTimeline returns a run's empty timeline. RecordFull sizes the
@@ -351,9 +290,10 @@ func (s *Scheduler) runSink(tl *Timeline) session.Sink {
 
 // join constructs part i's environment and session in the supplied
 // arena slots and attaches the aggregate recorder — the construction
-// half of a join, shared verbatim by the scan and queue orchestrators,
-// so both stamp the same Index on the session's events. The caller
-// wires the session into its own bookkeeping and calls Start.
+// half of a join, shared verbatim by the event-queue run and the
+// tests' always-tick reference, so both stamp the same Index on the
+// session's events. The caller wires the session into its own
+// bookkeeping and calls Start.
 func (s *Scheduler) join(i int, env *SimEnvironment, sess *session.Session, sink session.Sink) {
 	e := &s.parts[i]
 	id := e.p.Task.ID()
@@ -406,128 +346,6 @@ func (s *Scheduler) recordPoint(tl *Timeline, i int, h int32, t float64) {
 	} else {
 		s.recorder.Record(s.parts[i].rec, t, gbps)
 	}
-}
-
-// step executes one macro-step of the scan loop; it reports false once
-// the horizon is reached.
-func (r *scanRun) step() bool {
-	s := r.s
-	if s.eng.Now() >= r.until {
-		return false
-	}
-	now := s.eng.Now()
-
-	// Joins and leaves.
-	for i := range s.parts {
-		e := &s.parts[i]
-		if e.sess == nil && now >= e.p.JoinAt {
-			s.join(i, &r.envs[i], &r.sessions[i], r.sink)
-			// The horizon fixes how many points this session can
-			// record: one throughput sample per recording interval
-			// and one concurrency/loss point per decision epoch.
-			// Reserving them now keeps the append path in the run
-			// loop allocation-free.
-			if s.recMode == RecordFull {
-				s.reserveSeries(r.tl, i, now, r.until)
-			}
-			e.sess.Start(now, e.p.Task.Setting())
-		}
-		if e.sess != nil && !e.sess.Finished() && e.p.LeaveAt > 0 && now >= e.p.LeaveAt {
-			s.eng.RemoveTask(e.p.Task.ID())
-			e.sess.Leave(now)
-		}
-	}
-
-	// Decision epochs and warm-up expiry, owned by each session. A
-	// Tick before the session's deadline is a no-op by construction,
-	// so the batched path skips the call entirely.
-	for i := range s.parts {
-		e := &s.parts[i]
-		if e.sess == nil || e.sess.Finished() {
-			continue
-		}
-		if !r.exact && now < e.sess.NextDeadline() {
-			continue
-		}
-		if err := e.sess.Tick(now); err != nil {
-			panic(fmt.Sprintf("testbed: controller for %q produced invalid setting: %v", e.p.Task.ID(), err))
-		}
-	}
-
-	if r.exact {
-		s.eng.Step(r.tick)
-	} else {
-		s.eng.RunTicks(s.batchTicks(now, r.until, r.tick, r.nextRecord), r.tick)
-	}
-
-	// Completion bookkeeping.
-	for i := range s.parts {
-		e := &s.parts[i]
-		if e.sess != nil && !e.sess.Finished() && e.p.Task.Done() {
-			s.eng.RemoveTask(e.p.Task.ID())
-			e.sess.Finish(s.eng.Now())
-		}
-	}
-
-	// Recording. The boundary advances in every mode — it bounds the
-	// macro-step sizing above — only what gets written differs.
-	if t := s.eng.Now(); t >= r.nextRecord {
-		if s.recMode != RecordOff {
-			for i := range s.parts {
-				if e := &s.parts[i]; e.sess != nil && !e.sess.Finished() {
-					s.recordPoint(r.tl, i, r.envs[i].h, t)
-				}
-			}
-		}
-		r.nextRecord = t + s.record
-	}
-	return true
-}
-
-// batchTicks sizes one macro-step: the number of consecutive ticks the
-// engine may take before the orchestration loop must regain control at
-// the next event horizon — a pending join or leave, a live session's
-// decision or warm-up deadline, the recording point, the run's end, or
-// the engine's own estimate of the next file-count event. Pre-step
-// horizons (joins, leaves, deadlines, the engine estimate) bound the
-// loop-head times; the recording point fires after a step, so it stops
-// the batch right after the tick that crosses it. Head times are
-// replayed with the same additions the engine clock performs, so every
-// boundary comparison is bit-identical to the always-tick loop's; the
-// engine estimate can only shorten a batch (RunTicks re-verifies each
-// tick), never change results.
-func (s *Scheduler) batchTicks(now, until, tick, nextRecord float64) int {
-	h := s.eng.NextEvent()
-	for i := range s.parts {
-		e := &s.parts[i]
-		if e.sess == nil {
-			if e.p.JoinAt < h {
-				h = e.p.JoinAt
-			}
-			continue
-		}
-		if e.sess.Finished() {
-			continue
-		}
-		if d := e.sess.NextDeadline(); d < h {
-			h = d
-		}
-		if e.p.LeaveAt > 0 && e.p.LeaveAt < h {
-			h = e.p.LeaveAt
-		}
-	}
-	k, t := 0, now
-	for t < until && t < h {
-		t += tick
-		k++
-		if t >= nextRecord {
-			break
-		}
-	}
-	if k < 1 {
-		k = 1
-	}
-	return k
 }
 
 // logSink translates lifecycle events into the legacy progress-log

@@ -9,13 +9,12 @@ import (
 // same orchestration shape cmd/reproduce's timeline figures run, with
 // endless transfers so the run measures steady-state orchestration
 // rather than completion bookkeeping.
-func benchScheduler(b *testing.B, exact bool) *Scheduler {
+func benchScheduler(b *testing.B) *Scheduler {
 	b.Helper()
 	eng, err := NewEngine(HPCLab(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	eng.SetExact(exact)
 	s := NewScheduler(eng, 1)
 	for i := 0; i < 3; i++ {
 		if err := s.Add(Participant{Task: bigTask(fmt.Sprintf("t%d", i), 8)}); err != nil {
@@ -31,18 +30,24 @@ func benchScheduler(b *testing.B, exact bool) *Scheduler {
 // is 300 s of pure orchestration plus simulation with every per-run
 // structure (horizon heap, live list, session/environment arenas,
 // presized series) already in place — the op must stay at zero
-// allocs/op.
-func benchSteadyRun(b *testing.B, exact bool) {
+// allocs/op. With ref set the run is the always-tick reference loop
+// instead of Run's event-queue run.
+func benchSteadyRun(b *testing.B, ref bool) {
 	type fixture struct {
 		eng *Engine
-		run *queueRun
+		run interface{ step() bool }
 	}
 	// A day of simulated headroom per fixture; the run is rebuilt
 	// (untimed) when the horizon drains mid-benchmark.
 	const until = 86400.0
 	build := func() fixture {
-		s := benchScheduler(b, exact)
-		r := s.newQueueRun(until, 0.25)
+		s := benchScheduler(b)
+		var r interface{ step() bool }
+		if ref {
+			r = newRefRun(s, until, 0.25, false)
+		} else {
+			r = s.newQueueRun(until, 0.25)
+		}
 		for s.eng.Now() < 20 {
 			r.step()
 		}
@@ -74,8 +79,8 @@ func BenchmarkSchedulerRun(b *testing.B) {
 	benchSteadyRun(b, false)
 }
 
-// BenchmarkSchedulerRunExact measures the identical 300 s on the exact
-// always-tick path (-exact): every session ticked and a full engine
+// BenchmarkSchedulerRunExact measures the identical 300 s on the
+// always-tick reference loop: every session ticked and a full engine
 // Step taken on every 0.25 s tick. The ratio to BenchmarkSchedulerRun
 // is the stepping layer's speedup; the outputs are byte-identical (see
 // TestEventHorizonSteppingIsTransparent).

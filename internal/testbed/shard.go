@@ -131,8 +131,7 @@ func (ss *ShardSet) DecideWidth() int {
 func (ss *ShardSet) Shards() int { return len(ss.shards) }
 
 // Run steps every shard to the given horizon and returns the merged
-// timeline. Each shard builds its own Engine (inheriting the
-// process-wide exact/event-queue defaults), schedules its mutations,
+// timeline. Each shard builds its own Engine, schedules its mutations,
 // and runs its participants on its own scheduler; shards execute on the
 // parallel worker pool and results merge by shard index, so output is
 // independent of worker count and interleaving.
