@@ -3,16 +3,17 @@
 // gradient-descent / Bayesian-optimization mix) joining one shared
 // 10 Gbps bottleneck, each optimizing its own concurrency. It reports
 // the time for the fleet to reach a Jain fairness index of 0.9, the
-// equilibrium Jain index, and aggregate throughput, plus wall time and
-// simulation rate (session-seconds of fleet simulated per wall second)
-// on stderr so stdout stays byte-deterministic.
+// equilibrium Jain index, and aggregate throughput, plus wall time,
+// simulation rate (session-seconds of fleet simulated per wall second:
+// Σ over sessions of leave-or-horizon − join) and peak memory on
+// stderr so stdout stays byte-deterministic.
 //
 // Usage:
 //
 //	fleet [-n N] [-duration S] [-stagger S] [-maxn N] [-seed N] [-algos hc,gd,bo]
 //	      [-links K] [-shards W] [-record auto|full|aggregate|off] [-maxheap BYTES]
 //	      [-json] [-cpuprofile FILE] [-memprofile FILE]
-//	fleet -scenario FILE.json [-seed N] [-shards W]
+//	fleet -scenario FILE.json [-seed N] [-shards W] [-maxheap BYTES]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
 // With -links K > 1 the fleet spreads over K independent bottleneck
@@ -29,15 +30,15 @@
 // sessions and the constant-space streaming aggregates at or above —
 // both produce bitwise-identical metrics. -maxheap, when positive,
 // exits with status 1 if the post-run peak heap exceeds the budget (the
-// CI memory smoke).
+// CI memory smoke), on either road.
 //
 // With -scenario, the flag-built fleet is replaced by a declarative
 // scenario document (see internal/scenario) and the run reports
 // time-to-refairness around every compiled link-capacity horizon via
 // experiments.DynamicFleet. The document describes the fleet, so the
 // flags that build one (-n, -duration, -stagger, -maxn, -algos, -links,
-// -record, -maxheap, -json) are refused beside it rather than ignored;
-// a noise-free fleet is a document whose "env" sets "noise_std_dev": 0.
+// -record, -json) are refused beside it rather than ignored; a
+// noise-free fleet is a document whose "env" sets "noise_std_dev": 0.
 //
 // The run is deterministic for a given flag set: the same seed always
 // produces byte-identical output, at any -shards.
@@ -63,7 +64,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // flagRoadOnly names the flags that build a fleet from flags; a
 // scenario document describes its own fleet, so -scenario refuses them.
-var flagRoadOnly = []string{"n", "duration", "stagger", "maxn", "algos", "links", "record", "maxheap", "json"}
+var flagRoadOnly = []string{"n", "duration", "stagger", "maxn", "algos", "links", "record", "json"}
 
 // run holds main's body so profile-flushing defers execute before the
 // process exits with a status code.
@@ -136,10 +137,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
-		sessSec := float64(sessions) * doc.DurationSeconds / wall.Seconds()
-		fmt.Fprintf(stderr, "fleet: %d sessions × %.0f s simulated in %.2f s wall — %.0f session-seconds/sec\n",
-			sessions, doc.DurationSeconds, wall.Seconds(), sessSec)
-		return 0
+		printRate(stderr, sessions, doc.SessionSeconds(), doc.DurationSeconds, wall)
+		peakHeap, peakRSS := peakMemory()
+		return memoryStatus(stderr, "", peakHeap, peakRSS, sessions, *maxheap)
 	}
 
 	var list []string
@@ -178,10 +178,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	peakHeap, peakRSS := peakMemory()
-	sessSec := float64(*n) * *duration / wall.Seconds()
 	if *jsonOut {
-		enc, err := json.Marshal(jsonSummary{*sum, wall.Seconds(), sessSec, cpuOverWall,
-			peakHeap, peakRSS, float64(peakHeap) / float64(*n)})
+		enc, err := json.Marshal(jsonSummary{*sum, wall.Seconds(), sum.SessionSeconds / wall.Seconds(), cpuOverWall,
+			peakHeap, peakRSS, float64(peakHeap) / float64(sum.Sessions)})
 		if err != nil {
 			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
@@ -191,13 +190,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fleet: %v\n", err)
 		return 1
 	}
-	fmt.Fprintf(stderr, "fleet: %d sessions × %.0f s simulated in %.2f s wall — %.0f session-seconds/sec\n",
-		*n, *duration, wall.Seconds(), sessSec)
+	printRate(stderr, sum.Sessions, sum.SessionSeconds, sum.DurationSeconds, wall)
 	fmt.Fprintf(stderr, "fleet: cpu/wall %.2f, decide width %d\n", cpuOverWall, sum.DecideWidth)
-	fmt.Fprintf(stderr, "fleet: record %s, peak heap %.1f MB (%.0f B/session), peak RSS %.1f MB\n",
-		sum.RecordMode, float64(peakHeap)/1e6, float64(peakHeap)/float64(*n), float64(peakRSS)/1e6)
-	if *maxheap > 0 && peakHeap > *maxheap {
-		fmt.Fprintf(stderr, "fleet: peak heap %d bytes exceeds -maxheap budget %d\n", peakHeap, *maxheap)
+	return memoryStatus(stderr, "record "+sum.RecordMode+", ", peakHeap, peakRSS, sum.Sessions, *maxheap)
+}
+
+// printRate prints the run's simulation rate: simulated session-seconds
+// (Σ over sessions of leave-or-horizon − join) per wall second.
+func printRate(stderr io.Writer, sessions int, sessionSeconds, horizon float64, wall time.Duration) {
+	fmt.Fprintf(stderr, "fleet: %d sessions, %.0f session-seconds over %.0f s, simulated in %.2f s wall — %.0f session-seconds/sec\n",
+		sessions, sessionSeconds, horizon, wall.Seconds(), sessionSeconds/wall.Seconds())
+}
+
+// memoryStatus prints the peak heap and RSS line (after prefix) and
+// returns the exit status: 1 when budget is positive and the peak heap
+// exceeds it, 0 otherwise.
+func memoryStatus(stderr io.Writer, prefix string, heap, rss uint64, sessions int, budget uint64) int {
+	fmt.Fprintf(stderr, "fleet: %speak heap %.1f MB (%.0f B/session), peak RSS %.1f MB\n",
+		prefix, float64(heap)/1e6, float64(heap)/float64(sessions), float64(rss)/1e6)
+	if budget > 0 && heap > budget {
+		fmt.Fprintf(stderr, "fleet: peak heap %d bytes exceeds -maxheap budget %d\n", heap, budget)
 		return 1
 	}
 	return 0
@@ -205,8 +217,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // jsonSummary is the -json line: the run's FleetSummary plus the
 // process-level figures. SessionsPerSec is simulated session-seconds
-// per wall second (sessions × duration / wall) — the same quantity the
-// stderr line, simbench, and the repo benchmark report under that name.
+// per wall second (session_seconds / wall: Σ over sessions of horizon −
+// join) — the same quantity the stderr line, simbench, and the repo
+// benchmark report under that name.
 // CPUOverWall is the process's CPU seconds per wall second of the run:
 // read beside decide_width, it says whether a fleet is using the
 // machine or stepping on one core.

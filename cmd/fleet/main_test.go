@@ -4,26 +4,31 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
 // TestJSONSummarySessionSeconds runs a small fleet through the command
-// with -json and pins sessions_per_sec to what every other reporter
-// means by it: simulated session-seconds per wall second, i.e.
-// sessions × duration / wall — not sessions / wall. It also pins the
-// two keys that answer "is the fleet using the machine?": the decide
-// width derived from -shards and the shard count, and cpu_over_wall.
+// with -json and pins sessions_per_sec to what the repo benchmark
+// means by it: simulated session-seconds per wall second, where a
+// session counts from its join to the horizon — Σ(duration − join) /
+// wall, not sessions × duration / wall, which a 1 s stagger over 30
+// sessions in 40 s overstates by more than half. It also pins the two
+// keys that answer "is the fleet using the machine?": the decide width
+// derived from -shards and the shard count, and cpu_over_wall.
 func TestJSONSummarySessionSeconds(t *testing.T) {
+	const n, duration, stagger = 30, 40.0, 1.0
 	var out, errOut bytes.Buffer
-	args := []string{"-n", "30", "-duration", "40", "-stagger", "0.1", "-shards", "6", "-links", "2", "-json"}
+	args := []string{"-n", "30", "-duration", "40", "-stagger", "1", "-shards", "6", "-links", "2", "-json"}
 	if code := run(args, &out, &errOut); code != 0 {
 		t.Fatalf("fleet -json exited %d:\n%s", code, errOut.String())
 	}
 	var sum struct {
 		Sessions        int      `json:"sessions"`
 		DurationSeconds float64  `json:"duration_seconds"`
+		SessionSeconds  float64  `json:"session_seconds"`
 		WallSeconds     float64  `json:"wall_seconds"`
 		SessionsPerSec  float64  `json:"sessions_per_sec"`
 		CPUOverWall     *float64 `json:"cpu_over_wall"`
@@ -32,7 +37,7 @@ func TestJSONSummarySessionSeconds(t *testing.T) {
 	if err := json.Unmarshal(bytes.TrimSpace(out.Bytes()), &sum); err != nil {
 		t.Fatalf("summary is not one JSON object: %v\n%s", err, out.String())
 	}
-	if sum.Sessions != 30 || sum.DurationSeconds != 40 || sum.WallSeconds <= 0 {
+	if sum.Sessions != n || sum.DurationSeconds != duration || sum.WallSeconds <= 0 {
 		t.Fatalf("unexpected summary %+v", sum)
 	}
 	if sum.DecideWidth == nil || *sum.DecideWidth != 3 {
@@ -42,15 +47,25 @@ func TestJSONSummarySessionSeconds(t *testing.T) {
 	if sum.CPUOverWall == nil || !(*sum.CPUOverWall >= 0 && *sum.CPUOverWall < 1024) {
 		t.Errorf("cpu_over_wall = %v, want the run's CPU seconds per wall second", sum.CPUOverWall)
 	}
-	want := float64(sum.Sessions) * sum.DurationSeconds / sum.WallSeconds
+	sessionSeconds := 0.0
+	for i := 0; i < n; i++ {
+		sessionSeconds += duration - float64(i)*stagger
+	}
+	if sum.SessionSeconds != sessionSeconds {
+		t.Errorf("session_seconds = %v, want Σ(duration − join) = %v", sum.SessionSeconds, sessionSeconds)
+	}
+	want := sessionSeconds / sum.WallSeconds
 	if math.Abs(sum.SessionsPerSec-want) > 1e-9*want {
-		t.Errorf("sessions_per_sec = %v, want sessions × duration / wall = %v", sum.SessionsPerSec, want)
+		t.Errorf("sessions_per_sec = %v, want Σ(duration − join) / wall = %v (sessions × duration / wall would be %v)",
+			sum.SessionsPerSec, want, n*duration/sum.WallSeconds)
 	}
 }
 
 // TestScenarioRefusesFlagRoadFlags: a scenario document describes its
 // own fleet, so a fleet-building flag set beside -scenario is an error
-// that names the flag, not a value silently dropped.
+// that names the flag, not a value silently dropped. -maxheap checks
+// the process, not the fleet, so the document road honours it: the run
+// prints its peak heap line and exits 1 past the budget.
 func TestScenarioRefusesFlagRoadFlags(t *testing.T) {
 	doc := filepath.Join("..", "..", "examples", "scenarios", "fleet-flap.json")
 	var out, errOut bytes.Buffer
@@ -63,5 +78,31 @@ func TestScenarioRefusesFlagRoadFlags(t *testing.T) {
 	}
 	if out.Len() != 0 {
 		t.Errorf("refused run wrote a report:\n%s", out.String())
+	}
+
+	small := filepath.Join(t.TempDir(), "small-flap.json")
+	if err := os.WriteFile(small, []byte(`{"preset": "fleet", "duration_seconds": 60,
+		"agents": [{"id": "s", "count": 6, "algorithm": "bo", "join_stagger": 1, "max_concurrency": 8}],
+		"mutations": [{"at": 30, "kind": "cross-traffic", "rate": 5e9, "duration_seconds": 10}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		budget string
+		code   int
+	}{{"0", 0}, {"1", 1}} {
+		out.Reset()
+		errOut.Reset()
+		if got := run([]string{"-scenario", small, "-maxheap", tc.budget}, &out, &errOut); got != tc.code {
+			t.Fatalf("-maxheap %s exited %d, want %d:\n%s", tc.budget, got, tc.code, errOut.String())
+		}
+		if !strings.Contains(errOut.String(), "peak heap") || !strings.Contains(errOut.String(), "B/session") {
+			t.Errorf("-maxheap %s: no peak heap line on stderr:\n%s", tc.budget, errOut.String())
+		}
+		if exceeded := strings.Contains(errOut.String(), "exceeds -maxheap budget"); exceeded != (tc.code == 1) {
+			t.Errorf("-maxheap %s: budget message present = %v, want %v:\n%s", tc.budget, exceeded, tc.code == 1, errOut.String())
+		}
+		if out.Len() == 0 {
+			t.Errorf("-maxheap %s: no report on stdout", tc.budget)
+		}
 	}
 }

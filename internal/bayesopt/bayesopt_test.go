@@ -3,9 +3,11 @@ package bayesopt
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fastrand"
 	"repro/internal/optimizer"
 	"repro/internal/utility"
 )
@@ -404,5 +406,32 @@ func TestSearchAllocationsIndependentOfCallCount(t *testing.T) {
 	first, full := allocs(4), allocs(25)
 	if first != full {
 		t.Errorf("fresh Search allocates %v times over 4 Next calls but %v over 25; want equal", first, full)
+	}
+}
+
+// TestSearchFootprint bounds the bytes a fleet agent's searcher costs:
+// built with 8-byte sources over [1, 8] and driven past a full window,
+// it allocates at most searchFootprint bytes — its window-sized
+// Cholesky factors, fit state and one shared set of fit and sweep
+// scratch. The bound is the measured footprint plus ≈10 %; a 24-row
+// factor per candidate, or an n×m sweep block per candidate instead
+// of one shared, exceeds it.
+func TestSearchFootprint(t *testing.T) {
+	const searchFootprint = 12700
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := int64(0); r < runs; r++ {
+		s := NewWithSources(8, fastrand.New(r), fastrand.New(r+1))
+		n := 1
+		for i := 0; i < 25; i++ {
+			n = s.Next(optimizer.Observation{N: n, Utility: float64((i*7)%11) - 0.1*float64(n)})
+		}
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("searcher footprint: %d bytes", got)
+	if got > searchFootprint {
+		t.Errorf("a searcher over [1, 8] driven past its window allocates %d bytes, over the %d-byte bound", got, searchFootprint)
 	}
 }

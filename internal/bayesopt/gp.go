@@ -81,27 +81,38 @@ func NewGP(lengthScale, signalVar, noiseVar float64) *GP {
 	if lengthScale <= 0 || signalVar <= 0 || noiseVar <= 0 {
 		panic(fmt.Sprintf("bayesopt: invalid GP hyperparameters ℓ=%v σf²=%v σn²=%v", lengthScale, signalVar, noiseVar))
 	}
-	return &GP{LengthScale: lengthScale, SignalVar: signalVar, NoiseVar: noiseVar, chol: linalg.NewChol(24)}
+	return &GP{LengthScale: lengthScale, SignalVar: signalVar, NoiseVar: noiseVar, chol: linalg.NewChol(0)}
 }
 
-// reserve sizes the fit and sweep scratch, in one block, for a window of
-// n observations swept over an m-point grid, so a searcher's buffers are
-// allocated once instead of growing by one element per decision while
-// its window fills. Fitted state carries over; anything larger than the
-// reservation still grows on demand.
-func (g *GP) reserve(n, m int) {
-	buf := make([]float64, 4*n+n*m+m)
-	carve := func(old []float64, c int) []float64 {
-		s := append(buf[:0:c], old...)
-		buf = buf[c:]
-		return s
+// gpOwnSize and gpSharedSize are the float64 counts reserve carves, for
+// a window of n observations swept over an m-point grid.
+func gpOwnSize(n, m int) int    { return linalg.PackedSize(n) + 3*n + m }
+func gpSharedSize(n, m int) int { return 2*n + n*m }
+
+// reserve sizes the GP for a window of n observations swept over an
+// m-point grid, so a searcher's buffers are allocated once instead of
+// growing while its window fills. The state a fit leaves behind — the
+// factor, standardised targets, weights, inputs and kernel table — is
+// carved from the front of own (gpOwnSize floats), which reserve
+// returns the rest of. The kernel-row, DropFirst and PredictInto scratch
+// comes from shared (gpSharedSize floats): it holds nothing between
+// calls, so GPs that never fit or sweep concurrently, like one
+// searcher's length-scale candidates, share it. Fitted state carries
+// over; anything larger than the reservation still grows on demand.
+func (g *GP) reserve(own, shared []float64, n, m int) []float64 {
+	carve := func(buf, old []float64, c int) ([]float64, []float64) {
+		return append(buf[:0:c], old...), buf[c:]
 	}
-	g.rowBuf = carve(nil, n)
-	g.yStd = carve(g.yStd, n)
-	g.alpha = carve(g.alpha, n)
-	g.xs = carve(g.xs, n)
-	g.bbuf = carve(nil, n*m)
-	g.kTab = carve(g.kTab, m)
+	var tri []float64
+	tri, own = carve(own, nil, linalg.PackedSize(n))
+	g.yStd, own = carve(own, g.yStd, n)
+	g.alpha, own = carve(own, g.alpha, n)
+	g.xs, own = carve(own, g.xs, n)
+	g.kTab, own = carve(own, g.kTab, m)
+	g.chol.Rehome(tri, shared[:n:n])
+	g.rowBuf, shared = carve(shared[n:], nil, n)
+	g.bbuf, _ = carve(shared, nil, n*m)
+	return own
 }
 
 // maxKernelTable bounds the integer-distance kernel table (64 KiB of

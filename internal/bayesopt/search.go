@@ -75,7 +75,7 @@ func NewWithSources(maxN int, src, hedgeSrc rand.Source) *Search {
 		NewGP(base, 1.0, 0.02),
 		NewGP(base*2, 1.0, 0.02),
 	}
-	return &Search{
+	s := &Search{
 		MaxN:        maxN,
 		Window:      20,
 		InitSamples: 3,
@@ -83,6 +83,32 @@ func NewWithSources(maxN int, src, hedgeSrc rand.Source) *Search {
 		cands:       cands,
 		hedge:       NewHedge(DefaultPortfolio(), 0.5, rand.New(hedgeSrc)),
 		rng:         rng,
+	}
+	s.reserve()
+	return s
+}
+
+// reserve sizes the searcher for its Window and MaxN in one block: the
+// window buffers (one slot over, for the append that precedes an
+// eviction), the candidate grid and its posterior sweep, each
+// candidate's fit state, and one set of fit and sweep scratch that the
+// candidates share — they fit one after another, and only the winner
+// sweeps. Observations carry over.
+func (s *Search) reserve() {
+	w, m := s.Window, s.MaxN
+	own := gpOwnSize(w, m)
+	buf := make([]float64, 2*(w+1)+3*m+gpSharedSize(w, m)+len(s.cands)*own)
+	s.xs = append(buf[:0:w+1], s.xs...)
+	s.ys = append(buf[w+1:w+1:2*(w+1)], s.ys...)
+	buf = buf[2*(w+1):]
+	s.grid, s.means, s.stds = buf[:m:m], buf[m:2*m:2*m], buf[2*m:3*m:3*m]
+	for i := range s.grid {
+		s.grid[i] = float64(i + 1)
+	}
+	shared := buf[3*m : 3*m+gpSharedSize(w, m)]
+	buf = buf[3*m+len(shared):]
+	for _, g := range s.cands {
+		buf = g.reserve(buf, shared, w, m)
 	}
 }
 
@@ -212,21 +238,13 @@ func (s *Search) fitWithModelSelection() error {
 // buffers are allocated once; the shifted prefix is what lets the GP
 // recognise the slide and update its factor incrementally. A Window
 // shrunk between calls (ablations mutate it) evicts more than one
-// point, which the GPs handle by refactoring.
+// point, which the GPs handle by refactoring; a raised one re-reserves.
 func (s *Search) observe(x, y float64) {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return
 	}
-	if c := s.Window + 1; cap(s.xs) < c {
-		// First use (or a raised Window): size the window buffers — one
-		// slot over, for the append that precedes an eviction — and every
-		// candidate's scratch once, for the whole window.
-		w := make([]float64, 2*c)
-		s.xs = append(w[:0:c], s.xs...)
-		s.ys = append(w[c:c], s.ys...)
-		for _, g := range s.cands {
-			g.reserve(s.Window, s.MaxN)
-		}
+	if cap(s.xs) < s.Window+1 {
+		s.reserve()
 	}
 	s.xs = append(s.xs, x)
 	s.ys = append(s.ys, y)

@@ -110,7 +110,12 @@ func NewHCAgent(maxN int) *Agent {
 }
 
 // NewAgentByName builds an agent from an algorithm name ("hc", "gd",
-// "bo"). The seed only affects "bo".
+// "bo", "direct", "spsa"). The seed only affects "bo" and "spsa", which
+// draw from math/rand sources, and every decision is logged (History).
+// It is the constructor wherever bytes are pinned to that stream: the
+// paper experiments (experiments.All, reproduce) and the
+// single-transfer CLIs (falconsim's flag mode, falconftp). Fleets use
+// NewFleetAgent.
 func NewAgentByName(algo string, maxN int, seed int64) (*Agent, error) {
 	switch algo {
 	case AlgoHillClimbing:
@@ -134,8 +139,11 @@ func NewAgentByName(algo string, maxN int, seed int64) (*Agent, error) {
 // searcher draws from 8-byte fastrand sources instead of math/rand's
 // ~4.9 KiB table sources (two tables per BO agent ≈ 9.8 KiB, which
 // alone is ~3 GiB across a million sessions). The BO random stream
-// therefore differs from NewAgentByName's; the pinned reproduce
-// experiments keep the math/rand constructors.
+// therefore differs from NewAgentByName's; hc and gd decide identically.
+// It is the constructor of every hc/gd/bo agent in a fleet, on both
+// roads: the flag-built fleet (experiments.Fleet) and every scenario
+// document (scenario.Build, behind fleet -scenario, falconsim
+// -scenario, the web service and the benchmark's fleets).
 func NewFleetAgent(algo string, maxN int, seed int64) (*Agent, error) {
 	var a *Agent
 	var err error

@@ -140,9 +140,9 @@ func DynamicFleet(doc *scenario.Document, workers int) (*Result, error) {
 }
 
 // Extra returns experiments that are registered (resolvable by ID via
-// ByID and cmd/reproduce -only) but deliberately outside All():
-// running the default suite stays byte-identical while dynamic and
-// scale workloads remain one -only flag away.
+// ByID, so `reproduce fleet-flap` runs one) but deliberately outside
+// All(): running the default suite stays byte-identical while dynamic
+// and scale workloads remain one named argument away.
 func Extra() []Runner {
 	return []Runner{
 		{"fleet-flap", "Dynamic fleet: capacity flap on the shared bottleneck", func(seed int64) (*Result, error) {

@@ -129,7 +129,7 @@ func TestDynamicFleetWorkersTransparent(t *testing.T) {
 }
 
 // TestFleetFlapRegistered: the experiment resolves through ByID (for
-// `reproduce -only fleet-flap`) but stays outside All(), keeping the
+// `reproduce fleet-flap`) but stays outside All(), keeping the
 // default reproduce output unchanged.
 func TestFleetFlapRegistered(t *testing.T) {
 	if _, ok := ByID("fleet-flap"); !ok {

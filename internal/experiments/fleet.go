@@ -83,6 +83,9 @@ type FleetSummary struct {
 	Sessions        int     `json:"sessions"`
 	Links           int     `json:"links"`
 	DurationSeconds float64 `json:"duration_seconds"`
+	// SessionSeconds is the simulated session time the run covered: Σ
+	// over sessions of (horizon − join).
+	SessionSeconds float64 `json:"session_seconds"`
 	// ConvergedAtSeconds is the earliest window start at which the
 	// fleet-wide Jain index reached 0.9, or -1 when it never did.
 	ConvergedAtSeconds float64 `json:"converged_at_seconds"`
@@ -161,6 +164,7 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 	}
 	ids := make([]string, cfg.Sessions)
 	algoOf := make([]string, cfg.Sessions)
+	sessionSeconds := 0.0
 	for i := 0; i < cfg.Sessions; i++ {
 		algo := cfg.Algorithms[i%len(cfg.Algorithms)]
 		agent, err := core.NewFleetAgent(algo, cfg.MaxN, cfg.Seed+int64(i))
@@ -171,10 +175,12 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 		id := fmt.Sprintf("s%04d-%s", i, algo)
 		ids[i] = id
 		algoOf[i] = algo
+		join := float64(i) * cfg.Stagger
+		sessionSeconds += cfg.Duration - join
 		shards[k].Parts = append(shards[k].Parts, testbed.Participant{
 			Task:       fleetTask(id, 2),
 			Controller: agent,
-			JoinAt:     float64(i) * cfg.Stagger,
+			JoinAt:     join,
 		})
 	}
 
@@ -200,6 +206,7 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 		Sessions:           cfg.Sessions,
 		Links:              cfg.Links,
 		DurationSeconds:    cfg.Duration,
+		SessionSeconds:     sessionSeconds,
 		ConvergedAtSeconds: -1,
 		RecordMode:         mode.String(),
 		DecideWidth:        ss.DecideWidth(),

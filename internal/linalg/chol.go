@@ -28,15 +28,30 @@ type Chol struct {
 	xbuf []float64 // DropFirst update-vector scratch
 }
 
+// PackedSize is the storage of an n×n factor's packed lower triangle,
+// in float64s.
+func PackedSize(n int) int { return n * (n + 1) / 2 }
+
 // NewChol returns an empty factor with capacity reserved for an n×n
 // matrix, DropFirst's scratch included, in one block.
 func NewChol(n int) *Chol {
 	if n < 0 {
 		n = 0
 	}
-	tri := n * (n + 1) / 2
+	tri := PackedSize(n)
 	buf := make([]float64, tri+n)
 	return &Chol{data: buf[:0:tri], xbuf: buf[tri:]}
+}
+
+// Rehome moves the factor into caller-owned storage, carrying the
+// current factor over: tri holds the packed triangle (capacity
+// PackedSize(n) for the largest n×n factor it will hold) and x is
+// DropFirst's update vector (length n). Either grows on demand past
+// that. x holds nothing between calls, so factors that are never
+// updated concurrently may share one.
+func (c *Chol) Rehome(tri, x []float64) {
+	c.data = append(tri[:0], c.data...)
+	c.xbuf = x
 }
 
 // Size returns the current dimension of the factored matrix.

@@ -137,7 +137,7 @@ func (d *Document) Build() (*Run, error) {
 			r.Participants = append(r.Participants, testbed.Participant{
 				Task:           task,
 				Controller:     ctrl,
-				JoinAt:         a.JoinAt + float64(j)*a.JoinStagger,
+				JoinAt:         a.joinAt(j),
 				LeaveAt:        a.LeaveAt,
 				SampleInterval: a.SampleInterval,
 			})
@@ -170,6 +170,29 @@ func (d *Document) Build() (*Run, error) {
 		r.Shards[k].Mutations = perShard[k]
 	}
 	return r, nil
+}
+
+// joinAt is when the spec's j-th expanded agent joins.
+func (a *AgentSpec) joinAt(j int) float64 { return a.JoinAt + float64(j)*a.JoinStagger }
+
+// SessionSeconds is the simulated session time a run of the normalised
+// document covers: Σ over the expanded roster of (leave-or-horizon −
+// join), the numerator of a fleet's session-seconds per wall second.
+func (d *Document) SessionSeconds() float64 {
+	total := 0.0
+	for i := range d.Agents {
+		a := &d.Agents[i]
+		end := d.DurationSeconds
+		if a.LeaveAt > 0 && a.LeaveAt < end {
+			end = a.LeaveAt
+		}
+		for j := 0; j < a.Count; j++ {
+			if join := a.joinAt(j); join < end {
+				total += end - join
+			}
+		}
+	}
+	return total
 }
 
 // baseConfig resolves the preset or explicit environment, before any
@@ -397,11 +420,13 @@ func (d *Document) compileMutationsFor(cfg testbed.Config, routes [][]string, sh
 }
 
 // buildController constructs the agent's decision maker; the name
-// space matches cmd/falconsim's -algo flag.
+// space matches cmd/falconsim's -algo flag. Falcon agents are
+// fleet-weight (core.NewFleetAgent): a document may hold a million of
+// them, and nothing on this road reads a decision log.
 func buildController(algo string, maxN int, seed int64) (testbed.Controller, error) {
 	switch {
 	case algo == "gd" || algo == "bo" || algo == "hc":
-		return core.NewAgentByName(algo, maxN, seed)
+		return core.NewFleetAgent(algo, maxN, seed)
 	case algo == "globus":
 		return baselines.NewGlobus(dataset.Main())
 	case algo == "harp":

@@ -5,7 +5,9 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/testbed"
+	"repro/internal/transfer"
 )
 
 // TestBuildRoster: expansion order, join staggering, and per-agent
@@ -40,6 +42,81 @@ func TestBuildRoster(t *testing.T) {
 		if p.Task.ID() != run.AgentIDs[i] {
 			t.Errorf("participant %d task %q ≠ agent ID %q", i, p.Task.ID(), run.AgentIDs[i])
 		}
+	}
+}
+
+// TestBuildConstructsFleetAgents: every hc/gd/bo agent a document
+// builds is a fleet-weight agent — it decides exactly like
+// core.NewFleetAgent(algo, maxN, doc.Seed+n) for roster position n,
+// BO random stream included, and keeps no decision log.
+func TestBuildConstructsFleetAgents(t *testing.T) {
+	d := &Document{Preset: "fleet", Seed: 5, Agents: []AgentSpec{
+		{ID: "hc", Count: 2, Algorithm: "hc", MaxConcurrency: 8},
+		{ID: "gd", Count: 2, Algorithm: "gd", MaxConcurrency: 16},
+		{ID: "bo", Count: 3, Algorithm: "bo", MaxConcurrency: 8},
+	}}
+	run, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, spec := range d.Agents {
+		for j := 0; j < spec.Count; j++ {
+			built, ok := run.Participants[n].Controller.(*core.Agent)
+			if !ok {
+				t.Fatalf("%s: controller is %T, want *core.Agent", run.AgentIDs[n], run.Participants[n].Controller)
+			}
+			want, err := core.NewFleetAgent(spec.Algorithm, spec.MaxConcurrency, d.Seed+int64(n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur := 2
+			for k := 0; k < 40; k++ {
+				s := transfer.Sample{
+					Setting:    transfer.Setting{Concurrency: cur, Parallelism: 1, Pipelining: 1},
+					Duration:   3,
+					Throughput: 1e9 * math.Min(float64(cur), 5) * (1 + 0.05*math.Sin(float64(k))),
+					Loss:       0.002 * math.Max(0, float64(cur-5)),
+				}
+				got, exp := built.Decide(s), want.Decide(s)
+				if got != exp {
+					t.Fatalf("%s decision %d: built agent chose %+v, NewFleetAgent %+v", run.AgentIDs[n], k, got, exp)
+				}
+				cur = got.Concurrency
+			}
+			if h := built.History(); len(h) != 0 {
+				t.Errorf("%s keeps a decision log of %d entries", run.AgentIDs[n], len(h))
+			}
+			n++
+		}
+	}
+}
+
+// TestSessionSecondsMatchesRoster: Document.SessionSeconds is Σ over
+// the built participants of (leave-or-horizon − join), the benchmark's
+// session-seconds, on a roster with staggered joins, leaves and late
+// joiners.
+func TestSessionSecondsMatchesRoster(t *testing.T) {
+	d := goldenFleetDoc()
+	run, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.0
+	for _, p := range run.Participants {
+		end := d.DurationSeconds
+		if p.LeaveAt > 0 && p.LeaveAt < end {
+			end = p.LeaveAt
+		}
+		if end > p.JoinAt {
+			want += end - p.JoinAt
+		}
+	}
+	if got := d.SessionSeconds(); got != want {
+		t.Fatalf("SessionSeconds = %v, want %v", got, want)
+	}
+	if full := float64(len(run.Participants)) * d.DurationSeconds; want >= full {
+		t.Fatalf("roster covers %v session-seconds, not below sessions × horizon %v: joins and leaves are not exercised", want, full)
 	}
 }
 

@@ -22,12 +22,14 @@ import (
 )
 
 // Goldens of goldenFleetDoc's full-recording Timeline and merged event
-// stream, pinned at the commit before task handles replaced ID lookups
-// in the engine. Worker width must not move them; regenerate (and say why) only for a deliberate change to
-// the simulated numbers, their order, or the event taxonomy.
+// stream. Worker width must not move them; regenerate (and say why)
+// only for a deliberate change to the simulated numbers, their order,
+// or the event taxonomy. Last regenerated, with `go test -run
+// TestFleetGolden ./internal/scenario/`, when documents' BO agents moved
+// to the fleet constructor's random stream (core.NewFleetAgent).
 const (
-	goldenFleetTimeline = "4b8c671f1b8ea5387eefbaab67eb2c260351122a91515e4bde8cb14940fb03f7"
-	goldenFleetEvents   = "c7fcc88e15ff98f9258c0eadba77b99ada27e8ff6ff58607b64bdf648a1d4f14"
+	goldenFleetTimeline = "13c02d36504a6340de5b47ce275d922f18b4e7edfbc96d0a29bf9c9eae6de7c5"
+	goldenFleetEvents   = "071fe10c71ecbe96fd136274932e51fa76bb926b51b4d3e249898a27ed8b15a2"
 )
 
 // decideFanout is testbed's fan-out threshold, an unexported variable

@@ -223,6 +223,10 @@ type Engine struct {
 	// (the scheduler's event-queue path) read this list instead of
 	// polling every task's Done() — see Drained.
 	drained []int32
+
+	// The ramp factors of the last (dt, τ) a tick ran with (see
+	// rampFactors).
+	rampDt, rampTau, rampUp, rampDown float64
 }
 
 // enginePath is the fixed end-to-end resource path every engine's
@@ -495,11 +499,7 @@ func (e *Engine) step(dt float64) {
 	// advance the tasks. Along the way, snapshot the allocation inputs
 	// per slot so subsequent ticks can be replayed by fastTick while
 	// nothing observable changes.
-	// The ramp factors are tick-invariant: hoisted out of the fold, as
-	// in fastTick, and bit-identical to computing them per task.
-	tau := e.cfg.rampTau()
-	fUp := 1 - math.Exp(-dt/tau)
-	fDown := 1 - math.Exp(-dt/(tau/3))
+	fUp, fDown := e.rampFactors(dt)
 	changed := false
 	e.factive = e.factive[:0]
 	s := &e.soa
@@ -570,6 +570,21 @@ func (e *Engine) step(dt float64) {
 	e.fastOK = e.memoOK && !changed
 }
 
+// rampFactors returns the blend factors of the exponential approach to
+// equilibrium over a tick of dt: 1−exp(−dt/τ) for growth and
+// 1−exp(−dt/(τ/3)) for back-off. They are recomputed only when dt or τ
+// differs from the last tick's — τ follows cfg.RTT, which a MutRTT
+// moves — and math.Exp is deterministic, so a cached pair is
+// bit-identical to a fresh one.
+func (e *Engine) rampFactors(dt float64) (up, down float64) {
+	if tau := e.cfg.rampTau(); dt != e.rampDt || tau != e.rampTau {
+		e.rampDt, e.rampTau = dt, tau
+		e.rampUp = 1 - math.Exp(-dt/tau)
+		e.rampDown = 1 - math.Exp(-dt/(tau/3))
+	}
+	return e.rampUp, e.rampDown
+}
+
 // gensLive reports whether every snapshotted task's generation still
 // matches the live task — no session Apply or dataset extension has
 // retuned a task behind the engine's back since the snapshot was taken.
@@ -600,12 +615,7 @@ func (e *Engine) fastTick(dt float64) bool {
 		e.now += dt
 		return false
 	}
-	// Hoist the ramp factors: dt and tau are tick-invariant, and
-	// math.Exp is deterministic, so these are bit-identical to a
-	// per-task computation. step hoists the same two.
-	tau := e.cfg.rampTau()
-	fUp := 1 - math.Exp(-dt/tau)
-	fDown := 1 - math.Exp(-dt/(tau/3))
+	fUp, fDown := e.rampFactors(dt)
 	changed := false
 	s := &e.soa
 	for _, i := range e.factive {

@@ -225,3 +225,31 @@ func TestMutationGrowAfterLeaveIsNoop(t *testing.T) {
 		t.Fatalf("surviving task stalled (%.3f Gbps) after no-op grow", tput)
 	}
 }
+
+// TestRampFactorsFollowRTT: the engine caches its two ramp factors, so
+// a new tick length or an RTT mutation (which moves τ) must refresh
+// them. After every tick the cached pair equals the direct expressions
+// for the engine's current dt and τ.
+func TestRampFactorsFollowRTT(t *testing.T) {
+	eng, err := NewEngine(StampedeCometWAN(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.ScheduleMutation(Mutation{At: 1, Kind: MutRTT, RTT: 0.2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.AddTask(bigTask("t", 4)); err != nil {
+		t.Fatal(err)
+	}
+	for _, dt := range []float64{0.25, 0.25, 0.1, 0.5, 0.5} {
+		eng.Step(dt)
+		tau := eng.cfg.rampTau()
+		up, down := eng.rampFactors(dt)
+		if up != 1-math.Exp(-dt/tau) || down != 1-math.Exp(-dt/(tau/3)) {
+			t.Fatalf("t=%v dt=%v τ=%v: cached ramp factors %v, %v are stale", eng.Now(), dt, tau, up, down)
+		}
+	}
+	if tau := eng.cfg.rampTau(); tau != 5 {
+		t.Fatalf("τ = %v after the RTT mutation, want 5", tau)
+	}
+}

@@ -34,9 +34,12 @@ const lightDoc = `{"testbed":"emulab","agents":3,"stagger_seconds":20,"duration_
 
 // heavySSEGolden is the SHA-256 of the complete SSE body (every session
 // frame and the terminal done event) of heavyDoc submitted as the first
-// scenario of a fresh service. It was taken from the json.Marshal +
-// Fprintf encoder the hand-written frame appender replaced.
-const heavySSEGolden = "4798b33a26f5e5e821e01bcb775bddd32b04633c9468f19f663b9b57a3cfceba"
+// scenario of a fresh service. The encoding was pinned against the
+// json.Marshal + Fprintf encoder the hand-written frame appender
+// replaced; the hash was regenerated, with `go test -run
+// TestHeavySSEGolden ./internal/webservice/`, when documents' BO agents
+// moved to the fleet constructor's random stream.
+const heavySSEGolden = "dd751e8606abafd03916407c79978ca98b01247cf1d5fc504b81aeedacaac0f3"
 
 // sseBody reads a scenario's complete event stream.
 func sseBody(t *testing.T, base, id string) []byte {
