@@ -29,7 +29,9 @@ bench-raw:
 # - flag road: a 10k-session fleet in streaming-aggregate mode, measured
 #   ~117 MB (≈11.7 kB/session) against 256 MB;
 # - document road: the 10k-session capacity-flap scenario with full
-#   recording, ≈7 s on a 2-core VM, measured 310–318 MB (≈31 kB/session)
+#   recording, 12.4–13.3 s of simulation on a 2-core VM (it joins a
+#   session on most ticks for 500 of its 600 s, so 2 001 of its 2 400
+#   engine ticks are full steps), measured 310–318 MB (≈31 kB/session)
 #   against 600 MB. Before its agents were fleet-weight it peaked at
 #   637 MB, over this budget.
 FLEET_HEAP_BUDGET ?= 268435456
@@ -67,11 +69,12 @@ RACE2 = $(GO) test -race -count=2 -run
 transparency:
 	$(RACE2) TestPredictIntoMatchesPredict ./internal/bayesopt/
 	$(RACE2) 'TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls' ./internal/netsim/
-	$(RACE2) 'TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestCapacityGeneration' ./internal/netsim/
+	$(RACE2) 'TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestCapacityGeneration|TestRetuneMatchesFreshAllocation' ./internal/netsim/
 	$(RACE2) TestTickEqualsPhases ./internal/session/
 	$(RACE2) 'TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestQueueLiveListUnderChurn|TestHorizonHeapProperty' ./internal/testbed/
 	$(RACE2) 'TestAllocMemoIsTransparent|TestClassAllocIsTransparent|TestRecordModesEngineTransparent|TestEventIndexAndSeriesByPart' ./internal/testbed/
 	$(RACE2) 'TestMutationsTransparentAcrossModes|TestMutationsMemoTransparent' ./internal/testbed/
+	$(RACE2) 'TestRunTicksHonoursOutOfBandRetune|TestSettingsOnlyTicksTakeTheRetuneTier' ./internal/testbed/
 	$(RACE2) 'TestUndeclaredControllersStayOnTheShardGoroutine|TestParallelControllerPanicSurfacesOnDriver' ./internal/testbed/
 	$(RACE2) 'TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault' ./internal/scenario/
 	$(RACE2) 'TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetWorkersTransparent' ./internal/experiments/

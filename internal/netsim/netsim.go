@@ -39,7 +39,11 @@
 // previous call (a join appends, a leave truncates, a retune adjusts
 // one class's weight in place) — so the steady-state allocation path
 // performs no heap allocations and no per-flow map operations; a
-// Network is therefore not safe for concurrent use. Time dynamics
+// Network is therefore not safe for concurrent use. A caller that
+// knows which demands moved can skip even the prefix comparison:
+// Retune edits one demand of the last call positionally and Refill
+// water-fills the edited partition, with the same result as allocating
+// the edited list. Time dynamics
 // (slow-start ramping, measurement noise, task arrival/departure) live
 // in package testbed.
 package netsim
@@ -110,11 +114,15 @@ type Demand struct {
 }
 
 // weight returns the effective flow multiplicity.
-func (d *Demand) weight() float64 {
-	if d.Weight <= 0 {
+func (d *Demand) weight() float64 { return weightOf(d.Weight) }
+
+// weightOf maps a Demand.Weight to its flow multiplicity: zero (and
+// below) means 1.
+func weightOf(w int) float64 {
+	if w <= 0 {
 		return 1
 	}
-	return float64(d.Weight)
+	return float64(w)
 }
 
 // Allocation is the result of a max-min computation.
@@ -416,7 +424,7 @@ func (n *Network) AllocateInto(alloc *Allocation, demands []Demand) error {
 	}
 	alloc.Saturated = alloc.Saturated[:0]
 	if len(demands) == 0 {
-		n.classes = 0
+		n.allocateEmpty()
 		return nil
 	}
 	if err := n.allocateCore(demands, &alloc.Saturated); err != nil {
@@ -440,21 +448,94 @@ func (n *Network) AllocateDense(d *DenseAllocation, demands []Demand) error {
 	if len(demands) == 0 {
 		d.Rate = d.Rate[:0]
 		d.Loss = d.Loss[:0]
-		n.classes = 0
+		n.allocateEmpty()
 		return nil
 	}
 	if err := n.allocateCore(demands, &d.Saturated); err != nil {
 		return err
 	}
+	n.expandDense(d)
+	return nil
+}
+
+// allocateEmpty records an allocation over no demands: no classes, and
+// a partition cache that no longer describes the previous call, so
+// Retune refuses until the next non-empty one.
+func (n *Network) allocateEmpty() {
+	n.classes = 0
+	n.scr.prevOK = false
+}
+
+// expandDense writes the per-class results of the partition's prevN
+// demands to d positionally.
+func (n *Network) expandDense(d *DenseAllocation) {
 	s := &n.scr
-	d.Rate = resizeFloats(d.Rate, len(demands))
-	d.Loss = resizeFloats(d.Loss, len(demands))
-	for i := range demands {
+	d.Rate = resizeFloats(d.Rate, s.prevN)
+	d.Loss = resizeFloats(d.Loss, s.prevN)
+	for i := range d.Rate {
 		c := s.classOf[i]
 		d.Rate[i] = s.rates[c]
 		d.Loss[i] = s.clsLoss[c]
 	}
-	return nil
+}
+
+// Retune edits demand i of the most recent allocation call in place:
+// its Cap and Weight become capacity and weight, its FlowID, path and
+// RTT stay, and it moves between flow classes exactly as the next
+// call's partition stage would move it (old contribution out of its
+// class's weight, new one into the class of its new signature — exact,
+// because weights are integers). Only the cached partition changes;
+// Refill water-fills it. Retune reports false, changing nothing, when
+// the edit cannot be made in place: there is no successful non-empty
+// previous call, i is out of range, the cap is not positive, the weight
+// is negative, or the demand needs a new class while stale classes are
+// due for the sweep. The caller then allocates the edited demand list
+// afresh, which gives the same result.
+func (n *Network) Retune(i int, capacity float64, weight int) bool {
+	s := &n.scr
+	if !s.prevOK || i < 0 || i >= s.prevN || !(capacity > 0) || weight < 0 {
+		return false
+	}
+	capBits := math.Float64bits(capacity)
+	if capBits == s.prevCaps[i] && weight == s.prevWI[i] {
+		return true
+	}
+	span := s.resIdx[s.offsets[i]:s.offsets[i+1]]
+	rtt := math.Float64frombits(s.prevRTTs[i])
+	c, _ := n.findClass(span, capBits, s.prevRTTs[i])
+	if c < 0 {
+		if len(s.clsCap)+1 > 2*s.prevN+16 {
+			return false
+		}
+		n.ensureTable(len(s.clsCap) + 1)
+		c = n.classFor(span, capacity, rtt)
+	}
+	old := s.classOf[i]
+	s.clsW[old] -= weightOf(s.prevWI[i])
+	s.clsCount[old]--
+	s.clsW[c] += weightOf(weight)
+	s.clsCount[c]++
+	s.classOf[i] = c
+	s.prevCaps[i] = capBits
+	s.prevWI[i] = weight
+	return true
+}
+
+// Refill water-fills the cached partition — the most recent allocation
+// call's demand list with every Retune since applied — under the
+// current capacities and writes the result to d exactly as
+// AllocateDense over the edited list would. The class fill does not
+// depend on class order and stale classes contribute nothing, so a
+// fresh Network gives the same bits. It panics without a live
+// partition (a caller that skipped Retune's refusal).
+func (n *Network) Refill(d *DenseAllocation) {
+	s := &n.scr
+	if !s.prevOK {
+		panic("netsim: Refill without a live partition")
+	}
+	d.Saturated = d.Saturated[:0]
+	n.fill(&d.Saturated)
+	n.expandDense(d)
 }
 
 // allocateCore validates the demands, partitions them into flow
@@ -586,11 +667,7 @@ func (n *Network) allocateCore(demands []Demand, satOut *[]string) error {
 		// from-scratch sums exactly.
 		for i := k; i < s.prevN; i++ {
 			c := s.classOf[i]
-			w := 1.0
-			if s.prevWI[i] > 0 {
-				w = float64(s.prevWI[i])
-			}
-			s.clsW[c] -= w
+			s.clsW[c] -= weightOf(s.prevWI[i])
 			s.clsCount[c]--
 		}
 	} else {
@@ -601,12 +678,11 @@ func (n *Network) allocateCore(demands []Demand, satOut *[]string) error {
 	s.classOf = grow(s.classOf, nd)
 	for i := k; i < nd; i++ {
 		d := &demands[i]
-		c := n.classFor(d, i)
+		c := n.classFor(s.resIdx[s.offsets[i]:s.offsets[i+1]], d.Cap, d.RTT)
 		s.classOf[i] = c
 		s.clsW[c] += d.weight()
 		s.clsCount[c]++
 	}
-	nc := len(s.clsCap)
 
 	// Stage 4: snapshot the changed suffix for the next call's prefix
 	// comparison (the prefix entries are already equal).
@@ -631,6 +707,17 @@ func (n *Network) allocateCore(demands []Demand, satOut *[]string) error {
 	s.prevN = nd
 	s.prevOK = true
 
+	n.fill(satOut)
+	return nil
+}
+
+// fill water-fills the partition's classes under the current
+// capacities and derives the saturated resources (appended to satOut
+// in sorted order) and each live class's loss, leaving per-class rates
+// and losses in the scratch arena.
+func (n *Network) fill(satOut *[]string) {
+	s := &n.scr
+	nc := len(s.clsCap)
 	n.classWaterFill(nc)
 
 	live := 0
@@ -714,7 +801,6 @@ func (n *Network) allocateCore(demands []Demand, satOut *[]string) error {
 		}
 		s.clsLoss[c] = loss
 	}
-	return nil
 }
 
 // resetClasses drops every cached class and invalidates the partition
@@ -785,14 +871,11 @@ func (n *Network) ensureTable(need int) {
 	}
 }
 
-// classFor returns the class index for demand i, appending a new class
-// when its signature is unseen. The table must have headroom for one
-// insertion (ensured by partition stage 3).
-func (n *Network) classFor(d *Demand, i int) int {
+// findClass looks the signature (span, cap bits, RTT bits) up in the
+// class table. It returns the class index, or -1 and the empty table
+// slot where the signature would be inserted.
+func (n *Network) findClass(span []int, capBits, rttBits uint64) (c int, slot uint64) {
 	s := &n.scr
-	span := s.resIdx[s.offsets[i]:s.offsets[i+1]]
-	capBits := math.Float64bits(d.Cap)
-	rttBits := math.Float64bits(d.RTT)
 	h := sigHash(span, capBits, rttBits)
 	mask := uint64(len(s.tab) - 1)
 	j := h & mask
@@ -810,16 +893,30 @@ func (n *Network) classFor(d *Demand, i int) int {
 						}
 					}
 					if match {
-						return c
+						return c, j
 					}
 				}
 			}
 		}
 		j = (j + 1) & mask
 	}
-	c := len(s.clsCap)
-	s.clsCap = append(s.clsCap, d.Cap)
-	s.clsRTT = append(s.clsRTT, d.RTT)
+	return -1, j
+}
+
+// classFor returns the class index of the signature (span, cap, rtt),
+// appending a new class when it is unseen. The table must have headroom
+// for one insertion (ensured by partition stage 3, or by Retune).
+func (n *Network) classFor(span []int, capacity, rtt float64) int {
+	s := &n.scr
+	capBits := math.Float64bits(capacity)
+	rttBits := math.Float64bits(rtt)
+	c, j := n.findClass(span, capBits, rttBits)
+	if c >= 0 {
+		return c
+	}
+	c = len(s.clsCap)
+	s.clsCap = append(s.clsCap, capacity)
+	s.clsRTT = append(s.clsRTT, rtt)
 	if len(s.clsOff) == 0 {
 		s.clsOff = append(s.clsOff, 0)
 	}
@@ -828,7 +925,7 @@ func (n *Network) classFor(d *Demand, i int) int {
 	s.clsW = append(s.clsW, 0)
 	s.clsCount = append(s.clsCount, 0)
 	s.tab[j] = int32(c + 1)
-	s.tabHash[j] = h
+	s.tabHash[j] = sigHash(span, capBits, rttBits)
 	return c
 }
 

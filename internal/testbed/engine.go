@@ -23,8 +23,8 @@ const (
 
 // taskSoA is the engine's per-task dynamic state in struct-of-arrays
 // layout: one slot per registered task, every field a parallel slice
-// indexed by that slot. The hot loops (the fold in step and the whole
-// of fastTick) walk these arrays positionally — the same contiguous-
+// indexed by that slot. The hot loop (fold, the engine's one per-task
+// advance) walks these arrays positionally — the same contiguous-
 // array discipline the allocator's DenseAllocation boundary follows —
 // instead of chasing per-task heap objects, which at fleet scale (10k+
 // tasks) is the difference between streaming cache lines and a pointer
@@ -48,21 +48,22 @@ type taskSoA struct {
 	windowLossSum []float64 // time-weighted loss integral
 	windowDur     []float64
 
-	// Fast-path cache, refreshed by every full Step: the per-connection
-	// allocation and the allocation inputs it was derived from. While
-	// these inputs are unchanged the per-tick update is pure arithmetic
-	// on them (see fastTick), with no demand rebuild or map traffic.
-	eqRate []float64 // alloc.Rate[di], bits/s per connection
-	eqLoss []float64 // alloc.Loss[di]
-	files  []int32   // ActiveFiles at allocation time
-	conns  []int32   // ActiveConnections at allocation time
-	q      []int32   // Setting().Pipelining at allocation time
-	cc     []int32   // Setting().Concurrency at allocation time
-	gen    []int32   // task.Generation() at allocation time
+	// The snapshot: the per-connection allocation and the allocation
+	// inputs it was derived from, refreshed for every active slot by a
+	// full step and for the retuned slots by a retune tick. The per-tick
+	// update is pure arithmetic on them (see fold), with no demand
+	// rebuild or map traffic.
+	eqRate []float64 // alloc.Rate[k], bits/s per connection
+	eqLoss []float64 // alloc.Loss[k]
+	files  []int32   // ActiveFiles at snapshot time
+	conns  []int32   // ActiveConnections at snapshot time
+	q      []int32   // Setting().Pipelining at snapshot time
+	cc     []int32   // Setting().Concurrency at snapshot time
+	gen    []int32   // task.Generation() at snapshot time (drained slots too)
 
 	// Positional mirrors of the task's progress counters, kept exact
 	// by folding Advance's completed-file count back in: remBytes is
-	// BytesRemaining, remFiles is RemainingFiles. fastTick derives the
+	// BytesRemaining, remFiles is RemainingFiles. fold derives the
 	// remaining mean file size and the post-advance ActiveFiles from
 	// these instead of calling back into the task.
 	remBytes []int64
@@ -173,9 +174,12 @@ type Engine struct {
 	dead  int // tombstones in order
 
 	// Step scratch buffers, reused every tick so the steady-state hot
-	// path performs no heap allocations.
+	// path performs no heap allocations. demands[k] is the demand of
+	// the k-th factive slot: an active task always has a connection
+	// (settings are ≥ 1 in every knob, and an undrained task has a file
+	// left), so every active slot has exactly one demand, which is what
+	// lets a retune tick edit demands positionally.
 	path    []string
-	active  []int32
 	demands []netsim.Demand
 	alloc   netsim.DenseAllocation
 
@@ -186,7 +190,9 @@ type Engine struct {
 	// cached allocation was computed for; netsim.Allocate is stateless
 	// and deterministic, so replaying the cached result is exactly what
 	// a re-run would produce. memoOK is the cache-validity bit: a
-	// mutation clears it (applyDueMutations).
+	// mutation clears it (applyDueMutations), and a retune tick keeps it
+	// clear while its edits have moved the key but not yet the
+	// allocation.
 	memoOK   bool
 	memoKey  []demandKey
 	memoCaps [4]float64
@@ -199,15 +205,25 @@ type Engine struct {
 	// Idempotent per-tick capacity refreshes don't advance it.
 	memoGen uint64
 
-	// Event-horizon fast path (RunTicks). factive snapshots the active
-	// slots the cached allocation covers; fastOK reports that their
-	// cached inputs still match the engine, so ticks can be replayed by
-	// fastTick without rebuilding demands; stepChanged records whether
-	// the last tick crossed a file-count horizon (a macro-step boundary
-	// callers must observe).
-	fastOK      bool
-	stepChanged bool
-	factive     []int32
+	// The snapshot's slot sets (see RunTicks). factive lists the active
+	// slots the cached allocation covers, idle the registered slots that
+	// had drained; fastOK reports that nothing but a generation bump can
+	// have moved since the snapshot (no join, leave, mutation or
+	// file-count horizon); stepChanged records whether the last tick
+	// crossed a file-count horizon (a macro-step boundary callers must
+	// observe). bumped is RunTicks' scratch list of the factive
+	// positions whose generation moved. sumFiles and sumConns are the
+	// snapshot's Σ ActiveFiles and Σ ActiveConnections, the integer
+	// inputs of the four contention capacities.
+	fastOK             bool
+	stepChanged        bool
+	factive            []int32
+	idle               []int32
+	bumped             []int32
+	sumFiles, sumConns int
+
+	// ticks counts the ticks taken on each tier (see TickCounts).
+	ticks TickCounts
 
 	// Timed environment mutations (see mutation.go): muts[:mutNext] is
 	// the applied prefix, muts[mutNext:] the pending schedule sorted by
@@ -396,21 +412,25 @@ func (e *Engine) AggregateRate() float64 {
 	return sum
 }
 
-// activeSlots returns the slots of unfinished tasks in deterministic
-// order. The returned slice is an engine-owned scratch buffer valid
-// until the next call.
-func (e *Engine) activeSlots() []int32 {
-	e.active = e.active[:0]
-	for _, h := range e.order {
-		if i := e.hslot[h]; i >= 0 && !e.soa.task[i].Done() {
-			e.active = append(e.active, i)
-		}
-	}
-	return e.active
+// TickCounts counts an engine's ticks by tier since construction (see
+// RunTicks). Every tick is exactly one of the three.
+type TickCounts struct {
+	// Full ticks rebuilt the snapshot from the live tasks: every Step,
+	// and every RunTicks tick after a join, leave, mutation or
+	// file-count horizon.
+	Full uint64
+	// Retune ticks found only settings moved and edited the snapshot
+	// and allocation in place.
+	Retune uint64
+	// Replay ticks found nothing moved and folded the snapshot as is.
+	Replay uint64
 }
 
-// Step advances the simulation by dt seconds. It panics on
-// non-positive dt (a driver bug).
+// TickCounts returns the engine's per-tier tick counts.
+func (e *Engine) TickCounts() TickCounts { return e.ticks }
+
+// Step advances the simulation by dt seconds with one full step. It
+// panics on non-positive dt (a driver bug).
 func (e *Engine) Step(dt float64) {
 	e.drained = e.drained[:0]
 	e.step(dt)
@@ -421,70 +441,68 @@ func (e *Engine) Step(dt float64) {
 // order. The slice is engine-owned and valid until the next advance.
 func (e *Engine) Drained() []int32 { return e.drained }
 
-// step is one full tick: rebuild demands, allocate (or replay the
-// memo), and advance every active task.
+// step is one full tick: apply due mutations, refresh the snapshot
+// from the live tasks, and fold.
 func (e *Engine) step(dt float64) {
 	if dt <= 0 {
 		panic(fmt.Sprintf("testbed: Step(%v) must be positive", dt))
 	}
+	e.ticks.Full++
 	if e.mutationDue() {
-		// Apply before demands are rebuilt so this tick already runs
-		// under the mutated environment; the fast path refuses to replay
-		// a tick with a due mutation, so batched stepping lands here at
+		// Apply before the snapshot is refreshed so this tick already
+		// runs under the mutated environment; RunTicks never skips a
+		// tick with a due mutation, so batched stepping lands here at
 		// the same tick as a per-tick Step loop.
 		e.applyDueMutations()
 	}
-	active := e.activeSlots()
-	if len(active) == 0 {
-		e.now += dt
-		// A drained engine has no allocation inputs left to change:
-		// fastTick over an empty snapshot just advances the clock, so
-		// batching stays engaged.
-		e.factive = e.factive[:0]
-		e.fastOK = true
-		e.stepChanged = false
-		return
-	}
+	e.refresh()
+	e.fold(dt)
+}
 
-	// Contention-dependent capacities from the global thread and
-	// connection counts.
-	srcThreads, dstThreads, conns := 0, 0, 0
-	for _, i := range active {
-		t := e.soa.task[i]
-		srcThreads += t.ActiveFiles()
-		dstThreads += t.ActiveFiles()
-		conns += t.ActiveConnections()
+// refresh rebuilds the snapshot from the live tasks: the active and
+// drained slot sets, every active slot's allocation inputs and progress
+// mirrors, one weighted demand per active task, the contention
+// capacities, and the allocation (or the memo's replay of it).
+func (e *Engine) refresh() {
+	s := &e.soa
+	e.factive = e.factive[:0]
+	e.idle = e.idle[:0]
+	for _, h := range e.order {
+		i := e.hslot[h]
+		if i < 0 {
+			continue
+		}
+		if t := s.task[i]; t.Done() {
+			s.gen[i] = int32(t.Generation())
+			e.idle = append(e.idle, i)
+			continue
+		}
+		e.factive = append(e.factive, i)
 	}
-	srcStoreCap := e.cfg.SrcStore.EffectiveAggregate(srcThreads)
-	dstStoreCap := e.cfg.DstStore.EffectiveAggregate(dstThreads)
-	srcCPUCap := e.cfg.SrcHost.EffectiveCPU(conns)
-	dstCPUCap := e.cfg.DstHost.EffectiveCPU(conns)
-	e.net.SetCapacity(resSrcStore, srcStoreCap)
-	e.net.SetCapacity(resDstStore, dstStoreCap)
-	e.net.SetCapacity(resSrcCPU, srcCPUCap)
-	e.net.SetCapacity(resDstCPU, dstCPUCap)
+	if len(e.factive) == 0 {
+		return // nothing to allocate: the fold just advances the clock
+	}
 
 	// One weighted demand per task: all n×p connections of a task are
 	// identical TCP flows with the same per-connection cap.
+	files, conns := 0, 0
 	demands := e.demands[:0]
-	for _, i := range active {
-		t := e.soa.task[i]
-		set := t.Setting()
-		m := t.ActiveConnections()
-		if m == 0 {
-			continue
-		}
+	for _, i := range e.factive {
+		set := e.snapshot(i)
+		files += int(s.files[i])
+		conns += int(s.conns[i])
 		demands = append(demands, netsim.Demand{
-			FlowID:    t.ID(),
+			FlowID:    s.task[i].ID(),
 			Resources: e.path,
 			Cap:       e.perConnCap(set),
 			RTT:       e.cfg.RTT,
-			Weight:    m,
+			Weight:    int(s.conns[i]),
 		})
 	}
 	e.demands = demands
+	e.sumFiles, e.sumConns = files, conns
 
-	caps := [4]float64{srcStoreCap, dstStoreCap, srcCPUCap, dstCPUCap}
+	caps := e.contentionCaps()
 	if !e.memoValid(demands, caps) {
 		if err := e.net.AllocateDense(&e.alloc, demands); err != nil {
 			// Demands are constructed internally; an error is a bug.
@@ -492,82 +510,96 @@ func (e *Engine) step(dt float64) {
 		}
 		e.memoRecord(demands, caps)
 	}
-	alloc := &e.alloc
+	e.readAlloc()
+}
 
-	// Fold the per-connection allocation into per-task equilibrium
-	// rates and losses, apply pipelining efficiency and ramping, and
-	// advance the tasks. Along the way, snapshot the allocation inputs
-	// per slot so subsequent ticks can be replayed by fastTick while
-	// nothing observable changes.
-	fUp, fDown := e.rampFactors(dt)
-	changed := false
-	e.factive = e.factive[:0]
+// snapshot records slot i's allocation inputs and progress mirrors from
+// its live task and returns the task's setting.
+func (e *Engine) snapshot(i int32) transfer.Setting {
 	s := &e.soa
-	di := 0 // demand index: demands were appended in active order, skipping m == 0
-	for _, i := range active {
-		t := s.task[i]
-		set := t.Setting()
-		m := t.ActiveConnections()
-		files := t.ActiveFiles()
-		var eqRate, loss float64
-		if m > 0 {
-			eqRate = alloc.Rate[di]
-			loss = alloc.Loss[di]
-			di++
-		}
-		eq := eqRate * float64(m)
-		if m > 0 {
-			perFileRate := eq / float64(files)
-			eff := transfer.PipelineEfficiency(t.RemainingMeanFileSize(), perFileRate, e.cfg.RTT, set.Pipelining)
-			eq *= eff
-		}
+	t := s.task[i]
+	set := t.Setting()
+	files := t.ActiveFiles()
+	s.files[i] = int32(files)
+	s.conns[i] = int32(files * set.Parallelism)
+	s.q[i] = int32(set.Pipelining)
+	s.cc[i] = int32(set.Concurrency)
+	s.gen[i] = int32(t.Generation())
+	s.remBytes[i] = t.BytesRemaining()
+	s.remFiles[i] = int32(t.RemainingFiles())
+	return set
+}
 
-		// Exponential approach to equilibrium. Rate reductions (losing
-		// a share to a newcomer, dropping connections) take effect
-		// faster than slow-start growth: congestion control backs off
-		// within a few RTTs.
-		f := fUp
-		if eq < s.rate[i] {
-			f = fDown
-		}
-		s.rate[i] += (eq - s.rate[i]) * f
-		if s.rate[i] < 0 {
-			s.rate[i] = 0
-		}
-		s.loss[i] = loss
+// contentionCaps sets the four contention-dependent capacities from the
+// snapshot's global thread and connection counts and returns them.
+func (e *Engine) contentionCaps() [4]float64 {
+	caps := [4]float64{
+		e.cfg.SrcStore.EffectiveAggregate(e.sumFiles),
+		e.cfg.DstStore.EffectiveAggregate(e.sumFiles),
+		e.cfg.SrcHost.EffectiveCPU(e.sumConns),
+		e.cfg.DstHost.EffectiveCPU(e.sumConns),
+	}
+	e.net.SetCapacity(resSrcStore, caps[0])
+	e.net.SetCapacity(resDstStore, caps[1])
+	e.net.SetCapacity(resSrcCPU, caps[2])
+	e.net.SetCapacity(resDstCPU, caps[3])
+	return caps
+}
 
-		bytes := s.rate[i] * dt / 8
-		s.windowBytes[i] += bytes
-		s.windowLossSum[i] += loss * dt
-		s.windowDur[i] += dt
-		whole := bytes + s.carry[i]
-		n := int64(whole)
-		s.carry[i] = whole - float64(n)
-		t.Advance(n, dt)
+// readAlloc copies the per-connection allocation into the snapshot of
+// every active slot.
+func (e *Engine) readAlloc() {
+	s := &e.soa
+	for k, i := range e.factive {
+		s.eqRate[i] = e.alloc.Rate[k]
+		s.eqLoss[i] = e.alloc.Loss[k]
+	}
+}
 
-		s.eqRate[i] = eqRate
-		s.eqLoss[i] = loss
-		s.files[i] = int32(files)
-		s.conns[i] = int32(m)
-		s.q[i] = int32(set.Pipelining)
-		s.cc[i] = int32(set.Concurrency)
-		s.gen[i] = int32(t.Generation())
-		s.remBytes[i] = t.BytesRemaining()
-		s.remFiles[i] = int32(t.RemainingFiles())
-		e.factive = append(e.factive, i)
-		if t.ActiveFiles() != files {
-			changed = true
-			if t.Done() {
-				e.drained = append(e.drained, s.handle[i])
+// retune is the middle tier: only the factive positions in bumped had
+// their generation moved (a SetSetting or an Extend), so it re-reads
+// those slots' inputs, moves their demands between flow classes in
+// place, recomputes the contention capacities from the updated integer
+// sums, and refills the allocation unless no demand and no capacity
+// changed — the memo's own skip condition. It reports false when the
+// allocator cannot make an edit in place; the snapshot is then partly
+// updated and the memo invalid, and the caller must take a full step.
+func (e *Engine) retune() bool {
+	if !e.memoOK {
+		return false
+	}
+	// Each edit moves the memo key at once and the allocation only at
+	// the end, so the memo is invalid until the edits are through.
+	e.memoOK = false
+	s := &e.soa
+	edited := false
+	for _, k := range e.bumped {
+		i := e.factive[k]
+		e.sumFiles -= int(s.files[i])
+		e.sumConns -= int(s.conns[i])
+		set := e.snapshot(i)
+		m := int(s.conns[i])
+		e.sumFiles += int(s.files[i])
+		e.sumConns += m
+		d := &e.demands[k]
+		if c := e.perConnCap(set); c != d.Cap || m != d.Weight {
+			if !e.net.Retune(int(k), c, m) {
+				return false
 			}
+			d.Cap, d.Weight = c, m
+			e.memoKey[k].cap, e.memoKey[k].weight = c, m
+			edited = true
 		}
 	}
-	e.now += dt
-	e.stepChanged = changed
-	// The cached allocation and snapshots describe the current state
-	// only if the allocator memo is live and this tick crossed no file
-	// horizon.
-	e.fastOK = e.memoOK && !changed
+	caps := e.contentionCaps()
+	if edited || caps != e.memoCaps || e.net.CapacityGeneration() != e.memoGen {
+		e.net.Refill(&e.alloc)
+		e.memoCaps = caps
+		e.memoGen = e.net.CapacityGeneration()
+		e.readAlloc()
+	}
+	e.memoOK = true
+	return true
 }
 
 // rampFactors returns the blend factors of the exponential approach to
@@ -585,54 +617,69 @@ func (e *Engine) rampFactors(dt float64) (up, down float64) {
 	return e.rampUp, e.rampDown
 }
 
-// gensLive reports whether every snapshotted task's generation still
-// matches the live task — no session Apply or dataset extension has
-// retuned a task behind the engine's back since the snapshot was taken.
-// RunTicks checks it once per fast-path window rather than per tick:
-// between the ticks of a single RunTicks call no external code runs,
-// so generations cannot change mid-call.
-func (e *Engine) gensLive() bool {
-	for _, i := range e.factive {
-		if e.soa.gen[i] != int32(e.soa.task[i].Generation()) {
-			return false
+// tickTier is the kind of tick RunTicks takes next.
+type tickTier int
+
+const (
+	tierFull tickTier = iota
+	tierRetune
+	tierReplay
+)
+
+// scanGenerations compares every snapshotted slot's generation with its
+// live task's, to catch a SetSetting or Extend made since the snapshot.
+// A moved drained slot (an Extend reviving it) needs a full step; moved
+// active slots go to bumped for a retune tick; with none moved the
+// snapshot replays as is.
+func (e *Engine) scanGenerations() tickTier {
+	s := &e.soa
+	for _, i := range e.idle {
+		if s.gen[i] != int32(s.task[i].Generation()) {
+			return tierFull
 		}
 	}
-	return true
+	e.bumped = e.bumped[:0]
+	for k, i := range e.factive {
+		if s.gen[i] != int32(s.task[i].Generation()) {
+			e.bumped = append(e.bumped, int32(k))
+		}
+	}
+	if len(e.bumped) == 0 {
+		return tierReplay
+	}
+	return tierRetune
 }
 
-// fastTick replays one Step over the cached allocation snapshot: the
-// identical per-task arithmetic (pipelining efficiency, ramp, window
-// accumulation, byte advance) with the demand rebuild, capacity
-// recomputation, memo comparison, and allocation lookups skipped. All
-// task state it reads — remaining bytes and files, the cached
-// allocation inputs — comes positionally from the SoA arrays; the only
-// call back into the task is Advance, whose completed-file count folds
-// straight back into the mirrors. It reports whether the tick crossed
-// a file-count horizon, which invalidates the snapshot for the next
+// fold is the engine's one per-task advance, run by every tick of every
+// tier over the snapshot: per active slot, the pipelining efficiency of
+// the snapshotted allocation, the exponential approach to equilibrium,
+// window accumulation, and the byte advance. All task state it reads
+// comes positionally from the SoA arrays; the only call back into the
+// task is Advance, whose completed-file count folds straight back into
+// the mirrors. It records in stepChanged whether the tick crossed a
+// file-count horizon (a task finished a file in a way that changes its
+// ActiveFiles, or drained), which invalidates the snapshot for the next
 // tick.
-func (e *Engine) fastTick(dt float64) bool {
-	if len(e.factive) == 0 {
-		e.now += dt
-		return false
-	}
+func (e *Engine) fold(dt float64) {
 	fUp, fDown := e.rampFactors(dt)
 	changed := false
 	s := &e.soa
 	for _, i := range e.factive {
-		conns := s.conns[i]
-		eq := s.eqRate[i] * float64(conns)
-		if conns > 0 {
-			perFileRate := eq / float64(s.files[i])
-			// Remaining mean file size from the positional mirrors:
-			// identical to Task.RemainingMeanFileSize, which divides the
-			// same int64 counters.
-			var mean float64
-			if s.remFiles[i] > 0 {
-				mean = float64(s.remBytes[i]) / float64(s.remFiles[i])
-			}
-			eff := transfer.PipelineEfficiency(mean, perFileRate, e.cfg.RTT, int(s.q[i]))
-			eq *= eff
+		eq := s.eqRate[i] * float64(s.conns[i])
+		perFileRate := eq / float64(s.files[i])
+		// Remaining mean file size from the positional mirrors: identical
+		// to Task.RemainingMeanFileSize, which divides the same int64
+		// counters.
+		var mean float64
+		if s.remFiles[i] > 0 {
+			mean = float64(s.remBytes[i]) / float64(s.remFiles[i])
 		}
+		eq *= transfer.PipelineEfficiency(mean, perFileRate, e.cfg.RTT, int(s.q[i]))
+
+		// Exponential approach to equilibrium. Rate reductions (losing
+		// a share to a newcomer, dropping connections) take effect
+		// faster than slow-start growth: congestion control backs off
+		// within a few RTTs.
 		f := fUp
 		if eq < s.rate[i] {
 			f = fDown
@@ -670,44 +717,53 @@ func (e *Engine) fastTick(dt float64) bool {
 		}
 	}
 	e.now += dt
-	if changed {
-		e.fastOK = false
-	}
+	e.fastOK = !changed
 	e.stepChanged = changed
-	return changed
 }
 
-// RunTicks advances up to k ticks of dt seconds each, using the fast
-// replay path whenever the allocation snapshot is live and falling
-// back to a full Step otherwise. It returns after the tick on which a
-// file-count horizon is crossed (a task finished a file in a way that
-// changes its ActiveFiles, or completed), so drivers can run their
-// per-event bookkeeping at exactly the time the always-tick loop
-// would; the return value is the number of ticks actually executed.
-// The tick sequence — and every per-task float operation within it —
-// is identical to calling Step(dt) k times. It panics on non-positive
-// dt (a driver bug); k ≤ 0 executes nothing.
+// RunTicks advances up to k ticks of dt seconds each, every tick on the
+// cheapest of three tiers that is exact: a full step when a task joined
+// or left, a mutation is due or the last tick crossed a file-count
+// horizon; a retune tick when the only change since the snapshot is
+// that some tasks' generation moved (SetSetting or Extend between
+// calls); otherwise a replay of the snapshot. All three end in the same
+// fold. It returns after the tick on which a file-count horizon is
+// crossed (a task finished a file in a way that changes its
+// ActiveFiles, or completed), so drivers can run their per-event
+// bookkeeping at exactly the time the always-tick loop would; the
+// return value is the number of ticks actually executed. The tick
+// sequence — and every per-task float operation within it — is
+// identical to calling Step(dt) k times. It panics on non-positive dt
+// (a driver bug); k ≤ 0 executes nothing.
 func (e *Engine) RunTicks(k int, dt float64) int {
 	if dt <= 0 {
 		panic(fmt.Sprintf("testbed: RunTicks(dt=%v) must be positive", dt))
 	}
 	e.drained = e.drained[:0]
 	consumed := 0
-	// Generations are validated once per fast-path window: a full step
-	// re-snapshots them, and nothing can retune a task between the
-	// ticks of one RunTicks call.
-	gensOK := false
+	// Generations are scanned once per call: every tier leaves the
+	// snapshot's generations current, and nothing can retune a task
+	// between the ticks of one RunTicks call.
+	scanned := false
 	for consumed < k {
-		if e.fastOK && !e.mutationDue() && (gensOK || e.gensLive()) {
-			gensOK = true
-			if e.fastTick(dt) {
-				return consumed + 1
+		tier := tierFull
+		if e.fastOK && !e.mutationDue() {
+			tier = tierReplay
+			if !scanned {
+				tier = e.scanGenerations()
 			}
-			consumed++
-			continue
 		}
-		e.step(dt)
-		gensOK = true
+		scanned = true
+		switch {
+		case tier == tierReplay:
+			e.ticks.Replay++
+			e.fold(dt)
+		case tier == tierRetune && e.retune():
+			e.ticks.Retune++
+			e.fold(dt)
+		default:
+			e.step(dt)
+		}
 		consumed++
 		if e.stepChanged {
 			return consumed
@@ -742,8 +798,8 @@ func (e *Engine) StepUntil(t, dt float64) {
 // task's horizon bytes by the larger of its current smoothed rate and
 // its equilibrium target, so a still-ramping transfer (whose rate only
 // grows toward equilibrium) can make the estimate early but never
-// late-beyond-the-event in steady state; RunTicks re-verifies every
-// tick regardless, so the estimate affects macro-step sizing only,
+// late-beyond-the-event in steady state; the fold checks the horizon
+// every tick regardless, so the estimate affects macro-step sizing only,
 // never correctness. Pending environment mutations bound the estimate
 // too: the allocation inputs change at the mutation's tick. Returns
 // +Inf when nothing is in sight (no active tasks, or all rates zero).

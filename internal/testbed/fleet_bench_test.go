@@ -129,18 +129,18 @@ func BenchmarkFleetStep100k(b *testing.B) {
 	}
 }
 
-// BenchmarkFleetEngine10k is the floor under the scheduler: the
-// bare engine advancing the same 10k tasks one tick per op, no
-// orchestration at all. Scheduler overhead is the Step benchmarks
-// minus this.
-func BenchmarkFleetEngine10k(b *testing.B) {
+// newFleetEngine builds the bare engine under the fleet benchmarks: n
+// endless tasks (the newFleetBench dataset and settings) registered
+// directly, advanced 40 full steps into steady state.
+func newFleetEngine(b testing.TB, n int) *Engine {
+	b.Helper()
 	eng, err := NewEngine(HPCLab(), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
 	ds := dataset.Uniform("fleet-bench", 64, 400*int64(dataset.TB))
 	settings := []int{2, 4, 6, 8}
-	for i := 0; i < 10000; i++ {
+	for i := 0; i < n; i++ {
 		task, err := transfer.NewTask(fmt.Sprintf("t%d", i), ds,
 			transfer.Setting{Concurrency: settings[i%len(settings)], Parallelism: 1, Pipelining: 1})
 		if err != nil {
@@ -153,9 +153,55 @@ func BenchmarkFleetEngine10k(b *testing.B) {
 	for i := 0; i < 40; i++ {
 		eng.Step(0.25)
 	}
+	return eng
+}
+
+// BenchmarkFleetEngine10k is the floor under the scheduler: the
+// bare engine advancing the same 10k tasks one full step per op, no
+// orchestration at all. Scheduler overhead is the Step benchmarks
+// minus this.
+func BenchmarkFleetEngine10k(b *testing.B) {
+	eng := newFleetEngine(b, 10000)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng.Step(0.25)
+	}
+}
+
+// BenchmarkFleetRetuneTick10k is the fleet's common tick: the same 10k
+// tasks, 16 % of them retuned (a rotating window of 1 600 tasks given a
+// new concurrency, as a fleet's due agents are) before one RunTicks
+// tick, which takes the retune tier — the retuned demands edited in
+// place, one refill, one fold. The SetSetting calls are inside the
+// timed op. Must run at 0 allocs/op.
+func BenchmarkFleetRetuneTick10k(b *testing.B) {
+	const n, retuned = 10000, 1600
+	eng := newFleetEngine(b, n)
+	tasks := make([]*transfer.Task, n)
+	for i, id := range eng.TaskIDs() {
+		tasks[i] = eng.Task(id)
+	}
+	settings := []int{2, 4, 6, 8}
+	tick := func(i int) {
+		for j := 0; j < retuned; j++ {
+			k := (i*retuned + j) % n
+			set := transfer.Setting{Concurrency: settings[(k+i+1)%len(settings)], Parallelism: 1, Pipelining: 1}
+			if err := tasks[k].SetSetting(set); err != nil {
+				b.Fatal(err)
+			}
+		}
+		eng.RunTicks(1, 0.25)
+	}
+	tick(0) // sizes the retune scratch
+	before := eng.TickCounts().Retune
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tick(i + 1)
+	}
+	b.StopTimer()
+	if got := eng.TickCounts().Retune - before; got != uint64(b.N) {
+		b.Fatalf("%d of %d ticks took the retune tier", got, b.N)
 	}
 }

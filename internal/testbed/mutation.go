@@ -169,8 +169,8 @@ func (e *Engine) NextMutation() float64 {
 func (e *Engine) PendingMutations() int { return len(e.muts) - e.mutNext }
 
 // mutationDue reports whether a pending mutation's time has been
-// reached. Checked by fastReady so a due mutation forces the next tick
-// through the full step path, where applyDueMutations runs.
+// reached. RunTicks checks it so a due mutation forces the next tick
+// through a full step, where applyDueMutations runs.
 func (e *Engine) mutationDue() bool {
 	return e.mutNext < len(e.muts) && e.muts[e.mutNext].At <= e.now
 }

@@ -74,7 +74,7 @@ func benchSteadyRun(b *testing.B, ref bool) {
 // BenchmarkSchedulerRun measures 300 simulated seconds of the
 // three-agent scenario on the default event-horizon stepping path:
 // session ticks only at decision and warm-up deadlines, engine ticks
-// batched up to the next horizon and replayed by fastTick.
+// batched up to the next horizon and taken as retune or replay ticks.
 func BenchmarkSchedulerRun(b *testing.B) {
 	benchSteadyRun(b, false)
 }
