@@ -71,7 +71,7 @@ transparency:
 	$(RACE2) 'TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls' ./internal/netsim/
 	$(RACE2) 'TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestCapacityGeneration|TestRetuneMatchesFreshAllocation' ./internal/netsim/
 	$(RACE2) TestTickEqualsPhases ./internal/session/
-	$(RACE2) 'TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestQueueLiveListUnderChurn|TestHorizonHeapProperty' ./internal/testbed/
+	$(RACE2) 'TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestQueueLiveListUnderChurn|TestHorizonHeapProperty|TestHorizonQueueAllocatesNothing|TestSchedulerCountsPinned' ./internal/testbed/
 	$(RACE2) 'TestAllocMemoIsTransparent|TestClassAllocIsTransparent|TestRecordModesEngineTransparent|TestEventIndexAndSeriesByPart' ./internal/testbed/
 	$(RACE2) 'TestMutationsTransparentAcrossModes|TestMutationsMemoTransparent' ./internal/testbed/
 	$(RACE2) 'TestRunTicksHonoursOutOfBandRetune|TestSettingsOnlyTicksTakeTheRetuneTier' ./internal/testbed/

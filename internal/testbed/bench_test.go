@@ -37,7 +37,7 @@ func BenchmarkEngineStepThreeTasks(b *testing.B) {
 // simulated time with a fixed controller, in the steady state: the
 // engine, scheduler, and run are built untimed and driven past the
 // join and warm-up epochs, so an op is 60 s of pure orchestration plus
-// simulation. The per-run state (horizon heap, live list, timeline
+// simulation. The per-run state (horizon queue, live set, timeline
 // name index, event buffers) is presized by newQueueRun, so the op
 // must stay at single-digit allocs/op — what remains is amortized
 // growth of the recorded series.

@@ -3,6 +3,7 @@ package testbed
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"repro/internal/parallel"
@@ -10,19 +11,19 @@ import (
 )
 
 // queueRun is one Run invocation on the event-queue path. Instead of
-// scanning every participant at every macro-step, it keeps an indexed
-// min-heap of horizons — pending joins, pending leaves, each live
-// session's next decision/warm-up deadline, and the engine's
+// scanning every participant at every macro-step, it keeps a queue of
+// horizons grouped by distinct time — pending joins, pending leaves,
+// each live session's next decision/warm-up deadline, and the engine's
 // NextEvent estimate — and pops only what is due at each loop head.
 // Completion bookkeeping consumes the engine's drained-task list, and
-// recording walks an intrusive list of live sessions, so steady-state
+// recording walks a bitset of live sessions, so steady-state
 // orchestration cost scales with the due set, not the fleet size.
 //
 // Handle scheme: part i owns handle 2i for its lifecycle horizon
 // (JoinAt until joined, then LeaveAt while a leave is pending) and
 // handle 2i+1 for its session deadline; handle 2·len(parts) is the
-// engine's NextEvent estimate. Because the heap breaks key ties by
-// handle and the due set is sorted before processing, identically-
+// engine's NextEvent estimate. Because the queue pops in (key, handle)
+// order and the due set is sorted before processing, identically-
 // timed events are handled in ascending part order with lifecycle
 // before deadline — exactly the visit order of the always-tick loop
 // that scans every part, which keeps the two byte-identical.
@@ -34,7 +35,7 @@ type queueRun struct {
 	sink       session.Sink
 	nextRecord float64
 
-	hz   horizonHeap
+	hz   horizonQueue
 	hint int32 // handle of the engine's NextEvent estimate
 
 	due  []int32 // scratch: handles due at the current loop head
@@ -48,11 +49,9 @@ type queueRun struct {
 	// list resolves to parts without touching a task ID.
 	partOf []int32
 
-	// Live-session set: intrusive doubly-linked list over part
-	// indexes, kept in ascending order, with the sentinel at
-	// len(parts). Completion and recording walk it instead of parts.
-	next []int32
-	prev []int32
+	// live is the live-session set, one bit per part index; recording
+	// walks its set bits, in ascending part order, instead of parts.
+	live []uint64
 
 	// sessions/envs are the run's arenas: two flat slabs indexed by
 	// part, instead of two heap objects per join.
@@ -100,24 +99,19 @@ func (s *Scheduler) newQueueRun(until, tick float64) *queueRun {
 		envs:     make([]SimEnvironment, n),
 		partOf:   make([]int32, 0, n),
 	}
-	// All int32 storage — heap order and positions, due/done scratch,
-	// live-list links — lives in one backing block, so a Run costs two
-	// fixed allocations of orchestration state regardless of fleet
-	// size. Append-bounded sub-slices are capped (three-index slicing)
-	// so growth can never bleed into a neighbour.
+	// All int32 storage — the horizon queue's links, groups and key
+	// table, due/done scratch — lives in one backing block, so a Run
+	// costs three fixed allocations of orchestration state (ints, group
+	// keys, live bits) regardless of fleet size. Append-bounded
+	// sub-slices are capped (three-index slicing) so growth can never
+	// bleed into a neighbour.
 	m := 2*n + 1
-	ints := make([]int32, 3*m+n+2*(n+1))
-	r.hz.key = make([]float64, m)
-	r.hz.heap = ints[0:0:m]
-	r.hz.pos = ints[m : 2*m]
-	for i := range r.hz.pos {
-		r.hz.pos[i] = -1
-	}
-	r.due = ints[2*m : 2*m : 3*m]
-	r.done = ints[3*m : 3*m : 3*m+n]
-	r.next = ints[3*m+n : 3*m+2*n+1]
-	r.prev = ints[3*m+2*n+1:]
-	r.next[n], r.prev[n] = int32(n), int32(n)
+	q := horizonBlock(m)
+	ints := make([]int32, q+m+n)
+	r.hz.carve(ints[:q], make([]float64, m))
+	r.due = ints[q : q : q+m]
+	r.done = ints[q+m : q+m : q+m+n]
+	r.live = make([]uint64, (n+63)/64)
 	for i := range s.parts {
 		r.hz.push(int32(2*i), s.parts[i].p.JoinAt)
 	}
@@ -140,21 +134,28 @@ func (r *queueRun) step() bool {
 	}
 	now := eng.Now()
 
-	// Pop every horizon due at this head, then sort: the heap yields
+	// Pop every horizon due at this head, then sort: the queue yields
 	// (time, handle) order, the always-tick loop processes parts in
 	// index order, and ascending handle order is exactly ascending part
 	// order with lifecycle before deadline.
+	c := &s.counts
+	groups := r.hz.popped
 	r.due = r.hz.popDue(now, r.due[:0])
+	c.LoopHeads++
+	c.Horizons += uint64(len(r.due))
+	c.HorizonGroups += r.hz.popped - groups
 	slices.Sort(r.due)
 	hintDue := false
 	if m := len(r.due); m > 0 && r.due[m-1] == r.hint {
 		r.due = r.due[:m-1]
 		hintDue = true
+		c.HintRefreshes++
 	}
 
 	// Joins and leaves.
 	for _, h := range r.due {
 		if h&1 == 0 {
+			c.LifecyclePops++
 			r.lifecycle(int(h>>1), now)
 		}
 	}
@@ -170,13 +171,16 @@ func (r *queueRun) step() bool {
 	isolated := 0
 	for _, h := range r.due {
 		if h&1 == 1 {
+			c.DeadlinePops++
 			isolated += r.sample(h>>1, now)
 		}
 	}
+	c.Isolated += uint64(isolated)
 	// Decide: controllers that declared themselves isolated run on
 	// private state only, so a due set worth the wake-up is spread over
 	// the decide width. Everything else is decided inline by the commit.
 	if s.decideWidth > 1 && isolated >= decideFanout {
+		c.Fanouts++
 		parallel.ForEachN((len(r.pend)+decideChunk-1)/decideChunk, s.decideWidth, r.decide)
 	}
 	// Commit, in part order: events, Apply to the session's own task,
@@ -219,7 +223,7 @@ func (r *queueRun) step() bool {
 				e.sess.Finish(end)
 				r.hz.remove(2*i + 1)
 				r.hz.remove(2 * i)
-				r.unlink(i)
+				r.unlink(int(i))
 			}
 		}
 		r.done = r.done[:0]
@@ -229,9 +233,11 @@ func (r *queueRun) step() bool {
 	// macro-step sizing — only what gets written differs.
 	if t := eng.Now(); t >= r.nextRecord {
 		if s.recMode != RecordOff {
-			sen := int32(len(s.parts))
-			for i := r.next[sen]; i != sen; i = r.next[i] {
-				s.recordPoint(r.tl, int(i), r.envs[i].h, t)
+			for w, word := range r.live {
+				for ; word != 0; word &= word - 1 {
+					i := w<<6 | bits.TrailingZeros64(word)
+					s.recordPoint(r.tl, i, r.envs[i].h, t)
+				}
 			}
 		}
 		r.nextRecord = t + s.record
@@ -254,7 +260,7 @@ func (r *queueRun) lifecycle(i int, now float64) {
 		if s.recMode == RecordFull {
 			s.reserveSeries(r.tl, i, now, r.until)
 		}
-		r.link(int32(i))
+		r.link(i)
 		e.sess.Start(now, e.p.Task.Setting())
 		r.hz.push(int32(2*i+1), e.sess.NextDeadline())
 		if e.p.Task.Done() {
@@ -277,14 +283,14 @@ func (r *queueRun) lifecycle(i int, now float64) {
 }
 
 // leave removes part i's task and closes its session, dropping all of
-// its heap entries and its live-list node.
+// its horizons and its live bit.
 func (r *queueRun) leave(i int, now float64) {
 	e := &r.s.parts[i]
 	r.s.eng.RemoveTask(e.p.Task.ID())
 	e.sess.Leave(now)
 	r.hz.remove(int32(2*i + 1))
 	r.hz.remove(int32(2 * i))
-	r.unlink(int32(i))
+	r.unlink(i)
 }
 
 // sample runs part i's sample step, queueing its tick for the commit;
@@ -334,8 +340,8 @@ func (r *queueRun) commit(p *pendingTick, now float64) {
 
 // batch sizes one macro-step: the number of consecutive ticks the
 // engine may take before the loop must regain control at the next
-// event horizon. The heap root bounds the loop-head times: at this
-// point the heap holds every pending join and leave, every live
+// event horizon. The queue's minimum bounds the loop-head times: at
+// this point the queue holds every pending join and leave, every live
 // session's post-Tick deadline, and the engine's estimate of the next
 // file-count event (advisory only: it can shorten a batch, since
 // RunTicks re-verifies each tick, never change results). The recording
@@ -359,21 +365,6 @@ func (r *queueRun) batch(now float64) int {
 	return k
 }
 
-// link inserts part i into the live list keeping ascending index
-// order. Fleets join in part order, so the common case is an O(1)
-// tail append; out-of-order joins walk back from the tail.
-func (r *queueRun) link(i int32) {
-	sen := int32(len(r.s.parts))
-	p := r.prev[sen]
-	for p != sen && p > i {
-		p = r.prev[p]
-	}
-	nx := r.next[p]
-	r.prev[i], r.next[i] = p, nx
-	r.next[p], r.prev[nx] = i, i
-}
-
-func (r *queueRun) unlink(i int32) {
-	p, nx := r.prev[i], r.next[i]
-	r.next[p], r.prev[nx] = nx, p
-}
+// link and unlink add part i to and drop it from the live set.
+func (r *queueRun) link(i int)   { r.live[i>>6] |= 1 << (i & 63) }
+func (r *queueRun) unlink(i int) { r.live[i>>6] &^= 1 << (i & 63) }

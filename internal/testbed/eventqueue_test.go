@@ -164,7 +164,7 @@ func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 	}
 }
 
-// heapOracle mirrors a horizonHeap as a flat membership table; due and
+// heapOracle mirrors a horizonQueue as a flat membership table; due and
 // min queries sort (key, handle) pairs the slow, obvious way.
 type heapOracle struct {
 	key []float64
@@ -205,15 +205,19 @@ func (o *heapOracle) size() int {
 	return n
 }
 
-// TestHorizonHeapProperty drives the indexed heap with a seeded random
-// sequence of push/update/remove/popDue operations against the
-// sorted-slice oracle. Keys are drawn from a small discrete set so key
-// ties are frequent and the (key, handle) tie-break is exercised on
-// nearly every pop.
+// TestHorizonHeapProperty drives the horizon queue with a seeded random
+// sequence of push/re-key/remove/popDue operations against the
+// sorted-slice oracle. Keys are drawn from a small discrete set — ±0
+// and ±Inf among them — so key ties are frequent and the (key, handle)
+// order within a group is exercised on nearly every pop; the stream
+// also floods hundreds of handles onto one key, scatters them over
+// hundreds of keys (so the key table's probe runs collide), re-keys
+// into existing and new groups, removes whole groups member by member,
+// and drains the queue to empty mid-stream.
 func TestHorizonHeapProperty(t *testing.T) {
-	const handles = 96
+	const handles = 600
 	rng := rand.New(rand.NewSource(20260808))
-	var h horizonHeap
+	var h horizonQueue
 	h.init(handles)
 	o := heapOracle{key: make([]float64, handles), in: make([]bool, handles)}
 
@@ -223,24 +227,45 @@ func TestHorizonHeapProperty(t *testing.T) {
 			t.Fatalf("step %d: heap len %d, oracle size %d", step, h.len(), o.size())
 		}
 		for hd := int32(0); hd < handles; hd++ {
-			p := h.pos[hd]
-			if (p >= 0) != o.in[hd] {
-				t.Fatalf("step %d: handle %d membership: heap %v, oracle %v", step, hd, p >= 0, o.in[hd])
+			g := h.grp[hd]
+			if (g >= 0) != o.in[hd] {
+				t.Fatalf("step %d: handle %d membership: queue %v, oracle %v", step, hd, g >= 0, o.in[hd])
 			}
-			if p >= 0 {
-				if h.heap[p] != hd {
-					t.Fatalf("step %d: pos[%d]=%d but heap[%d]=%d", step, hd, p, p, h.heap[p])
+			if g >= 0 && h.key[g] != o.key[hd] {
+				t.Fatalf("step %d: handle %d sits in group %d keyed %v, oracle key %v", step, hd, g, h.key[g], o.key[hd])
+			}
+		}
+		members := 0
+		for i, g := range h.heap {
+			if h.pos[g] != int32(i) {
+				t.Fatalf("step %d: pos[%d]=%d but heap[%d]=%d", step, g, h.pos[g], i, g)
+			}
+			if i > 0 && !h.less(h.heap[(i-1)/2], g) {
+				t.Fatalf("step %d: group heap order violated at index %d", step, i)
+			}
+			slot := h.slot(h.key[g])
+			for h.table[slot] != g {
+				if h.table[slot] < 0 {
+					t.Fatalf("step %d: group %d (key %v) missing from the key table", step, g, h.key[g])
 				}
-				if h.key[hd] != o.key[hd] {
-					t.Fatalf("step %d: handle %d key: heap %v, oracle %v", step, hd, h.key[hd], o.key[hd])
+				slot = (slot + 1) & (len(h.table) - 1)
+			}
+			h0 := h.head[g]
+			if h0 < 0 {
+				t.Fatalf("step %d: group %d (key %v) is empty", step, g, h.key[g])
+			}
+			for hd := h0; ; {
+				if h.grp[hd] != g {
+					t.Fatalf("step %d: handle %d on group %d's list belongs to group %d", step, hd, g, h.grp[hd])
+				}
+				members++
+				if hd = h.next[hd]; hd == h0 {
+					break
 				}
 			}
 		}
-		for i := 1; i < len(h.heap); i++ {
-			parent := h.heap[(i-1)/2]
-			if h.less(h.heap[i], parent) {
-				t.Fatalf("step %d: heap order violated at index %d", step, i)
-			}
+		if members != h.len() {
+			t.Fatalf("step %d: groups hold %d handles, len %d", step, members, h.len())
 		}
 		want, ok := o.min()
 		if got := h.minKey(); ok && got != want {
@@ -250,26 +275,74 @@ func TestHorizonHeapProperty(t *testing.T) {
 		}
 	}
 
-	randKey := func() float64 { return float64(rng.Intn(24)) / 4 }
-	var buf []int32
-	for step := 0; step < 6000; step++ {
+	randKey := func() float64 {
+		switch k := rng.Intn(30); k {
+		case 24:
+			return math.Copysign(0, -1)
+		case 25:
+			return math.Inf(-1)
+		case 26:
+			return math.Inf(1)
+		default:
+			return float64(k%24) / 4
+		}
+	}
+	present := func() (int32, bool) {
 		hd := int32(rng.Intn(handles))
-		switch rng.Intn(10) {
+		for k := 0; k < handles; k++ {
+			if o.in[(int(hd)+k)%handles] {
+				return int32((int(hd) + k) % handles), true
+			}
+		}
+		return 0, false
+	}
+	var buf []int32
+	for step := 0; step < 20000; step++ {
+		hd := int32(rng.Intn(handles))
+		switch rng.Intn(12) {
 		case 0, 1, 2, 3: // push (insert or re-key)
 			k := randKey()
 			h.push(hd, k)
 			o.key[hd], o.in[hd] = k, true
-		case 4: // update only if present, matching caller discipline
-			if h.pos[hd] >= 0 {
-				k := randKey()
-				h.update(hd, k)
-				o.key[hd] = k
+		case 4: // re-key a present handle into an existing group or a new one
+			if p, ok := present(); ok {
+				k := 100 + float64(step)
+				if q, ok := present(); ok && rng.Intn(2) == 0 {
+					k = o.key[q]
+				}
+				h.push(p, k)
+				o.key[p] = k
 			}
 		case 5, 6: // remove (absent handles must be a no-op)
 			h.remove(hd)
 			o.in[hd] = false
-		default: // popDue at a random cutoff
+		case 7: // remove a whole group, its last member included
+			if p, ok := present(); ok {
+				k := o.key[p]
+				for m := range o.in {
+					if o.in[m] && o.key[m] == k {
+						h.remove(int32(m))
+						o.in[m] = false
+					}
+				}
+			}
+		case 8: // flood hundreds of handles onto one key, or scatter them over hundreds
+			if rng.Intn(8) == 0 {
+				k, scatter := randKey(), rng.Intn(2) == 0
+				for m := 0; m < 300; m++ {
+					if scatter {
+						k = 200 + float64(rng.Intn(4000))/8
+					}
+					p := int32(rng.Intn(handles))
+					h.push(p, k)
+					o.key[p], o.in[p] = k, true
+				}
+			}
+		default: // popDue at a random cutoff; now and then a drain
 			now := randKey()
+			if rng.Intn(40) == 0 {
+				now = math.Inf(1)
+			}
 			buf = h.popDue(now, buf[:0])
 			want := o.sortedDue(now)
 			if !reflect.DeepEqual(append([]int32{}, buf...), append([]int32{}, want...)) {
@@ -283,7 +356,7 @@ func TestHorizonHeapProperty(t *testing.T) {
 			checkInvariants(step)
 		}
 	}
-	checkInvariants(6000)
+	checkInvariants(20000)
 
 	// Drain completely: the pop sequence must be the oracle's full
 	// (key, handle) sort, and the heap must end empty.
@@ -294,5 +367,35 @@ func TestHorizonHeapProperty(t *testing.T) {
 	}
 	if h.len() != 0 || h.minKey() != math.Inf(1) {
 		t.Fatalf("heap not empty after drain: len %d", h.len())
+	}
+}
+
+// TestHorizonQueueAllocatesNothing: once sized, the queue's steady
+// cycle — pop the due groups of a 10k-handle fleet, re-arm each popped
+// handle one interval on — allocates nothing, the key lookup included.
+func TestHorizonQueueAllocatesNothing(t *testing.T) {
+	const n = 10000
+	var q horizonQueue
+	q.init(n)
+	for hd := int32(0); hd < n; hd++ {
+		q.push(hd, float64(hd%12)*0.25)
+	}
+	buf := make([]int32, 0, n)
+	now := 0.0
+	cycle := func() {
+		buf = q.popDue(now, buf[:0])
+		for _, hd := range buf {
+			q.push(hd, now+3+0.25*float64(hd%49))
+		}
+		now += 0.25
+	}
+	for i := 0; i < 100; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(200, cycle); a != 0 {
+		t.Fatalf("steady push/pop cycle allocates %v per run, want 0", a)
+	}
+	if q.len() != n {
+		t.Fatalf("queue holds %d handles after the cycles, want %d", q.len(), n)
 	}
 }

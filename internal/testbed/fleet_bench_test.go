@@ -76,7 +76,7 @@ func benchFleetRun(b *testing.B, build func() *queueRun) {
 
 // BenchmarkFleetStep10k is the tentpole number: per-macro-step cost of
 // the event-queue scheduler over 10k sessions. Must run at 0 allocs/op
-// — the orchestration loop touches only preallocated heap, list, and
+// — the orchestration loop touches only preallocated queue, live-set and
 // series storage.
 func BenchmarkFleetStep10k(b *testing.B) { benchFleetStep(b, 10000) }
 
@@ -126,6 +126,43 @@ func BenchmarkFleetStep100k(b *testing.B) {
 				break
 			}
 		}
+	}
+}
+
+// BenchmarkFleetBlockJoins times the join window of a roster laid out
+// the way a scenario document expands it: 30k parts in three specs of
+// 10k, each spec's parts contiguous, joining 1 ms apart from offsets
+// 0, 0.3 and 0.6 ms — so consecutive joins come from different specs
+// and land far apart in part order. One op builds the scheduler
+// (untimed) and runs its 10 s join window with recording off; every
+// session joins inside it.
+func BenchmarkFleetBlockJoins(b *testing.B) {
+	const perSpec, stagger = 10000, 0.001
+	ds := dataset.Uniform("fleet-bench", 64, 400*int64(dataset.TB))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		eng, err := NewEngine(HPCLab(), 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s := NewScheduler(eng, 1)
+		s.SetRecording(RecordOff, nil)
+		s.Reserve(3 * perSpec)
+		for k := 0; k < 3; k++ {
+			for j := 0; j < perSpec; j++ {
+				task, err := transfer.NewTask(fmt.Sprintf("s%d-%d", k, j), ds,
+					transfer.Setting{Concurrency: 1 + j%4, Parallelism: 1, Pipelining: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := s.Add(Participant{Task: task, JoinAt: 0.0003*float64(k) + stagger*float64(j)}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.StartTimer()
+		s.Run(perSpec*stagger, 0.25)
 	}
 }
 

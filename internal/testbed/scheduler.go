@@ -140,6 +140,60 @@ type Scheduler struct {
 	// sample transfer is executed for a sufficient amount of time"
 	// (§3). Default 1 s; negative disables.
 	Warmup float64
+
+	counts Counts // the orchestration half of Counts
+}
+
+// Counts counts a scheduler's work over all its runs. Every popped
+// horizon is exactly one lifecycle pop, deadline pop or hint refresh.
+type Counts struct {
+	// LoopHeads is the number of macro-steps: each pops the horizons
+	// due at its head and advances the engine once.
+	LoopHeads uint64
+	// Horizons is the number of horizons popped, and HorizonGroups the
+	// number of distinct-time groups they were popped in.
+	Horizons      uint64
+	HorizonGroups uint64
+	// LifecyclePops are popped joins and leaves, DeadlinePops popped
+	// session decision/warm-up deadlines, HintRefreshes popped engine
+	// NextEvent estimates.
+	LifecyclePops uint64
+	DeadlinePops  uint64
+	HintRefreshes uint64
+	// Isolated is the number of decisions made by controllers that
+	// declared isolation; Fanouts the loop heads that spread them over
+	// the decide width.
+	Isolated uint64
+	Fanouts  uint64
+	// Ticks is the engine's per-tier tick counts.
+	Ticks TickCounts
+}
+
+// add returns the field-by-field sum of c and d.
+func (c Counts) add(d Counts) Counts {
+	return Counts{
+		LoopHeads:     c.LoopHeads + d.LoopHeads,
+		Horizons:      c.Horizons + d.Horizons,
+		HorizonGroups: c.HorizonGroups + d.HorizonGroups,
+		LifecyclePops: c.LifecyclePops + d.LifecyclePops,
+		DeadlinePops:  c.DeadlinePops + d.DeadlinePops,
+		HintRefreshes: c.HintRefreshes + d.HintRefreshes,
+		Isolated:      c.Isolated + d.Isolated,
+		Fanouts:       c.Fanouts + d.Fanouts,
+		Ticks: TickCounts{
+			Full:   c.Ticks.Full + d.Ticks.Full,
+			Retune: c.Ticks.Retune + d.Ticks.Retune,
+			Replay: c.Ticks.Replay + d.Ticks.Replay,
+		},
+	}
+}
+
+// Counts returns the scheduler's work counts, its engine's tick tiers
+// included.
+func (s *Scheduler) Counts() Counts {
+	c := s.counts
+	c.Ticks = s.eng.TickCounts()
+	return c
 }
 
 type schedEntry struct {
@@ -244,8 +298,8 @@ func (s *Scheduler) Add(p Participant) error {
 // Between those boundaries nothing observable can happen, so Run
 // advances the engine in one macro-step per loop iteration
 // (Engine.RunTicks) rather than regaining control every tick, and an
-// event queue (see eventqueue.go) — an indexed min-heap of horizons —
-// pops only the sessions whose deadlines are actually due, so per-step
+// event queue (see eventqueue.go) — a min-heap of horizons grouped by
+// distinct time — pops only the sessions whose deadlines are actually due, so per-step
 // orchestration cost scales with the due set rather than the fleet
 // size. The timelines and event streams are identical, event for
 // event, to the always-tick loop that ticks every live session and

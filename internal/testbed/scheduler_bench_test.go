@@ -28,7 +28,7 @@ func benchScheduler(b *testing.B) *Scheduler {
 // following BenchmarkSchedulerRunMinute: the scheduler and run are
 // built untimed and stepped past the join and warm-up epochs, so an op
 // is 300 s of pure orchestration plus simulation with every per-run
-// structure (horizon heap, live list, session/environment arenas,
+// structure (horizon queue, live set, session/environment arenas,
 // presized series) already in place — the op must stay at zero
 // allocs/op. With ref set the run is the always-tick reference loop
 // instead of Run's event-queue run.

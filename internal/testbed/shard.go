@@ -11,7 +11,7 @@ import (
 // participants routed over one bottleneck, the environment they share,
 // and the mutations that touch it. Tasks in different shards never
 // contend, so each shard runs on its own Engine (with its own
-// event-queue scheduler and horizon heap) and the shards can be stepped
+// event-queue scheduler and horizon queue) and the shards can be stepped
 // concurrently.
 type ShardSpec struct {
 	// Key identifies the shard's contention domain — for scenario-built
@@ -52,6 +52,8 @@ type ShardSet struct {
 	// Warmup is forwarded to every shard scheduler (see
 	// Scheduler.Warmup). Default 1 s.
 	Warmup float64
+
+	counts Counts // summed over every shard of every Run
 }
 
 // NewShardSet builds a sharded run over the given shard specs.
@@ -127,6 +129,10 @@ func (ss *ShardSet) DecideWidth() int {
 	return w / min(w, len(ss.shards))
 }
 
+// Counts returns the work counts of every shard scheduler the set has
+// run, summed.
+func (ss *ShardSet) Counts() Counts { return ss.counts }
+
 // Shards returns the number of shards.
 func (ss *ShardSet) Shards() int { return len(ss.shards) }
 
@@ -144,12 +150,15 @@ func (ss *ShardSet) Run(until, tick float64) (*Timeline, error) {
 		if err != nil {
 			return nil, err
 		}
-		return sched.Run(until, tick), nil
+		tl := sched.Run(until, tick)
+		ss.counts = ss.counts.add(sched.Counts())
+		return tl, nil
 	}
 
 	tls := make([]*Timeline, len(ss.shards))
 	bufs := make([][]session.Event, len(ss.shards))
 	errs := make([]error, len(ss.shards))
+	counts := make([]Counts, len(ss.shards))
 	capture := ss.events != nil || ss.logf != nil
 	parallel.ForEachN(len(ss.shards), ss.budget(), func(i int) {
 		var sink session.Sink
@@ -163,11 +172,15 @@ func (ss *ShardSet) Run(until, tick float64) (*Timeline, error) {
 			return
 		}
 		tls[i] = sched.Run(until, tick)
+		counts[i] = sched.Counts()
 	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
+	}
+	for _, c := range counts {
+		ss.counts = ss.counts.add(c)
 	}
 	if capture {
 		sink := session.MultiSink(ss.events, logEventSink(ss.logf))
