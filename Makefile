@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench bench-raw benchcheck memsmoke loadsmoke reproduce transparency verify
+.PHONY: build test race vet bench-raw benchsmoke benchcheck memsmoke reproduce transparency verify
 
 build:
 	$(GO) build ./...
@@ -14,14 +14,16 @@ race:
 vet:
 	$(GO) vet ./...
 
-# Benchmark sweep + end-to-end reproduce timing, recorded as JSON at
-# the repo root so perf changes land with reviewable numbers.
-bench:
-	$(GO) run ./cmd/simbench -out BENCH_sim.json
-
 # Raw hot-path benchmarks with allocation counts, for interactive use.
 bench-raw:
 	$(GO) test -run xxx -bench . -benchtime 1s ./internal/netsim/ ./internal/testbed/ ./internal/bayesopt/
+
+# Every benchmark in the module, run once. No name list, so a renamed
+# or new benchmark cannot drop out; the AllocsPerRun guards inside
+# benchmarks (BenchmarkAllocate1kFlows, …) run with them. The numbers
+# are the repo benchmark's job (BENCHMARK.json, benchmark/run.sh).
+benchsmoke:
+	$(GO) test -run='^$$' -bench=. -benchtime=1x ./...
 
 # Memory-regression smoke (run in CI), one run per road, each inside a
 # checked-in peak-heap budget of about twice its measured peak, so only
@@ -41,29 +43,23 @@ memsmoke:
 	$(GO) run ./cmd/fleet -n 10000 -duration 120 -stagger 0.001 -record aggregate -seed 1 -maxheap $(FLEET_HEAP_BUDGET)
 	$(GO) run ./cmd/fleet -scenario examples/scenarios/fleet-10k-flap.json -maxheap $(DOC_FLEET_HEAP_BUDGET)
 
-# Serving-path smoke (run in CI): a race-enabled load-generator run
-# against the in-process web service. -smoke asserts nonzero
-# throughput, zero request errors, at least one coalesce hit (the
-# single-flight path actually engaged), and every duplicate group
-# resolving to exactly one simulation with bitwise-equal results.
-loadsmoke:
-	$(GO) run -race ./cmd/falconload -inproc -n 120 -c 16 -workers 2 \
-		-hot 0.3 -unique 0.1 -dup 0.6 -dupwidth 6 -sse 0.3 -smoke
-
 # The repo benchmark (BENCHMARK.json, benchmark/) is a module of its
 # own, so `./...` from the root never reaches it: vet it and run its
-# unit tests and toy-size smoke of all four workloads here.
+# unit tests and toy-size smoke of all four workloads under the race
+# detector. The service-mix smoke is the serving path's load check:
+# concurrent clients, cache hits, duplicate pairs and SSE followers.
 benchcheck:
-	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	cd benchmark && $(GO) vet ./... && $(GO) test -race ./...
 
 reproduce:
 	$(GO) run ./cmd/reproduce
 
 # The byte-identity list: every test that pins a production path
 # against its test-side reference (the always-tick scheduler loop, the
-# per-flow water-fill) or against a checked-in golden, re-run twice
-# under the race detector. This list is the one place such a test is
-# added. CI calls the target.
+# per-flow water-fill, the Table 1 probe) or against a checked-in
+# golden, and every test that holds a benchmark to its 0 allocs/op
+# claim, re-run twice under the race detector. This list is the one
+# place such a test is added.
 RACE2 = $(GO) test -race -count=2 -run
 
 transparency:
@@ -76,14 +72,16 @@ transparency:
 	$(RACE2) 'TestMutationsTransparentAcrossModes|TestMutationsMemoTransparent' ./internal/testbed/
 	$(RACE2) 'TestRunTicksHonoursOutOfBandRetune|TestSettingsOnlyTicksTakeTheRetuneTier' ./internal/testbed/
 	$(RACE2) 'TestUndeclaredControllersStayOnTheShardGoroutine|TestParallelControllerPanicSurfacesOnDriver' ./internal/testbed/
+	$(RACE2) 'TestFleetStepAllocatesNothing|TestFleetStep10kAllocatesNothing|TestFleetRecordFull10kAllocatesNothing|TestSchedulerRunAllocatesNothing|TestRetuneTickAllocatesNothing' ./internal/testbed/
 	$(RACE2) 'TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault' ./internal/scenario/
-	$(RACE2) 'TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetWorkersTransparent' ./internal/experiments/
-	$(RACE2) 'TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant' ./internal/webservice/
+	$(RACE2) 'TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetWorkersTransparent|TestTable1MatchesProbe' ./internal/experiments/
+	$(RACE2) 'TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant|TestConcurrentDuplicatesRunOnce' ./internal/webservice/
 
-# Full gate: static checks, build, the race-enabled suite, the
-# transparency re-runs, the benchmark module's own checks, and every
+# The one gate, and CI's only step: the memory smoke, every benchmark
+# once, the benchmark module's own checks, the transparency re-runs,
+# then static checks, build, the race-enabled suite, and every
 # checked-in scenario document parsing AND compiling.
-verify: benchcheck transparency
+verify: memsmoke benchsmoke benchcheck transparency
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -218,8 +218,8 @@ func memoryStatus(stderr io.Writer, prefix string, heap, rss uint64, sessions in
 // jsonSummary is the -json line: the run's FleetSummary plus the
 // process-level figures. SessionsPerSec is simulated session-seconds
 // per wall second (session_seconds / wall: Σ over sessions of horizon −
-// join) — the same quantity the stderr line, simbench, and the repo
-// benchmark report under that name.
+// join) — the same quantity the stderr line reports, and the repo
+// benchmark reports as session_s_per_s.
 // CPUOverWall is the process's CPU seconds per wall second of the run:
 // read beside decide_width, it says whether a fleet is using the
 // machine or stepping on one core.

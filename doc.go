@@ -10,7 +10,7 @@
 // a real TCP transfer substrate in internal/ftp, and one runner per
 // paper figure/table in internal/experiments.
 //
-// The benchmarks in bench_test.go regenerate every table and figure of
-// the paper's evaluation; cmd/reproduce prints the same reports as a
-// CLI. See README.md, DESIGN.md, and EXPERIMENTS.md.
+// cmd/reproduce regenerates every table and figure of the paper's
+// evaluation as text, CSV and SVG reports, and the benchmark module in
+// benchmark/ times them. See README.md, DESIGN.md, and EXPERIMENTS.md.
 package repro

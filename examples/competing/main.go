@@ -14,6 +14,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/dataset"
@@ -70,5 +71,11 @@ func main() {
 	report("all three", 650, 750, "alice", "bob", "carol")
 	report("carol left", 900, 1000, "alice", "bob")
 
-	fmt.Printf("\nconcurrency timeline:\n%s", tl.Concurrency.ASCIIChart(72, 12))
+	// The chart's rows are padded to its width; trimming the padding
+	// lets the Example test pin them.
+	fmt.Println("\nconcurrency timeline:")
+	chart := strings.TrimRight(tl.Concurrency.ASCIIChart(72, 12), "\n")
+	for _, row := range strings.Split(chart, "\n") {
+		fmt.Println(strings.TrimRight(row, " "))
+	}
 }

@@ -7,6 +7,10 @@
 // discovers how many concurrent files to run. Run with:
 //
 //	go run ./examples/realftp
+//
+// Unlike the simulated examples this one has no Example test: it moves
+// real bytes for about 15 s, and what it prints depends on the
+// machine's timing, so there is no output to pin.
 package main
 
 import (

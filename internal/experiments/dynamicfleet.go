@@ -38,14 +38,16 @@ func FleetFlapDoc() *scenario.Document {
 	}
 }
 
-// DynamicFleet executes a scenario document with link mutations and
-// reports time-to-refairness: for every compiled link-capacity
-// horizon, the fleet-wide Jain index immediately before the change,
-// the deepest dip after it, and when (and whether) the fleet
-// re-converges to Jain ≥ 0.95 — the paper's online-tuning argument
-// quantified under a non-stationary network. workers is the run's
-// worker budget (scenario.ExecOptions.Workers): ≤1 serial, except 0,
-// the parallel harness default; the report never depends on it.
+// DynamicFleet executes a scenario document and reports
+// time-to-refairness: for every compiled link-capacity horizon, the
+// fleet-wide Jain index immediately before the change, the deepest dip
+// after it, and when (and whether) the fleet re-converges to Jain ≥
+// 0.95 — the paper's online-tuning argument quantified under a
+// non-stationary network. A document without link-capacity horizons
+// gets no rows, only the final-window Jain / aggregate note. workers is
+// the run's worker budget (scenario.ExecOptions.Workers): ≤1 serial,
+// except 0, the parallel harness default; the report never depends on
+// it.
 func DynamicFleet(doc *scenario.Document, workers int) (*Result, error) {
 	run, err := doc.Build()
 	if err != nil {
@@ -64,9 +66,6 @@ func DynamicFleet(doc *scenario.Document, workers int) (*Result, error) {
 		}
 	}
 	sort.SliceStable(events, func(i, j int) bool { return events[i].At < events[j].At })
-	if len(events) == 0 {
-		return nil, fmt.Errorf("dynamicfleet: scenario %q has no link mutations", doc.Name)
-	}
 	tl, err := run.Execute(scenario.ExecOptions{Workers: workers})
 	if err != nil {
 		return nil, err

@@ -64,13 +64,32 @@ func TestDynamicFleetSmoke(t *testing.T) {
 			t.Errorf("fleet never re-converged to Jain ≥ 0.95 after the t=%s horizon", row[0])
 		}
 	}
+}
 
-	// A schedule with no link mutations is an error, not a silent
-	// empty report.
-	still := &scenario.Document{Preset: "fleet", Agents: []scenario.AgentSpec{{Count: 2}},
-		Mutations: []scenario.MutationSpec{{At: 100, Kind: scenario.KindRTT, RTT: 0.05}}}
-	if _, err := DynamicFleet(still, 0); err == nil || !strings.Contains(err.Error(), "no link mutations") {
-		t.Fatalf("DynamicFleet without link mutations: err = %v", err)
+// TestDynamicFleetWithoutLinkMutations: a document with no mutations
+// (examples/scenarios/fleet-10k.json is one) runs to a report with no
+// refairness rows and the final-window Jain / aggregate note.
+func TestDynamicFleetWithoutLinkMutations(t *testing.T) {
+	doc := &scenario.Document{
+		Version:         scenario.Version,
+		Name:            "fleet-still",
+		Preset:          "fleet",
+		Seed:            1,
+		DurationSeconds: 120,
+		Agents: []scenario.AgentSpec{
+			{ID: "gd", Count: 4, Algorithm: "gd", JoinStagger: 2, MaxConcurrency: 8,
+				Dataset: &scenario.DatasetSpec{Label: "fleet"}},
+		},
+	}
+	res, err := DynamicFleet(doc, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 0 {
+		t.Fatalf("%d rows without link mutations, want 0: %v", len(res.Rows), res.Rows)
+	}
+	if len(res.Notes) != 1 || !strings.HasPrefix(res.Notes[0], "final window [100s, 120s]: Jain ") {
+		t.Fatalf("notes = %q, want the final-window note alone", res.Notes)
 	}
 }
 

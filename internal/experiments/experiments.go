@@ -1,12 +1,11 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§2, §3.1, §4). Each Fig*/Table* function runs the
 // corresponding experiment end-to-end on the simulated testbeds and
-// returns a Result whose rows mirror what the paper plots; the
-// root-level bench_test.go and cmd/reproduce expose them as benchmarks
-// and CLI reports. Absolute numbers come from our simulator, so the
-// comparisons of interest are the *shapes*: who wins, by what rough
-// factor, and where knees and crossovers fall. EXPERIMENTS.md records
-// paper-vs-measured for each.
+// returns a Result whose rows mirror what the paper plots;
+// cmd/reproduce prints them as CLI reports. Absolute numbers come from
+// our simulator, so the comparisons of interest are the *shapes*: who
+// wins, by what rough factor, and where knees and crossovers fall.
+// EXPERIMENTS.md records paper-vs-measured for each.
 package experiments
 
 import (

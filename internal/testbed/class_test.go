@@ -102,11 +102,25 @@ func TestAllocClassesCollapse(t *testing.T) {
 // concurrent tasks drawn from four settings (four flow classes) with
 // the allocator memo cleared before every tick, so every tick pays the
 // full demand-build + class water-fill. This is the regime cmd/fleet
-// runs in between decision epochs.
+// runs in between decision epochs. TestFleetStepAllocatesNothing holds
+// it at 0 allocs/op.
 func BenchmarkFleetStep(b *testing.B) {
+	eng := newClassFleetEngine(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.memoOK = false
+		eng.Step(0.25)
+	}
+}
+
+// newClassFleetEngine builds BenchmarkFleetStep's engine: 256 tasks in
+// four settings, stepped 40 ticks into steady state.
+func newClassFleetEngine(tb testing.TB) *Engine {
+	tb.Helper()
 	eng, err := NewEngine(HPCLab(), 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	settings := []int{2, 4, 6, 8}
 	for i := 0; i < 256; i++ {
@@ -114,19 +128,28 @@ func BenchmarkFleetStep(b *testing.B) {
 		task, err := transfer.NewTask(id, dataset.Uniform(id, 20000, 400*int64(dataset.TB)),
 			transfer.Setting{Concurrency: settings[i%len(settings)], Parallelism: 1, Pipelining: 1})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := eng.AddTask(task); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	for i := 0; i < 40; i++ {
 		eng.Step(0.25)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	return eng
+}
+
+// TestFleetStepAllocatesNothing: BenchmarkFleetStep's op, a full
+// demand-build and class water-fill with the memo cleared, makes no
+// heap allocation.
+func TestFleetStepAllocatesNothing(t *testing.T) {
+	eng := newClassFleetEngine(t)
+	step := func() {
 		eng.memoOK = false
 		eng.Step(0.25)
+	}
+	if a := testing.AllocsPerRun(20, step); a != 0 {
+		t.Fatalf("an unmemoised fleet step allocates %v times, want 0", a)
 	}
 }

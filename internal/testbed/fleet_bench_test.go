@@ -14,18 +14,18 @@ import (
 // sample intervals spread over 3–15 s, so each 0.25 s tick has a few
 // hundred deadlines due out of the full fleet — the regime where a loop
 // that visits every session per step would dwarf the due set.
-func newFleetBench(b *testing.B, n int, seed int64) *queueRun {
-	return newFleetBenchRecording(b, n, seed, 5, 600)
+func newFleetBench(tb testing.TB, n int, seed int64) *queueRun {
+	return newFleetBenchRecording(tb, n, seed, 5, 600)
 }
 
 // newFleetBenchRecording is newFleetBench with the recording interval
 // and the horizon (which sizes every series reservation) chosen by the
 // caller.
-func newFleetBenchRecording(b *testing.B, n int, seed int64, record, until float64) *queueRun {
-	b.Helper()
+func newFleetBenchRecording(tb testing.TB, n int, seed int64, record, until float64) *queueRun {
+	tb.Helper()
 	eng, err := NewEngine(HPCLab(), seed)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := NewScheduler(eng, record)
 	ds := dataset.Uniform("fleet-bench", 64, 400*int64(dataset.TB))
@@ -34,14 +34,14 @@ func newFleetBenchRecording(b *testing.B, n int, seed int64, record, until float
 		task, err := transfer.NewTask(fmt.Sprintf("t%d", i), ds,
 			transfer.Setting{Concurrency: settings[i%len(settings)], Parallelism: 1, Pipelining: 1})
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if err := s.Add(Participant{
 			Task:           task,
 			JoinAt:         float64(i%12) * 0.25,
 			SampleInterval: 3 + 0.25*float64(i%49),
 		}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	r := s.newQueueRun(until, 0.25)
@@ -77,8 +77,28 @@ func benchFleetRun(b *testing.B, build func() *queueRun) {
 // BenchmarkFleetStep10k is the tentpole number: per-macro-step cost of
 // the event-queue scheduler over 10k sessions. Must run at 0 allocs/op
 // — the orchestration loop touches only preallocated queue, live-set and
-// series storage.
+// series storage (TestFleetStep10kAllocatesNothing).
 func BenchmarkFleetStep10k(b *testing.B) { benchFleetStep(b, 10000) }
+
+// requireStepsAllocateNothing fails t unless a macro-step of r, once
+// warm, makes no heap allocation.
+func requireStepsAllocateNothing(t *testing.T, r *queueRun) {
+	t.Helper()
+	step := func() {
+		if !r.step() {
+			t.Fatal("run drained mid-measurement")
+		}
+	}
+	if a := testing.AllocsPerRun(40, step); a != 0 {
+		t.Fatalf("a macro-step allocates %v times, want 0", a)
+	}
+}
+
+// TestFleetStep10kAllocatesNothing: BenchmarkFleetStep10k's op makes
+// no heap allocation.
+func TestFleetStep10kAllocatesNothing(t *testing.T) {
+	requireStepsAllocateNothing(t, newFleetBench(t, 10000, 1))
+}
 
 // BenchmarkFleetRecordFull10k is BenchmarkFleetStep10k with the record
 // boundary inside every op: full recording at an interval of one tick,
@@ -87,9 +107,16 @@ func BenchmarkFleetStep10k(b *testing.B) { benchFleetStep(b, 10000) }
 // 60 s horizon keeps the reserved series at ~40 MB. Must run at
 // 0 allocs/op — every point
 // lands in reserved storage through the per-part series table, with no
-// by-name lookup.
+// by-name lookup (TestFleetRecordFull10kAllocatesNothing).
 func BenchmarkFleetRecordFull10k(b *testing.B) {
 	benchFleetRun(b, func() *queueRun { return newFleetBenchRecording(b, 10000, 1, 0.25, 60) })
+}
+
+// TestFleetRecordFull10kAllocatesNothing: BenchmarkFleetRecordFull10k's
+// op, a macro-step that appends every session's points, makes no heap
+// allocation.
+func TestFleetRecordFull10kAllocatesNothing(t *testing.T) {
+	requireStepsAllocateNothing(t, newFleetBenchRecording(t, 10000, 1, 0.25, 60))
 }
 
 // BenchmarkFleetStep1k pins the scaling story beside

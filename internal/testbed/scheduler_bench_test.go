@@ -9,64 +9,45 @@ import (
 // same orchestration shape cmd/reproduce's timeline figures run, with
 // endless transfers so the run measures steady-state orchestration
 // rather than completion bookkeeping.
-func benchScheduler(b *testing.B) *Scheduler {
-	b.Helper()
+func benchScheduler(tb testing.TB) *Scheduler {
+	tb.Helper()
 	eng, err := NewEngine(HPCLab(), 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	s := NewScheduler(eng, 1)
 	for i := 0; i < 3; i++ {
 		if err := s.Add(Participant{Task: bigTask(fmt.Sprintf("t%d", i), 8)}); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	return s
 }
 
-// benchSteadyRun drives the three-agent scenario in the steady state,
-// following BenchmarkSchedulerRunMinute: the scheduler and run are
-// built untimed and stepped past the join and warm-up epochs, so an op
-// is 300 s of pure orchestration plus simulation with every per-run
-// structure (horizon queue, live set, session/environment arenas,
-// presized series) already in place — the op must stay at zero
-// allocs/op. With ref set the run is the always-tick reference loop
-// instead of Run's event-queue run.
-func benchSteadyRun(b *testing.B, ref bool) {
-	type fixture struct {
-		eng *Engine
-		run interface{ step() bool }
+// steadyUntil is a day of simulated headroom per steady-run fixture.
+const steadyUntil = 86400.0
+
+// newSteadyRun builds the three-agent scenario's event-queue run and
+// steps it past the join and warm-up epochs, following
+// BenchmarkSchedulerRunMinute: every per-run structure (horizon queue,
+// live set, session/environment arenas, presized series) is already in
+// place, so 300 s more of orchestration plus simulation must make no
+// heap allocation.
+func newSteadyRun(tb testing.TB) *queueRun {
+	tb.Helper()
+	r := benchScheduler(tb).newQueueRun(steadyUntil, 0.25)
+	for r.s.eng.Now() < 20 {
+		r.step()
 	}
-	// A day of simulated headroom per fixture; the run is rebuilt
-	// (untimed) when the horizon drains mid-benchmark.
-	const until = 86400.0
-	build := func() fixture {
-		s := benchScheduler(b)
-		var r interface{ step() bool }
-		if ref {
-			r = newRefRun(s, until, 0.25, false)
-		} else {
-			r = s.newQueueRun(until, 0.25)
-		}
-		for s.eng.Now() < 20 {
-			r.step()
-		}
-		return fixture{eng: s.eng, run: r}
-	}
-	f := build()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if f.eng.Now()+300 > until {
-			b.StopTimer()
-			f = build()
-			b.StartTimer()
-		}
-		target := f.eng.Now() + 300
-		for f.eng.Now() < target {
-			if !f.run.step() {
-				b.Fatal("run drained mid-benchmark")
-			}
+	return r
+}
+
+// stepSteadyRun advances r by 300 simulated seconds.
+func stepSteadyRun(tb testing.TB, r *queueRun) {
+	target := r.s.eng.Now() + 300
+	for r.s.eng.Now() < target {
+		if !r.step() {
+			tb.Fatal("run drained mid-benchmark")
 		}
 	}
 }
@@ -75,15 +56,26 @@ func benchSteadyRun(b *testing.B, ref bool) {
 // three-agent scenario on the default event-horizon stepping path:
 // session ticks only at decision and warm-up deadlines, engine ticks
 // batched up to the next horizon and taken as retune or replay ticks.
+// TestSchedulerRunAllocatesNothing holds it at 0 allocs/op.
 func BenchmarkSchedulerRun(b *testing.B) {
-	benchSteadyRun(b, false)
+	r := newSteadyRun(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if r.s.eng.Now()+300 > steadyUntil {
+			b.StopTimer()
+			r = newSteadyRun(b)
+			b.StartTimer()
+		}
+		stepSteadyRun(b, r)
+	}
 }
 
-// BenchmarkSchedulerRunExact measures the identical 300 s on the
-// always-tick reference loop: every session ticked and a full engine
-// Step taken on every 0.25 s tick. The ratio to BenchmarkSchedulerRun
-// is the stepping layer's speedup; the outputs are byte-identical (see
-// TestEventHorizonSteppingIsTransparent).
-func BenchmarkSchedulerRunExact(b *testing.B) {
-	benchSteadyRun(b, true)
+// TestSchedulerRunAllocatesNothing: BenchmarkSchedulerRun's op, 300 s
+// of the steady three-agent run, makes no heap allocation.
+func TestSchedulerRunAllocatesNothing(t *testing.T) {
+	r := newSteadyRun(t)
+	if a := testing.AllocsPerRun(20, func() { stepSteadyRun(t, r) }); a != 0 {
+		t.Fatalf("300 s of the steady run allocates %v times, want 0", a)
+	}
 }
