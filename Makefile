@@ -60,22 +60,34 @@ reproduce:
 # golden, and every test that holds a benchmark to its 0 allocs/op
 # claim, re-run twice under the race detector. This list is the one
 # place such a test is added.
-RACE2 = $(GO) test -race -count=2 -run
+#
+# race2 checks every |-separated name in $(1) against `go test -list`
+# for package $(2), then re-runs the names twice under the race
+# detector. The check fails on a name that is no test: `-run` alone
+# passes when it matches nothing, so a renamed or deleted test would
+# silently drop out of the list.
+define race2
+@tests=$$($(GO) test -list . $(2)) || exit 1; \
+for n in $$(echo '$(1)' | tr '|' ' '); do \
+	echo "$$tests" | grep -qx "$$n" || { echo "transparency: $(2) has no test $$n" >&2; exit 1; }; \
+done
+$(GO) test -race -count=2 -run '$(1)' $(2)
+endef
 
 transparency:
-	$(RACE2) TestPredictIntoMatchesPredict ./internal/bayesopt/
-	$(RACE2) 'TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls' ./internal/netsim/
-	$(RACE2) 'TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestCapacityGeneration|TestRetuneMatchesFreshAllocation' ./internal/netsim/
-	$(RACE2) TestTickEqualsPhases ./internal/session/
-	$(RACE2) 'TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestQueueLiveListUnderChurn|TestHorizonHeapProperty|TestHorizonQueueAllocatesNothing|TestSchedulerCountsPinned' ./internal/testbed/
-	$(RACE2) 'TestAllocMemoIsTransparent|TestClassAllocIsTransparent|TestRecordModesEngineTransparent|TestEventIndexAndSeriesByPart' ./internal/testbed/
-	$(RACE2) 'TestMutationsTransparentAcrossModes|TestMutationsMemoTransparent' ./internal/testbed/
-	$(RACE2) 'TestRunTicksHonoursOutOfBandRetune|TestSettingsOnlyTicksTakeTheRetuneTier' ./internal/testbed/
-	$(RACE2) 'TestUndeclaredControllersStayOnTheShardGoroutine|TestParallelControllerPanicSurfacesOnDriver' ./internal/testbed/
-	$(RACE2) 'TestFleetStepAllocatesNothing|TestFleetStep10kAllocatesNothing|TestFleetRecordFull10kAllocatesNothing|TestSchedulerRunAllocatesNothing|TestRetuneTickAllocatesNothing' ./internal/testbed/
-	$(RACE2) 'TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault' ./internal/scenario/
-	$(RACE2) 'TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetWorkersTransparent|TestTable1MatchesProbe' ./internal/experiments/
-	$(RACE2) 'TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant|TestConcurrentDuplicatesRunOnce' ./internal/webservice/
+	$(call race2,TestPredictIntoMatchesPredict,./internal/bayesopt/)
+	$(call race2,TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls,./internal/netsim/)
+	$(call race2,TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestRetuneMatchesFreshAllocation,./internal/netsim/)
+	$(call race2,TestTickEqualsPhases,./internal/session/)
+	$(call race2,TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestQueueLiveListUnderChurn|TestHorizonHeapProperty|TestHorizonQueueAllocatesNothing|TestSchedulerCountsPinned,./internal/testbed/)
+	$(call race2,TestTieredRunMatchesPerTickReference|TestClassAllocIsTransparent|TestRecordModesEngineTransparent|TestEventIndexAndSeriesByPart,./internal/testbed/)
+	$(call race2,TestMutationsTransparentAcrossModes,./internal/testbed/)
+	$(call race2,TestRunTicksHonoursOutOfBandRetune|TestSettingsOnlyTicksTakeTheRetuneTier|TestRetuneRefillsWhenOnlyCapacitiesMove,./internal/testbed/)
+	$(call race2,TestUndeclaredControllersStayOnTheShardGoroutine|TestParallelControllerPanicSurfacesOnDriver,./internal/testbed/)
+	$(call race2,TestFleetStepAllocatesNothing|TestFleetStep10kAllocatesNothing|TestFleetRecordFull10kAllocatesNothing|TestSchedulerRunAllocatesNothing|TestRetuneTickAllocatesNothing,./internal/testbed/)
+	$(call race2,TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault,./internal/scenario/)
+	$(call race2,TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetWorkersTransparent|TestTable1MatchesProbe,./internal/experiments/)
+	$(call race2,TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant|TestConcurrentDuplicatesRunOnce,./internal/webservice/)
 
 # The one gate, and CI's only step: the memory smoke, every benchmark
 # once, the benchmark module's own checks, the transparency re-runs,

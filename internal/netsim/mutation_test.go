@@ -8,36 +8,13 @@ import (
 	"testing"
 )
 
-// TestCapacityGeneration pins the generation counter's contract: it
-// bumps on every capacity-changing SetCapacity and stays put on
-// idempotent sets. The testbed engine re-asserts unchanged contention
-// caps every tick and folds the generation into its allocator memo, so
-// an idempotent bump would silently disable memoization.
-func TestCapacityGeneration(t *testing.T) {
-	n := singleLinkNet(100 * mbps)
-	g0 := n.CapacityGeneration()
-	n.SetCapacity("link", 100*mbps) // idempotent
-	if n.CapacityGeneration() != g0 {
-		t.Fatal("idempotent SetCapacity bumped the generation")
-	}
-	n.SetCapacity("link", 50*mbps)
-	if n.CapacityGeneration() != g0+1 {
-		t.Fatalf("generation = %d after a change, want %d", n.CapacityGeneration(), g0+1)
-	}
-	n.SetCapacity("link", 50*mbps) // idempotent again
-	n.SetCapacity("link", 100*mbps)
-	if n.CapacityGeneration() != g0+2 {
-		t.Fatalf("generation = %d after change/idempotent/change, want %d", n.CapacityGeneration(), g0+2)
-	}
-}
-
 // TestMutatedAllocationMatchesFreshNetwork is the seeded property test
 // for mid-run capacity mutation: a long-lived network that interleaves
 // SetCapacity with AllocateDense (exercising the incremental class
 // partition and cached tables) must allocate exactly like a network
 // freshly built at the current capacities every round. If a stale
-// memoized fill or class table survived a capacity change, the two
-// would diverge.
+// fill or class table survived a capacity change, the two would
+// diverge.
 func TestMutatedAllocationMatchesFreshNetwork(t *testing.T) {
 	const (
 		resources = 4

@@ -30,9 +30,9 @@
 // computation; the package tests keep that per-flow fill as the
 // reference the class fill is checked against bitwise.
 //
-// The model is stateless in its observable behaviour: Allocate maps a
-// set of flow demands to rates and loss estimates, and the same inputs
-// always produce the same outputs. Internally the Network owns a
+// The model is stateless in its observable behaviour: AllocateDense
+// maps a set of flow demands to rates and loss estimates, and the same
+// inputs always produce the same outputs. Internally the Network owns a
 // scratch arena of integer-indexed buffers reused across calls — and a
 // partition cache that survives across calls, revalidating and
 // reassigning only the demands whose signature changed since the
@@ -95,7 +95,8 @@ type Resource struct {
 
 // Demand describes one flow (one TCP connection) requesting bandwidth.
 type Demand struct {
-	// FlowID identifies the flow in the returned Allocation.
+	// FlowID names the flow; it must be non-empty and unique within one
+	// allocation call. Results are positional (see DenseAllocation).
 	FlowID string
 	// Resources lists the IDs of every resource the flow traverses.
 	Resources []string
@@ -125,25 +126,18 @@ func weightOf(w int) float64 {
 	return float64(w)
 }
 
-// Allocation is the result of a max-min computation.
-type Allocation struct {
-	// Rate maps FlowID to the allocated rate in bits/s.
-	Rate map[string]float64
-	// Loss maps FlowID to the estimated packet-loss fraction in [0,1].
-	Loss map[string]float64
+// DenseAllocation is the result of a max-min computation, indexed by
+// position: Rate[i] and Loss[i] belong to the i-th demand of the
+// AllocateDense call (or Refill) that produced it. Positions rather
+// than FlowID maps keep the fleet-scale path to two float stores per
+// flow.
+type DenseAllocation struct {
+	// Rate is each flow's allocated rate in bits/s.
+	Rate []float64
+	// Loss is each flow's estimated packet-loss fraction in [0,1].
+	Loss []float64
 	// Saturated lists the IDs of resources whose capacity is fully
 	// consumed, in sorted order.
-	Saturated []string
-}
-
-// DenseAllocation is the slice-indexed form of Allocation: Rate[i] and
-// Loss[i] correspond to the i-th demand of the AllocateDense call that
-// produced it. It skips the map materialisation entirely, which
-// matters at fleet scale where writing thousands of map entries per
-// step would dwarf the class water-fill itself.
-type DenseAllocation struct {
-	Rate      []float64
-	Loss      []float64
 	Saturated []string
 }
 
@@ -246,56 +240,25 @@ type scratch struct {
 	seen map[string]bool
 }
 
-func growFloats(s []float64, n int) []float64 {
+// growZero resizes s to n zeroed elements, reusing its backing array
+// when it is large enough.
+func growZero[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
+	clear(s)
 	return s
 }
 
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
-	return s
-}
-
-func growInts(s []int, n int) []int {
-	if cap(s) < n {
-		return make([]int, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-// grow resizes s to n elements preserving existing content (unlike the
-// zeroing grow* helpers above); elements beyond the preserved prefix
-// are unspecified and must be overwritten by the caller.
+// grow resizes s to n elements preserving existing content (unlike
+// growZero); elements beyond the preserved prefix are unspecified and
+// must be overwritten by the caller.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
 		g := make([]T, n)
 		copy(g, s)
 		return g
-	}
-	return s[:n]
-}
-
-// resizeFloats resizes without zeroing, for buffers the caller fully
-// overwrites.
-func resizeFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
 	}
 	return s[:n]
 }
@@ -307,14 +270,6 @@ type Network struct {
 	loss    LossModel
 	scr     scratch
 	classes int // live class count of the most recent allocation
-	// capGen counts capacity changes (SetCapacity calls that alter a
-	// resource's capacity; idempotent sets don't count). Allocation
-	// itself reads capacities fresh on every call — the partition cache
-	// keys on demand signatures only, never on capacities — but callers
-	// that memoize whole allocations (the testbed engine) fold this
-	// counter into their memo key so a mid-run capacity mutation
-	// deterministically invalidates the cached fill.
-	capGen uint64
 }
 
 // New returns an empty network with the default loss model.
@@ -358,8 +313,9 @@ func (n *Network) AddResource(r Resource) {
 }
 
 // SetCapacity adjusts a resource's capacity (used by testbeds to model
-// contention-dependent storage capacity). It panics if the resource
-// does not exist or capacity is not positive.
+// contention-dependent storage capacity). Every fill reads capacities
+// afresh, so the next allocation call or Refill sees it. It panics if
+// the resource does not exist or capacity is not positive.
 func (n *Network) SetCapacity(id string, capacity float64) {
 	i, ok := n.index[id]
 	if !ok {
@@ -368,19 +324,8 @@ func (n *Network) SetCapacity(id string, capacity float64) {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("netsim: resource %q capacity %v must be positive", id, capacity))
 	}
-	if n.resList[i].Capacity != capacity {
-		n.resList[i].Capacity = capacity
-		n.capGen++
-	}
+	n.resList[i].Capacity = capacity
 }
-
-// CapacityGeneration returns a counter incremented by every
-// SetCapacity call that changes a capacity. Two allocations bracketing
-// an unchanged counter saw identical capacities, so allocation memos
-// keyed on demands plus this counter can never replay a fill across a
-// capacity mutation. Idempotent sets don't bump it, so per-tick
-// refreshes of unchanged contention capacities keep memos live.
-func (n *Network) CapacityGeneration() uint64 { return n.capGen }
 
 // Resource returns a copy of the resource with the given ID.
 func (n *Network) Resource(id string) (Resource, bool) {
@@ -391,64 +336,20 @@ func (n *Network) Resource(id string) (Resource, bool) {
 	return n.resList[i], true
 }
 
-// Allocate computes the max-min fair allocation for the given demands
-// and estimates per-flow loss. It returns an error if any demand
-// references an unknown resource, duplicates a FlowID, or has a
-// non-positive cap.
-func (n *Network) Allocate(demands []Demand) (*Allocation, error) {
-	alloc := &Allocation{
-		Rate: make(map[string]float64, len(demands)),
-		Loss: make(map[string]float64, len(demands)),
-	}
-	if err := n.AllocateInto(alloc, demands); err != nil {
-		return nil, err
-	}
-	return alloc, nil
-}
-
-// AllocateInto is Allocate writing its result into a caller-owned
-// Allocation whose maps and slice are reused across calls, so the
-// steady-state path allocates nothing. The result is valid until the
-// next AllocateInto with the same receiver. A nil-map Allocation is
-// initialised on first use.
-func (n *Network) AllocateInto(alloc *Allocation, demands []Demand) error {
-	if alloc.Rate == nil {
-		alloc.Rate = make(map[string]float64, len(demands))
-	} else {
-		clear(alloc.Rate)
-	}
-	if alloc.Loss == nil {
-		alloc.Loss = make(map[string]float64, len(demands))
-	} else {
-		clear(alloc.Loss)
-	}
-	alloc.Saturated = alloc.Saturated[:0]
-	if len(demands) == 0 {
-		n.allocateEmpty()
-		return nil
-	}
-	if err := n.allocateCore(demands, &alloc.Saturated); err != nil {
-		return err
-	}
-	s := &n.scr
-	for i := range demands {
-		c := s.classOf[i]
-		alloc.Rate[demands[i].FlowID] = s.rates[c]
-		alloc.Loss[demands[i].FlowID] = s.clsLoss[c]
-	}
-	return nil
-}
-
-// AllocateDense is AllocateInto without the per-flow maps: results are
-// written positionally, Rate[i]/Loss[i] for demands[i]. This is the
-// engine's hot path — expanding class results to per-flow values is
-// two float stores per flow instead of two map insertions.
+// AllocateDense computes the max-min fair allocation for the given
+// demands and estimates per-flow loss, writing Rate[i] and Loss[i] for
+// demands[i] into d, whose slices are reused across calls. It returns
+// an error if any demand references an unknown resource, has an empty
+// or duplicate FlowID, a non-positive cap or a negative weight.
 func (n *Network) AllocateDense(d *DenseAllocation, demands []Demand) error {
 	d.Saturated = d.Saturated[:0]
 	if len(demands) == 0 {
+		// No classes, and a partition cache that no longer describes
+		// the previous call, so Retune refuses until the next call.
 		d.Rate = d.Rate[:0]
 		d.Loss = d.Loss[:0]
-		n.allocateEmpty()
+		n.classes = 0
+		n.scr.prevOK = false
 		return nil
 	}
 	if err := n.allocateCore(demands, &d.Saturated); err != nil {
@@ -458,20 +359,12 @@ func (n *Network) AllocateDense(d *DenseAllocation, demands []Demand) error {
 	return nil
 }
 
-// allocateEmpty records an allocation over no demands: no classes, and
-// a partition cache that no longer describes the previous call, so
-// Retune refuses until the next non-empty one.
-func (n *Network) allocateEmpty() {
-	n.classes = 0
-	n.scr.prevOK = false
-}
-
 // expandDense writes the per-class results of the partition's prevN
 // demands to d positionally.
 func (n *Network) expandDense(d *DenseAllocation) {
 	s := &n.scr
-	d.Rate = resizeFloats(d.Rate, s.prevN)
-	d.Loss = resizeFloats(d.Loss, s.prevN)
+	d.Rate = grow(d.Rate, s.prevN)
+	d.Loss = grow(d.Loss, s.prevN)
 	for i := range d.Rate {
 		c := s.classOf[i]
 		d.Rate[i] = s.rates[c]
@@ -671,8 +564,8 @@ func (n *Network) allocateCore(demands []Demand, satOut *[]string) error {
 			s.clsCount[c]--
 		}
 	} else {
-		s.clsW = growFloats(s.clsW, len(s.clsCap))
-		s.clsCount = growInts(s.clsCount, len(s.clsCap))
+		s.clsW = growZero(s.clsW, len(s.clsCap))
+		s.clsCount = growZero(s.clsCount, len(s.clsCap))
 		k = 0
 	}
 	s.classOf = grow(s.classOf, nd)
@@ -733,12 +626,12 @@ func (n *Network) fill(satOut *[]string) {
 	// charged once per resource per fill level, so the computation is
 	// independent of how flows are grouped into classes.
 	nr := len(n.resList)
-	s.used = growFloats(s.used, nr)
+	s.used = growZero(s.used, nr)
 	for ri := range s.used {
 		s.used[ri] = n.resList[ri].Capacity - s.remaining[ri]
 	}
 	const satTol = 1e-6
-	s.sat = growBools(s.sat, nr)
+	s.sat = growZero(s.sat, nr)
 	for ri, u := range s.used {
 		if u >= n.resList[ri].Capacity*(1-satTol) {
 			s.sat[ri] = true
@@ -750,7 +643,7 @@ func (n *Network) fill(satOut *[]string) {
 	// Per saturated link, the fair share is the largest per-flow rate
 	// among the flows crossing it: the rate the link's own congestion
 	// feedback imposes on flows it actually limits.
-	s.fairShare = growFloats(s.fairShare, nr)
+	s.fairShare = growZero(s.fairShare, nr)
 	for c := 0; c < nc; c++ {
 		if s.clsCount[c] == 0 {
 			continue
@@ -768,7 +661,7 @@ func (n *Network) fill(satOut *[]string) {
 	// link fair share) do not fill the queue and see only the base loss
 	// floor, as do all flows on unsaturated links.
 	const fsTol = 1e-6
-	s.clsLoss = growFloats(s.clsLoss, nc)
+	s.clsLoss = growZero(s.clsLoss, nc)
 	for c := 0; c < nc; c++ {
 		if s.clsCount[c] == 0 {
 			continue
@@ -813,9 +706,7 @@ func (n *Network) resetClasses() {
 	s.clsOff = s.clsOff[:0]
 	s.clsW = s.clsW[:0]
 	s.clsCount = s.clsCount[:0]
-	for i := range s.tab {
-		s.tab[i] = 0
-	}
+	clear(s.tab)
 	s.prevOK = false
 }
 
@@ -851,9 +742,7 @@ func (n *Network) ensureTable(need int) {
 	}
 	if cap(s.tab) >= size {
 		s.tab = s.tab[:size]
-		for i := range s.tab {
-			s.tab[i] = 0
-		}
+		clear(s.tab)
 		s.tabHash = s.tabHash[:size]
 	} else {
 		s.tab = make([]int32, size)
@@ -941,23 +830,21 @@ func (n *Network) classFor(span []int, capacity, rtt float64) int {
 func (n *Network) classWaterFill(nc int) {
 	nr := len(n.resList)
 	s := &n.scr
-	s.rates = growFloats(s.rates, nc)
-	s.frozen = growBools(s.frozen, nc)
+	s.rates = growZero(s.rates, nc)
+	s.frozen = growZero(s.frozen, nc)
 	for c := 0; c < nc; c++ {
 		s.frozen[c] = s.clsCount[c] == 0
 	}
-	s.remaining = growFloats(s.remaining, nr)
-	s.weight = growFloats(s.weight, nr)
-	s.exhausted = growBools(s.exhausted, nr)
+	s.remaining = growZero(s.remaining, nr)
+	s.weight = growZero(s.weight, nr)
+	s.exhausted = growZero(s.exhausted, nr)
 	for ri := range n.resList {
 		s.remaining[ri] = n.resList[ri].Capacity
 	}
 
 	for iter := 0; iter < nc+nr+1; iter++ {
 		// Active weight per resource.
-		for ri := range s.weight {
-			s.weight[ri] = 0
-		}
+		clear(s.weight)
 		for c := 0; c < nc; c++ {
 			if s.frozen[c] {
 				continue

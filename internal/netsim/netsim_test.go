@@ -22,6 +22,12 @@ func demand(id string, cap float64, rtt float64, res ...string) Demand {
 	return Demand{FlowID: id, Resources: res, Cap: cap, RTT: rtt}
 }
 
+// allocate is AllocateDense into a fresh result.
+func allocate(n *Network, ds []Demand) (*DenseAllocation, error) {
+	a := &DenseAllocation{}
+	return a, n.AllocateDense(a, ds)
+}
+
 func TestResourceKindString(t *testing.T) {
 	cases := map[ResourceKind]string{Link: "link", NIC: "nic", Storage: "storage", CPU: "cpu", ResourceKind(9): "ResourceKind(9)"}
 	for k, want := range cases {
@@ -80,11 +86,11 @@ func TestSetCapacity(t *testing.T) {
 
 func TestAllocateEmptyDemands(t *testing.T) {
 	n := singleLinkNet(100 * mbps)
-	a, err := n.Allocate(nil)
+	a, err := allocate(n, nil)
 	if err != nil {
-		t.Fatalf("Allocate: %v", err)
+		t.Fatalf("AllocateDense: %v", err)
 	}
-	if len(a.Rate) != 0 || len(a.Saturated) != 0 {
+	if len(a.Rate) != 0 || len(a.Loss) != 0 || len(a.Saturated) != 0 {
 		t.Fatal("empty allocation not empty")
 	}
 }
@@ -101,37 +107,37 @@ func TestAllocateValidation(t *testing.T) {
 		{"unknown resource", []Demand{demand("f", 1, 0.03, "ghost")}},
 	}
 	for _, c := range cases {
-		if _, err := n.Allocate(c.d); err == nil {
-			t.Errorf("%s: Allocate did not error", c.name)
+		if _, err := allocate(n, c.d); err == nil {
+			t.Errorf("%s: AllocateDense did not error", c.name)
 		}
 	}
 }
 
 func TestSingleFlowCappedByOwnLimit(t *testing.T) {
 	n := singleLinkNet(100 * mbps)
-	a, err := n.Allocate([]Demand{demand("f", 10*mbps, 0.03, "link")})
+	a, err := allocate(n, []Demand{demand("f", 10*mbps, 0.03, "link")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate["f"]; math.Abs(got-10*mbps) > 1 {
+	if got := a.Rate[0]; math.Abs(got-10*mbps) > 1 {
 		t.Fatalf("rate = %v, want 10 Mbps", got)
 	}
 	if len(a.Saturated) != 0 {
 		t.Fatalf("saturated = %v, want none", a.Saturated)
 	}
 	// Unsaturated link: only base loss.
-	if l := a.Loss["f"]; l > 1e-3 {
+	if l := a.Loss[0]; l > 1e-3 {
 		t.Fatalf("loss = %v, want ≈ base", l)
 	}
 }
 
 func TestSingleFlowCappedByLink(t *testing.T) {
 	n := singleLinkNet(100 * mbps)
-	a, err := n.Allocate([]Demand{demand("f", 1*gbps, 0.03, "link")})
+	a, err := allocate(n, []Demand{demand("f", 1*gbps, 0.03, "link")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate["f"]; math.Abs(got-100*mbps) > 100 {
+	if got := a.Rate[0]; math.Abs(got-100*mbps) > 100 {
 		t.Fatalf("rate = %v, want 100 Mbps", got)
 	}
 	if len(a.Saturated) != 1 || a.Saturated[0] != "link" {
@@ -145,12 +151,12 @@ func TestEqualSharingOnSaturatedLink(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		ds = append(ds, demand(fmt.Sprintf("f%d", i), 1*gbps, 0.03, "link"))
 	}
-	a, err := n.Allocate(ds)
+	a, err := allocate(n, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range ds {
-		if got := a.Rate[d.FlowID]; math.Abs(got-25*mbps) > 1e3 {
+	for i, d := range ds {
+		if got := a.Rate[i]; math.Abs(got-25*mbps) > 1e3 {
 			t.Fatalf("rate[%s] = %v, want 25 Mbps", d.FlowID, got)
 		}
 	}
@@ -164,16 +170,16 @@ func TestMaxMinWithHeterogeneousCaps(t *testing.T) {
 		demand("big1", 1*gbps, 0.03, "link"),
 		demand("big2", 1*gbps, 0.03, "link"),
 	}
-	a, err := n.Allocate(ds)
+	a, err := allocate(n, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate["small"]; math.Abs(got-10*mbps) > 1e3 {
+	if got := a.Rate[0]; math.Abs(got-10*mbps) > 1e3 {
 		t.Fatalf("small = %v, want 10 Mbps", got)
 	}
-	for _, id := range []string{"big1", "big2"} {
-		if got := a.Rate[id]; math.Abs(got-45*mbps) > 1e3 {
-			t.Fatalf("%s = %v, want 45 Mbps", id, got)
+	for i := 1; i < 3; i++ {
+		if got := a.Rate[i]; math.Abs(got-45*mbps) > 1e3 {
+			t.Fatalf("%s = %v, want 45 Mbps", ds[i].FlowID, got)
 		}
 	}
 }
@@ -184,16 +190,16 @@ func TestMultiResourcePath(t *testing.T) {
 	n.AddResource(Resource{ID: "store", Kind: Storage, Capacity: 30 * mbps})
 	n.AddResource(Resource{ID: "link", Kind: Link, Capacity: 100 * mbps})
 	n.AddResource(Resource{ID: "nic", Kind: NIC, Capacity: 1 * gbps})
-	a, err := n.Allocate([]Demand{demand("f", 1*gbps, 0.03, "store", "link", "nic")})
+	a, err := allocate(n, []Demand{demand("f", 1*gbps, 0.03, "store", "link", "nic")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := a.Rate["f"]; math.Abs(got-30*mbps) > 100 {
+	if got := a.Rate[0]; math.Abs(got-30*mbps) > 100 {
 		t.Fatalf("rate = %v, want 30 Mbps (storage-bound)", got)
 	}
 	// Storage saturated, link not: sender-limited flows see no Mathis
 	// loss (§3.1: L returns 0 when transfer bottleneck is I/O).
-	if l := a.Loss["f"]; l > 1e-3 {
+	if l := a.Loss[0]; l > 1e-3 {
 		t.Fatalf("loss = %v, want ≈ base only", l)
 	}
 }
@@ -207,11 +213,11 @@ func TestLossGrowsQuadraticallyWithFlows(t *testing.T) {
 		for i := 0; i < k; i++ {
 			ds = append(ds, demand(fmt.Sprintf("f%d", i), 1*gbps, 0.03, "link"))
 		}
-		a, err := n.Allocate(ds)
+		a, err := allocate(n, ds)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a.Loss["f0"]
+		return a.Loss[0]
 	}
 	l10, l20, l32 := lossAt(10), lossAt(20), lossAt(32)
 	if !(l10 < l20 && l20 < l32) {
@@ -237,14 +243,14 @@ func TestLossClampedAtMax(t *testing.T) {
 	for i := 0; i < 64; i++ {
 		ds = append(ds, demand(fmt.Sprintf("f%d", i), 1*gbps, 0.2, "link"))
 	}
-	a, err := n.Allocate(ds)
+	a, err := allocate(n, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	max := n.LossModel().Max
-	for id, l := range a.Loss {
+	for i, l := range a.Loss {
 		if l > max {
-			t.Fatalf("loss[%s] = %v exceeds max %v", id, l, max)
+			t.Fatalf("loss[%s] = %v exceeds max %v", ds[i].FlowID, l, max)
 		}
 	}
 }
@@ -271,13 +277,13 @@ func TestTwoTasksShareBottleneckFairly(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		ds = append(ds, demand(fmt.Sprintf("b%d", i), 1*gbps, 0.03, "link"))
 	}
-	a, err := n.Allocate(ds)
+	a, err := allocate(n, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var taskA, taskB float64
-	for id, r := range a.Rate {
-		if id[0] == 'a' {
+	for i, r := range a.Rate {
+		if ds[i].FlowID[0] == 'a' {
 			taskA += r
 		} else {
 			taskB += r
@@ -327,14 +333,14 @@ func TestAllocationInvariantsProperty(t *testing.T) {
 				RTT:       0.01 + float64(next(100))/1000,
 			}
 		}
-		a, err := n.Allocate(ds)
+		a, err := allocate(n, ds)
 		if err != nil {
 			return false
 		}
 		// Capacity invariant.
 		used := map[string]float64{}
 		for i := range ds {
-			r := a.Rate[ds[i].FlowID]
+			r := a.Rate[i]
 			if r < -1e-6 || r > ds[i].Cap*(1+1e-6) {
 				return false
 			}
@@ -355,7 +361,7 @@ func TestAllocationInvariantsProperty(t *testing.T) {
 			sat[s] = true
 		}
 		for i := range ds {
-			r := a.Rate[ds[i].FlowID]
+			r := a.Rate[i]
 			if r >= ds[i].Cap*(1-1e-6) {
 				continue
 			}
@@ -390,7 +396,7 @@ func TestAllocationInvariantsProperty(t *testing.T) {
 // Mathis-model loss (§3.1's sender-limited case).
 func TestCapLimitedFlowSeesOnlyBaseLoss(t *testing.T) {
 	n := singleLinkNet(100 * mbps)
-	a, err := n.Allocate([]Demand{
+	a, err := allocate(n, []Demand{
 		demand("small", 5*mbps, 0.03, "link"), // capped far below fair share
 		demand("big", 1*gbps, 0.03, "link"),   // link-limited at 95 Mbps
 	})
@@ -401,54 +407,46 @@ func TestCapLimitedFlowSeesOnlyBaseLoss(t *testing.T) {
 		t.Fatalf("saturated = %v, want [link]", a.Saturated)
 	}
 	base := n.LossModel().Base
-	if l := a.Loss["small"]; math.Abs(l-base) > base/10 {
+	if l := a.Loss[0]; math.Abs(l-base) > base/10 {
 		t.Fatalf("cap-limited flow loss = %v, want ≈ base %v", l, base)
 	}
-	if l := a.Loss["big"]; l <= base*2 {
+	if l := a.Loss[1]; l <= base*2 {
 		t.Fatalf("link-limited flow loss = %v, want Mathis loss above base", l)
 	}
 }
 
-// TestAllocateIntoReusesResult checks that AllocateInto reuses the
-// caller's Allocation and matches Allocate exactly.
-func TestAllocateIntoReusesResult(t *testing.T) {
+// TestAllocateDenseReusesResult checks that AllocateDense reuses the
+// caller's DenseAllocation and matches a fresh result exactly.
+func TestAllocateDenseReusesResult(t *testing.T) {
 	n := singleLinkNet(100 * mbps)
 	ds := []Demand{
 		demand("a", 1*gbps, 0.03, "link"),
 		demand("b", 10*mbps, 0.03, "link"),
 	}
-	want, err := n.Allocate(ds)
+	want, err := allocate(n, ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var got Allocation
+	var got DenseAllocation
+	var rate *float64
 	for i := 0; i < 3; i++ { // repeated calls must not accumulate state
-		if err := n.AllocateInto(&got, ds); err != nil {
+		if err := n.AllocateDense(&got, ds); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(got.Rate) != len(want.Rate) || len(got.Loss) != len(want.Loss) {
-		t.Fatalf("sizes differ: got %d/%d want %d/%d", len(got.Rate), len(got.Loss), len(want.Rate), len(want.Loss))
-	}
-	for id, r := range want.Rate {
-		if got.Rate[id] != r {
-			t.Fatalf("Rate[%s] = %v, want %v", id, got.Rate[id], r)
+		if i == 0 {
+			rate = &got.Rate[0]
+		} else if &got.Rate[0] != rate {
+			t.Fatalf("call %d reallocated the caller's Rate slice", i)
 		}
 	}
-	for id, l := range want.Loss {
-		if got.Loss[id] != l {
-			t.Fatalf("Loss[%s] = %v, want %v", id, got.Loss[id], l)
-		}
-	}
-	if fmt.Sprint(got.Saturated) != fmt.Sprint(want.Saturated) {
-		t.Fatalf("Saturated = %v, want %v", got.Saturated, want.Saturated)
+	if err := sameAlloc(&got, want); err != nil {
+		t.Fatal(err)
 	}
 }
 
 // BenchmarkAllocate measures the steady-state allocation path: 64 flows
 // over a two-resource path with the result written into a reused
-// Allocation, exercising the Network's scratch arena. This is the
-// configuration the allocs/op CI baseline tracks.
+// DenseAllocation, exercising the Network's scratch arena.
 func BenchmarkAllocate(b *testing.B) {
 	n := New()
 	n.AddResource(Resource{ID: "link", Kind: Link, Capacity: 10 * gbps})
@@ -457,11 +455,11 @@ func BenchmarkAllocate(b *testing.B) {
 	for i := range ds {
 		ds[i] = demand(fmt.Sprintf("f%d", i), 500*mbps, 0.03, "store", "link")
 	}
-	var alloc Allocation
+	var alloc DenseAllocation
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := n.AllocateInto(&alloc, ds); err != nil {
+		if err := n.AllocateDense(&alloc, ds); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -478,21 +476,21 @@ func BenchmarkAllocate64Flows(b *testing.B) {
 	for i := range ds {
 		ds[i] = demand(fmt.Sprintf("f%d", i), 500*mbps, 0.03, "store", "link")
 	}
-	var alloc Allocation
-	if err := n.AllocateInto(&alloc, ds); err != nil { // warm the arena
+	var alloc DenseAllocation
+	if err := n.AllocateDense(&alloc, ds); err != nil { // warm the arena
 		b.Fatal(err)
 	}
 	if avg := testing.AllocsPerRun(10, func() {
-		if err := n.AllocateInto(&alloc, ds); err != nil {
+		if err := n.AllocateDense(&alloc, ds); err != nil {
 			b.Fatal(err)
 		}
 	}); avg != 0 {
-		b.Fatalf("AllocateInto allocated %.1f times per call, want 0", avg)
+		b.Fatalf("AllocateDense allocated %.1f times per call, want 0", avg)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := n.AllocateInto(&alloc, ds); err != nil {
+		if err := n.AllocateDense(&alloc, ds); err != nil {
 			b.Fatal(err)
 		}
 	}

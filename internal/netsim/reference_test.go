@@ -13,7 +13,7 @@ import (
 // remaining headroom says it is used up; a saturated link's fair share
 // is the largest rate among the flows crossing it; and Mathis loss is
 // applied per flow. The demands must be valid.
-func perFlowAllocate(n *Network, demands []Demand) *Allocation {
+func perFlowAllocate(n *Network, demands []Demand) *DenseAllocation {
 	nd, nr := len(demands), len(n.resList)
 	paths := make([][]int, nd)
 	for i := range demands {
@@ -88,7 +88,7 @@ func perFlowAllocate(n *Network, demands []Demand) *Allocation {
 		}
 	}
 
-	alloc := &Allocation{Rate: map[string]float64{}, Loss: map[string]float64{}}
+	alloc := &DenseAllocation{Rate: make([]float64, nd), Loss: make([]float64, nd)}
 	sat := make([]bool, nr)
 	for ri, r := range n.resList {
 		if r.Capacity-remaining[ri] >= r.Capacity*(1-1e-6) {
@@ -127,8 +127,8 @@ func perFlowAllocate(n *Network, demands []Demand) *Allocation {
 		if crossesLink {
 			loss += lm.Base
 		}
-		alloc.Rate[d.FlowID] = rate[i]
-		alloc.Loss[d.FlowID] = math.Min(loss, lm.Max)
+		alloc.Rate[i] = rate[i]
+		alloc.Loss[i] = math.Min(loss, lm.Max)
 	}
 	return alloc
 }

@@ -8,7 +8,7 @@ import (
 
 // Topology is a named graph of nodes connected by capacity/latency
 // edges, with shortest-latency routing. It builds the Resource set and
-// per-flow paths for Network.Allocate, so experiments can express
+// per-flow paths for Network.AllocateDense, so experiments can express
 // multi-site layouts (the paper's Figure 3 dumbbell, cross-traffic
 // scenarios) instead of a single hardcoded path.
 type Topology struct {

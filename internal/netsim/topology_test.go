@@ -91,7 +91,7 @@ func TestDumbbellCrossTraffic(t *testing.T) {
 	if math.Abs(rtt0-0.032) > 1e-9 {
 		t.Fatalf("dumbbell rtt = %v, want 32 ms", rtt0)
 	}
-	alloc, err := net.Allocate([]Demand{
+	alloc, err := allocate(net, []Demand{
 		{FlowID: "f0", Resources: path0, Cap: 1e9, RTT: rtt0, Weight: 5},
 		{FlowID: "f1", Resources: path1, Cap: 1e9, RTT: rtt0, Weight: 5},
 	})
@@ -99,9 +99,9 @@ func TestDumbbellCrossTraffic(t *testing.T) {
 		t.Fatal(err)
 	}
 	// 10 flows across a 100 Mbps bottleneck: 10 Mbps each.
-	for _, id := range []string{"f0", "f1"} {
-		if got := alloc.Rate[id]; math.Abs(got-10e6) > 1e5 {
-			t.Fatalf("rate[%s] = %v, want 10 Mbps", id, got)
+	for i := 0; i < 2; i++ {
+		if got := alloc.Rate[i]; math.Abs(got-10e6) > 1e5 {
+			t.Fatalf("rate[f%d] = %v, want 10 Mbps", i, got)
 		}
 	}
 	found := false
@@ -123,11 +123,11 @@ func TestDumbbellAccessLinkBinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	alloc, err := net.Allocate([]Demand{{FlowID: "f", Resources: path, Cap: 1e9, RTT: rtt}})
+	alloc, err := allocate(net, []Demand{{FlowID: "f", Resources: path, Cap: 1e9, RTT: rtt}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := alloc.Rate["f"]; math.Abs(got-100e6) > 1e5 {
+	if got := alloc.Rate[0]; math.Abs(got-100e6) > 1e5 {
 		t.Fatalf("rate = %v, want 100 Mbps (access-bound)", got)
 	}
 }

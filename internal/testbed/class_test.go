@@ -48,10 +48,10 @@ func TestClassAllocIsTransparent(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return runVia(s, 150, ref, true)
+		return runVia(s, 150, ref, false)
 	}
 	if !reflect.DeepEqual(run(false), run(true)) {
-		t.Fatal("Run timeline differs from the memo-free reference")
+		t.Fatal("Run timeline differs from the per-tick reference")
 	}
 }
 
@@ -98,18 +98,16 @@ func TestAllocClassesCollapse(t *testing.T) {
 	}
 }
 
-// BenchmarkFleetStep measures the per-tick cost at fleet scale: 256
-// concurrent tasks drawn from four settings (four flow classes) with
-// the allocator memo cleared before every tick, so every tick pays the
-// full demand-build + class water-fill. This is the regime cmd/fleet
-// runs in between decision epochs. TestFleetStepAllocatesNothing holds
-// it at 0 allocs/op.
+// BenchmarkFleetStep measures the full step at fleet scale: 256
+// concurrent tasks drawn from four settings (four flow classes), every
+// tick paying the demand build and class water-fill, as a fleet's
+// joins, leaves and file-count horizons do.
+// TestFleetStepAllocatesNothing holds it at 0 allocs/op.
 func BenchmarkFleetStep(b *testing.B) {
 	eng := newClassFleetEngine(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		eng.memoOK = false
 		eng.Step(0.25)
 	}
 }
@@ -141,15 +139,10 @@ func newClassFleetEngine(tb testing.TB) *Engine {
 }
 
 // TestFleetStepAllocatesNothing: BenchmarkFleetStep's op, a full
-// demand-build and class water-fill with the memo cleared, makes no
-// heap allocation.
+// demand build and class water-fill, makes no heap allocation.
 func TestFleetStepAllocatesNothing(t *testing.T) {
 	eng := newClassFleetEngine(t)
-	step := func() {
-		eng.memoOK = false
-		eng.Step(0.25)
-	}
-	if a := testing.AllocsPerRun(20, step); a != 0 {
-		t.Fatalf("an unmemoised fleet step allocates %v times, want 0", a)
+	if a := testing.AllocsPerRun(20, func() { eng.Step(0.25) }); a != 0 {
+		t.Fatalf("a full fleet step allocates %v times, want 0", a)
 	}
 }

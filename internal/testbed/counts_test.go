@@ -70,7 +70,7 @@ func countsFleet(t *testing.T, prefix string, calls *atomic.Uint64) []Participan
 // asserts the identities the counts must satisfy: every popped horizon
 // is a lifecycle pop, a deadline pop or a hint refresh; every isolated
 // decision is one Decide call of an isolated controller; every engine
-// tick took one tier. A ShardSet of two copies of the fleet reports
+// tick took one tier, and every full step had one cause. A ShardSet of two copies of the fleet reports
 // exactly twice the counts.
 func TestSchedulerCountsPinned(t *testing.T) {
 	lowerDecideFanout(t, 4)
@@ -99,6 +99,9 @@ func TestSchedulerCountsPinned(t *testing.T) {
 	if ticks := c.Ticks.Full + c.Ticks.Retune + c.Ticks.Replay; ticks != uint64(until/tick) {
 		t.Errorf("engine ticks %d (%+v), want %d", ticks, c.Ticks, uint64(until/tick))
 	}
+	if c.Ticks.Full != sumFull(c.Ticks) {
+		t.Errorf("full steps %d ≠ the sum of their causes %+v", c.Ticks.Full, c.Ticks)
+	}
 	want := Counts{
 		LoopHeads:     240,
 		Horizons:      1833,
@@ -108,7 +111,7 @@ func TestSchedulerCountsPinned(t *testing.T) {
 		HintRefreshes: 1,
 		Isolated:      890,
 		Fanouts:       120,
-		Ticks:         TickCounts{Full: 44, Retune: 196},
+		Ticks:         TickCounts{Full: 44, JoinLeave: 42, Horizon: 2, Retune: 196},
 	}
 	if c != want {
 		t.Errorf("counts %+v, want %+v", c, want)

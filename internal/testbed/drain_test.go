@@ -124,7 +124,8 @@ func remove(ids []string, id string) []string {
 // part order — must produce timelines and event streams identical to
 // the always-tick reference loop, which re-polls every participant each
 // step and so cannot have list corruption. With exact=true the
-// reference also re-runs the water-fill every tick.
+// reference takes a full engine Step every tick; with exact=false it
+// advances the engine by RunTicks(1), the tiers Run uses.
 func TestQueueLiveListUnderChurn(t *testing.T) {
 	build := func(rng *rand.Rand, s *Scheduler) {
 		for i := 0; i < 70; i++ {
@@ -172,7 +173,7 @@ func TestQueueLiveListUnderChurn(t *testing.T) {
 					var events []session.Event
 					s.SetEventSink(func(e session.Event) { events = append(events, e) })
 					build(rand.New(rand.NewSource(seed)), s)
-					tl := runVia(s, 100, ref, exact)
+					tl := runVia(s, 100, ref, !exact)
 					return outcome{tl: tl, events: events}
 				}
 				queue, ref := run(false), run(true)

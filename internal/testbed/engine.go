@@ -142,14 +142,6 @@ func (s *taskSoA) truncate() {
 // len returns the number of occupied slots.
 func (s *taskSoA) len() int { return len(s.task) }
 
-// demandKey is the memo key contribution of one demand (see
-// memoValid for what the key does and does not cover).
-type demandKey struct {
-	id     string
-	cap    float64
-	weight int
-}
-
 // Engine advances a set of transfer tasks through a Config's resources
 // in simulated time. It is deterministic for a given seed.
 type Engine struct {
@@ -183,40 +175,23 @@ type Engine struct {
 	demands []netsim.Demand
 	alloc   netsim.DenseAllocation
 
-	// Allocator memo: between optimizer decisions the demand set and
-	// contention counts are unchanged for many consecutive ticks, so
-	// the equilibrium allocation in e.alloc can be reused instead of
-	// re-running water-filling. memoKey/memoCaps record the inputs the
-	// cached allocation was computed for; netsim.Allocate is stateless
-	// and deterministic, so replaying the cached result is exactly what
-	// a re-run would produce. memoOK is the cache-validity bit: a
-	// mutation clears it (applyDueMutations), and a retune tick keeps it
-	// clear while its edits have moved the key but not yet the
-	// allocation.
-	memoOK   bool
-	memoKey  []demandKey
-	memoCaps [4]float64
-	// memoGen is the network's capacity generation the cached
-	// allocation was computed under. Contention capacities are covered
-	// by memoCaps, but the link (and any capacity touched by an
-	// environment mutation) is not — the generation counter makes a
-	// stale fill after a capacity change impossible even if a mutation
-	// path forgets to clear memoOK. An RTT change has no such backstop.
-	// Idempotent per-tick capacity refreshes don't advance it.
-	memoGen uint64
+	// snapCaps are the four contention capacities the snapshot's
+	// allocation was filled under. A retune tick refills only when a
+	// demand or one of these moved; every other capacity changes only
+	// on a full step, which always allocates.
+	snapCaps [4]float64
 
 	// The snapshot's slot sets (see RunTicks). factive lists the active
-	// slots the cached allocation covers, idle the registered slots that
-	// had drained; fastOK reports that nothing but a generation bump can
-	// have moved since the snapshot (no join, leave, mutation or
-	// file-count horizon); stepChanged records whether the last tick
-	// crossed a file-count horizon (a macro-step boundary callers must
-	// observe). bumped is RunTicks' scratch list of the factive
-	// positions whose generation moved. sumFiles and sumConns are the
-	// snapshot's Σ ActiveFiles and Σ ActiveConnections, the integer
-	// inputs of the four contention capacities.
-	fastOK             bool
-	stepChanged        bool
+	// slots the allocation covers, idle the registered slots that had
+	// drained; stale is why the next RunTicks tick must be a full step
+	// (a join or leave, or a file-count horizon crossed by the last
+	// tick, a macro-step boundary callers must observe), or fresh when
+	// only a generation bump can have moved since the snapshot.
+	// bumped is RunTicks' scratch list of the factive positions whose
+	// generation moved. sumFiles and sumConns are the snapshot's
+	// Σ ActiveFiles and Σ ActiveConnections, the integer inputs of the
+	// four contention capacities.
+	stale              fullCause
 	factive            []int32
 	idle               []int32
 	bumped             []int32
@@ -306,7 +281,7 @@ func (e *Engine) addTask(t *transfer.Task) (int32, error) {
 	e.byID[t.ID()] = h
 	e.hslot = append(e.hslot, e.soa.add(t, h, e.now))
 	e.order = append(e.order, h)
-	e.fastOK = false
+	e.stale = causeJoinLeave
 	return h, nil
 }
 
@@ -330,7 +305,7 @@ func (e *Engine) RemoveTask(id string) {
 	if e.dead++; 2*e.dead >= len(e.order) {
 		e.compactOrder()
 	}
-	e.fastOK = false
+	e.stale = causeJoinLeave
 }
 
 // compactOrder drops the tombstones from order, keeping the survivors'
@@ -413,12 +388,20 @@ func (e *Engine) AggregateRate() float64 {
 }
 
 // TickCounts counts an engine's ticks by tier since construction (see
-// RunTicks). Every tick is exactly one of the three.
+// RunTicks), and its full steps by cause. Every tick is exactly one of
+// Full, Retune and Replay, and every full step has exactly one cause.
 type TickCounts struct {
-	// Full ticks rebuilt the snapshot from the live tasks: every Step,
-	// and every RunTicks tick after a join, leave, mutation or
-	// file-count horizon.
+	// Full ticks rebuilt the snapshot from the live tasks and allocated
+	// afresh. Full is the sum of the five causes below.
 	Full uint64
+	// Stepped full ticks were Step calls. The others are RunTicks
+	// ticks: JoinLeave after a task joined or left (an engine's first
+	// tick included), Mutation when a mutation was due, Horizon after
+	// the last tick crossed a file-count horizon, and Fallback when an
+	// Extend revived a drained task or the allocator refused to retune
+	// in place. A tick with two causes counts under a due mutation
+	// first, then under the later of a join or leave and a horizon.
+	Stepped, JoinLeave, Mutation, Horizon, Fallback uint64
 	// Retune ticks found only settings moved and edited the snapshot
 	// and allocation in place.
 	Retune uint64
@@ -426,14 +409,43 @@ type TickCounts struct {
 	Replay uint64
 }
 
+// add returns the field-by-field sum of c and d.
+func (c TickCounts) add(d TickCounts) TickCounts {
+	return TickCounts{
+		Full:      c.Full + d.Full,
+		Stepped:   c.Stepped + d.Stepped,
+		JoinLeave: c.JoinLeave + d.JoinLeave,
+		Mutation:  c.Mutation + d.Mutation,
+		Horizon:   c.Horizon + d.Horizon,
+		Fallback:  c.Fallback + d.Fallback,
+		Retune:    c.Retune + d.Retune,
+		Replay:    c.Replay + d.Replay,
+	}
+}
+
 // TickCounts returns the engine's per-tier tick counts.
 func (e *Engine) TickCounts() TickCounts { return e.ticks }
+
+// fullCause is why a tick takes a full step (see TickCounts).
+type fullCause uint8
+
+const (
+	// causeJoinLeave is the zero value: a new engine has no snapshot,
+	// and its first tick counts as its tasks' joins.
+	causeJoinLeave fullCause = iota
+	causeHorizon
+	causeMutation
+	causeFallback
+	causeStepped
+	// fresh is no cause: the snapshot is current.
+	fresh
+)
 
 // Step advances the simulation by dt seconds with one full step. It
 // panics on non-positive dt (a driver bug).
 func (e *Engine) Step(dt float64) {
 	e.drained = e.drained[:0]
-	e.step(dt)
+	e.step(dt, causeStepped)
 }
 
 // Drained returns the handles of tasks that drained their dataset
@@ -441,20 +453,30 @@ func (e *Engine) Step(dt float64) {
 // order. The slice is engine-owned and valid until the next advance.
 func (e *Engine) Drained() []int32 { return e.drained }
 
-// step is one full tick: apply due mutations, refresh the snapshot
-// from the live tasks, and fold.
-func (e *Engine) step(dt float64) {
+// step is one full tick, counted under cause: apply due mutations,
+// refresh the snapshot from the live tasks, and fold.
+func (e *Engine) step(dt float64, cause fullCause) {
 	if dt <= 0 {
 		panic(fmt.Sprintf("testbed: Step(%v) must be positive", dt))
 	}
 	e.ticks.Full++
-	if e.mutationDue() {
-		// Apply before the snapshot is refreshed so this tick already
-		// runs under the mutated environment; RunTicks never skips a
-		// tick with a due mutation, so batched stepping lands here at
-		// the same tick as a per-tick Step loop.
-		e.applyDueMutations()
+	switch cause {
+	case causeJoinLeave:
+		e.ticks.JoinLeave++
+	case causeHorizon:
+		e.ticks.Horizon++
+	case causeMutation:
+		e.ticks.Mutation++
+	case causeFallback:
+		e.ticks.Fallback++
+	default:
+		e.ticks.Stepped++
 	}
+	// Due mutations apply before the snapshot is refreshed, so this tick
+	// already runs under the mutated environment; RunTicks never skips a
+	// tick with a due mutation, so batched stepping lands here at the
+	// same tick as a per-tick Step loop.
+	e.applyDueMutations()
 	e.refresh()
 	e.fold(dt)
 }
@@ -462,7 +484,10 @@ func (e *Engine) step(dt float64) {
 // refresh rebuilds the snapshot from the live tasks: the active and
 // drained slot sets, every active slot's allocation inputs and progress
 // mirrors, one weighted demand per active task, the contention
-// capacities, and the allocation (or the memo's replay of it).
+// capacities, and the allocation. It always allocates: a RunTicks full
+// step follows a join, leave, mutation or file-count horizon, after
+// which the fill's inputs have moved, and netsim's partition cache
+// already reuses what it can (see DESIGN.md).
 func (e *Engine) refresh() {
 	s := &e.soa
 	e.factive = e.factive[:0]
@@ -502,13 +527,10 @@ func (e *Engine) refresh() {
 	e.demands = demands
 	e.sumFiles, e.sumConns = files, conns
 
-	caps := e.contentionCaps()
-	if !e.memoValid(demands, caps) {
-		if err := e.net.AllocateDense(&e.alloc, demands); err != nil {
-			// Demands are constructed internally; an error is a bug.
-			panic(fmt.Sprintf("testbed: allocation failed: %v", err))
-		}
-		e.memoRecord(demands, caps)
+	e.snapCaps = e.contentionCaps()
+	if err := e.net.AllocateDense(&e.alloc, demands); err != nil {
+		// Demands are constructed internally; an error is a bug.
+		panic(fmt.Sprintf("testbed: allocation failed: %v", err))
 	}
 	e.readAlloc()
 }
@@ -560,17 +582,11 @@ func (e *Engine) readAlloc() {
 // their generation moved (a SetSetting or an Extend), so it re-reads
 // those slots' inputs, moves their demands between flow classes in
 // place, recomputes the contention capacities from the updated integer
-// sums, and refills the allocation unless no demand and no capacity
-// changed — the memo's own skip condition. It reports false when the
-// allocator cannot make an edit in place; the snapshot is then partly
-// updated and the memo invalid, and the caller must take a full step.
+// sums, and refills the allocation unless no demand and none of
+// snapCaps changed. It reports false when the allocator cannot make an
+// edit in place; the snapshot is then partly updated, and the caller
+// must take a full step, which rebuilds all of it.
 func (e *Engine) retune() bool {
-	if !e.memoOK {
-		return false
-	}
-	// Each edit moves the memo key at once and the allocation only at
-	// the end, so the memo is invalid until the edits are through.
-	e.memoOK = false
 	s := &e.soa
 	edited := false
 	for _, k := range e.bumped {
@@ -587,18 +603,14 @@ func (e *Engine) retune() bool {
 				return false
 			}
 			d.Cap, d.Weight = c, m
-			e.memoKey[k].cap, e.memoKey[k].weight = c, m
 			edited = true
 		}
 	}
-	caps := e.contentionCaps()
-	if edited || caps != e.memoCaps || e.net.CapacityGeneration() != e.memoGen {
+	if caps := e.contentionCaps(); edited || caps != e.snapCaps {
 		e.net.Refill(&e.alloc)
-		e.memoCaps = caps
-		e.memoGen = e.net.CapacityGeneration()
+		e.snapCaps = caps
 		e.readAlloc()
 	}
-	e.memoOK = true
 	return true
 }
 
@@ -656,10 +668,9 @@ func (e *Engine) scanGenerations() tickTier {
 // window accumulation, and the byte advance. All task state it reads
 // comes positionally from the SoA arrays; the only call back into the
 // task is Advance, whose completed-file count folds straight back into
-// the mirrors. It records in stepChanged whether the tick crossed a
-// file-count horizon (a task finished a file in a way that changes its
-// ActiveFiles, or drained), which invalidates the snapshot for the next
-// tick.
+// the mirrors. It marks the snapshot stale with causeHorizon when the
+// tick crossed a file-count horizon (a task finished a file in a way
+// that changes its ActiveFiles, or drained), and fresh otherwise.
 func (e *Engine) fold(dt float64) {
 	fUp, fDown := e.rampFactors(dt)
 	changed := false
@@ -717,8 +728,10 @@ func (e *Engine) fold(dt float64) {
 		}
 	}
 	e.now += dt
-	e.fastOK = !changed
-	e.stepChanged = changed
+	e.stale = fresh
+	if changed {
+		e.stale = causeHorizon
+	}
 }
 
 // RunTicks advances up to k ticks of dt seconds each, every tick on the
@@ -746,9 +759,14 @@ func (e *Engine) RunTicks(k int, dt float64) int {
 	// between the ticks of one RunTicks call.
 	scanned := false
 	for consumed < k {
-		tier := tierFull
-		if e.fastOK && !e.mutationDue() {
-			tier = tierReplay
+		cause, tier := e.stale, tierFull
+		if e.mutationDue() {
+			cause = causeMutation
+		} else if cause == fresh {
+			// Only generations can have moved. A revival found by the
+			// scan, or a retune the allocator refuses, falls back to a
+			// full step.
+			cause, tier = causeFallback, tierReplay
 			if !scanned {
 				tier = e.scanGenerations()
 			}
@@ -762,10 +780,10 @@ func (e *Engine) RunTicks(k int, dt float64) int {
 			e.ticks.Retune++
 			e.fold(dt)
 		default:
-			e.step(dt)
+			e.step(dt, cause)
 		}
 		consumed++
-		if e.stepChanged {
+		if e.stale == causeHorizon {
 			return consumed
 		}
 	}
@@ -823,41 +841,6 @@ func (e *Engine) NextEvent() float64 {
 		}
 	}
 	return h
-}
-
-// memoValid reports whether the cached allocation in e.alloc was
-// computed for exactly these demands and capacities. Resource paths
-// and the loss model are fixed at construction, so between mutations
-// (FlowID, Cap, Weight) per demand plus the contention-dependent
-// capacities and the capacity generation determine the allocator's
-// output. RTT is not in the key: a MutRTT changes it, and the memo stays
-// correct only because applyDueMutations clears memoOK.
-func (e *Engine) memoValid(demands []netsim.Demand, caps [4]float64) bool {
-	if !e.memoOK || caps != e.memoCaps || len(demands) != len(e.memoKey) {
-		return false
-	}
-	if e.net.CapacityGeneration() != e.memoGen {
-		return false
-	}
-	for i := range demands {
-		k := &e.memoKey[i]
-		if demands[i].FlowID != k.id || demands[i].Cap != k.cap || demands[i].Weight != k.weight {
-			return false
-		}
-	}
-	return true
-}
-
-// memoRecord snapshots the inputs the just-computed allocation in
-// e.alloc corresponds to.
-func (e *Engine) memoRecord(demands []netsim.Demand, caps [4]float64) {
-	e.memoKey = e.memoKey[:0]
-	for i := range demands {
-		e.memoKey = append(e.memoKey, demandKey{id: demands[i].FlowID, cap: demands[i].Cap, weight: demands[i].Weight})
-	}
-	e.memoCaps = caps
-	e.memoGen = e.net.CapacityGeneration()
-	e.memoOK = true
 }
 
 // perConnCap returns the intrinsic per-connection rate cap for a task

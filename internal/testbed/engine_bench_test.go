@@ -36,11 +36,10 @@ func benchEngine(b *testing.B, k, n int) *Engine {
 	return eng
 }
 
-// BenchmarkStep measures the per-tick cost of the simulation hot path:
-// demand construction, max-min allocation, and task advancement for
-// four tasks totalling 32 connections. Between optimizer decisions the
-// demand set is unchanged, so the allocator memo should make the
-// steady-state tick allocation-free.
+// BenchmarkStep measures one full step of a small engine: demand
+// construction, max-min allocation, and task advancement for four
+// tasks totalling 32 connections. Every Step allocates afresh; the
+// arena keeps it free of heap allocations.
 func BenchmarkStep(b *testing.B) {
 	eng := benchEngine(b, 4, 8)
 	b.ReportAllocs()

@@ -87,16 +87,17 @@ func fleetScenario(t *testing.T, s *Scheduler, n int) {
 // fleet, and at decide widths 1, 2 and 8 with the fan-out threshold
 // lowered to two isolated decisions, so the parallel phase runs at
 // nearly every epoch. The reference ticks its sessions one by one
-// through Session.Tick and takes a full engine Step every tick; with
-// exact=true it also clears the allocator memo before every Step, so
-// every tick's allocation is a fresh water-fill.
+// through Session.Tick. With exact=true it takes a full engine Step
+// every tick, so every tick's allocation is a fresh water-fill; with
+// exact=false it advances the engine by RunTicks(1), the tiers Run
+// uses, so a difference there is the scheduler's alone.
 func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 	lowerDecideFanout(t, 2)
 	type outcome struct {
 		tl     *Timeline
 		events []session.Event
 	}
-	run := func(n int, horizon float64, width int, ref, noMemo bool) outcome {
+	run := func(n int, horizon float64, width int, ref, tiered bool) outcome {
 		eng, err := NewEngine(HPCLab(), 11)
 		if err != nil {
 			t.Fatal(err)
@@ -106,7 +107,7 @@ func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 		var events []session.Event
 		s.SetEventSink(func(e session.Event) { events = append(events, e) })
 		fleetScenario(t, s, n)
-		tl := runVia(s, horizon, ref, noMemo)
+		tl := runVia(s, horizon, ref, tiered)
 		return outcome{tl: tl, events: events}
 	}
 	for _, tc := range []struct {
@@ -118,7 +119,7 @@ func TestEventQueueSchedulerIsTransparent(t *testing.T) {
 	} {
 		for _, exact := range []bool{false, true} {
 			t.Run(fmt.Sprintf("n=%d/exact=%v", tc.n, exact), func(t *testing.T) {
-				ref := run(tc.n, tc.horizon, 1, true, exact)
+				ref := run(tc.n, tc.horizon, 1, true, !exact)
 				if len(ref.tl.Finished) == 0 {
 					t.Fatal("scenario did not exercise completion: no task finished")
 				}

@@ -147,11 +147,6 @@ func (e *Engine) ScheduleMutation(m Mutation) error {
 	e.muts = append(e.muts, Mutation{})
 	copy(e.muts[i+1:], e.muts[i:])
 	e.muts[i] = m
-	// A newly due mutation must disqualify any live fast-path snapshot
-	// so the next tick is a full step that applies it.
-	if m.At <= e.now {
-		e.fastOK = false
-	}
 	return nil
 }
 
@@ -169,24 +164,20 @@ func (e *Engine) NextMutation() float64 {
 func (e *Engine) PendingMutations() int { return len(e.muts) - e.mutNext }
 
 // mutationDue reports whether a pending mutation's time has been
-// reached. RunTicks checks it so a due mutation forces the next tick
-// through a full step, where applyDueMutations runs.
+// reached. RunTicks checks it before every tick, so a due mutation —
+// one scheduled in the past included — forces the next tick through a
+// full step, where applyDueMutations runs.
 func (e *Engine) mutationDue() bool {
 	return e.mutNext < len(e.muts) && e.muts[e.mutNext].At <= e.now
 }
 
 // applyDueMutations applies every pending mutation whose time has been
-// reached, in (At, scheduling) order, and invalidates the allocator
-// memo and fast-path snapshot so the current step recomputes the
-// allocation under the new conditions. The memo key does not cover the
-// RTT, so clearing memoOK here is what keeps a MutRTT from replaying a
-// stale fill.
+// reached, in (At, scheduling) order. It runs at the top of a full
+// step, so the step's refresh allocates under the new conditions.
 func (e *Engine) applyDueMutations() {
-	applied := false
 	for e.mutNext < len(e.muts) && e.muts[e.mutNext].At <= e.now {
 		m := &e.muts[e.mutNext]
 		e.mutNext++
-		applied = true
 		switch m.Kind {
 		case MutLinkCapacity:
 			e.cfg.LinkCapacity = m.Capacity
@@ -220,9 +211,5 @@ func (e *Engine) applyDueMutations() {
 				panic(fmt.Sprintf("testbed: grow-dataset mutation at %v for %q: %v", m.At, m.Task, err))
 			}
 		}
-	}
-	if applied {
-		e.memoOK = false
-		e.fastOK = false
 	}
 }

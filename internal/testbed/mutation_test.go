@@ -26,10 +26,9 @@ func flapMutations(growTask string) []Mutation {
 }
 
 // runMutated runs a three-task scenario with the full mutation schedule
-// through Run, or through the always-tick reference loop (ref) with or
-// without the allocator memo, and returns the timeline plus the
-// captured event stream.
-func runMutated(t *testing.T, ref, noMemo bool) (*Timeline, []session.Event) {
+// through Run, or through the always-tick reference loop (ref), and
+// returns the timeline plus the captured event stream.
+func runMutated(t *testing.T, ref bool) (*Timeline, []session.Event) {
 	t.Helper()
 	eng, err := NewEngine(HPCLab(), 11)
 	if err != nil {
@@ -54,7 +53,7 @@ func runMutated(t *testing.T, ref, noMemo bool) (*Timeline, []session.Event) {
 			t.Fatal(err)
 		}
 	}
-	tl := runVia(s, 150, ref, noMemo)
+	tl := runVia(s, 150, ref, false)
 	return tl, events
 }
 
@@ -65,26 +64,13 @@ func runMutated(t *testing.T, ref, noMemo bool) (*Timeline, []session.Event) {
 // for their tick, and the batched fast path refuses to leap over a due
 // mutation.
 func TestMutationsTransparentAcrossModes(t *testing.T) {
-	refTL, refEv := runMutated(t, true, false)
-	tl, ev := runMutated(t, false, false)
+	refTL, refEv := runMutated(t, true)
+	tl, ev := runMutated(t, false)
 	if !reflect.DeepEqual(tl, refTL) {
 		t.Error("timeline differs from the always-tick reference")
 	}
 	if !reflect.DeepEqual(ev, refEv) {
 		t.Error("event stream differs from the always-tick reference")
-	}
-}
-
-// TestMutationsMemoTransparent: every mutation must invalidate the
-// allocator memo — a mutated run under Run, memo on, equals the
-// reference loop that re-runs the water-fill every tick. The RTT
-// mutation is the one only this test catches: RTT is not in the memo
-// key, so nothing but the invalidation keeps a stale fill out.
-func TestMutationsMemoTransparent(t *testing.T) {
-	with, _ := runMutated(t, false, false)
-	without, _ := runMutated(t, true, true)
-	if !reflect.DeepEqual(with, without) {
-		t.Fatal("memoized allocator changed a mutated timeline vs the memo-free reference")
 	}
 }
 

@@ -12,14 +12,15 @@ import (
 // sweeps every participant for completions, and records. It reuses the
 // scheduler's join, reserveSeries and recordPoint, so the only thing it
 // does differently from Run is how it finds the work — which is what
-// the transparency tests compare. With noMemo set it also clears the
-// allocator memo before every Step, so every tick re-runs the
-// water-fill from scratch.
+// the transparency tests compare. With tiered set it advances the
+// engine with RunTicks(1) instead, so each tick takes the tier the
+// engine picks, and a comparison isolates the scheduler from the
+// engine's tiers.
 type refRun struct {
 	s          *Scheduler
 	until      float64
 	tick       float64
-	noMemo     bool
+	tiered     bool
 	tl         *Timeline
 	sink       session.Sink
 	nextRecord float64
@@ -27,13 +28,13 @@ type refRun struct {
 	envs       []SimEnvironment
 }
 
-func newRefRun(s *Scheduler, until, tick float64, noMemo bool) *refRun {
+func newRefRun(s *Scheduler, until, tick float64, tiered bool) *refRun {
 	tl := s.newTimeline()
 	return &refRun{
 		s:        s,
 		until:    until,
 		tick:     tick,
-		noMemo:   noMemo,
+		tiered:   tiered,
 		tl:       tl,
 		sink:     s.runSink(tl),
 		sessions: make([]session.Session, len(s.parts)),
@@ -42,13 +43,13 @@ func newRefRun(s *Scheduler, until, tick float64, noMemo bool) *refRun {
 }
 
 // runVia runs s to until in 0.25 s ticks and returns its timeline:
-// through Scheduler.Run, or with ref on the reference loop (noMemo as
+// through Scheduler.Run, or with ref on the reference loop (tiered as
 // for refRun).
-func runVia(s *Scheduler, until float64, ref, noMemo bool) *Timeline {
+func runVia(s *Scheduler, until float64, ref, tiered bool) *Timeline {
 	if !ref {
 		return s.Run(until, 0.25)
 	}
-	r := newRefRun(s, until, 0.25, noMemo)
+	r := newRefRun(s, until, 0.25, tiered)
 	for r.step() {
 	}
 	return r.tl
@@ -89,10 +90,11 @@ func (r *refRun) step() bool {
 		}
 	}
 
-	if r.noMemo {
-		eng.memoOK = false
+	if r.tiered {
+		eng.RunTicks(1, r.tick)
+	} else {
+		eng.Step(r.tick)
 	}
-	eng.Step(r.tick)
 
 	for i := range s.parts {
 		e := &s.parts[i]

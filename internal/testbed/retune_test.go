@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/iosim"
 	"repro/internal/session"
 	"repro/internal/transfer"
 )
@@ -17,10 +18,12 @@ import (
 // (a concurrency, parallelism and pipelining change, then a same-value
 // set), Extend inside an active task's tail (more files, so more
 // connections and new progress mirrors), or Extend reviving a drained
-// task. One engine advances by RunTicks(1); its twin by Step with the
-// allocator memo cleared before every tick. Every tick, every task's
+// task — and a mutation scheduled for the current instant. One engine
+// advances by RunTicks(1); its twin by Step, a full
+// step with a fresh allocation every tick. Every tick, every task's
 // rate, loss and bytes and the drained list must agree bitwise, and the
-// RunTicks engine must have taken the tier each bump calls for.
+// RunTicks engine must have taken the tier, and for a full step the
+// cause, each bump calls for.
 func TestRunTicksHonoursOutOfBandRetune(t *testing.T) {
 	const dt = 0.25
 	ids := []string{"a", "b", "c"}
@@ -60,20 +63,25 @@ func TestRunTicksHonoursOutOfBandRetune(t *testing.T) {
 	setting := func(s transfer.Setting) func(e *Engine) error {
 		return func(e *Engine) error { return e.Task("a").SetSetting(s) }
 	}
+	halveLink := func(e *Engine) error {
+		return e.ScheduleMutation(Mutation{At: e.Now(), Kind: MutLinkCapacity, Capacity: e.Config().LinkCapacity / 2})
+	}
 
-	// Each bump, the tick it lands before, and the tier that tick must
-	// take on the RunTicks engine.
+	// Each bump, the tick it lands before, and the tier (and for a full
+	// step the cause) that tick must take on the RunTicks engine.
 	type bump struct {
-		tick int
-		name string
-		do   func(e *Engine) error
-		tier tickTier
+		tick  int
+		name  string
+		do    func(e *Engine) error
+		tier  tickTier
+		cause fullCause
 	}
 	bumps := []bump{
-		{20, "SetSetting on an active task", setting(transfer.Setting{Concurrency: 7, Parallelism: 2, Pipelining: 3}), tierRetune},
-		{24, "same-value SetSetting", setting(transfer.Setting{Concurrency: 7, Parallelism: 2, Pipelining: 3}), tierRetune},
-		{30, "Extend inside an active task's tail", extend("b"), tierRetune},
-		{40, "Extend of a drained task", extend("c"), tierFull},
+		{20, "SetSetting on an active task", setting(transfer.Setting{Concurrency: 7, Parallelism: 2, Pipelining: 3}), tierRetune, fresh},
+		{24, "same-value SetSetting", setting(transfer.Setting{Concurrency: 7, Parallelism: 2, Pipelining: 3}), tierRetune, fresh},
+		{30, "Extend inside an active task's tail", extend("b"), tierRetune, fresh},
+		{40, "Extend of a drained task", extend("c"), tierFull, causeFallback},
+		{60, "a mutation due now", halveLink, tierFull, causeMutation},
 	}
 	next := 0
 	for tick := 0; tick < 80; tick++ {
@@ -94,7 +102,6 @@ func TestRunTicksHonoursOutOfBandRetune(t *testing.T) {
 			before = ticked.TickCounts()
 		}
 		ticked.RunTicks(1, dt)
-		stepped.memoOK = false
 		stepped.Step(dt)
 
 		if next < len(bumps) && bumps[next].tick == tick {
@@ -107,6 +114,9 @@ func TestRunTicksHonoursOutOfBandRetune(t *testing.T) {
 			}
 			if took[b.tier] != 1 {
 				t.Errorf("tick %d (%s): tick counts moved %+v → %+v, want one tick of tier %d", tick, b.name, before, after, b.tier)
+			}
+			if b.tier == tierFull && fullByCause(after)[b.cause]-fullByCause(before)[b.cause] != 1 {
+				t.Errorf("tick %d (%s): tick counts moved %+v → %+v, want one full step of cause %d", tick, b.name, before, after, b.cause)
 			}
 			next++
 		}
@@ -132,6 +142,87 @@ func TestRunTicksHonoursOutOfBandRetune(t *testing.T) {
 	if ticked.Task("c").Done() {
 		t.Error("the revived task drained again within the run; the check after its Extend is too short to see it transfer")
 	}
+	for _, e := range []*Engine{ticked, stepped} {
+		if c := e.TickCounts(); c.Full != sumFull(c) {
+			t.Errorf("full steps %d ≠ the sum of their causes %+v", c.Full, c)
+		}
+	}
+	if c := stepped.TickCounts(); c.Stepped != 80 {
+		t.Errorf("the Step engine counted %+v, want 80 Stepped", c)
+	}
+}
+
+// TestRetuneRefillsWhenOnlyCapacitiesMove: a settings change can move
+// the contention capacities without moving any demand. Here a task
+// trades parallelism for concurrency at the same connection count on a
+// TCP-window-bound path, so its per-connection cap and weight stay put
+// while the contended store's thread count moves. The retune tick must
+// refill under the new capacities, and refill again when a second
+// change moves them back. A twin engine advanced by Step must agree
+// bitwise every tick.
+func TestRetuneRefillsWhenOnlyCapacitiesMove(t *testing.T) {
+	cfg := StampedeCometWAN()
+	cfg.RTT = 0.1 // streams window-bound at ≈671 Mbit/s, below PerProcCap/P for P ≤ 3
+	cfg.SrcStore = iosim.Store{Name: "contended", PerProcCap: 2.2e9, AggregateCap: 10e9, ContentionRate: 0.01}
+	build := func() *Engine {
+		eng, err := NewEngine(cfg, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range []*transfer.Task{wideTask("a", 8, 2), wideTask("b", 20, 1)} {
+			if err := eng.AddTask(task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return eng
+	}
+	ticked, stepped := build(), build()
+	sets := map[int]transfer.Setting{
+		10: {Concurrency: 16, Parallelism: 1, Pipelining: 1},
+		20: {Concurrency: 8, Parallelism: 2, Pipelining: 1},
+	}
+	for tick := 0; tick < 30; tick++ {
+		set, retuned := sets[tick]
+		if retuned {
+			for _, e := range []*Engine{ticked, stepped} {
+				if err := e.Task("a").SetSetting(set); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		before := ticked.TickCounts().Retune
+		ticked.RunTicks(1, 0.25)
+		stepped.Step(0.25)
+		if retuned && ticked.TickCounts().Retune != before+1 {
+			t.Fatalf("tick %d: the settings change took %+v, want a retune tick", tick, ticked.TickCounts())
+		}
+		for _, id := range []string{"a", "b"} {
+			r1, r2 := ticked.CurrentRate(id), stepped.CurrentRate(id)
+			if math.Float64bits(r1) != math.Float64bits(r2) {
+				t.Fatalf("tick %d task %s: RunTicks rate %v, Step rate %v", tick, id, r1, r2)
+			}
+		}
+	}
+}
+
+// fullByCause returns c's full-step counts indexed by cause.
+func fullByCause(c TickCounts) [fresh]uint64 {
+	return [fresh]uint64{
+		causeJoinLeave: c.JoinLeave,
+		causeHorizon:   c.Horizon,
+		causeMutation:  c.Mutation,
+		causeFallback:  c.Fallback,
+		causeStepped:   c.Stepped,
+	}
+}
+
+// sumFull returns the sum of c's full steps over their causes.
+func sumFull(c TickCounts) uint64 {
+	sum := uint64(0)
+	for _, n := range fullByCause(c) {
+		sum += n
+	}
+	return sum
 }
 
 // TestSettingsOnlyTicksTakeTheRetuneTier: a staggered 200-task fleet
@@ -179,8 +270,8 @@ func TestSettingsOnlyTicksTakeTheRetuneTier(t *testing.T) {
 	ref, got := run(true), run(false)
 
 	const ticks = uint64(until / 0.25)
-	if c := got.ticks; c.Full != joins || c.Full+c.Retune+c.Replay != ticks || c.Retune == 0 {
-		t.Errorf("tick counts %+v, want %d full (one per join tick), %d in all, and some retune ticks", c, joins, ticks)
+	if c := got.ticks; c.Full != joins || c.JoinLeave != joins || c.Full+c.Retune+c.Replay != ticks || c.Retune == 0 {
+		t.Errorf("tick counts %+v, want %d full, all joins (one per join tick), %d in all, and some retune ticks", c, joins, ticks)
 	}
 	if c := ref.ticks; c.Full != ticks {
 		t.Errorf("reference loop tick counts %+v, want %d full steps", c, ticks)

@@ -165,7 +165,7 @@ type Counts struct {
 	// the decide width.
 	Isolated uint64
 	Fanouts  uint64
-	// Ticks is the engine's per-tier tick counts.
+	// Ticks is the engine's tick counts, by tier and full-step cause.
 	Ticks TickCounts
 }
 
@@ -180,11 +180,7 @@ func (c Counts) add(d Counts) Counts {
 		HintRefreshes: c.HintRefreshes + d.HintRefreshes,
 		Isolated:      c.Isolated + d.Isolated,
 		Fanouts:       c.Fanouts + d.Fanouts,
-		Ticks: TickCounts{
-			Full:   c.Ticks.Full + d.Ticks.Full,
-			Retune: c.Ticks.Retune + d.Ticks.Retune,
-			Replay: c.Ticks.Replay + d.Ticks.Replay,
-		},
+		Ticks:         c.Ticks.add(d.Ticks),
 	}
 }
 
