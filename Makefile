@@ -57,8 +57,9 @@ reproduce:
 # The byte-identity list: every test that pins a production path
 # against its test-side reference (the always-tick scheduler loop, the
 # per-flow water-fill, the Table 1 probe) or against a checked-in
-# golden, and every test that holds a benchmark to its 0 allocs/op
-# claim, re-run twice under the race detector. This list is the one
+# golden, every test that holds a benchmark to its 0 allocs/op claim,
+# and the guard that synthetic datasets hold no per-file objects, re-run
+# twice under the race detector. This list is the one
 # place such a test is added.
 #
 # race2 checks every |-separated name in $(1) against `go test -list`
@@ -76,6 +77,7 @@ endef
 
 transparency:
 	$(call race2,TestPredictIntoMatchesPredict,./internal/bayesopt/)
+	$(call race2,TestSyntheticDatasetsHoldNoPerFileObjects,./internal/dataset/)
 	$(call race2,TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls,./internal/netsim/)
 	$(call race2,TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestRetuneMatchesFreshAllocation,./internal/netsim/)
 	$(call race2,TestTickEqualsPhases,./internal/session/)

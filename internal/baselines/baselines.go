@@ -30,7 +30,7 @@ type Globus struct {
 // NewGlobus derives the fixed setting from the dataset's mean file
 // size. It returns an error for a nil or empty dataset.
 func NewGlobus(ds *dataset.Dataset) (*Globus, error) {
-	if ds == nil || len(ds.Files) == 0 {
+	if ds == nil || ds.Count() == 0 {
 		return nil, fmt.Errorf("baselines: Globus needs a non-empty dataset")
 	}
 	mean := ds.MeanFileSize()

@@ -1,9 +1,9 @@
 // Package dataset describes and synthesises the file collections used
 // throughout the paper's evaluation: the main 1000×1 GB dataset, and
 // the small / large / mixed datasets of §4.4 (multi-parameter
-// optimization). Datasets carry only metadata — file names and sizes —
-// which is what both the simulated and the real transfer substrates
-// consume; the real-FTP example materialises files on disk on demand.
+// optimization). Datasets carry only metadata. The synthetic ones are
+// sizes alone, which is all the simulator reads, with names derived on
+// demand; named ones (manifests, real transfers) list every file.
 package dataset
 
 import (
@@ -33,25 +33,45 @@ type File struct {
 	Size int64
 }
 
-// Dataset is an ordered collection of files. Datasets are treated as
-// immutable once built: the synthesizers in this package may return
-// the same *Dataset to multiple callers (and to concurrent sweep
-// workers), so callers must not modify Label or Files after
-// construction.
+// Dataset is an ordered collection of files, in one of two forms:
+//
+//   - named: Files lists every file, as a manifest or a real transfer
+//     does;
+//   - synthetic: built by this package from sizes alone, with Files
+//     nil. File i is named "<label>-NNNNNN.dat" on demand (FileName),
+//     and no per-file name is ever stored.
+//
+// Read files through Count, FileSize and FileName, which serve both
+// forms. Datasets are treated as immutable once built: the synthesizers
+// in this package may return the same *Dataset to multiple callers (and
+// to concurrent sweep workers), so callers must not modify Label or
+// Files after construction.
 type Dataset struct {
 	// Label identifies the dataset in experiment output (e.g. "small").
 	Label string
+	// Files lists a named dataset's files; nil for a synthetic one.
 	Files []File
+
+	// A synthetic dataset's files are sizes in order, then each run in
+	// order. sizes holds no pointers, so the GC never scans it; a
+	// uniform dataset is one run and costs O(1) at any count.
+	sizes []int64
+	runs  []run
+	count int
 
 	// total and validated memoize TotalBytes and Validate. They are
 	// written only while a dataset is being constructed inside this
 	// package (before the pointer is published), so concurrent readers
 	// need no locking; a Dataset assembled by hand leaves them zero and
-	// pays the linear cost. Task construction runs on simulation hot
-	// paths (one task per sweep point), which is why these are worth
-	// memoizing at all.
+	// pays the linear cost.
 	total     int64
 	validated bool
+}
+
+// run is count consecutive files of one size.
+type run struct {
+	count int
+	size  int64
 }
 
 // TotalBytes returns the sum of all file sizes.
@@ -67,27 +87,102 @@ func (d *Dataset) TotalBytes() int64 {
 }
 
 // Count returns the number of files.
-func (d *Dataset) Count() int { return len(d.Files) }
+func (d *Dataset) Count() int {
+	if d.Files != nil {
+		return len(d.Files)
+	}
+	return d.count
+}
+
+// FileSize returns the size in bytes of file i, 0 ≤ i < Count().
+func (d *Dataset) FileSize(i int) int64 {
+	if d.Files != nil {
+		return d.Files[i].Size
+	}
+	d.checkIndex(i)
+	if i < len(d.sizes) {
+		return d.sizes[i]
+	}
+	i -= len(d.sizes)
+	for _, r := range d.runs {
+		if i < r.count {
+			return r.size
+		}
+		i -= r.count
+	}
+	panic("unreachable")
+}
+
+// FileName returns the name of file i, 0 ≤ i < Count(): a named
+// dataset's stored name, or a synthetic dataset's "<label>-NNNNNN.dat".
+func (d *Dataset) FileName(i int) string {
+	if d.Files != nil {
+		return d.Files[i].Name
+	}
+	d.checkIndex(i)
+	return fileName(d.Label, i)
+}
+
+func (d *Dataset) checkIndex(i int) {
+	if i < 0 || i >= d.count {
+		panic(fmt.Sprintf("dataset %q: file %d out of range [0, %d)", d.Label, i, d.count))
+	}
+}
+
+// TailBytes returns the total size of the last k files, 0 ≤ k ≤
+// Count(). A synthetic dataset's runs answer in O(runs), not O(k).
+func (d *Dataset) TailBytes(k int) int64 {
+	var t int64
+	if d.Files != nil {
+		for _, f := range d.Files[len(d.Files)-k:] {
+			t += f.Size
+		}
+		return t
+	}
+	for j := len(d.runs) - 1; j >= 0 && k > 0; j-- {
+		n := min(k, d.runs[j].count)
+		t += int64(n) * d.runs[j].size
+		k -= n
+	}
+	for _, s := range d.sizes[len(d.sizes)-k:] {
+		t += s
+	}
+	return t
+}
 
 // MeanFileSize returns the average file size in bytes, or 0 when empty.
 func (d *Dataset) MeanFileSize() float64 {
-	if len(d.Files) == 0 {
+	if d.Count() == 0 {
 		return 0
 	}
-	return float64(d.TotalBytes()) / float64(len(d.Files))
+	return float64(d.TotalBytes()) / float64(d.Count())
 }
 
-// MedianFileSize returns the median file size in bytes, or 0 when empty.
+// MedianFileSize returns the median file size in bytes (the upper
+// median for an even count), or 0 when empty.
 func (d *Dataset) MedianFileSize() int64 {
-	if len(d.Files) == 0 {
+	if d.Count() == 0 {
 		return 0
 	}
-	sizes := make([]int64, len(d.Files))
-	for i, f := range d.Files {
-		sizes[i] = f.Size
+	// Sort (size, multiplicity) groups, so a run counts once however
+	// many files it holds.
+	groups := make([]run, 0, len(d.Files)+len(d.sizes)+len(d.runs))
+	for _, f := range d.Files {
+		groups = append(groups, run{1, f.Size})
 	}
-	sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
-	return sizes[len(sizes)/2]
+	for _, s := range d.sizes {
+		groups = append(groups, run{1, s})
+	}
+	groups = append(groups, d.runs...)
+	sort.Slice(groups, func(i, j int) bool { return groups[i].size < groups[j].size })
+	k := d.Count() / 2
+	for _, g := range groups {
+		if k < g.count {
+			return g.size
+		}
+		k -= g.count
+	}
+	panic("unreachable")
 }
 
 // Validate checks structural invariants: a non-empty label, and every
@@ -117,22 +212,54 @@ func (d *Dataset) Validate() error {
 	return nil
 }
 
-// seal memoizes a constructor-built dataset's total size and marks it
-// valid by construction. It must run before the dataset pointer is
-// published (shared datasets are read concurrently without locks).
-func (d *Dataset) seal() *Dataset {
-	var t int64
-	for _, f := range d.Files {
-		t += f.Size
+// BatchBytes returns count × size, the bytes of a batch of count files
+// of one size, and whether that is a positive int64 (count and size
+// both ≥ 1, product without overflow).
+func BatchBytes(count int, size int64) (int64, bool) {
+	if count < 1 || size < 1 || int64(count) > math.MaxInt64/size {
+		return 0, false
 	}
-	d.total = t
-	d.validated = true
-	return d
+	return int64(count) * size, true
 }
 
-// fileName renders "<label>-NNNNNN.dat" (six digits, zero-padded)
-// without fmt: dataset synthesis runs once per sweep point and the
-// Sprintf per file dominated reproduce profiles.
+// Grow returns a new dataset holding d's files followed by count more
+// files of the given size; d itself is unchanged, since datasets are
+// shared. A synthetic dataset gains one run. A named dataset stays
+// named: the new files take the synthetic names of their positions,
+// which must not collide with d's. It returns an error for a count or
+// size below 1, a total that overflows int64, or a name collision.
+func (d *Dataset) Grow(count int, size int64) (*Dataset, error) {
+	// Every file holds at least one byte, so a byte total that fits
+	// int64 bounds the file count too.
+	add, ok := BatchBytes(count, size)
+	n, total := d.Count(), d.TotalBytes()
+	if !ok || add > math.MaxInt64-total {
+		return nil, fmt.Errorf("dataset %q: cannot grow by %d files of %d bytes: both must be ≥ 1 and the total fit int64",
+			d.Label, count, size)
+	}
+	if d.Files != nil {
+		files := make([]File, n, n+count)
+		copy(files, d.Files)
+		for i := n; i < n+count; i++ {
+			files = append(files, File{Name: fileName(d.Label, i), Size: size})
+		}
+		g := &Dataset{Label: d.Label, Files: files}
+		if err := g.Validate(); err != nil {
+			return nil, err
+		}
+		g.total, g.validated = total+add, true
+		return g, nil
+	}
+	runs := make([]run, len(d.runs), len(d.runs)+1)
+	copy(runs, d.runs)
+	return &Dataset{
+		Label: d.Label, sizes: d.sizes, runs: append(runs, run{count, size}),
+		count: n + count, total: total + add, validated: true,
+	}, nil
+}
+
+// fileName renders "<label>-NNNNNN.dat" (at least six digits,
+// zero-padded) without fmt, so deriving a name stays cheap.
 func fileName(label string, i int) string {
 	b := make([]byte, 0, len(label)+12)
 	b = append(b, label...)
@@ -152,22 +279,10 @@ func fileName(label string, i int) string {
 	return string(b)
 }
 
-// uniformKey identifies one Uniform result for interning.
-type uniformKey struct {
-	label string
-	count int
-	size  int64
-}
-
-// uniformCache interns Uniform datasets: sweeps and scenario builders
-// request the same (label, count, size) collection thousands of times
-// per reproduce run, and datasets are immutable, so one copy serves
-// them all — including concurrent sweep workers.
-var uniformCache sync.Map // uniformKey -> *Dataset
-
-// Uniform returns a dataset of count files, each of the given size.
-// Results are interned: repeated calls with the same arguments return
-// the same (immutable) dataset.
+// Uniform returns a dataset of count files, each of the given size. It
+// is O(1) in time and memory at any count: one run, no per-file state.
+// It panics on a count or size below 1, or a total that overflows
+// int64.
 func Uniform(label string, count int, size int64) *Dataset {
 	if count <= 0 {
 		panic(fmt.Sprintf("dataset: Uniform count %d must be positive", count))
@@ -175,17 +290,11 @@ func Uniform(label string, count int, size int64) *Dataset {
 	if size <= 0 {
 		panic(fmt.Sprintf("dataset: Uniform size %d must be positive", size))
 	}
-	key := uniformKey{label, count, size}
-	if v, ok := uniformCache.Load(key); ok {
-		return v.(*Dataset)
+	total, ok := BatchBytes(count, size)
+	if !ok {
+		panic(fmt.Sprintf("dataset: Uniform %d files of %d bytes overflows int64", count, size))
 	}
-	d := &Dataset{Label: label, Files: make([]File, count)}
-	for i := range d.Files {
-		d.Files[i] = File{Name: fileName(label, i), Size: size}
-	}
-	d.seal()
-	v, _ := uniformCache.LoadOrStore(key, d)
-	return v.(*Dataset)
+	return &Dataset{Label: label, runs: []run{{count, size}}, count: count, total: total, validated: true}
 }
 
 // Main returns the paper's principal evaluation dataset: 1000 × 1 GB.
@@ -194,10 +303,10 @@ func Main() *Dataset { return Uniform("main", 1000, int64(GB)) }
 // randomSized builds count files with sizes drawn log-uniformly from
 // [minSize, maxSize], then rescales so the total matches totalBytes.
 func randomSized(label string, rng *rand.Rand, count int, minSize, maxSize, totalBytes int64) *Dataset {
-	d := &Dataset{Label: label, Files: make([]File, count)}
+	sizes := make([]int64, count)
 	var sum int64
 	logMin, logMax := float64(minSize), float64(maxSize)
-	for i := range d.Files {
+	for i := range sizes {
 		// Log-uniform: heavy representation of small sizes, as real
 		// scientific datasets exhibit.
 		u := rng.Float64()
@@ -208,24 +317,31 @@ func randomSized(label string, rng *rand.Rand, count int, minSize, maxSize, tota
 		if size > maxSize {
 			size = maxSize
 		}
-		d.Files[i] = File{Name: fileName(label, i), Size: size}
+		sizes[i] = size
 		sum += size
 	}
 	// Rescale to hit the requested total while respecting bounds.
 	scale := float64(totalBytes) / float64(sum)
-	var rescaled int64
-	for i := range d.Files {
-		s := int64(float64(d.Files[i].Size) * scale)
+	for i := range sizes {
+		s := int64(float64(sizes[i]) * scale)
 		if s < minSize {
 			s = minSize
 		}
 		if s > maxSize {
 			s = maxSize
 		}
-		d.Files[i].Size = s
-		rescaled += s
+		sizes[i] = s
 	}
-	return d.seal()
+	return fromSizes(label, sizes)
+}
+
+// fromSizes seals a synthetic dataset over sizes, which it keeps.
+func fromSizes(label string, sizes []int64) *Dataset {
+	d := &Dataset{Label: label, sizes: sizes, count: len(sizes), validated: true}
+	for _, s := range sizes {
+		d.total += s
+	}
+	return d
 }
 
 // seededKey identifies one seeded synthesizer result for interning.
@@ -274,17 +390,9 @@ func Large(seed int64) *Dataset {
 // (~1.2 TiB total).
 func Mixed(seed int64) *Dataset {
 	return internSeeded("mixed", seed, func() *Dataset {
-		s := Small(seed)
-		l := Large(seed + 1)
-		d := &Dataset{Label: "mixed"}
-		d.Files = append(d.Files, s.Files...)
-		for _, f := range l.Files {
-			d.Files = append(d.Files, File{Name: "mixed-" + f.Name, Size: f.Size})
-		}
-		for i := range s.Files {
-			d.Files[i].Name = "mixed-" + d.Files[i].Name
-		}
-		return d.seal()
+		s, l := Small(seed), Large(seed+1)
+		sizes := make([]int64, 0, len(s.sizes)+len(l.sizes))
+		return fromSizes("mixed", append(append(sizes, s.sizes...), l.sizes...))
 	})
 }
 

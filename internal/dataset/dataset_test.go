@@ -61,9 +61,9 @@ func TestSmallDataset(t *testing.T) {
 	if total < 90*GiB || total > 150*GiB {
 		t.Fatalf("Small total = %d GiB, want ≈120 GiB", total/GiB)
 	}
-	for _, f := range d.Files {
-		if f.Size < 1*KiB || f.Size > 10*MiB {
-			t.Fatalf("Small file size %d outside [1KiB, 10MiB]", f.Size)
+	for i := range d.Count() {
+		if s := d.FileSize(i); s < 1*KiB || s > 10*MiB {
+			t.Fatalf("Small file size %d outside [1KiB, 10MiB]", s)
 		}
 	}
 }
@@ -77,9 +77,9 @@ func TestLargeDataset(t *testing.T) {
 	if total < 700*GiB || total > 1300*GiB {
 		t.Fatalf("Large total = %d GiB, want ≈1 TiB", total/GiB)
 	}
-	for _, f := range d.Files {
-		if f.Size < 100*MiB || f.Size > 10*GiB {
-			t.Fatalf("Large file size %d outside [100MiB, 10GiB]", f.Size)
+	for i := range d.Count() {
+		if s := d.FileSize(i); s < 100*MiB || s > 10*GiB {
+			t.Fatalf("Large file size %d outside [100MiB, 10GiB]", s)
 		}
 	}
 }
@@ -111,15 +111,16 @@ func TestGenerationIsDeterministic(t *testing.T) {
 	if a.Count() != b.Count() {
 		t.Fatal("same seed produced different counts")
 	}
-	for i := range a.Files {
-		if a.Files[i] != b.Files[i] {
-			t.Fatalf("same seed produced different file %d: %+v vs %+v", i, a.Files[i], b.Files[i])
+	for i := range a.Count() {
+		if a.FileName(i) != b.FileName(i) || a.FileSize(i) != b.FileSize(i) {
+			t.Fatalf("same seed produced different file %d: %s/%d vs %s/%d",
+				i, a.FileName(i), a.FileSize(i), b.FileName(i), b.FileSize(i))
 		}
 	}
 	c := Small(43)
 	same := true
-	for i := range a.Files {
-		if a.Files[i].Size != c.Files[i].Size {
+	for i := range a.Count() {
+		if a.FileSize(i) != c.FileSize(i) {
 			same = false
 			break
 		}
@@ -161,8 +162,8 @@ func TestDatasetBoundsProperty(t *testing.T) {
 		if d.Validate() != nil {
 			return false
 		}
-		for _, file := range d.Files {
-			if file.Size < 100*MiB || file.Size > 10*GiB {
+		for i := range d.Count() {
+			if s := d.FileSize(i); s < 100*MiB || s > 10*GiB {
 				return false
 			}
 		}

@@ -24,8 +24,8 @@ func WriteManifest(w io.Writer, d *Dataset) error {
 	if err := cw.Write([]string{"name", "bytes"}); err != nil {
 		return err
 	}
-	for _, f := range d.Files {
-		if err := cw.Write([]string{f.Name, strconv.FormatInt(f.Size, 10)}); err != nil {
+	for i := range d.Count() {
+		if err := cw.Write([]string{d.FileName(i), strconv.FormatInt(d.FileSize(i), 10)}); err != nil {
 			return err
 		}
 	}

@@ -20,9 +20,10 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Fatalf("round trip changed dataset: %d/%d files, %d/%d bytes",
 			got.Count(), orig.Count(), got.TotalBytes(), orig.TotalBytes())
 	}
-	for i := range got.Files {
-		if got.Files[i] != orig.Files[i] {
-			t.Fatalf("file %d differs: %+v vs %+v", i, got.Files[i], orig.Files[i])
+	for i := range got.Count() {
+		if got.FileName(i) != orig.FileName(i) || got.FileSize(i) != orig.FileSize(i) {
+			t.Fatalf("file %d differs: %s/%d vs %s/%d",
+				i, got.FileName(i), got.FileSize(i), orig.FileName(i), orig.FileSize(i))
 		}
 	}
 }

@@ -1,0 +1,172 @@
+package dataset
+
+import (
+	"bytes"
+	"fmt"
+	"math"
+	"runtime"
+	"sync/atomic"
+	"testing"
+)
+
+// renderedName is the name every synthetic file has always carried:
+// "<label>-NNNNNN.dat", zero-padded to at least six digits.
+func renderedName(label string, i int) string { return fmt.Sprintf("%s-%06d.dat", label, i) }
+
+// TestDerivedNamesMatchRenderedNames: names derived on demand equal the
+// rendered names, across the six-digit boundary too, and Mixed's names
+// stay unique through a manifest round trip.
+func TestDerivedNamesMatchRenderedNames(t *testing.T) {
+	u := Uniform("u", 2_000_000, 1)
+	for _, i := range []int{0, 1, 9, 10, 999_999, 1_000_000, 1_234_567, 1_999_999} {
+		if got, want := u.FileName(i), renderedName("u", i); got != want {
+			t.Errorf("Uniform FileName(%d) = %q, want %q", i, got, want)
+		}
+	}
+	s := Small(1)
+	for _, i := range []int{0, 4242, s.Count() - 1} {
+		if got, want := s.FileName(i), renderedName("small", i); got != want {
+			t.Errorf("Small FileName(%d) = %q, want %q", i, got, want)
+		}
+	}
+	m := Mixed(1)
+	if got, want := m.FileName(m.Count()-1), renderedName("mixed", m.Count()-1); got != want {
+		t.Errorf("Mixed last name = %q, want %q", got, want)
+	}
+	var buf bytes.Buffer
+	if err := WriteManifest(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadManifest(&buf, "mixed")
+	if err != nil {
+		t.Fatalf("Mixed manifest does not read back valid: %v", err)
+	}
+	if back.Count() != m.Count() || back.TotalBytes() != m.TotalBytes() {
+		t.Fatalf("Mixed round trip: %d files / %d bytes, want %d / %d",
+			back.Count(), back.TotalBytes(), m.Count(), m.TotalBytes())
+	}
+}
+
+var (
+	sinkDataset *Dataset
+	freshSeed   atomic.Int64
+)
+
+// TestSyntheticDatasetsHoldNoPerFileObjects: a uniform dataset costs a
+// constant number of allocations at any count, and a seeded dataset
+// adds a constant number of heap objects, not one or more per file.
+func TestSyntheticDatasetsHoldNoPerFileObjects(t *testing.T) {
+	if a := testing.AllocsPerRun(20, func() { sinkDataset = Uniform("x", 1<<30, GB) }); a > 2 {
+		t.Fatalf("Uniform(1<<30 files) allocates %v objects, want ≤ 2", a)
+	}
+	// A seed no other test uses, fresh on every run, so Small and
+	// Mixed really build instead of hitting the seeded cache.
+	seed := 1<<40 + freshSeed.Add(1)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	s, m := Small(seed), Mixed(seed)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if s.Count() != 50000 || m.Count() != 50700 {
+		t.Fatalf("counts %d / %d", s.Count(), m.Count())
+	}
+	if grew := int64(after.HeapObjects) - int64(before.HeapObjects); grew > 500 {
+		t.Fatalf("Small+Mixed (%d files) left %d more heap objects, want a constant ≤ 500", s.Count()+m.Count(), grew)
+	}
+}
+
+// TestGrowAppendsARun: growing returns a new dataset whose extra files
+// read like a uniform run, and leaves the shared original untouched.
+func TestGrowAppendsARun(t *testing.T) {
+	base := Large(3)
+	g, err := base.Grow(4, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err = g.Grow(2, 11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := base.Count()
+	if g.Count() != n+6 || g.TotalBytes() != base.TotalBytes()+4*7+2*11 {
+		t.Fatalf("grown dataset: %d files / %d bytes", g.Count(), g.TotalBytes())
+	}
+	if base.Count() != 700 {
+		t.Fatalf("Grow changed the original to %d files", base.Count())
+	}
+	for i, want := range map[int]int64{n - 1: base.FileSize(n - 1), n: 7, n + 3: 7, n + 4: 11, n + 5: 11} {
+		if got := g.FileSize(i); got != want {
+			t.Errorf("FileSize(%d) = %d, want %d", i, got, want)
+		}
+	}
+	if err := g.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// TailBytes agrees with a walk over FileSize at every k.
+	for k := 0; k <= g.Count(); k += 37 {
+		var want int64
+		for i := g.Count() - k; i < g.Count(); i++ {
+			want += g.FileSize(i)
+		}
+		if got := g.TailBytes(k); got != want {
+			t.Fatalf("TailBytes(%d) = %d, want %d", k, got, want)
+		}
+	}
+	if _, err := Uniform("o", 2, math.MaxInt64/2-1).Grow(1, 4); err == nil {
+		t.Error("grow past int64 accepted")
+	}
+	for _, c := range []struct {
+		n    int
+		size int64
+	}{{0, 1}, {-1, 1}, {1, 0}, {1, -5}, {math.MaxInt, 2}} {
+		if _, err := base.Grow(c.n, c.size); err == nil {
+			t.Errorf("Grow(%d, %d) accepted", c.n, c.size)
+		}
+	}
+}
+
+// TestGrowNamedDataset: a named dataset stays named when it grows, and
+// a batch whose derived names collide with stored ones is refused.
+func TestGrowNamedDataset(t *testing.T) {
+	d := &Dataset{Label: "n", Files: []File{{Name: "a", Size: 1}, {Name: "b", Size: 2}}}
+	g, err := d.Grow(2, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(g.Files) != 4 || g.FileName(2) != "n-000002.dat" || g.FileSize(3) != 5 || g.TotalBytes() != 13 {
+		t.Fatalf("grown named dataset: %+v", g.Files)
+	}
+	clash := &Dataset{Label: "n", Files: []File{{Name: "a", Size: 1}, {Name: "n-000002.dat", Size: 2}}}
+	if _, err := clash.Grow(1, 1); err == nil {
+		t.Fatal("colliding name accepted")
+	}
+}
+
+// TestMedianOverRuns: the median counts a run's files, not the run.
+func TestMedianOverRuns(t *testing.T) {
+	d, err := Uniform("m", 3, 10).Grow(2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sorted sizes: 1 1 10 10 10; index 5/2 = 2.
+	if got := d.MedianFileSize(); got != 10 {
+		t.Fatalf("median = %d, want 10", got)
+	}
+	if d, _ = d.Grow(2, 1); d.MedianFileSize() != 1 {
+		t.Fatalf("median of 1 1 1 1 10 10 10 = %d, want 1", d.MedianFileSize())
+	}
+}
+
+func TestFileIndexOutOfRangePanics(t *testing.T) {
+	for _, i := range []int{-1, 3} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("FileSize(%d) of a 3-file dataset did not panic", i)
+				}
+			}()
+			Uniform("r", 3, 1).FileSize(i)
+		}()
+	}
+}

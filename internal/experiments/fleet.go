@@ -178,7 +178,7 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 		join := float64(i) * cfg.Stagger
 		sessionSeconds += cfg.Duration - join
 		shards[k].Parts = append(shards[k].Parts, testbed.Participant{
-			Task:       fleetTask(id, 2),
+			Task:       endlessTask(id, 2),
 			Controller: agent,
 			JoinAt:     join,
 		})

@@ -17,17 +17,6 @@ func endlessTask(id string, n int) *transfer.Task {
 		transfer.Setting{Concurrency: n, Parallelism: 1, Pipelining: 1})
 }
 
-// fleetTask is endlessTask over one dataset shared by the whole fleet:
-// tasks never mutate their (sealed) dataset and track progress in
-// their own counters, while per-session labels would intern a distinct
-// 20000-file dataset per session — hundreds of MB at 10k sessions.
-// File names are unobservable in simulator output, so results are
-// unchanged.
-func fleetTask(id string, n int) *transfer.Task {
-	return mustTask(id, dataset.Uniform("fleet", 20000, int64(dataset.GB)),
-		transfer.Setting{Concurrency: n, Parallelism: 1, Pipelining: 1})
-}
-
 // mustTask wraps transfer.NewTask for internally-constructed inputs.
 func mustTask(id string, ds *dataset.Dataset, s transfer.Setting) *transfer.Task {
 	t, err := transfer.NewTask(id, ds, s)

@@ -113,6 +113,12 @@ func (d *Document) Build() (*Run, error) {
 	n := 0
 	for i := range d.Agents {
 		a := &d.Agents[i]
+		// A labelled dataset is one value every agent of the spec reads,
+		// so a fleet's tasks share it (and its cache lines).
+		var shared *dataset.Dataset
+		if a.Dataset.Label != "" {
+			shared = dataset.Uniform(a.Dataset.Label, a.Dataset.Count, a.Dataset.Size)
+		}
 		for j := 0; j < a.Count; j++ {
 			id := r.AgentIDs[n]
 			seed := d.Seed + int64(n)
@@ -121,16 +127,16 @@ func (d *Document) Build() (*Run, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario: agent %q: %w", id, err)
 			}
-			label := a.Dataset.Label
-			if label == "" {
-				label = id
+			ds := shared
+			if ds == nil {
+				ds = dataset.Uniform(id, a.Dataset.Count, a.Dataset.Size)
 			}
 			initial := transfer.Setting{
 				Concurrency: a.Initial.Concurrency,
 				Parallelism: a.Initial.Parallelism,
 				Pipelining:  a.Initial.Pipelining,
 			}
-			task, err := transfer.NewTask(id, dataset.Uniform(label, a.Dataset.Count, a.Dataset.Size), initial)
+			task, err := transfer.NewTask(id, ds, initial)
 			if err != nil {
 				return nil, fmt.Errorf("scenario: agent %q: %w", id, err)
 			}
@@ -402,18 +408,11 @@ func (d *Document) compileMutationsFor(cfg testbed.Config, routes [][]string, sh
 		case KindDstStore:
 			emitAll(testbed.Mutation{At: ev.at, Kind: testbed.MutDstStore, Capacity: m.Capacity, PerProc: m.PerProc})
 		case KindGrowDataset:
-			files := make([]dataset.File, m.Grow.Count)
-			for j := range files {
-				// Names are namespaced by the mutation index so repeated
-				// growths of one agent can never collide with each other
-				// or with the base "<label>-NNNNNN.dat" files.
-				files[j] = dataset.File{Name: fmt.Sprintf("%s-grow%d-%06d.dat", m.Agent, ev.idx, j), Size: m.Grow.Size}
-			}
 			k := 0
 			if shardOfAgent != nil {
 				k = shardOfAgent[m.Agent]
 			}
-			out[k] = append(out[k], testbed.Mutation{At: ev.at, Kind: testbed.MutGrowDataset, Task: m.Agent, Files: files})
+			out[k] = append(out[k], testbed.Mutation{At: ev.at, Kind: testbed.MutGrowDataset, Task: m.Agent, Count: m.Grow.Count, Size: m.Grow.Size})
 		}
 	}
 	return out, nil

@@ -191,8 +191,9 @@ func TestCompileTopologyMutations(t *testing.T) {
 	}
 }
 
-// TestCompileGrowDataset: grow mutations name files that cannot collide
-// with the base dataset or with other growths.
+// TestCompileGrowDataset: grow mutations compile to (count, size)
+// batches in schedule order, and the files they add cannot collide with
+// the base dataset or with other growths.
 func TestCompileGrowDataset(t *testing.T) {
 	d := &Document{Preset: "emulab", Agents: []AgentSpec{{ID: "a"}},
 		Mutations: []MutationSpec{
@@ -206,20 +207,32 @@ func TestCompileGrowDataset(t *testing.T) {
 	if len(run.Mutations) != 2 {
 		t.Fatalf("%d compiled mutations", len(run.Mutations))
 	}
-	seen := map[string]bool{}
-	for _, m := range run.Mutations {
-		if m.Kind != testbed.MutGrowDataset || m.Task != "a" {
-			t.Fatalf("unexpected mutation %+v", m)
+	task := run.Participants[0].Task
+	base := task.Dataset().Count()
+	for i, want := range []struct {
+		count int
+		size  int64
+	}{{2, 5}, {1, 7}} {
+		m := run.Mutations[i]
+		if m.Kind != testbed.MutGrowDataset || m.Task != "a" || m.Count != want.count || m.Size != want.size {
+			t.Fatalf("mutation %d = %+v, want a grow of a by %d × %d", i, m, want.count, want.size)
 		}
-		for _, f := range m.Files {
-			if seen[f.Name] {
-				t.Fatalf("duplicate grown file name %q", f.Name)
-			}
-			seen[f.Name] = true
+		if err := task.Extend(m.Count, m.Size); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if !seen["a-grow0-000000.dat"] || !seen["a-grow1-000000.dat"] {
-		t.Fatalf("grown names not namespaced by mutation index: %v", seen)
+	// The grown files continue the base dataset's derived names, so they
+	// can never collide with it or with each other.
+	ds := task.Dataset()
+	seen := map[string]bool{}
+	for i := range ds.Count() {
+		if seen[ds.FileName(i)] {
+			t.Fatalf("duplicate grown file name %q", ds.FileName(i))
+		}
+		seen[ds.FileName(i)] = true
+	}
+	if ds.Count() != base+3 || ds.FileName(base) != "a-020000.dat" || ds.FileSize(base+2) != 7 {
+		t.Fatalf("grown dataset: %d files, first grown %q, last %d bytes", ds.Count(), ds.FileName(base), ds.FileSize(base+2))
 	}
 }
 

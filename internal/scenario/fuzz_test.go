@@ -7,9 +7,10 @@ import (
 
 // FuzzParse: the parser/validator must return errors on malformed
 // input — malformed JSON, negative times, unknown references,
-// overlapping mutations — and never panic. Valid documents must be
-// canonical fixed points: re-parsing the canonical encoding yields the
-// same hash.
+// overlapping mutations, overflowing datasets — and never panic. Valid
+// documents must be canonical fixed points: re-parsing the canonical
+// encoding yields the same hash; those with at most 8 agents must build
+// without panicking.
 func FuzzParse(f *testing.F) {
 	// Every checked-in example is a seed.
 	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
@@ -45,6 +46,10 @@ func FuzzParse(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	// Two billion files must parse and build in constant memory; a
+	// dataset whose bytes overflow int64 must be rejected.
+	f.Add(emulabWithDataset(f, `{"count": 2000000000}`))
+	f.Add(emulabWithDataset(f, `{"count": 2000000000, "size": 5000000000}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := Parse(data) // must never panic
@@ -71,6 +76,12 @@ func FuzzParse(f *testing.F) {
 		}
 		if h1 != h2 {
 			t.Fatalf("canonical round-trip changed the hash: %s vs %s", h1, h2)
+		}
+		// Small accepted documents build too (Build may still refuse
+		// one, e.g. cross-traffic above a link's capacity), so a build
+		// path that allocates per file fails on the seeds above.
+		if len(d.AgentIDs()) <= 8 {
+			d.Build()
 		}
 	})
 }

@@ -26,6 +26,7 @@ import (
 	"strconv"
 	"strings"
 
+	"repro/internal/dataset"
 	"repro/internal/hostsim"
 	"repro/internal/iosim"
 	"repro/internal/testbed"
@@ -210,9 +211,11 @@ type SettingSpec struct {
 	Pipelining  int `json:"pipelining"`
 }
 
-// DatasetSpec describes a uniform dataset. Agents sharing the same
-// fully-specified dataset (label, count, size) share one interned
-// dataset in memory, which is what makes 10k-session fleets fit.
+// DatasetSpec describes a uniform dataset: a file count and a per-file
+// size. It builds in O(1) memory at any count (dataset.Uniform holds no
+// per-file state), so neither a large count nor a large fleet costs
+// memory per file. An agent's dataset with every batch grown onto it is
+// bounded to 2³¹−1 files and int64 bytes.
 type DatasetSpec struct {
 	// Label names the dataset; empty means the agent's own ID (a
 	// private dataset per agent).
@@ -638,6 +641,10 @@ func (d *Document) validateAgents(topoLinks map[string]bool) (map[string]bool, e
 			if ds.Size < 1 {
 				return nil, fmt.Errorf("scenario: agent %d dataset size %d must be ≥ 1", i, ds.Size)
 			}
+			if _, _, ok := addBatch(0, 0, ds.Count, ds.Size); !ok {
+				return nil, fmt.Errorf("scenario: %s: dataset of %d files × %d bytes exceeds %d files or int64 bytes",
+					agentRef(i, a, firstN), ds.Count, ds.Size, maxAgentFiles)
+			}
 		}
 	}
 	// Expansion assigns final IDs; collect them for mutation refs and
@@ -698,6 +705,29 @@ func (m *MutationSpec) mutKey() string {
 	return "?" + m.Kind
 }
 
+// maxAgentFiles bounds one agent's files, its dataset plus every batch
+// grown onto it: the engine mirrors a task's remaining files in an
+// int32.
+const maxAgentFiles = math.MaxInt32
+
+// addBatch adds count files of size bytes to an agent's running file
+// and byte totals, and reports false when that leaves the bounds
+// (maxAgentFiles files, int64 bytes).
+func addBatch(files, bytes int64, count int, size int64) (int64, int64, bool) {
+	b, ok := dataset.BatchBytes(count, size)
+	if !ok || int64(count) > maxAgentFiles-files || b > math.MaxInt64-bytes {
+		return files, bytes, false
+	}
+	return files + int64(count), bytes + b, true
+}
+
+// growth totals the batches a document's grow mutations add to one
+// agent; last is the index of the latest, for errors.
+type growth struct {
+	files, bytes int64
+	last         int
+}
+
 // validateMutations checks kinds, fields, references, and overlap.
 func (d *Document) validateMutations(agentIDs, topoLinks map[string]bool) error {
 	type span struct {
@@ -706,6 +736,7 @@ func (d *Document) validateMutations(agentIDs, topoLinks map[string]bool) error 
 		idx      int
 	}
 	spans := make([]span, 0, len(d.Mutations))
+	var grown map[string]growth
 	for i := range d.Mutations {
 		m := &d.Mutations[i]
 		if !finiteNonNeg(m.At) {
@@ -747,6 +778,16 @@ func (d *Document) validateMutations(agentIDs, topoLinks map[string]bool) error 
 			if m.Grow == nil || m.Grow.Count < 1 || m.Grow.Size < 1 {
 				return fmt.Errorf("scenario: mutation %d (%s) needs grow.count ≥ 1 and grow.size ≥ 1", i, m.Kind)
 			}
+			if grown == nil {
+				grown = make(map[string]growth)
+			}
+			g := grown[m.Agent]
+			var ok bool
+			if g.files, g.bytes, ok = addBatch(g.files, g.bytes, m.Grow.Count, m.Grow.Size); !ok {
+				return fmt.Errorf("scenario: mutation %d (%s) grows agent %q past %d files or int64 bytes", i, m.Kind, m.Agent, maxAgentFiles)
+			}
+			g.last = i
+			grown[m.Agent] = g
 		default:
 			return fmt.Errorf("scenario: mutation %d unknown kind %q", i, m.Kind)
 		}
@@ -769,6 +810,9 @@ func (d *Document) validateMutations(agentIDs, topoLinks map[string]bool) error 
 		}
 		spans = append(spans, span{key: m.mutKey(), from: m.At, to: to, idx: i})
 	}
+	if err := d.checkGrowth(grown); err != nil {
+		return err
+	}
 	// Overlap: same-key point mutations may not share a time, and a
 	// cross-traffic window conflicts with anything on its key inside
 	// [At, At+Duration] — a simultaneous or mid-wave change has no
@@ -786,6 +830,32 @@ func (d *Document) validateMutations(agentIDs, topoLinks map[string]bool) error 
 		p, q := &spans[i-1], &spans[i]
 		if p.key == q.key && q.from <= p.to {
 			return fmt.Errorf("scenario: mutations %d and %d overlap on %s", p.idx, q.idx, p.key)
+		}
+	}
+	return nil
+}
+
+// checkGrowth rejects an agent whose dataset plus every batch grown
+// onto it leaves addBatch's bounds, so a growth cannot fail mid-run.
+func (d *Document) checkGrowth(grown map[string]growth) error {
+	if len(grown) == 0 {
+		return nil
+	}
+	ids := d.AgentIDs()
+	n := 0
+	for i := range d.Agents {
+		a := &d.Agents[i]
+		for range a.Count {
+			id := ids[n]
+			n++
+			g, ok := grown[id]
+			if !ok || a.Dataset == nil {
+				continue
+			}
+			if _, _, ok := addBatch(g.files, g.bytes, a.Dataset.Count, a.Dataset.Size); !ok {
+				return fmt.Errorf("scenario: mutation %d (%s) grows agent %q past %d files or int64 bytes",
+					g.last, KindGrowDataset, id, maxAgentFiles)
+			}
 		}
 	}
 	return nil

@@ -75,8 +75,10 @@ type Mutation struct {
 	RTT float64
 	// Task is the target task ID (MutGrowDataset).
 	Task string
-	// Files are the appended files (MutGrowDataset).
-	Files []dataset.File
+	// Count and Size are the appended batch (MutGrowDataset): Count
+	// more files of Size bytes each.
+	Count int
+	Size  int64
 
 	// seq breaks At ties by scheduling order, so equal-time mutations
 	// apply deterministically in the order they were scheduled.
@@ -111,16 +113,9 @@ func (m *Mutation) validate() error {
 		if m.Task == "" {
 			return fmt.Errorf("testbed: grow-dataset mutation at %v has no task", m.At)
 		}
-		if len(m.Files) == 0 {
-			return fmt.Errorf("testbed: grow-dataset mutation at %v for %q has no files", m.At, m.Task)
-		}
-		for _, f := range m.Files {
-			if f.Name == "" {
-				return fmt.Errorf("testbed: grow-dataset mutation at %v for %q has a file with empty name", m.At, m.Task)
-			}
-			if f.Size <= 0 {
-				return fmt.Errorf("testbed: grow-dataset mutation at %v for %q: file %q size %d must be positive", m.At, m.Task, f.Name, f.Size)
-			}
+		if _, ok := dataset.BatchBytes(m.Count, m.Size); !ok {
+			return fmt.Errorf("testbed: grow-dataset mutation at %v for %q: %d files of %d bytes must be ≥ 1 each and fit int64",
+				m.At, m.Task, m.Count, m.Size)
 		}
 	default:
 		return fmt.Errorf("testbed: unknown mutation kind %d", int(m.Kind))
@@ -205,9 +200,10 @@ func (e *Engine) applyDueMutations() {
 				// scenario semantics make this a no-op, not an error.
 				continue
 			}
-			if err := t.Extend(m.Files); err != nil {
-				// Scenario validation rejects colliding file names up
-				// front, so a failure here is a driver bug.
+			if err := t.Extend(m.Count, m.Size); err != nil {
+				// Scenario validation rejects a growth that overflows
+				// the task's totals up front, so a failure here is a
+				// driver bug.
 				panic(fmt.Sprintf("testbed: grow-dataset mutation at %v for %q: %v", m.At, m.Task, err))
 			}
 		}

@@ -20,8 +20,7 @@ func flapMutations(growTask string) []Mutation {
 		{At: 80, Kind: MutLinkCapacity, Capacity: 40e9},
 		{At: 55, Kind: MutRTT, RTT: 0.002},
 		{At: 65, Kind: MutSrcStore, Capacity: 30e9, PerProc: 5e9},
-		{At: 70, Kind: MutGrowDataset, Task: growTask,
-			Files: []dataset.File{{Name: "extra-0", Size: 1e9}, {Name: "extra-1", Size: 1e9}}},
+		{At: 70, Kind: MutGrowDataset, Task: growTask, Count: 2, Size: 1e9},
 	}
 }
 
@@ -114,11 +113,7 @@ func TestMutationGrowDatasetExtendsRun(t *testing.T) {
 			t.Fatal(err)
 		}
 		if grow {
-			files := make([]dataset.File, 200)
-			for i := range files {
-				files[i] = dataset.File{Name: fmt.Sprintf("grown-%03d", i), Size: 1e9}
-			}
-			if err := eng.ScheduleMutation(Mutation{At: 10, Kind: MutGrowDataset, Task: "small", Files: files}); err != nil {
+			if err := eng.ScheduleMutation(Mutation{At: 10, Kind: MutGrowDataset, Task: "small", Count: 200, Size: 1e9}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -158,10 +153,11 @@ func TestScheduleMutationValidation(t *testing.T) {
 		{At: 10, Kind: MutRTT, RTT: -0.1},
 		{At: 10, Kind: MutSrcStore},
 		{At: 10, Kind: MutDstStore, Capacity: -1},
-		{At: 10, Kind: MutGrowDataset, Task: "", Files: []dataset.File{{Name: "f", Size: 1}}},
+		{At: 10, Kind: MutGrowDataset, Task: "", Count: 1, Size: 1},
 		{At: 10, Kind: MutGrowDataset, Task: "t"},
-		{At: 10, Kind: MutGrowDataset, Task: "t", Files: []dataset.File{{Name: "", Size: 1}}},
-		{At: 10, Kind: MutGrowDataset, Task: "t", Files: []dataset.File{{Name: "f", Size: 0}}},
+		{At: 10, Kind: MutGrowDataset, Task: "t", Count: -1, Size: 1},
+		{At: 10, Kind: MutGrowDataset, Task: "t", Count: 1, Size: 0},
+		{At: 10, Kind: MutGrowDataset, Task: "t", Count: 2, Size: math.MaxInt64/2 + 1},
 		{At: 10, Kind: MutationKind(99), Capacity: 1e9},
 	}
 	for i, m := range bad {
@@ -195,8 +191,7 @@ func TestMutationGrowAfterLeaveIsNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := eng.ScheduleMutation(Mutation{At: 100, Kind: MutGrowDataset, Task: "gone",
-		Files: []dataset.File{{Name: "late", Size: 1e9}}}); err != nil {
+	if err := eng.ScheduleMutation(Mutation{At: 100, Kind: MutGrowDataset, Task: "gone", Count: 1, Size: 1e9}); err != nil {
 		t.Fatal(err)
 	}
 	s := NewScheduler(eng, 1)

@@ -54,10 +54,10 @@ func TestRunTicksHonoursOutOfBandRetune(t *testing.T) {
 	}
 	extend := func(id string) func(e *Engine) error {
 		return func(e *Engine) error {
-			return e.Task(id).Extend([]dataset.File{
-				{Name: id + "-x0", Size: int64(dataset.GB)},
-				{Name: id + "-x1", Size: 2 * int64(dataset.GB)},
-			})
+			if err := e.Task(id).Extend(1, int64(dataset.GB)); err != nil {
+				return err
+			}
+			return e.Task(id).Extend(1, 2*int64(dataset.GB))
 		}
 	}
 	setting := func(s transfer.Setting) func(e *Engine) error {

@@ -1,14 +1,15 @@
 package transfer
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dataset"
 )
 
 // TestExtendGrowsPrivately: Extend switches the task to a private
-// copy-on-write dataset — totals grow, the generation bumps, and other
-// tasks sharing the original interned dataset are untouched.
+// grown dataset — totals grow, the generation bumps, and other tasks
+// sharing the original dataset are untouched.
 func TestExtendGrowsPrivately(t *testing.T) {
 	shared := dataset.Uniform("extend-shared", 5, 1000)
 	a, err := NewTask("a", shared, DefaultSetting())
@@ -20,7 +21,7 @@ func TestExtendGrowsPrivately(t *testing.T) {
 		t.Fatal(err)
 	}
 	gen := a.Generation()
-	if err := a.Extend([]dataset.File{{Name: "x0", Size: 500}, {Name: "x1", Size: 500}}); err != nil {
+	if err := a.Extend(2, 500); err != nil {
 		t.Fatal(err)
 	}
 	if a.Generation() != gen+1 {
@@ -32,8 +33,11 @@ func TestExtendGrowsPrivately(t *testing.T) {
 	if got := b.BytesRemaining(); got != 5000 {
 		t.Fatalf("b remaining = %d after a's Extend, want 5000 — shared dataset mutated", got)
 	}
-	if len(shared.Files) != 5 {
-		t.Fatalf("interned dataset grew to %d files", len(shared.Files))
+	if shared.Count() != 5 || shared.TotalBytes() != 5000 {
+		t.Fatalf("shared dataset grew to %d files / %d bytes", shared.Count(), shared.TotalBytes())
+	}
+	if a.Dataset().Count() != 7 || a.Dataset().FileSize(6) != 500 {
+		t.Fatalf("a's grown dataset: %d files, last %d bytes", a.Dataset().Count(), a.Dataset().FileSize(6))
 	}
 }
 
@@ -50,7 +54,7 @@ func TestExtendRevivesDrainedTask(t *testing.T) {
 	if !task.Done() || task.ActiveFiles() != 0 {
 		t.Fatalf("task not drained: done=%v active=%d", task.Done(), task.ActiveFiles())
 	}
-	if err := task.Extend([]dataset.File{{Name: "new", Size: 4000}}); err != nil {
+	if err := task.Extend(1, 4000); err != nil {
 		t.Fatal(err)
 	}
 	if task.Done() {
@@ -64,26 +68,29 @@ func TestExtendRevivesDrainedTask(t *testing.T) {
 	}
 }
 
-// TestExtendRejectsBadInput: empty batches, unnamed files, non-positive
-// sizes, and duplicate names are errors that leave the task unchanged.
+// TestExtendRejectsBadInput: empty batches, non-positive sizes, and
+// batches whose bytes overflow int64 (alone or on top of the dataset)
+// are errors that leave the task unchanged.
 func TestExtendRejectsBadInput(t *testing.T) {
 	task, err := NewTask("r", dataset.Uniform("extend-bad", 3, 1000), DefaultSetting())
 	if err != nil {
 		t.Fatal(err)
 	}
 	gen, rem := task.Generation(), task.BytesRemaining()
-	cases := [][]dataset.File{
-		nil,
-		{},
-		{{Name: "", Size: 1}},
-		{{Name: "ok", Size: 0}},
-		{{Name: "ok", Size: -5}},
-		{{Name: "extend-bad-000001.dat", Size: 1}}, // duplicates a base file
-		{{Name: "twice", Size: 1}, {Name: "twice", Size: 1}},
+	cases := []struct {
+		count int
+		size  int64
+	}{
+		{0, 1},
+		{-1, 1},
+		{1, 0},
+		{1, -5},
+		{2, math.MaxInt64/2 + 1},      // the batch alone overflows
+		{1, math.MaxInt64 - 3000 + 1}, // the batch on top of 3000 bytes overflows
 	}
-	for i, files := range cases {
-		if err := task.Extend(files); err == nil {
-			t.Errorf("case %d: Extend(%v) succeeded", i, files)
+	for i, c := range cases {
+		if err := task.Extend(c.count, c.size); err == nil {
+			t.Errorf("case %d: Extend(%d, %d) succeeded", i, c.count, c.size)
 		}
 	}
 	if task.Generation() != gen || task.BytesRemaining() != rem {

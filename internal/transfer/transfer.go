@@ -98,7 +98,9 @@ type Task struct {
 	gen     int // bumped on every SetSetting
 
 	totalBytes int64   // cached dataset size (datasets are immutable)
+	files      int     // cached dataset file count
 	nextFile   int     // index of the first file not yet fully sent
+	head       int64   // size of the file at nextFile; 0 once done
 	fileSent   int64   // bytes already sent of the file at nextFile
 	bytesDone  int64   // total bytes completed
 	elapsed    float64 // seconds of active transfer time
@@ -117,13 +119,21 @@ func NewTask(id string, ds *dataset.Dataset, s Setting) (*Task, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, fmt.Errorf("transfer: %w", err)
 	}
-	if len(ds.Files) == 0 {
+	if ds.Count() == 0 {
 		return nil, fmt.Errorf("transfer: dataset %q has no files", ds.Label)
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	return &Task{id: id, ds: ds, setting: s, totalBytes: ds.TotalBytes()}, nil
+	return &Task{id: id, ds: ds, setting: s, totalBytes: ds.TotalBytes(), files: ds.Count(), head: ds.FileSize(0)}, nil
+}
+
+// sizeAt returns the size of file i, or 0 past the last file.
+func (t *Task) sizeAt(i int) int64 {
+	if i >= t.files {
+		return 0
+	}
+	return t.ds.FileSize(i)
 }
 
 // ID returns the task identifier.
@@ -151,41 +161,24 @@ func (t *Task) SetSetting(s Setting) error {
 // comparing whole settings.
 func (t *Task) Generation() int { return t.gen }
 
-// Extend appends files to the task's dataset mid-transfer — the
-// "dataset grows while the transfer runs" disturbance of dynamic
-// scenarios. Datasets are immutable and may be shared across tasks, so
-// the task switches to a private copy-on-write dataset holding the old
-// files plus the new ones; other tasks sharing the original are
-// unaffected. A task that had drained its dataset becomes active again
-// and resumes with the first appended file. It returns an error for
-// empty input, files with empty names or non-positive sizes, or names
-// duplicating the task's existing files.
-func (t *Task) Extend(files []dataset.File) error {
-	if len(files) == 0 {
-		return fmt.Errorf("transfer: Extend with no files")
+// Extend appends count files of the given size to the task's dataset
+// mid-transfer — the "dataset grows while the transfer runs"
+// disturbance of dynamic scenarios. Datasets are immutable and may be
+// shared across tasks, so the task switches to a private grown dataset
+// (dataset.Grow); other tasks sharing the original are unaffected. A
+// task that had drained its dataset becomes active again and resumes
+// with the first appended file. It returns an error for a count or
+// size below 1 or a total that overflows int64, and leaves the task
+// unchanged.
+func (t *Task) Extend(count int, size int64) error {
+	grown, err := t.ds.Grow(count, size)
+	if err != nil {
+		return fmt.Errorf("transfer: Extend: %w", err)
 	}
-	seen := make(map[string]bool, len(t.ds.Files)+len(files))
-	for _, f := range t.ds.Files {
-		seen[f.Name] = true
-	}
-	for _, f := range files {
-		if f.Name == "" {
-			return fmt.Errorf("transfer: Extend file with empty name")
-		}
-		if f.Size <= 0 {
-			return fmt.Errorf("transfer: Extend file %q has non-positive size %d", f.Name, f.Size)
-		}
-		if seen[f.Name] {
-			return fmt.Errorf("transfer: Extend duplicates file name %q", f.Name)
-		}
-		seen[f.Name] = true
-	}
-	grown := &dataset.Dataset{Label: t.ds.Label}
-	grown.Files = make([]dataset.File, 0, len(t.ds.Files)+len(files))
-	grown.Files = append(grown.Files, t.ds.Files...)
-	grown.Files = append(grown.Files, files...)
 	t.ds = grown
+	t.files = grown.Count()
 	t.totalBytes = grown.TotalBytes()
+	t.head = t.sizeAt(t.nextFile)
 	// An extension changes ActiveFiles and HorizonBytes out of band, the
 	// same way a retune does; the generation bump lets engines detect it
 	// between macro-steps.
@@ -194,7 +187,7 @@ func (t *Task) Extend(files []dataset.File) error {
 }
 
 // Done reports whether every byte of the dataset has been sent.
-func (t *Task) Done() bool { return t.nextFile >= len(t.ds.Files) }
+func (t *Task) Done() bool { return t.nextFile >= t.files }
 
 // BytesDone returns the total bytes completed so far.
 func (t *Task) BytesDone() int64 { return t.bytesDone }
@@ -209,7 +202,7 @@ func (t *Task) Elapsed() float64 { return t.elapsed }
 // simultaneously right now: the configured concurrency, bounded by the
 // number of files remaining.
 func (t *Task) ActiveFiles() int {
-	remaining := len(t.ds.Files) - t.nextFile
+	remaining := t.files - t.nextFile
 	if remaining < 0 {
 		remaining = 0
 	}
@@ -225,7 +218,7 @@ func (t *Task) ActiveConnections() int { return t.ActiveFiles() * t.setting.Para
 
 // RemainingFiles returns the number of files not yet fully sent.
 func (t *Task) RemainingFiles() int {
-	remaining := len(t.ds.Files) - t.nextFile
+	remaining := t.files - t.nextFile
 	if remaining < 0 {
 		remaining = 0
 	}
@@ -237,7 +230,7 @@ func (t *Task) RemainingFiles() int {
 // the task is done. Computed in O(1) from the byte counters — this runs
 // on every simulation tick.
 func (t *Task) RemainingMeanFileSize() float64 {
-	remaining := len(t.ds.Files) - t.nextFile
+	remaining := t.files - t.nextFile
 	if remaining <= 0 {
 		return 0
 	}
@@ -260,8 +253,8 @@ func (t *Task) Advance(bytes int64, dt float64) int {
 	}
 	t.elapsed += dt
 	completed := 0
-	for bytes > 0 && t.nextFile < len(t.ds.Files) {
-		need := t.ds.Files[t.nextFile].Size - t.fileSent
+	for bytes > 0 && t.nextFile < t.files {
+		need := t.head - t.fileSent
 		if bytes < need {
 			t.fileSent += bytes
 			t.bytesDone += bytes
@@ -271,6 +264,7 @@ func (t *Task) Advance(bytes int64, dt float64) int {
 		t.bytesDone += need
 		t.fileSent = 0
 		t.nextFile++
+		t.head = t.sizeAt(t.nextFile)
 		completed++
 	}
 	return completed
@@ -286,20 +280,16 @@ func (t *Task) Advance(bytes int64, dt float64) int {
 // simulator's event-horizon stepping batches up to. Returns 0 when the
 // task is done.
 func (t *Task) HorizonBytes() int64 {
-	remaining := len(t.ds.Files) - t.nextFile
+	remaining := t.files - t.nextFile
 	if remaining <= 0 {
 		return 0
 	}
 	if remaining <= t.setting.Concurrency {
-		return t.ds.Files[t.nextFile].Size - t.fileSent
+		return t.head - t.fileSent
 	}
 	// Distance to the remaining == Concurrency boundary: everything but
-	// the final Concurrency files. O(Concurrency), not O(files).
-	var tail int64
-	for i := len(t.ds.Files) - t.setting.Concurrency; i < len(t.ds.Files); i++ {
-		tail += t.ds.Files[i].Size
-	}
-	return t.totalBytes - tail - t.bytesDone
+	// the final Concurrency files, arithmetic over a uniform dataset.
+	return t.totalBytes - t.ds.TailBytes(t.setting.Concurrency) - t.bytesDone
 }
 
 // Progress returns the completed fraction in [0, 1].

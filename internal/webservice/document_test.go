@@ -141,10 +141,28 @@ func TestDocumentValidation(t *testing.T) {
 		// Service caps: roster and duration bounds.
 		`{"scenario": {"preset": "fleet", "agents": [{"count": 513}]}}`,
 		`{"scenario": {"preset": "emulab", "duration_seconds": 86400, "agents": [{}]}}`,
+		// Dataset bytes overflowing int64: count × size, or a growth.
+		`{"scenario": {"preset": "emulab", "agents": [{"dataset": {"count": 2000000000, "size": 5000000000}}]}}`,
+		`{"scenario": {"preset": "emulab", "agents": [{"id": "a"}],
+			"mutations": [{"at": 1, "kind": "grow-dataset", "agent": "a", "grow": {"count": 4, "size": 4611686018427387904}}]}}`,
 	}
 	for _, c := range cases {
 		if code, out := postScenario(t, ts.URL, c); code != http.StatusBadRequest {
 			t.Errorf("payload %.60s...: status %d (%v), want 400", c, code, out)
 		}
+	}
+}
+
+// TestHugeDatasetDocumentRuns: a dataset of two billion files costs the
+// service nothing — the document is accepted and runs to completion.
+func TestHugeDatasetDocumentRuns(t *testing.T) {
+	_, ts := startService(t)
+	code, out := postScenario(t, ts.URL, `{"scenario": {"preset": "emulab", "duration_seconds": 60,
+		"agents": [{"dataset": {"count": 2000000000}}]}}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("status = %d, want 202 (%v)", code, out)
+	}
+	if sc := waitDone(t, ts.URL, out["id"]); sc.Status != "done" {
+		t.Fatalf("status = %s (%s)", sc.Status, sc.Error)
 	}
 }
