@@ -29,15 +29,17 @@ benchsmoke:
 # checked-in peak-heap budget of about twice its measured peak, so only
 # a real per-session memory regression trips it:
 # - flag road: a 10k-session fleet in streaming-aggregate mode, measured
-#   ~117 MB (≈11.7 kB/session) against 256 MB;
+#   54–63 MB (≈6.3 kB/session) against 128 MiB;
 # - document road: the 10k-session capacity-flap scenario with full
-#   recording, 12.4–13.3 s of simulation on a 2-core VM (it joins a
+#   recording, 8.7–10.2 s of simulation on a 2-core VM (it joins a
 #   session on most ticks for 500 of its 600 s, so 2 001 of its 2 400
-#   engine ticks are full steps), measured 310–318 MB (≈31 kB/session)
-#   against 600 MB. Before its agents were fleet-weight it peaked at
-#   637 MB, over this budget.
-FLEET_HEAP_BUDGET ?= 268435456
-DOC_FLEET_HEAP_BUDGET ?= 600000000
+#   engine ticks are full steps), measured 256–268 MB (≈26 kB/session)
+#   against 520 MB.
+# Both were re-measured and the budgets tightened when the BO searcher
+# stopped keeping per-call scratch: the roads measured ~79 MB and
+# 310–322 MB before.
+FLEET_HEAP_BUDGET ?= 134217728
+DOC_FLEET_HEAP_BUDGET ?= 520000000
 
 memsmoke:
 	$(GO) run ./cmd/fleet -n 10000 -duration 120 -stagger 0.001 -record aggregate -seed 1 -maxheap $(FLEET_HEAP_BUDGET)
@@ -76,7 +78,8 @@ $(GO) test -race -count=2 -run '$(1)' $(2)
 endef
 
 transparency:
-	$(call race2,TestPredictIntoMatchesPredict,./internal/bayesopt/)
+	$(call race2,TestPredictIntoMatchesPredict|TestRefitMatchesIndependentFits|TestSearchAllocationsIndependentOfCallCount,./internal/bayesopt/)
+	$(call race2,TestInterleavedUpdatesMatchSingleCalls,./internal/linalg/)
 	$(call race2,TestSyntheticDatasetsHoldNoPerFileObjects,./internal/dataset/)
 	$(call race2,TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls,./internal/netsim/)
 	$(call race2,TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestRetuneMatchesFreshAllocation,./internal/netsim/)

@@ -35,7 +35,9 @@
 // With -scenario, the flag-built fleet is replaced by a declarative
 // scenario document (see internal/scenario) and the run reports
 // time-to-refairness around every compiled link-capacity horizon via
-// experiments.DynamicFleet. The document describes the fleet, so the
+// experiments.DynamicFleet; stderr times the simulation and the report
+// apart, and the session-seconds/sec rate is the simulation's alone.
+// The document describes the fleet, so the
 // flags that build one (-n, -duration, -stagger, -maxn, -algos, -links,
 // -record, -json) are refused beside it rather than ignored; a
 // noise-free fleet is a document whose "env" sets "noise_std_dev": 0.
@@ -127,17 +129,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		sessions := len(doc.AgentIDs())
 		start := time.Now()
-		res, err := experiments.DynamicFleet(doc, *shards)
+		dr, err := experiments.ExecuteDynamicFleet(doc, *shards)
 		wall := time.Since(start)
 		if err != nil {
 			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
+		start = time.Now()
+		res := dr.Report()
+		reportWall := time.Since(start)
 		if err := res.Render(stdout); err != nil {
 			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
 		}
 		printRate(stderr, sessions, doc.SessionSeconds(), doc.DurationSeconds, wall)
+		fmt.Fprintf(stderr, "fleet: refairness report in %.2f s wall\n", reportWall.Seconds())
 		peakHeap, peakRSS := peakMemory()
 		return memoryStatus(stderr, "", peakHeap, peakRSS, sessions, *maxheap)
 	}

@@ -411,13 +411,13 @@ func TestSearchAllocationsIndependentOfCallCount(t *testing.T) {
 
 // TestSearchFootprint bounds the bytes a fleet agent's searcher costs:
 // built with 8-byte sources over [1, 8] and driven past a full window,
-// it allocates at most searchFootprint bytes — its window-sized
-// Cholesky factors, fit state and one shared set of fit and sweep
-// scratch. The bound is the measured footprint plus ≈10 %; a 24-row
-// factor per candidate, or an n×m sweep block per candidate instead
-// of one shared, exceeds it.
+// it allocates at most searchFootprint bytes — its window, its
+// window-sized Cholesky factors and kernel tables and the winner's
+// weights; per-call scratch is borrowed. The bound is the measured
+// footprint (7 345 B) plus ≈10 %; per-agent scratch such as the 20×8
+// sweep block, or a 24-row factor per candidate, exceeds it.
 func TestSearchFootprint(t *testing.T) {
-	const searchFootprint = 12700
+	const searchFootprint = 8100
 	const runs = 64
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

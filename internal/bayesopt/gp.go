@@ -32,7 +32,10 @@ import (
 // point (or slides the window by one), the Cholesky factor is updated
 // incrementally in O(n²) instead of refactorised in O(n³). The
 // append-only update is bit-identical to a full refit; the
-// window-slide update differs only by rank-1-update rounding.
+// window-slide update differs only by rank-1-update rounding. A GP
+// keeps only its fit; the working memory of a call — kernel rows,
+// Predict's k*, PredictInto's cross-covariance block — is borrowed
+// from the package's scratch free list.
 type GP struct {
 	// LengthScale is the RBF kernel length scale in input units.
 	LengthScale float64
@@ -44,24 +47,19 @@ type GP struct {
 
 	xs    []float64
 	alpha []float64
-	chol  *linalg.Chol
+	chol  linalg.Chol
 	meanY float64
 	stdY  float64
 	// yStd caches the standardised targets from Fit so
 	// LogMarginalLikelihood's yᵀα term is a dot product instead of a
-	// kernel-matrix reconstruction.
+	// kernel-matrix reconstruction. A Search's candidates leave it
+	// nil: their refit shares one standardisation and scores the
+	// likelihood itself.
 	yStd   []float64
 	fitted bool
 	// fitHyper records the hyperparameters the current factor was
 	// built with; the incremental paths require them unchanged.
 	fitHyper [3]float64
-
-	// Scratch buffers (kernel rows, Predict k* and solve vectors,
-	// PredictInto's cross-covariance block).
-	rowBuf []float64
-	kstar  []float64
-	vbuf   []float64
-	bbuf   []float64
 
 	// kTab memoises the RBF kernel over integer input distances: the
 	// searcher's inputs are integer concurrencies, so almost every
@@ -81,38 +79,7 @@ func NewGP(lengthScale, signalVar, noiseVar float64) *GP {
 	if lengthScale <= 0 || signalVar <= 0 || noiseVar <= 0 {
 		panic(fmt.Sprintf("bayesopt: invalid GP hyperparameters ℓ=%v σf²=%v σn²=%v", lengthScale, signalVar, noiseVar))
 	}
-	return &GP{LengthScale: lengthScale, SignalVar: signalVar, NoiseVar: noiseVar, chol: linalg.NewChol(0)}
-}
-
-// gpOwnSize and gpSharedSize are the float64 counts reserve carves, for
-// a window of n observations swept over an m-point grid.
-func gpOwnSize(n, m int) int    { return linalg.PackedSize(n) + 3*n + m }
-func gpSharedSize(n, m int) int { return 2*n + n*m }
-
-// reserve sizes the GP for a window of n observations swept over an
-// m-point grid, so a searcher's buffers are allocated once instead of
-// growing while its window fills. The state a fit leaves behind — the
-// factor, standardised targets, weights, inputs and kernel table — is
-// carved from the front of own (gpOwnSize floats), which reserve
-// returns the rest of. The kernel-row, DropFirst and PredictInto scratch
-// comes from shared (gpSharedSize floats): it holds nothing between
-// calls, so GPs that never fit or sweep concurrently, like one
-// searcher's length-scale candidates, share it. Fitted state carries
-// over; anything larger than the reservation still grows on demand.
-func (g *GP) reserve(own, shared []float64, n, m int) []float64 {
-	carve := func(buf, old []float64, c int) ([]float64, []float64) {
-		return append(buf[:0:c], old...), buf[c:]
-	}
-	var tri []float64
-	tri, own = carve(own, nil, linalg.PackedSize(n))
-	g.yStd, own = carve(own, g.yStd, n)
-	g.alpha, own = carve(own, g.alpha, n)
-	g.xs, own = carve(own, g.xs, n)
-	g.kTab, own = carve(own, g.kTab, m)
-	g.chol.Rehome(tri, shared[:n:n])
-	g.rowBuf, shared = carve(shared[n:], nil, n)
-	g.bbuf, _ = carve(shared, nil, n*m)
-	return own
+	return &GP{LengthScale: lengthScale, SignalVar: signalVar, NoiseVar: noiseVar}
 }
 
 // maxKernelTable bounds the integer-distance kernel table (64 KiB of
@@ -202,28 +169,28 @@ func (g *GP) kernel(a, b float64) float64 {
 	return g.SignalVar * math.Exp(-0.5*z*z)
 }
 
-// kernelRow fills g.rowBuf with k(xs[n], xs[0..n]) including the noise
-// jitter on the diagonal — the bordering row AppendRow consumes.
-func (g *GP) kernelRow(xs []float64, n int) []float64 {
-	if cap(g.rowBuf) < n+1 {
-		g.rowBuf = make([]float64, n+1)
+// kernelRow fills row[:n+1] with k(xs[n], xs[0..n]) including the
+// noise jitter on the diagonal — the bordering row AppendRow consumes.
+func (g *GP) kernelRow(row, xs []float64, n int) []float64 {
+	row = row[:n+1]
+	for j, xj := range xs[:n+1] {
+		row[j] = g.kernel(xs[n], xj)
 	}
-	row := g.rowBuf[:n+1]
-	for j := 0; j <= n; j++ {
-		v := g.kernel(xs[n], xs[j])
-		if j == n {
-			v += g.NoiseVar + 1e-9 // jitter for numerical safety
-		}
-		row[j] = v
-	}
+	row[n] += g.jitter()
 	return row
 }
 
-// refactor builds the Cholesky factor from scratch.
-func (g *GP) refactor(xs []float64) error {
+// jitter is the diagonal's noise term: the noise variance plus a
+// little for numerical safety.
+func (g *GP) jitter() float64 { return g.NoiseVar + 1e-9 }
+
+// refactor builds the Cholesky factor from scratch, taking each
+// bordering row in row (at least len(xs) floats). A failure leaves the
+// GP unfitted.
+func (g *GP) refactor(xs, row []float64) error {
 	g.chol.Reset()
 	for i := range xs {
-		if err := g.chol.AppendRow(g.kernelRow(xs, i)); err != nil {
+		if err := g.chol.AppendRow(g.kernelRow(row, xs, i)); err != nil {
 			g.chol.Reset()
 			g.fitted = false
 			return fmt.Errorf("bayesopt: kernel matrix not PD: %w", err)
@@ -232,62 +199,37 @@ func (g *GP) refactor(xs []float64) error {
 	return nil
 }
 
-// extendsByOne reports whether xs equals g.xs plus one appended point.
-func (g *GP) extendsByOne(xs []float64) bool {
-	if len(xs) != len(g.xs)+1 {
+// extendsByOne reports whether xs equals old plus one appended point.
+func extendsByOne(old, xs []float64) bool {
+	if len(xs) != len(old)+1 {
 		return false
 	}
-	for i := range g.xs {
-		if xs[i] != g.xs[i] {
+	for i := range old {
+		if xs[i] != old[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// slidesByOne reports whether xs equals g.xs shifted left by one with
+// slidesByOne reports whether xs equals old shifted left by one with
 // one appended point (the full-window case).
-func (g *GP) slidesByOne(xs []float64) bool {
-	if len(xs) != len(g.xs) || len(xs) == 0 {
+func slidesByOne(old, xs []float64) bool {
+	if len(xs) != len(old) || len(xs) == 0 {
 		return false
 	}
-	for i := 1; i < len(g.xs); i++ {
-		if xs[i-1] != g.xs[i] {
+	for i := 1; i < len(old); i++ {
+		if xs[i-1] != old[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// Fit conditions the GP on the observations. It returns an error when
-// called with mismatched or empty slices or when the kernel matrix is
-// numerically singular (which the noise term should prevent).
-func (g *GP) Fit(xs, ys []float64) error {
-	if err := g.fitPrepare(xs, ys); err != nil {
-		return err
-	}
-	g.solveAlpha()
-	return nil
-}
-
-// fitPrepare is Fit minus the alpha solve: it updates the Cholesky
-// factor, standardises the targets and records the fit state, leaving
-// g.alpha sized but stale. Search's model selection prepares all three
-// length-scale candidates first and then solves their alphas in one
-// interleaved pass (linalg.SolveInto3); single-GP callers use Fit,
-// which is fitPrepare plus solveAlpha.
-func (g *GP) fitPrepare(xs, ys []float64) error {
-	if len(xs) == 0 {
-		return fmt.Errorf("bayesopt: Fit with no observations")
-	}
-	if len(xs) != len(ys) {
-		return fmt.Errorf("bayesopt: Fit length mismatch %d != %d", len(xs), len(ys))
-	}
-	n := len(xs)
-	g.syncKTab()
-
-	// Standardise targets.
-	mean := 0.0
+// standardise writes (ys − mean)/std into dst and returns the mean and
+// std; constant targets keep std 1 and are left centred at zero.
+func standardise(dst, ys []float64) (mean, std float64) {
+	n := len(ys)
 	for _, y := range ys {
 		mean += y
 	}
@@ -297,62 +239,79 @@ func (g *GP) fitPrepare(xs, ys []float64) error {
 		variance += (y - mean) * (y - mean)
 	}
 	variance /= float64(n)
-	std := math.Sqrt(variance)
+	std = math.Sqrt(variance)
 	if std < 1e-12 {
-		std = 1 // constant targets: leave them centred at zero
+		std = 1
 	}
+	for i, y := range ys {
+		dst[i] = (y - mean) / std
+	}
+	return mean, std
+}
+
+// Fit conditions the GP on the observations. It returns an error when
+// called with mismatched or empty slices or when the kernel matrix is
+// numerically singular (which the noise term should prevent).
+func (g *GP) Fit(xs, ys []float64) error {
+	if len(xs) == 0 {
+		return fmt.Errorf("bayesopt: Fit with no observations")
+	}
+	if len(xs) != len(ys) {
+		return fmt.Errorf("bayesopt: Fit length mismatch %d != %d", len(xs), len(ys))
+	}
+	n := len(xs)
+	g.syncKTab()
+	sc := borrow(n)
+	defer sc.release()
+	row := sc.buf
 
 	// Update the factor: incrementally when the window grew or slid by
 	// one under unchanged hyperparameters, from scratch otherwise. A
 	// failed incremental update falls back to refactoring.
 	hyper := [3]float64{g.LengthScale, g.SignalVar, g.NoiseVar}
 	switch {
-	case g.fitted && hyper == g.fitHyper && g.extendsByOne(xs):
-		if err := g.chol.AppendRow(g.kernelRow(xs, n-1)); err != nil {
-			if err := g.refactor(xs); err != nil {
+	case g.fitted && hyper == g.fitHyper && extendsByOne(g.xs, xs):
+		if err := g.chol.AppendRow(g.kernelRow(row, xs, n-1)); err != nil {
+			if err := g.refactor(xs, row); err != nil {
 				return err
 			}
 		}
-	case g.fitted && hyper == g.fitHyper && g.slidesByOne(xs):
+	case g.fitted && hyper == g.fitHyper && slidesByOne(g.xs, xs):
 		g.chol.DropFirst()
-		if err := g.chol.AppendRow(g.kernelRow(xs, n-1)); err != nil {
-			if err := g.refactor(xs); err != nil {
+		if err := g.chol.AppendRow(g.kernelRow(row, xs, n-1)); err != nil {
+			if err := g.refactor(xs, row); err != nil {
 				return err
 			}
 		}
 	default:
-		if err := g.refactor(xs); err != nil {
+		if err := g.refactor(xs, row); err != nil {
 			return err
 		}
 	}
 
-	if cap(g.yStd) < n {
-		g.yStd = make([]float64, n)
-	}
-	g.yStd = g.yStd[:n]
-	for i, y := range ys {
-		g.yStd[i] = (y - mean) / std
-	}
-	if cap(g.alpha) < n {
-		g.alpha = make([]float64, n)
-	}
-	g.alpha = g.alpha[:n]
+	g.yStd = grow(g.yStd, n)
+	g.meanY, g.stdY = standardise(g.yStd, ys)
+	g.alpha = grow(g.alpha, n)
 	g.xs = append(g.xs[:0], xs...)
-	g.meanY = mean
-	g.stdY = std
 	g.fitHyper = hyper
 	g.fitted = true
+	g.chol.SolveInto(g.alpha, g.yStd)
 	return nil
 }
 
-// solveAlpha computes alpha = K⁻¹·yStd against the prepared factor.
-func (g *GP) solveAlpha() {
-	g.chol.SolveInto(g.alpha, g.yStd)
+// grow returns s resized to n, reallocating only when it is too small.
+func grow(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
+	}
+	return s[:n]
 }
 
-// Fitted reports whether Fit has succeeded at least once (and the
-// factor survives — a failed refit invalidates it).
-func (g *GP) Fitted() bool { return g.fitted }
+// Fitted reports whether the GP holds a usable posterior: Fit has
+// succeeded at least once and the factor survives (a failed refit
+// invalidates it). A Search candidate that lost the last model
+// selection keeps its factor but no weights, and is not fitted.
+func (g *GP) Fitted() bool { return g.fitted && g.alpha != nil }
 
 // Predict returns the posterior mean and standard deviation at x, in
 // the original target units. Predicting before a successful Fit panics
@@ -362,14 +321,16 @@ func (g *GP) Predict(x float64) (mean, std float64) {
 		panic("bayesopt: Predict before Fit")
 	}
 	g.syncKTab()
+	sc := borrow(2 * len(g.xs))
+	defer sc.release()
+	return g.predict(x, sc.buf)
+}
+
+// predict is Predict for a fitted GP with a synced kernel table,
+// working in buf (at least 2·len(g.xs) floats).
+func (g *GP) predict(x float64, buf []float64) (mean, std float64) {
 	n := len(g.xs)
-	if cap(g.kstar) < n {
-		// Sized to the reserved window, not the current fill.
-		g.kstar = make([]float64, max(n, cap(g.xs)))
-		g.vbuf = make([]float64, cap(g.kstar))
-	}
-	kstar := g.kstar[:n]
-	v := g.vbuf[:n]
+	kstar, v := buf[:n], buf[n:2*n]
 	for i, xi := range g.xs {
 		kstar[i] = g.kernel(x, xi)
 	}
@@ -404,13 +365,19 @@ func (g *GP) PredictInto(xs, means, stds []float64) {
 		return
 	}
 	g.syncKTab()
-	n := len(g.xs)
+	sc := borrow(len(g.xs) * m)
+	g.predictInto(xs, means, stds, sc.buf)
+	sc.release()
+}
+
+// predictInto is PredictInto over caller-provided scratch b of at
+// least len(g.xs)·len(xs) floats, for a fitted GP with a synced kernel
+// table and a non-empty query grid.
+func (g *GP) predictInto(xs, means, stds, b []float64) {
+	m, n := len(xs), len(g.xs)
 	// B is the n×m cross-covariance block in i-major layout:
 	// B[i*m+j] = k(xs[j], X[i]) — column j is Predict's k* vector.
-	if cap(g.bbuf) < n*m {
-		g.bbuf = make([]float64, n*m)
-	}
-	b := g.bbuf[:n*m]
+	b = b[:n*m]
 	// The means accumulate during the build in ascending-i order, so
 	// each is bitwise linalg.Dot(k*, alpha).
 	for j := range means {
@@ -485,7 +452,12 @@ func (g *GP) LogMarginalLikelihood() float64 {
 	if !g.Fitted() {
 		panic("bayesopt: LogMarginalLikelihood before Fit")
 	}
-	n := len(g.xs)
-	quad := linalg.Dot(g.yStd, g.alpha)
-	return -0.5*quad - 0.5*g.chol.LogDet() - float64(n)/2*math.Log(2*math.Pi)
+	return logMarginal(g.yStd, g.alpha, &g.chol)
+}
+
+// logMarginal is the log evidence of a fit with standardised targets
+// yStd, weights alpha = K⁻¹·yStd and kernel factor c.
+func logMarginal(yStd, alpha []float64, c *linalg.Chol) float64 {
+	quad := linalg.Dot(yStd, alpha)
+	return -0.5*quad - 0.5*c.LogDet() - float64(len(yStd))/2*math.Log(2*math.Pi)
 }

@@ -53,7 +53,9 @@ func TestFitWithModelSelectionKeepsWorking(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		s.observe(float64(i+1), float64(i%5))
 	}
-	if err := s.fitWithModelSelection(); err != nil {
+	sc := borrow(s.scratchSize())
+	defer sc.release()
+	if err := s.fitWithModelSelection(sc.buf); err != nil {
 		t.Fatal(err)
 	}
 	if !s.gp.Fitted() {

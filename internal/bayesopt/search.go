@@ -1,6 +1,7 @@
 package bayesopt
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -14,6 +15,13 @@ import (
 // observation into a sliding window, refits the GP surrogate, lets the
 // GP-Hedge portfolio pick an acquisition function, and proposes the
 // integer concurrency that maximises it.
+//
+// A searcher keeps only what outlives a decision: the window, the
+// three length-scale candidates' factors and kernel tables, the
+// winner's weights and the portfolio's gains. Everything a decision
+// only works in — standardised targets, kernel rows, update vectors,
+// the losers' weights, the posterior sweep — is borrowed per call from
+// a free list shared by all searchers (see scratch).
 type Search struct {
 	// MaxN bounds the search space [1, MaxN].
 	MaxN int
@@ -25,21 +33,25 @@ type Search struct {
 	// (the paper uses 3).
 	InitSamples int
 
+	// cands are the length-scale candidates {base/2, base, base·2},
+	// each a persistent GP whose factor updates incrementally as the
+	// window slides; gp is the one the last refit selected (nil
+	// before the first).
+	cands [3]GP
 	gp    *GP
-	cands []*GP
-	hedge *Hedge
+	hedge Hedge
 	rng   *rand.Rand
-	xs    []float64
-	ys    []float64
 	seen  int
 
-	// Batched decision-path buffers: the integer candidate grid
-	// [1, MaxN] and the posterior sweep over it. One set, owned here,
-	// shared by whichever length-scale candidate wins model selection —
-	// the steady-state decision allocates nothing.
-	grid  []float64
-	means []float64
-	stds  []float64
+	// xs and ys are the observation window, one slot over for the
+	// append that precedes an eviction. fitXs is the window the
+	// candidates were last fitted on — one copy, which every
+	// candidate's xs aliases — and alpha the selected candidate's
+	// weights, the one fit output a later PosteriorSweep reads.
+	xs, ys, fitXs, alpha []float64
+	// synced records that the last refit left all three candidates
+	// fitted on fitXs, so the next one can update them together.
+	synced bool
 }
 
 var _ optimizer.Search = (*Search)(nil)
@@ -50,6 +62,10 @@ func New(maxN int, seed int64) *Search {
 	return NewWithSources(maxN, rand.NewSource(seed), rand.NewSource(seed+1))
 }
 
+// defaultPortfolio is the acquisition set every searcher's portfolio
+// reads; acquisitions are immutable values, so one copy serves all.
+var defaultPortfolio = DefaultPortfolio()
+
 // NewWithSources is New with caller-supplied random sources for the
 // sampling phase and the Hedge portfolio. The pinned experiments go
 // through New (math/rand's default source, byte-frozen outputs); fleet
@@ -59,57 +75,64 @@ func NewWithSources(maxN int, src, hedgeSrc rand.Source) *Search {
 	if maxN < 1 {
 		panic(fmt.Sprintf("bayesopt: maxN %d must be ≥ 1", maxN))
 	}
-	rng := rand.New(src)
-	// Length scale relative to the domain keeps the surrogate smooth
-	// without washing out the peak. Model selection at each refit picks
-	// among {base/2, base, base·2} by log marginal likelihood; each
-	// candidate is a persistent GP so its Cholesky factor updates
-	// incrementally as the window slides instead of refitting from
-	// scratch.
-	base := float64(maxN) / 6
-	if base < 1 {
-		base = 1
-	}
-	cands := []*GP{
-		NewGP(base/2, 1.0, 0.02),
-		NewGP(base, 1.0, 0.02),
-		NewGP(base*2, 1.0, 0.02),
-	}
 	s := &Search{
 		MaxN:        maxN,
 		Window:      20,
 		InitSamples: 3,
-		gp:          cands[1],
-		cands:       cands,
-		hedge:       NewHedge(DefaultPortfolio(), 0.5, rand.New(hedgeSrc)),
-		rng:         rng,
+		rng:         rand.New(src),
 	}
+	// Length scale relative to the domain keeps the surrogate smooth
+	// without washing out the peak. Model selection at each refit picks
+	// among {base/2, base, base·2} by log marginal likelihood.
+	base := float64(maxN) / 6
+	if base < 1 {
+		base = 1
+	}
+	for i, ls := range [3]float64{base / 2, base, base * 2} {
+		g := &s.cands[i]
+		g.LengthScale, g.SignalVar, g.NoiseVar = ls, 1.0, 0.02
+		g.syncKTab()
+	}
+	s.hedge.init(defaultPortfolio, 0.5, rand.New(hedgeSrc))
 	s.reserve()
 	return s
 }
 
 // reserve sizes the searcher for its Window and MaxN in one block: the
-// window buffers (one slot over, for the append that precedes an
-// eviction), the candidate grid and its posterior sweep, each
-// candidate's fit state, and one set of fit and sweep scratch that the
-// candidates share — they fit one after another, and only the winner
-// sweeps. Observations carry over.
+// window buffers, the fitted inputs and the winner's weights, and each
+// candidate's Window-row packed factor and MaxN-entry kernel table.
+// Contents carry over.
 func (s *Search) reserve() {
 	w, m := s.Window, s.MaxN
-	own := gpOwnSize(w, m)
-	buf := make([]float64, 2*(w+1)+3*m+gpSharedSize(w, m)+len(s.cands)*own)
+	tri := linalg.PackedSize(w)
+	buf := make([]float64, 2*(w+1)+2*w+len(s.cands)*(tri+m))
 	s.xs = append(buf[:0:w+1], s.xs...)
 	s.ys = append(buf[w+1:w+1:2*(w+1)], s.ys...)
 	buf = buf[2*(w+1):]
-	s.grid, s.means, s.stds = buf[:m:m], buf[m:2*m:2*m], buf[2*m:3*m:3*m]
-	for i := range s.grid {
-		s.grid[i] = float64(i + 1)
+	s.fitXs = append(buf[:0:w], s.fitXs...)
+	s.alpha = append(buf[w:w:2*w], s.alpha...)
+	buf = buf[2*w:]
+	for i := range s.cands {
+		g := &s.cands[i]
+		g.chol.Rehome(buf[:0:tri])
+		g.kTab = append(buf[tri:tri:tri+m], g.kTab...)
+		g.xs = s.fitXs
+		buf = buf[tri+m:]
 	}
-	shared := buf[3*m : 3*m+gpSharedSize(w, m)]
-	buf = buf[3*m+len(shared):]
-	for _, g := range s.cands {
-		buf = g.reserve(buf, shared, w, m)
+	if s.gp != nil {
+		s.gp.alpha = s.alpha
 	}
+}
+
+// scratchSize is the scratch one decision borrows: the refit's
+// standardised targets, three weight vectors and three kernel rows
+// (which double as DropFirst3's update vectors); once the winner's
+// weights are kept, the sweep reuses the same floats for its means,
+// stds, grid, cross-covariance block, acquisition statistics and
+// portfolio weights.
+func (s *Search) scratchSize() int {
+	w, m := max(s.Window, len(s.xs)), s.MaxN
+	return max(7*w, 3*m+w*m+statsSize(m, len(s.hedge.acqs)))
 }
 
 // Name implements optimizer.Search.
@@ -122,7 +145,9 @@ func (s *Search) Next(obs optimizer.Observation) int {
 		// Uniform random sampling phase (uniform prior, no bias).
 		return 1 + s.rng.Intn(s.MaxN)
 	}
-	if err := s.fitWithModelSelection(); err != nil {
+	sc := borrow(s.scratchSize())
+	defer sc.release()
+	if err := s.fitWithModelSelection(sc.buf); err != nil {
 		// Degenerate window (should not happen with noise+jitter):
 		// fall back to random exploration rather than halting.
 		return 1 + s.rng.Intn(s.MaxN)
@@ -135,26 +160,27 @@ func (s *Search) Next(obs optimizer.Observation) int {
 	}
 	// Standardised "best" consistent with Score inputs: the posterior
 	// sweep is in original units, so pass best in original units too.
-	// One batched PredictInto over the whole grid replaces MaxN scalar
+	// One batched sweep over the whole grid replaces MaxN scalar
 	// Predict calls; the portfolio then scores every acquisition from
 	// this single (mean, std) sweep.
-	s.ensureSweepBuffers()
-	s.gp.PredictInto(s.grid, s.means, s.stds)
-	return s.hedge.ProposeSweep(s.gp, 1, best, s.means, s.stds)
+	m := s.MaxN
+	means, buf := carve(sc.buf, m)
+	stds, buf := carve(buf, m)
+	buf = s.sweep(means, stds, buf)
+	return s.hedge.proposeSweep(s.gp, 1, best, means, stds, &sc.stats, buf)
 }
 
-// ensureSweepBuffers sizes the candidate grid and sweep buffers to the
-// current MaxN (ablations mutate it between calls).
-func (s *Search) ensureSweepBuffers() {
-	if len(s.grid) == s.MaxN {
-		return
+// sweep writes the selected candidate's posterior over the integer
+// grid [1, MaxN] into means and stds, working in buf, and returns what
+// it did not use of buf.
+func (s *Search) sweep(means, stds, buf []float64) []float64 {
+	grid, buf := carve(buf, s.MaxN)
+	for i := range grid {
+		grid[i] = float64(i + 1)
 	}
-	s.grid = make([]float64, s.MaxN)
-	for i := range s.grid {
-		s.grid[i] = float64(i + 1)
-	}
-	s.means = make([]float64, s.MaxN)
-	s.stds = make([]float64, s.MaxN)
+	b, buf := carve(buf, len(s.gp.xs)*s.MaxN)
+	s.gp.predictInto(grid, means, stds, b)
+	return buf
 }
 
 // PosteriorSweep writes the fitted surrogate's posterior over the
@@ -170,75 +196,125 @@ func (s *Search) PosteriorSweep(means, stds []float64) bool {
 	if len(means) != s.MaxN || len(stds) != s.MaxN {
 		panic(fmt.Sprintf("bayesopt: PosteriorSweep lengths %d,%d != MaxN %d", len(means), len(stds), s.MaxN))
 	}
-	s.ensureSweepBuffers()
-	s.gp.PredictInto(s.grid, means, stds)
+	sc := borrow(s.MaxN * (len(s.gp.xs) + 1))
+	s.sweep(means, stds, sc.buf)
+	sc.release()
 	return true
 }
 
 // fitWithModelSelection refits the surrogate, choosing the kernel
-// length scale by log marginal likelihood over a small grid — the
-// hyperparameter tuning §3.2 delegates to the BO layer. Each grid
-// point is a persistent GP whose hyperparameters never change, so
-// every refit takes the incremental O(n²) Cholesky path and the winner
-// is already fitted — no final refit needed. With the usual three
-// candidates, the factors are prepared first and the three alpha
-// solves run as one interleaved pass (linalg.SolveInto3): each
-// candidate's solve is a sequential dependency chain, and overlapping
-// the three chains hides most of that latency. Per candidate the
-// arithmetic is identical to a plain Fit.
-func (s *Search) fitWithModelSelection() error {
-	bestLML := math.Inf(-1)
-	var bestGP *GP
-	if len(s.cands) == 3 {
-		c0, c1, c2 := s.cands[0], s.cands[1], s.cands[2]
-		ok := [3]bool{
-			c0.fitPrepare(s.xs, s.ys) == nil,
-			c1.fitPrepare(s.xs, s.ys) == nil,
-			c2.fitPrepare(s.xs, s.ys) == nil,
+// length scale by log marginal likelihood over the three candidates —
+// the hyperparameter tuning §3.2 delegates to the BO layer — working in
+// buf (scratchSize floats). It is one refit for all three:
+//
+//   - the targets are standardised once, into a buffer the candidates
+//     share (their values would be identical);
+//   - the window is compared with fitXs once: when the last refit left
+//     all three candidates fitted (synced) and the window grew or slid
+//     by one, the three factors drop their oldest row together
+//     (linalg.DropFirst3) and append the newest together
+//     (linalg.AppendRow3), with kernel rows read straight from each
+//     candidate's integer-distance table;
+//   - otherwise — the first fit, a window that moved some other way,
+//     or after a candidate failed — every candidate refactors, as does
+//     any candidate whose append is rejected;
+//   - the three alphas are solved in one interleaved pass
+//     (linalg.SolveInto3) and the winner's is kept.
+//
+// Per candidate the arithmetic is exactly GP.Fit's, so the winner and
+// its posterior are bitwise those of three independent fits.
+func (s *Search) fitWithModelSelection(buf []float64) error {
+	xs, n := s.xs, len(s.xs)
+	if n == 0 {
+		return fmt.Errorf("bayesopt: Fit with no observations")
+	}
+	yStd, buf := carve(buf, n)
+	var alpha, rows [3][]float64
+	for c := range alpha {
+		alpha[c], buf = carve(buf, n)
+	}
+	update := buf[:3*n]
+	for c := range rows {
+		rows[c], buf = carve(buf, n)
+	}
+	mean, std := standardise(yStd, s.ys)
+
+	c0, c1, c2 := &s.cands[0], &s.cands[1], &s.cands[2]
+	errs := [3]error{errRefactor, errRefactor, errRefactor}
+	switch {
+	case s.synced && extendsByOne(s.fitXs, xs):
+		errs = s.appendRows(rows, xs)
+	case s.synced && slidesByOne(s.fitXs, xs):
+		linalg.DropFirst3(&c0.chol, &c1.chol, &c2.chol, update)
+		errs = s.appendRows(rows, xs)
+	}
+	s.fitXs = append(s.fitXs[:0], xs...)
+	s.synced = true
+	for c := range s.cands {
+		g := &s.cands[c]
+		if errs[c] != nil {
+			errs[c] = g.refactor(xs, rows[c])
 		}
-		if ok[0] && ok[1] && ok[2] {
-			linalg.SolveInto3(c0.chol, c1.chol, c2.chol,
-				c0.alpha, c0.yStd, c1.alpha, c1.yStd, c2.alpha, c2.yStd)
-		} else {
-			for i, g := range s.cands {
-				if ok[i] {
-					g.solveAlpha()
-				}
-			}
-		}
-		for i, g := range s.cands {
-			if !ok[i] {
-				continue
-			}
-			if lml := g.LogMarginalLikelihood(); lml > bestLML {
-				bestLML = lml
-				bestGP = g
-			}
-		}
+		g.xs = s.fitXs
+		g.fitted = errs[c] == nil
+		s.synced = s.synced && g.fitted
+	}
+
+	if s.synced {
+		linalg.SolveInto3(&c0.chol, &c1.chol, &c2.chol, alpha[0], yStd, alpha[1], yStd, alpha[2], yStd)
 	} else {
-		for _, g := range s.cands {
-			if err := g.Fit(s.xs, s.ys); err != nil {
-				continue
-			}
-			if lml := g.LogMarginalLikelihood(); lml > bestLML {
-				bestLML = lml
-				bestGP = g
+		for c := range s.cands {
+			if g := &s.cands[c]; g.fitted {
+				g.chol.SolveInto(alpha[c], yStd)
 			}
 		}
 	}
-	if bestGP == nil {
+	bestLML, win := math.Inf(-1), -1
+	for c := range s.cands {
+		g := &s.cands[c]
+		if !g.fitted {
+			continue
+		}
+		if lml := logMarginal(yStd, alpha[c], &g.chol); lml > bestLML {
+			bestLML, win = lml, c
+		}
+	}
+	if win < 0 {
 		return fmt.Errorf("bayesopt: no length scale produced a valid fit")
 	}
-	s.gp = bestGP
+	// Only the winner keeps weights: a loser holds a factor but no
+	// posterior of its own, so it reports itself unfitted to Predict.
+	for c := range s.cands {
+		s.cands[c].alpha = nil
+	}
+	s.alpha = append(s.alpha[:0], alpha[win]...)
+	s.gp = &s.cands[win]
+	s.gp.alpha, s.gp.meanY, s.gp.stdY = s.alpha, mean, std
 	return nil
+}
+
+// errRefactor marks a candidate whose factor must be rebuilt from
+// scratch.
+var errRefactor = errors.New("bayesopt: refactor")
+
+// appendRows appends the newest observation xs[n−1] to all three
+// candidates' factors at once, returning each candidate's AppendRow
+// error.
+func (s *Search) appendRows(rows [3][]float64, xs []float64) [3]error {
+	for c := range rows {
+		rows[c] = s.cands[c].kernelRow(rows[c], xs, len(xs)-1)
+	}
+	e0, e1, e2 := linalg.AppendRow3(&s.cands[0].chol, &s.cands[1].chol, &s.cands[2].chol, rows[0], rows[1], rows[2])
+	return [3]error{e0, e1, e2}
 }
 
 // observe appends an observation, evicting the oldest beyond Window.
 // Eviction shifts in place (rather than reslicing) so the window
-// buffers are allocated once; the shifted prefix is what lets the GP
-// recognise the slide and update its factor incrementally. A Window
-// shrunk between calls (ablations mutate it) evicts more than one
-// point, which the GPs handle by refactoring; a raised one re-reserves.
+// buffers are allocated once; the shifted prefix is what lets the
+// refit recognise the slide and update its factors incrementally. A
+// Window shrunk between calls (ablations mutate it) evicts more than
+// one point, which the refit handles by refactoring; a raised one
+// re-reserves.
 func (s *Search) observe(x, y float64) {
 	if math.IsNaN(y) || math.IsInf(y, 0) {
 		return
@@ -277,54 +353,67 @@ type Hedge struct {
 	// nominees of the current round, kept to update gains next round
 	// (and reused as the next round's scratch once consumed).
 	lastNominees []int
-	weights      []float64
 	hasNominees  bool
-
-	// stats shares per-point transcendental work across the portfolio
-	// when scoring a sweep; muBuf/sdBuf are Propose's scalar-path
-	// scratch for building one.
-	stats sweepStats
-	muBuf []float64
-	sdBuf []float64
 }
 
 // NewHedge builds a portfolio with learning rate eta. It panics on an
 // empty portfolio or non-positive eta.
 func NewHedge(acqs []Acquisition, eta float64, rng *rand.Rand) *Hedge {
+	h := new(Hedge)
+	h.init(acqs, eta, rng)
+	return h
+}
+
+// init is NewHedge into an existing Hedge, so a Search can hold its
+// portfolio by value.
+func (h *Hedge) init(acqs []Acquisition, eta float64, rng *rand.Rand) {
 	if len(acqs) == 0 {
 		panic("bayesopt: empty acquisition portfolio")
 	}
 	if eta <= 0 {
 		panic(fmt.Sprintf("bayesopt: eta %v must be positive", eta))
 	}
-	return &Hedge{
+	*h = Hedge{
 		acqs:         acqs,
 		eta:          eta,
 		gains:        make([]float64, len(acqs)),
 		rng:          rng,
 		lastNominees: make([]int, len(acqs)),
-		weights:      make([]float64, len(acqs)),
 	}
 }
 
+// statsSize is the scratch proposeSweep works in for an m-point sweep
+// scored by k acquisitions: the shared z, Φ(z) and φ(z) columns and the
+// softmax weights.
+func statsSize(m, k int) int { return 3*m + k }
+
 // Propose returns the next integer point in [lo, hi] chosen by the
 // portfolio against the fitted GP. It is the scalar-path entry: it
-// evaluates the posterior point by point and delegates to
-// ProposeSweep, so both paths share one scoring implementation.
+// evaluates the posterior point by point, in one borrowed buffer for
+// all points, and delegates to ProposeSweep, so both paths share one
+// scoring implementation.
 func (h *Hedge) Propose(gp *GP, lo, hi int, best float64) int {
 	m := hi - lo + 1
 	if m < 0 {
 		m = 0
 	}
-	if cap(h.muBuf) < m {
-		h.muBuf = make([]float64, m)
-		h.sdBuf = make([]float64, m)
+	n := 0
+	if m > 0 {
+		if !gp.Fitted() {
+			panic("bayesopt: Predict before Fit")
+		}
+		gp.syncKTab()
+		n = len(gp.xs)
 	}
-	mus, sds := h.muBuf[:m], h.sdBuf[:m]
+	sc := borrow(2*m + 2*n + statsSize(m, len(h.acqs)))
+	defer sc.release()
+	mus, buf := carve(sc.buf, m)
+	sds, buf := carve(buf, m)
+	kv, buf := carve(buf, 2*n)
 	for x := lo; x <= hi; x++ {
-		mus[x-lo], sds[x-lo] = gp.Predict(float64(x))
+		mus[x-lo], sds[x-lo] = gp.predict(float64(x), kv)
 	}
-	return h.ProposeSweep(gp, lo, best, mus, sds)
+	return h.proposeSweep(gp, lo, best, mus, sds, &sc.stats, buf)
 }
 
 // ProposeSweep returns the next integer point in [lo, lo+len(means)−1]
@@ -338,6 +427,14 @@ func (h *Hedge) Propose(gp *GP, lo, hi int, best float64) int {
 // scalar path: same scores, same first-strict-max tie-breaking over x
 // ascending.
 func (h *Hedge) ProposeSweep(gp *GP, lo int, best float64, means, stds []float64) int {
+	sc := borrow(statsSize(len(means), len(h.acqs)))
+	defer sc.release()
+	return h.proposeSweep(gp, lo, best, means, stds, &sc.stats, sc.buf)
+}
+
+// proposeSweep is ProposeSweep working in st and buf (at least
+// statsSize floats).
+func (h *Hedge) proposeSweep(gp *GP, lo int, best float64, means, stds []float64, st *sweepStats, buf []float64) int {
 	// Update gains with the posterior means at last round's nominees —
 	// the Hedge reward signal, normalised by the observed utility scale
 	// so units cannot destabilise the weights.
@@ -359,12 +456,12 @@ func (h *Hedge) ProposeSweep(gp *GP, lo int, best float64, means, stds []float64
 
 	// Each acquisition nominates its argmax over the sweep. The
 	// previous nominees were consumed above, so their slice is reused.
-	h.stats.reset(means, stds, best)
+	buf = st.reset(means, stds, best, buf)
 	nominees := h.lastNominees[:len(h.acqs)]
 	for i, a := range h.acqs {
 		var j int
 		if ss, ok := a.(sweepScorer); ok {
-			j = ss.argmaxSweep(&h.stats)
+			j = ss.argmaxSweep(st)
 		} else {
 			j = argmaxScore(a, means, stds, best)
 		}
@@ -380,7 +477,7 @@ func (h *Hedge) ProposeSweep(gp *GP, lo int, best float64, means, stds []float64
 			maxG = g
 		}
 	}
-	weights := h.weights[:len(h.gains)]
+	weights := buf[:len(h.gains)]
 	sum := 0.0
 	for i, g := range h.gains {
 		w := math.Exp(h.eta * (g - maxG))

@@ -24,15 +24,16 @@ type sweepStats struct {
 	pdf      []float64
 }
 
-// reset points the stats at a new sweep and drops all cached columns.
-func (st *sweepStats) reset(means, stds []float64, best float64) {
+// reset points the stats at a new sweep, drops all cached columns and
+// carves the columns from buf, returning the rest of it.
+func (st *sweepStats) reset(means, stds []float64, best float64, buf []float64) []float64 {
 	st.means, st.stds, st.best = means, stds, best
 	st.zValid, st.pdfValid = false, false
-	if cap(st.z) < len(means) {
-		st.z = make([]float64, len(means))
-		st.cdf = make([]float64, len(means))
-		st.pdf = make([]float64, len(means))
-	}
+	m := len(means)
+	st.z, buf = carve(buf, m)
+	st.cdf, buf = carve(buf, m)
+	st.pdf, buf = carve(buf, m)
+	return buf
 }
 
 // ensureCDF fills z and Φ(z) for margin xi. Points with std ≤ 0 get

@@ -49,6 +49,26 @@ func FleetFlapDoc() *scenario.Document {
 // except 0, the parallel harness default; the report never depends on
 // it.
 func DynamicFleet(doc *scenario.Document, workers int) (*Result, error) {
+	d, err := ExecuteDynamicFleet(doc, workers)
+	if err != nil {
+		return nil, err
+	}
+	return d.Report(), nil
+}
+
+// DynamicRun is an executed scenario document awaiting its
+// time-to-refairness report: DynamicFleet split in two, so a caller can
+// time the simulation apart from the report.
+type DynamicRun struct {
+	doc    *scenario.Document
+	run    *scenario.Run
+	events []testbed.Mutation
+	tl     *testbed.Timeline
+}
+
+// ExecuteDynamicFleet builds and runs the document — DynamicFleet's
+// simulation half.
+func ExecuteDynamicFleet(doc *scenario.Document, workers int) (*DynamicRun, error) {
 	run, err := doc.Build()
 	if err != nil {
 		return nil, err
@@ -70,7 +90,13 @@ func DynamicFleet(doc *scenario.Document, workers int) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &DynamicRun{doc: doc, run: run, events: events, tl: tl}, nil
+}
 
+// Report renders the executed run's time-to-refairness table —
+// DynamicFleet's report half.
+func (d *DynamicRun) Report() *Result {
+	doc, run, events, tl := d.doc, d.run, d.events, d.tl
 	r := &Result{
 		ID: "fleet-flap",
 		Title: fmt.Sprintf("Dynamic fleet: %d sessions under link mutations (%s)",
@@ -135,7 +161,7 @@ func DynamicFleet(doc *scenario.Document, workers int) (*Result, error) {
 	}
 	r.AddNote("final window [%.0fs, %.0fs]: Jain %.3f, aggregate %.2f Gbps (link %.1f Gbps)",
 		horizon-window, horizon, finalJ, agg, capacity/1e9)
-	return r, nil
+	return r
 }
 
 // Extra returns experiments that are registered (resolvable by ID via

@@ -278,16 +278,23 @@ func TestFalconRunnerTunesRealTransfer(t *testing.T) {
 	if err := agent.SetFixedKnobs(1, 16); err != nil {
 		t.Fatal(err)
 	}
+	// 20 s is a ceiling: the run ends as soon as the samples already
+	// satisfy the assertions below.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 
 	var mu sync.Mutex
 	var lastTputs []float64
+	peak := 0.0
 	err := core.Run(ctx, c, agent, core.RunConfig{
 		SampleInterval: 400 * time.Millisecond,
 		OnSample: func(s transfer.Sample, next transfer.Setting) {
 			mu.Lock()
 			lastTputs = append(lastTputs, s.Throughput)
+			peak = max(peak, s.Throughput)
+			if len(lastTputs) >= 6 && peak >= 3*lastTputs[0] {
+				cancel()
+			}
 			mu.Unlock()
 		},
 	})

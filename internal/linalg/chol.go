@@ -18,6 +18,8 @@ import (
 //   - DropFirst deletes the first row/column of the underlying matrix
 //     in O(n²) via a positive rank-1 update, instead of the O(n³)
 //     refactorisation a fresh fit would need.
+//   - AppendRow3 and DropFirst3 do the same to three factors of one
+//     size at once, for the searcher's three length-scale candidates.
 //
 // The packed layout touches n(n+1)/2 floats with direct indexing, so
 // solves run without the bounds checks and zero upper triangle of the
@@ -43,15 +45,11 @@ func NewChol(n int) *Chol {
 	return &Chol{data: buf[:0:tri], xbuf: buf[tri:]}
 }
 
-// Rehome moves the factor into caller-owned storage, carrying the
-// current factor over: tri holds the packed triangle (capacity
-// PackedSize(n) for the largest n×n factor it will hold) and x is
-// DropFirst's update vector (length n). Either grows on demand past
-// that. x holds nothing between calls, so factors that are never
-// updated concurrently may share one.
-func (c *Chol) Rehome(tri, x []float64) {
+// Rehome moves the factor's packed triangle into caller-owned storage,
+// carrying the current factor over: tri has capacity PackedSize(n) for
+// the largest n×n factor it will hold, and grows on demand past that.
+func (c *Chol) Rehome(tri []float64) {
 	c.data = append(tri[:0], c.data...)
-	c.xbuf = x
 }
 
 // Size returns the current dimension of the factored matrix.
@@ -101,13 +99,65 @@ func (c *Chol) AppendRow(row []float64) error {
 	for k := 0; k < n; k++ {
 		d -= out[k] * out[k]
 	}
+	return c.closeRow(base, d)
+}
+
+// closeRow finishes an append whose new row starts at data[base]: d is
+// the new diagonal's square. A non-positive or NaN d rejects the row,
+// leaving the factor as it was before the append.
+func (c *Chol) closeRow(base int, d float64) error {
 	if d <= 0 || math.IsNaN(d) {
 		c.data = c.data[:base]
 		return ErrNotPositiveDefinite
 	}
-	out[n] = math.Sqrt(d)
-	c.n = n + 1
+	c.data[base+c.n] = math.Sqrt(d)
+	c.n++
 	return nil
+}
+
+// AppendRow3 runs AppendRow on three factors of one size with their
+// loops interleaved, as SolveInto3 does for solves: r0, r1 and r2 are
+// the bordering rows of c0, c1 and c2. Each stream performs exactly the
+// operations its own AppendRow would, in the same order, so the factors
+// are bitwise those of three AppendRow calls. Each factor accepts or
+// rejects its row on its own: e0, e1 and e2 are the three AppendRow
+// errors, and a rejected factor is left unchanged while the others
+// grow.
+func AppendRow3(c0, c1, c2 *Chol, r0, r1, r2 []float64) (e0, e1, e2 error) {
+	n := c0.n
+	if c1.n != n || c2.n != n {
+		panic(fmt.Sprintf("linalg: AppendRow3 sizes %d,%d,%d differ", c0.n, c1.n, c2.n))
+	}
+	if len(r0) != n+1 || len(r1) != n+1 || len(r2) != n+1 {
+		panic(fmt.Sprintf("linalg: AppendRow3 lengths %d,%d,%d != %d", len(r0), len(r1), len(r2), n+1))
+	}
+	base := len(c0.data)
+	c0.data = append(c0.data, r0...)
+	c1.data = append(c1.data, r1...)
+	c2.data = append(c2.data, r2...)
+	d0, d1, d2 := c0.data, c1.data, c2.data
+	o0, o1, o2 := d0[base:base+n+1], d1[base:base+n+1], d2[base:base+n+1]
+	joff := 0
+	for j := 0; j < n; j++ {
+		l0, l1, l2 := d0[joff:joff+j+1], d1[joff:joff+j+1], d2[joff:joff+j+1]
+		s0, s1, s2 := o0[j], o1[j], o2[j]
+		for k := 0; k < j; k++ {
+			s0 -= o0[k] * l0[k]
+			s1 -= o1[k] * l1[k]
+			s2 -= o2[k] * l2[k]
+		}
+		o0[j] = s0 / l0[j]
+		o1[j] = s1 / l1[j]
+		o2[j] = s2 / l2[j]
+		joff += j + 1
+	}
+	q0, q1, q2 := o0[n], o1[n], o2[n]
+	for k := 0; k < n; k++ {
+		q0 -= o0[k] * o0[k]
+		q1 -= o1[k] * o1[k]
+		q2 -= o2[k] * o2[k]
+	}
+	return c0.closeRow(base, q0), c1.closeRow(base, q1), c2.closeRow(base, q2)
 }
 
 // DropFirst removes the first row and column of the underlying matrix:
@@ -160,6 +210,70 @@ func (c *Chol) DropFirst() {
 		}
 		doff += k + 1
 	}
+}
+
+// DropFirst3 runs DropFirst on three factors of one size with their
+// loops interleaved. x is the update vectors' scratch: at least
+// 3·(Size−1) floats, holding nothing before or after the call. Each
+// stream performs exactly the operations its own DropFirst would, in
+// the same order, so the factors are bitwise those of three DropFirst
+// calls; dropping from empty factors panics.
+//
+// Unlike DropFirst it compacts and updates in one pass: column k of
+// the new factor is read from column k+1 of the old one, one row down
+// — new (i, k) from old (i+1, k+1) — and written in place, column by
+// column. The write is safe because new (i, k) occupies the slot of old
+// (i, k), which was already consumed: as new (i−1, k−1) in column k−1,
+// or, for k = 0, by the first-column gather into x. The read is safe
+// because old (i+1, k+1) occupies the slot of new (i+1, k+1), which is
+// not written until column k+1.
+func DropFirst3(c0, c1, c2 *Chol, x []float64) {
+	if c1.n != c0.n || c2.n != c0.n {
+		panic(fmt.Sprintf("linalg: DropFirst3 sizes %d,%d,%d differ", c0.n, c1.n, c2.n))
+	}
+	if c0.n == 0 {
+		panic("linalg: DropFirst3 on empty factors")
+	}
+	n := c0.n - 1
+	if n == 0 {
+		c0.Reset()
+		c1.Reset()
+		c2.Reset()
+		return
+	}
+	x0, x1, x2 := x[:n], x[n:2*n], x[2*n:3*n]
+	d0, d1, d2 := c0.data, c1.data, c2.data
+	off := 1 // (i+1)(i+2)/2: old (i+1, 0)
+	for i := 0; i < n; i++ {
+		x0[i], x1[i], x2[i] = d0[off], d1[off], d2[off]
+		off += i + 2
+	}
+	doff := 0 // k(k+1)/2: new (k, 0)
+	for k := 0; k < n; k++ {
+		src := doff + 2*k + 2 // old (k+1, k+1)
+		g0, g1, g2 := d0[src], d1[src], d2[src]
+		r0, r1, r2 := math.Hypot(g0, x0[k]), math.Hypot(g1, x1[k]), math.Hypot(g2, x2[k])
+		cos0, cos1, cos2 := r0/g0, r1/g1, r2/g2
+		sin0, sin1, sin2 := x0[k]/g0, x1[k]/g1, x2[k]/g2
+		d0[doff+k], d1[doff+k], d2[doff+k] = r0, r1, r2
+		dst := doff + 2*k + 1 // new (k+1, k)
+		for i := k + 1; i < n; i++ {
+			src := dst + i + 2 // old (i+1, k+1)
+			v0 := (d0[src] + sin0*x0[i]) / cos0
+			v1 := (d1[src] + sin1*x1[i]) / cos1
+			v2 := (d2[src] + sin2*x2[i]) / cos2
+			d0[dst], d1[dst], d2[dst] = v0, v1, v2
+			x0[i] = cos0*x0[i] - sin0*v0
+			x1[i] = cos1*x1[i] - sin1*v1
+			x2[i] = cos2*x2[i] - sin2*v2
+			dst += i + 1
+		}
+		doff += k + 1
+	}
+	tri := PackedSize(n)
+	c0.n, c0.data = n, d0[:tri]
+	c1.n, c1.data = n, d1[:tri]
+	c2.n, c2.data = n, d2[:tri]
 }
 
 // SolveLowerInto solves L·x = b by forward substitution, writing into

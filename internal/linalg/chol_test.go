@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -215,5 +216,135 @@ func TestSlidingWindowSequence(t *testing.T) {
 				t.Fatalf("step %d: x[%d] = %v, want %v", step, i, gotX[i], wantX[i])
 			}
 		}
+	}
+}
+
+// cloneChol copies a factor so a single-factor oracle and an
+// interleaved call can start from the same state.
+func cloneChol(c *Chol) *Chol {
+	return &Chol{n: c.n, data: append([]float64(nil), c.data...)}
+}
+
+// diagDominantSPD builds a random symmetric n×n matrix whose diagonal
+// exceeds its row's off-diagonal mass, hence SPD, in O(n²) — cheap
+// enough to build a hundred of them per size.
+func diagDominantSPD(n int, rng *rand.Rand) *Matrix {
+	a := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			v := 2*rng.Float64() - 1
+			a.Set(i, j, v)
+			a.Set(j, i, v)
+		}
+		a.Set(i, i, float64(n)+rng.Float64())
+	}
+	return a
+}
+
+// requireSameBits fails unless got and want hold bitwise-identical
+// factors.
+func requireSameBits(t *testing.T, what string, got, want *Chol) {
+	t.Helper()
+	if got.n != want.n || len(got.data) != len(want.data) {
+		t.Fatalf("%s: size %d (%d floats), want %d (%d floats)", what, got.n, len(got.data), want.n, len(want.data))
+	}
+	for i := range want.data {
+		if math.Float64bits(got.data[i]) != math.Float64bits(want.data[i]) {
+			t.Fatalf("%s: packed entry %d = %v, want %v (not bit-identical)", what, i, got.data[i], want.data[i])
+		}
+	}
+}
+
+// TestInterleavedUpdatesMatchSingleCalls is the seeded property behind
+// the searcher's refit: for every size up to the 100-point window the
+// longest ablation uses, DropFirst3 and AppendRow3 leave three factors
+// bitwise equal to three DropFirst or AppendRow calls, including rows
+// that one factor rejects as not positive-definite while the others
+// accept theirs.
+func TestInterleavedUpdatesMatchSingleCalls(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for n := 1; n <= 100; n++ {
+		var base [3]*Chol
+		var border [3][]float64
+		for f := range base {
+			a := diagDominantSPD(n+1, rng)
+			sub := NewMatrix(n, n)
+			for i := 0; i < n; i++ {
+				for j := 0; j < n; j++ {
+					sub.Set(i, j, a.At(i, j))
+				}
+			}
+			base[f] = buildChol(t, sub)
+			for j := 0; j <= n; j++ {
+				border[f] = append(border[f], a.At(n, j))
+			}
+		}
+
+		// DropFirst3 against three DropFirst calls.
+		var got, want [3]*Chol
+		for f := range base {
+			got[f], want[f] = cloneChol(base[f]), cloneChol(base[f])
+			want[f].DropFirst()
+		}
+		x := make([]float64, 3*n)
+		for i := range x {
+			x[i] = math.NaN() // scratch holds nothing on entry
+		}
+		DropFirst3(got[0], got[1], got[2], x)
+		for f := range got {
+			requireSameBits(t, fmt.Sprintf("n=%d DropFirst3 factor %d", n, f), got[f], want[f])
+		}
+
+		// AppendRow3 against three AppendRow calls: all accepted, then
+		// each factor in turn handed a row it must reject.
+		for reject := -1; reject < 3; reject++ {
+			var rows [3][]float64
+			for f := range rows {
+				rows[f] = append([]float64(nil), border[f]...)
+				if f == reject {
+					rows[f][n] = -1 // makes the bordered matrix indefinite
+				}
+				got[f], want[f] = cloneChol(base[f]), cloneChol(base[f])
+			}
+			var wantErr [3]error
+			for f := range want {
+				wantErr[f] = want[f].AppendRow(append([]float64(nil), rows[f]...))
+			}
+			e0, e1, e2 := AppendRow3(got[0], got[1], got[2], rows[0], rows[1], rows[2])
+			for f, err := range [3]error{e0, e1, e2} {
+				if err != wantErr[f] {
+					t.Fatalf("n=%d reject=%d: AppendRow3 factor %d error %v, want %v", n, reject, f, err, wantErr[f])
+				}
+				if (f == reject) != (err != nil) {
+					t.Fatalf("n=%d reject=%d: factor %d error %v", n, reject, f, err)
+				}
+				requireSameBits(t, fmt.Sprintf("n=%d reject=%d AppendRow3 factor %d", n, reject, f), got[f], want[f])
+			}
+		}
+	}
+}
+
+func TestInterleavedUpdatesPanicOnMismatchedSizes(t *testing.T) {
+	small, big := NewChol(2), NewChol(2)
+	if err := small.AppendRow([]float64{1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][]float64{{1}, {0.5, 2}} {
+		if err := big.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, f := range map[string]func(){
+		"DropFirst3": func() { DropFirst3(small, big, big, make([]float64, 6)) },
+		"AppendRow3": func() { AppendRow3(small, big, big, []float64{0, 1}, []float64{0, 0, 1}, []float64{0, 0, 1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted factors of different sizes", name)
+				}
+			}()
+			f()
+		}()
 	}
 }

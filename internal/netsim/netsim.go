@@ -241,10 +241,11 @@ type scratch struct {
 }
 
 // growZero resizes s to n zeroed elements, reusing its backing array
-// when it is large enough.
+// when it is large enough and otherwise at least doubling it (see
+// grow).
 func growZero[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, max(n, 2*cap(s)))
 	}
 	s = s[:n]
 	clear(s)
@@ -253,10 +254,12 @@ func growZero[T any](s []T, n int) []T {
 
 // grow resizes s to n elements preserving existing content (unlike
 // growZero); elements beyond the preserved prefix are unspecified and
-// must be overwritten by the caller.
+// must be overwritten by the caller. A reallocation at least doubles
+// the capacity, so the per-demand arrays of a fleet joining one session
+// per full step are copied O(log n) times in all, not once per join.
 func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		g := make([]T, n)
+		g := make([]T, n, max(n, 2*cap(s)))
 		copy(g, s)
 		return g
 	}
@@ -515,7 +518,7 @@ func (n *Network) allocateCore(demands []Demand, satOut *[]string) error {
 		s.resIdx = s.resIdx[:0]
 		s.offsets = s.offsets[:0]
 		if cap(s.offsets) < nd+1 {
-			s.offsets = make([]int, 0, nd+1)
+			s.offsets = make([]int, 0, max(nd+1, 2*cap(s.offsets)))
 		}
 		s.offsets = append(s.offsets, 0)
 		for i := range demands {

@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -493,5 +494,36 @@ func BenchmarkAllocate64Flows(b *testing.B) {
 		if err := n.AllocateDense(&alloc, ds); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestJoinAllocationIsAmortised: a fleet whose sessions join one per
+// full step grows every per-demand array by one element per call. The
+// bytes that growth allocates must be amortised — flat per join,
+// within 25 %, whether 1 000 or 4 000 sessions have joined — rather
+// than a re-copy of every array at every join, which makes the bytes
+// per join grow with the fleet.
+func TestJoinAllocationIsAmortised(t *testing.T) {
+	perJoin := func(n int) float64 {
+		net := singleLinkNet(10 * gbps)
+		demands := make([]Demand, n)
+		for i := range demands {
+			demands[i] = demand(fmt.Sprintf("s%05d", i), float64(1+i%7)*mbps, 0.01, "link")
+		}
+		var d DenseAllocation
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for k := 1; k <= n; k++ {
+			if err := net.AllocateDense(&d, demands[:k]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / float64(n)
+	}
+	small, large := perJoin(1000), perJoin(4000)
+	t.Logf("bytes allocated per join: %.0f at 1 000 sessions, %.0f at 4 000", small, large)
+	if large > 1.25*small || small > 1.25*large {
+		t.Errorf("bytes per join %.0f at 1 000 sessions but %.0f at 4 000: not amortised", small, large)
 	}
 }

@@ -259,9 +259,9 @@ func mergeTimelines(tls []*Timeline) *Timeline {
 	out.Concurrency.Reserve(nC)
 	out.Loss.Reserve(nL)
 	for _, tl := range tls {
-		out.Throughput.Series = append(out.Throughput.Series, tl.Throughput.Series...)
-		out.Concurrency.Series = append(out.Concurrency.Series, tl.Concurrency.Series...)
-		out.Loss.Series = append(out.Loss.Series, tl.Loss.Series...)
+		out.Throughput.Adopt(tl.Throughput.Series...)
+		out.Concurrency.Adopt(tl.Concurrency.Series...)
+		out.Loss.Adopt(tl.Loss.Series...)
 		for id, t := range tl.Finished {
 			out.Finished[id] = t
 		}

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/session"
+	"repro/internal/trace"
 	"repro/internal/transfer"
 )
 
@@ -256,5 +257,48 @@ func TestNewShardSetRejects(t *testing.T) {
 	}
 	if _, err := NewShardSet(specs, 1); err == nil {
 		t.Error("cross-shard duplicate task ID accepted")
+	}
+}
+
+// TestMergedTimelineResolvesByIndex: merging four shards' timelines of
+// 300 sessions each yields sets equal — name index included — to ones
+// recorded directly in the merged order, so a report's by-name lookups
+// on a sharded run go through the index instead of scanning 1 200
+// series per call.
+func TestMergedTimelineResolvesByIndex(t *testing.T) {
+	const shards, perShard = 4, 300
+	tls := make([]*Timeline, shards)
+	want := &Timeline{Finished: map[string]float64{}}
+	for k := range tls {
+		tls[k] = &Timeline{Finished: map[string]float64{}}
+		for i := 0; i < perShard; i++ {
+			id := fmt.Sprintf("k%d-s%04d", k, i)
+			for _, tl := range []*Timeline{tls[k], want} {
+				tl.Throughput.Append(id+"/throughput", float64(i), float64(k))
+				tl.Concurrency.Append(id+"/concurrency", float64(i), 2)
+				tl.Loss.Append(id+"/loss", float64(i), 0)
+			}
+		}
+	}
+	got := mergeTimelines(tls)
+	for _, set := range []struct {
+		name      string
+		got, want *trace.TimeSet
+	}{
+		{"throughput", &got.Throughput, &want.Throughput},
+		{"concurrency", &got.Concurrency, &want.Concurrency},
+		{"loss", &got.Loss, &want.Loss},
+	} {
+		if len(set.got.Series) != shards*perShard {
+			t.Fatalf("%s: merged %d series, want %d", set.name, len(set.got.Series), shards*perShard)
+		}
+		if !reflect.DeepEqual(set.got, set.want) {
+			t.Fatalf("%s: merged set differs from one recorded directly (series or name index)", set.name)
+		}
+		for _, s := range set.got.Series {
+			if set.got.Lookup(s.Name) != s {
+				t.Fatalf("%s: %s resolves to another series", set.name, s.Name)
+			}
+		}
 	}
 }

@@ -134,11 +134,10 @@ type TimeSet struct {
 	// index maps name → series so Get/Lookup stay O(1) at fleet scale
 	// (tens of thousands of series). Small sets — the common
 	// few-task experiment — stay on the linear scan and never pay the
-	// map allocations; the index is built when the set outgrows
-	// smallSetScan (or a Reserve announces fleet scale) and rebuilt
-	// lazily whenever the exported Series slice was mutated directly
-	// (struct literals, hand appends). Series remains the source of
-	// truth.
+	// map allocations; the index is built when Get or Adopt grows the
+	// set past smallSetScan, and rebuilt lazily whenever the exported
+	// Series slice was mutated directly (struct literals, hand
+	// appends). Series remains the source of truth.
 	index map[string]*Series
 }
 
@@ -196,13 +195,29 @@ func (ts *TimeSet) Get(name string) *Series {
 		return s
 	}
 	s := &Series{Name: name}
-	ts.Series = append(ts.Series, s)
-	if ts.index != nil {
-		ts.index[name] = s
-	} else if len(ts.Series) > smallSetScan {
-		ts.buildIndex(2 * len(ts.Series))
-	}
+	ts.Adopt(s)
 	return s
+}
+
+// Adopt appends existing series to the set — a shard merge moving
+// whole timelines — and indexes them by Get's own rule: a set past
+// smallSetScan series carries the name index, so adopted series
+// resolve without a scan and the set compares deeply equal to one Get
+// built in the same order. A name the set already holds keeps
+// resolving to its first series.
+func (ts *TimeSet) Adopt(ss ...*Series) {
+	ts.Series = append(ts.Series, ss...)
+	if ts.index == nil {
+		if len(ts.Series) > smallSetScan {
+			ts.buildIndex(2 * len(ts.Series))
+		}
+		return
+	}
+	for _, s := range ss {
+		if _, ok := ts.index[s.Name]; !ok {
+			ts.index[s.Name] = s
+		}
+	}
 }
 
 // Append adds an observation to the named series, creating it if

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -132,5 +133,37 @@ func TestASCIIChart(t *testing.T) {
 	}
 	if got := (&TimeSet{}).ASCIIChart(20, 6); got != "(empty chart)\n" {
 		t.Fatalf("empty chart = %q", got)
+	}
+}
+
+// TestAdoptIndexesLikeGet: series adopted in batches — four shards'
+// worth, as a shard merge hands them over — are indexed by Get's rule,
+// so every name resolves through the index rather than a scan.
+func TestAdoptIndexesLikeGet(t *testing.T) {
+	var ts TimeSet
+	small := &Series{Name: "only"}
+	ts.Adopt(small)
+	if ts.index != nil {
+		t.Fatal("a one-series set built a name index")
+	}
+	var all []*Series
+	for k := 0; k < 4; k++ {
+		batch := make([]*Series, 300)
+		for i := range batch {
+			batch[i] = &Series{Name: fmt.Sprintf("s%d-%03d", k, i)}
+		}
+		ts.Adopt(batch...)
+		all = append(all, batch...)
+	}
+	if len(ts.index) != len(all)+1 {
+		t.Fatalf("index holds %d names, want %d", len(ts.index), len(all)+1)
+	}
+	for _, s := range all {
+		if ts.index[s.Name] != s || ts.Lookup(s.Name) != s {
+			t.Fatalf("%s does not resolve to its series through the index", s.Name)
+		}
+	}
+	if ts.Lookup("only") != small {
+		t.Fatal("the series adopted before the index was built does not resolve")
 	}
 }
