@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet bench-raw benchsmoke benchcheck memsmoke reproduce transparency verify
+.PHONY: build test race vet fmtcheck bench-raw benchsmoke benchcheck memsmoke reproduce transparency verify
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,12 @@ race:
 
 vet:
 	$(GO) vet ./...
+
+# Formatting drift fails the gate: gofmt -l lists every file (the
+# benchmark module included) whose formatting differs from gofmt's.
+fmtcheck:
+	@out=$$(gofmt -l .) || exit 1; \
+	if [ -n "$$out" ]; then echo "fmtcheck: not gofmt-clean (run gofmt -w):" >&2; echo "$$out" >&2; exit 1; fi
 
 # Raw hot-path benchmarks with allocation counts, for interactive use.
 bench-raw:
@@ -33,13 +39,15 @@ benchsmoke:
 # - document road: the 10k-session capacity-flap scenario with full
 #   recording, 8.7–10.2 s of simulation on a 2-core VM (it joins a
 #   session on most ticks for 500 of its 600 s, so 2 001 of its 2 400
-#   engine ticks are full steps), measured 256–268 MB (≈26 kB/session)
-#   against 520 MB.
+#   engine ticks are full steps), measured 151–155 MB (≈15 kB/session)
+#   against 320 MB.
 # Both were re-measured and the budgets tightened when the BO searcher
 # stopped keeping per-call scratch: the roads measured ~79 MB and
-# 310–322 MB before.
+# 310–322 MB before. The document road's was tightened again when the
+# refairness report's window means stopped copying their windows
+# (Series.MeanBetween): 272 MB before.
 FLEET_HEAP_BUDGET ?= 134217728
-DOC_FLEET_HEAP_BUDGET ?= 520000000
+DOC_FLEET_HEAP_BUDGET ?= 320000000
 
 memsmoke:
 	$(GO) run ./cmd/fleet -n 10000 -duration 120 -stagger 0.001 -record aggregate -seed 1 -maxheap $(FLEET_HEAP_BUDGET)
@@ -81,6 +89,7 @@ transparency:
 	$(call race2,TestPredictIntoMatchesPredict|TestRefitMatchesIndependentFits|TestSearchAllocationsIndependentOfCallCount,./internal/bayesopt/)
 	$(call race2,TestInterleavedUpdatesMatchSingleCalls,./internal/linalg/)
 	$(call race2,TestSyntheticDatasetsHoldNoPerFileObjects,./internal/dataset/)
+	$(call race2,TestMeanBetweenMatchesBetween,./internal/trace/)
 	$(call race2,TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls,./internal/netsim/)
 	$(call race2,TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestRetuneMatchesFreshAllocation,./internal/netsim/)
 	$(call race2,TestTickEqualsPhases,./internal/session/)
@@ -93,12 +102,13 @@ transparency:
 	$(call race2,TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault,./internal/scenario/)
 	$(call race2,TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetWorkersTransparent|TestTable1MatchesProbe,./internal/experiments/)
 	$(call race2,TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant|TestConcurrentDuplicatesRunOnce,./internal/webservice/)
+	$(call race2,TestRetainedScenarioHoldsOnlyWhatItServes|TestPackRaisesBitwise|TestSpilledRecordsStream|TestRetainedScenarioFootprint,./internal/webservice/)
 
-# The one gate, and CI's only step: the memory smoke, every benchmark
-# once, the benchmark module's own checks, the transparency re-runs,
-# then static checks, build, the race-enabled suite, and every
-# checked-in scenario document parsing AND compiling.
-verify: memsmoke benchsmoke benchcheck transparency
+# The one gate, and CI's only step: the formatting check, the memory
+# smoke, every benchmark once, the benchmark module's own checks, the
+# transparency re-runs, then static checks, build, the race-enabled
+# suite, and every checked-in scenario document parsing AND compiling.
+verify: fmtcheck memsmoke benchsmoke benchcheck transparency
 	$(GO) vet ./...
 	$(GO) build ./...
 	$(GO) test -race ./...

@@ -58,7 +58,7 @@ func main() {
 		fmt.Printf("\n%s (t=[%.0f,%.0f)):\n", label, t0, t1)
 		for _, id := range ids {
 			tput := tl.MeanThroughputGbps(id, t0, t1)
-			cc := tl.Concurrency.Lookup(id).Between(t0, t1).Mean()
+			cc := tl.Concurrency.Lookup(id).MeanBetween(t0, t1)
 			shares = append(shares, tput)
 			fmt.Printf("  %-6s %6.1f Mbps at concurrency %4.0f\n", id, tput*1000, cc)
 		}

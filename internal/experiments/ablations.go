@@ -110,7 +110,7 @@ func AblationInterval(seed int64) (*Result, error) {
 		conv := -1.0
 		series := tl.Throughput.Lookup("t")
 		for t0 := 0.0; t0+30 <= 300; t0 += 5 {
-			if series.Between(t0, t0+30).Mean() >= 0.88*cfg.LinkCapacity/1e9 {
+			if series.MeanBetween(t0, t0+30) >= 0.88*cfg.LinkCapacity/1e9 {
 				conv = t0
 				break
 			}
@@ -324,7 +324,7 @@ func AblationDynamics(seed int64) (*Result, error) {
 		return nil, err
 	}
 	phase := func(name string, t0, t1 float64) {
-		cc := tl.Concurrency.Lookup("falcon").Between(t0, t1).Mean()
+		cc := tl.Concurrency.Lookup("falcon").MeanBetween(t0, t1)
 		tput := tl.MeanThroughputGbps("falcon", t0, t1)
 		r.AddRow(name, fmt.Sprintf("%.1f", cc), fmt.Sprintf("%.1f", tput*1000))
 	}

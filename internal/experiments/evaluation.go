@@ -168,7 +168,7 @@ func Fig13(seed int64) (*Result, error) {
 		if s == nil {
 			return 0
 		}
-		return s.Between(t0, t1).Mean()
+		return s.MeanBetween(t0, t1)
 	}
 	phase := func(name string, t0, t1 float64, ids ...string) {
 		cells := []string{name}

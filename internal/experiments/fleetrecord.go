@@ -24,7 +24,7 @@ type fleetStats struct {
 // path slides from the last join, plus the equilibrium quarter.
 // That is constant space per session per window, and because each
 // window's sum accumulates in the same time order the timeline's
-// Between(t0,t1).Mean() would sum, the resulting means — and every
+// MeanBetween(t0, t1) sums, the resulting means — and every
 // metric derived from them — are bitwise identical to full mode.
 //
 // Concurrency: Attach and Record are called from shard worker
@@ -37,7 +37,7 @@ type fleetRecorder struct {
 
 	// winStart is built by the same repeated t += window/2 additions
 	// the full-fidelity convergence scan performs, and winEnd[j] is the
-	// single add winStart[j]+window it passes to Between — so every
+	// single add winStart[j]+window it passes to MeanBetween — so every
 	// boundary comparison is bit-identical across modes.
 	winStart []float64
 	winEnd   []float64

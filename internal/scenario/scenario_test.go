@@ -106,10 +106,10 @@ func TestParseRejectsMalformed(t *testing.T) {
 
 func TestAgentIDsExpansion(t *testing.T) {
 	d := &Document{Preset: "fleet", Agents: []AgentSpec{
-		{Count: 2},             // unnamed → global numbering
-		{ID: "solo"},           // named single
-		{ID: "gd", Count: 3},   // named group → suffixed
-		{Count: 1},             // numbering continues across specs
+		{Count: 2},           // unnamed → global numbering
+		{ID: "solo"},         // named single
+		{ID: "gd", Count: 3}, // named group → suffixed
+		{Count: 1},           // numbering continues across specs
 	}}
 	want := []string{"agent1", "agent2", "solo", "gd1", "gd2", "gd3", "agent7"}
 	if got := d.AgentIDs(); !reflect.DeepEqual(got, want) {

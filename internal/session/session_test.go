@@ -20,10 +20,14 @@ type winEnv struct {
 	done      bool
 }
 
-func (w *winEnv) Apply(s transfer.Setting) error { w.applied = append(w.applied, s); w.setting = s; return nil }
-func (w *winEnv) Done() bool                     { return w.done }
-func (w *winEnv) BeginWindow()                   { w.windows++ }
-func (w *winEnv) Setting() transfer.Setting      { return w.setting }
+func (w *winEnv) Apply(s transfer.Setting) error {
+	w.applied = append(w.applied, s)
+	w.setting = s
+	return nil
+}
+func (w *winEnv) Done() bool                { return w.done }
+func (w *winEnv) BeginWindow()              { w.windows++ }
+func (w *winEnv) Setting() transfer.Setting { return w.setting }
 
 func (w *winEnv) TakeSample() (transfer.Sample, error) {
 	if w.sampleErr != nil {

@@ -84,7 +84,7 @@ func (tl *Timeline) MeanThroughputGbps(id string, t0, t1 float64) float64 {
 	if s == nil {
 		return 0
 	}
-	return s.Between(t0, t1).Mean()
+	return s.MeanBetween(t0, t1)
 }
 
 // Sink returns an event consumer that records session events into the

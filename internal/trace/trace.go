@@ -98,6 +98,24 @@ func (s *Series) Between(t0, t1 float64) *Series {
 	return out
 }
 
+// MeanBetween returns Between(t0, t1).Mean() without building the
+// sub-series: it finds the window's first point by binary search
+// (Append keeps points time-ordered) and sums the window in place, in
+// the same order, so the result is bitwise equal.
+func (s *Series) MeanBetween(t0, t1 float64) float64 {
+	pts := s.Points
+	i := sort.Search(len(pts), func(i int) bool { return pts[i].Time >= t0 })
+	sum, n := 0.0, 0
+	for ; i < len(pts) && pts[i].Time < t1; i++ {
+		sum += pts[i].Value
+		n++
+	}
+	if n == 0 {
+		return 0
+	}
+	return sum / float64(n)
+}
+
 // ConvergenceTime returns the first time from which the series stays
 // within ±tol (relative) of target for at least `hold` seconds, or -1
 // if it never converges. It is how experiments measure "time to reach

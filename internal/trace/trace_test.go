@@ -2,6 +2,8 @@ package trace
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -50,6 +52,53 @@ func TestSeriesBetween(t *testing.T) {
 	sub := s.Between(3, 6)
 	if sub.Len() != 3 || sub.Points[0].Time != 3 || sub.Points[2].Time != 5 {
 		t.Fatalf("Between = %+v", sub.Points)
+	}
+}
+
+// TestMeanBetweenMatchesBetween: on seeded series built by Append, with
+// runs of duplicate times and values of mixed sign and magnitude (so a
+// different summation order would show in the last bits), MeanBetween
+// equals Between(t0, t1).Mean() bitwise for windows that start and end
+// on points, between points and outside the series, and for empty and
+// inverted windows.
+func TestMeanBetweenMatchesBetween(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		s := &Series{Name: "x"}
+		tm := rng.Float64()*10 - 5
+		for n := rng.Intn(60); n > 0; n-- {
+			if rng.Intn(3) > 0 { // one point in three repeats the last time
+				tm += 0.5 * float64(1+rng.Intn(4))
+			}
+			s.Append(tm, (rng.Float64()-0.3)*math.Pow(10, float64(rng.Intn(12)-6)))
+		}
+		// Window edges: every point's time, the midpoints between
+		// neighbours, and values before the first and after the last.
+		edges := []float64{math.Inf(-1), -100, 100, math.Inf(1)}
+		for i, p := range s.Points {
+			edges = append(edges, p.Time)
+			if i > 0 {
+				edges = append(edges, (p.Time+s.Points[i-1].Time)/2)
+			}
+		}
+		for k := 0; k < 50; k++ {
+			t0, t1 := edges[rng.Intn(len(edges))], edges[rng.Intn(len(edges))]
+			want := s.Between(t0, t1).Mean()
+			if got := s.MeanBetween(t0, t1); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d: MeanBetween(%v, %v) = %v, Between.Mean = %v (%d points)", trial, t0, t1, got, want, s.Len())
+			}
+		}
+	}
+	s := &Series{Name: "x"}
+	for i := 0; i < 120; i++ {
+		s.Append(float64(i/2), float64(i))
+	}
+	sink := 0.0
+	if allocs := testing.AllocsPerRun(100, func() { sink += s.MeanBetween(10.5, 50) }); allocs != 0 {
+		t.Fatalf("MeanBetween allocates %v times per call", allocs)
+	}
+	if sink == 0 {
+		t.Fatal("MeanBetween summed nothing")
 	}
 }
 

@@ -215,7 +215,8 @@ func TestSSEReplayIsChunked(t *testing.T) {
 	maxFrame := 0
 	for _, r := range p.records {
 		n := len(want)
-		want, _ = appendSessionFrame(want, r, p.names[r.agent])
+		e := p.raise(r)
+		want, _ = appendSessionFrame(want, e, p.names[e.agent])
 		maxFrame = max(maxFrame, len(want)-n)
 	}
 	want = append(want, "event: done\ndata: "+string(sc.snap().body)+"\n\n"...)

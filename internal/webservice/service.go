@@ -589,9 +589,13 @@ func (s *Service) run(sc *Scenario) {
 		shares = append(shares, mean)
 	}
 	s.met.feedRecords.Add(uint64(sc.progress.finish()))
+	// A finished scenario is retained (store, cache) long after its run:
+	// keep only the two sets the charts draw, not the loss series or the
+	// recording run's series table.
 	sc.publish(scenarioState{
 		Status: "done", Results: results,
-		JainIndex: round3(stats.JainIndex(shares)), timeline: tl,
+		JainIndex: round3(stats.JainIndex(shares)),
+		timeline:  &testbed.Timeline{Throughput: tl.Throughput, Concurrency: tl.Concurrency},
 	})
 }
 

@@ -50,14 +50,15 @@ func (s *Service) handleEvents(w http.ResponseWriter, r *http.Request) {
 		// State before feed: runs finish the feed before publishing (waiters
 		// after their leader), so terminal here means the tail is complete.
 		st := sc.snap()
-		recs, names, wait := sc.progress.tail(idx)
+		recs, tabs, wait := sc.progress.tail(idx)
 		// Encode outside the tracker's lock into one sseChunk buffer per
 		// Write, so replaying a long feed holds one chunk, not the feed.
 		for len(recs) > 0 {
 			buf = slices.Grow(buf[:0], sseChunk)
 			n, ok := 0, true
 			for ; ok && n < len(recs) && len(buf) <= sseChunk-sseFrameRoom; n++ {
-				buf, ok = appendSessionFrame(buf, recs[n], names[recs[n].agent])
+				e := tabs.raise(recs[n])
+				buf, ok = appendSessionFrame(buf, e, tabs.names[e.agent])
 			}
 			// A record json.Marshal refuses ends the stream (!ok).
 			if !s.writeSSE(w, buf) || !ok {
@@ -114,7 +115,7 @@ func appendSSE(b []byte, event string, data []byte) []byte {
 // appendSSE(b, "session", json.Marshal(EventRecord)) gives, byte for
 // byte; name is the agent's JSON-encoded ID. Like json.Marshal it
 // refuses a non-finite float (false, b unchanged).
-func appendSessionFrame(b []byte, rec feedRecord, name []byte) ([]byte, bool) {
+func appendSessionFrame(b []byte, rec feedEntry, name []byte) ([]byte, bool) {
 	for _, f := range [...]float64{rec.time, rec.gbps, rec.loss} {
 		if math.IsInf(f, 0) || math.IsNaN(f) {
 			return b, false
