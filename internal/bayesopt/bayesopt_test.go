@@ -412,21 +412,27 @@ func TestSearchAllocationsIndependentOfCallCount(t *testing.T) {
 // TestSearchFootprint bounds the bytes a fleet agent's searcher costs:
 // built with 8-byte sources over [1, 8] and driven past a full window,
 // it allocates at most searchFootprint bytes — its window, its
-// window-sized Cholesky factors and kernel tables and the winner's
-// weights; per-call scratch is borrowed. The bound is the measured
-// footprint (7 345 B) plus ≈10 %; per-agent scratch such as the 20×8
-// sweep block, or a 24-row factor per candidate, exceeds it.
+// window-sized Cholesky factors and kernel tables, the winner's
+// weights and the portfolio's gains; per-call scratch is borrowed. The
+// bound is the measured footprint (6 833 B) plus ≈10 %; per-agent
+// scratch such as the 20×8 sweep block, or a 24-row factor per
+// candidate, exceeds it.
 func TestSearchFootprint(t *testing.T) {
-	const searchFootprint = 8100
+	const searchFootprint = 7500
 	const runs = 64
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for r := int64(0); r < runs; r++ {
-		s := NewWithSources(8, fastrand.New(r), fastrand.New(r+1))
+	drive := func(s *Search) {
 		n := 1
 		for i := 0; i < 25; i++ {
 			n = s.Next(optimizer.Observation{N: n, Utility: float64((i*7)%11) - 0.1*float64(n)})
 		}
+	}
+	// Drive one searcher first, so the shared scratch free list holds a
+	// block whichever tests ran before: scratch is not the searcher's.
+	drive(New(8, 1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := int64(0); r < runs; r++ {
+		drive(NewWithSources(8, fastrand.New(r), fastrand.New(r+1)))
 	}
 	runtime.ReadMemStats(&after)
 	got := (after.TotalAlloc - before.TotalAlloc) / runs
@@ -434,4 +440,106 @@ func TestSearchFootprint(t *testing.T) {
 	if got > searchFootprint {
 		t.Errorf("a searcher over [1, 8] driven past its window allocates %d bytes, over the %d-byte bound", got, searchFootprint)
 	}
+}
+
+// sinkSearch keeps constructed searchers reachable, so the
+// construction the footprint test measures cannot be optimised away.
+var sinkSearch *Search
+
+// TestSearchConstructionFootprint bounds what a searcher costs before
+// its session decides: built with 8-byte sources over [1, 8], it
+// allocates at most 800 B — the Search value, its two random
+// generators and their sources. No window, factor, kernel table or
+// portfolio gain exists yet (measured 624 B; a full GP value per
+// length-scale candidate, or the window block, exceeds the bound).
+func TestSearchConstructionFootprint(t *testing.T) {
+	const constructionFootprint = 800
+	const runs = 64
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := int64(0); r < runs; r++ {
+		sinkSearch = NewWithSources(8, fastrand.New(r), fastrand.New(r+1))
+	}
+	runtime.ReadMemStats(&after)
+	got := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("searcher construction: %d bytes", got)
+	if got > constructionFootprint {
+		t.Errorf("constructing a searcher over [1, 8] allocates %d bytes, over the %d-byte bound", got, constructionFootprint)
+	}
+}
+
+// holdsNothing fails unless s holds no window, fit, factor, kernel
+// table or portfolio gain.
+func holdsNothing(t *testing.T, what string, s *Search) {
+	t.Helper()
+	if s.xs != nil || s.ys != nil || s.fitXs != nil || s.alpha != nil {
+		t.Errorf("%s: holds a window or fit (caps %d, %d, %d, %d)", what, cap(s.xs), cap(s.ys), cap(s.fitXs), cap(s.alpha))
+	}
+	for c := range s.cands {
+		if g := &s.cands[c]; g.tab != nil || g.chol.Size() != 0 {
+			t.Errorf("%s: candidate %d holds a kernel table (cap %d) or a %d-row factor", what, c, cap(g.tab), g.chol.Size())
+		}
+	}
+	if s.hedge.gains != nil || s.hedge.lastNominees != nil {
+		t.Errorf("%s: holds portfolio gains", what)
+	}
+	if s.win >= 0 {
+		t.Errorf("%s: selected candidate %d", what, s.win)
+	}
+}
+
+// TestSearchReservesOnFirstObservation: a fresh searcher holds no
+// block, and its first Next allocates exactly one, sized for its
+// Window and MaxN, which later decisions reuse.
+func TestSearchReservesOnFirstObservation(t *testing.T) {
+	holdsNothing(t, "fresh searcher", New(8, 1))
+
+	const runs = 20
+	fresh := make([]*Search, runs+1) // AllocsPerRun adds a warm-up run
+	for i := range fresh {
+		fresh[i] = NewWithSources(8, fastrand.New(int64(i)), fastrand.New(int64(i)+1))
+	}
+	k := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		fresh[k].Next(optimizer.Observation{N: 2, Utility: 1})
+		k++
+	})
+	if allocs != 1 {
+		t.Errorf("a fresh searcher's first Next allocates %v times, want 1 (the window block)", allocs)
+	}
+	s := fresh[0]
+	if w := s.Window; cap(s.xs) != w+1 || cap(s.ys) != w+1 || cap(s.fitXs) != w || cap(s.alpha) != w {
+		t.Errorf("window block caps %d, %d, %d, %d; want %d, %d, %d, %d", cap(s.xs), cap(s.ys), cap(s.fitXs), cap(s.alpha), w+1, w+1, w, w)
+	}
+	for c := range s.cands {
+		if got := cap(s.cands[c].tab); got != s.MaxN {
+			t.Errorf("candidate %d kernel table cap %d, want MaxN %d", c, got, s.MaxN)
+		}
+	}
+}
+
+// TestReleasedSearchPanics drives a searcher past its window, releases
+// it, and checks that it holds nothing, reports no posterior, survives
+// a second Release and panics on Next rather than start a fresh
+// window.
+func TestReleasedSearchPanics(t *testing.T) {
+	s := NewWithSources(8, fastrand.New(3), fastrand.New(4))
+	n := 1
+	for i := 0; i < 25; i++ {
+		n = s.Next(optimizer.Observation{N: n, Utility: float64((i*7)%11) - 0.1*float64(n)})
+	}
+	means, stds := make([]float64, 8), make([]float64, 8)
+	if !s.PosteriorSweep(means, stds) {
+		t.Fatal("no posterior after 25 decisions")
+	}
+	s.Release()
+	holdsNothing(t, "released searcher", s)
+	if s.PosteriorSweep(means, stds) {
+		t.Error("a released searcher still reports a posterior")
+	}
+	s.Release()
+	if !panics(func() { s.Next(optimizer.Observation{N: n, Utility: 1}) }) {
+		t.Fatal("Next after Release did not panic")
+	}
+	holdsNothing(t, "released searcher after Next", s)
 }

@@ -52,9 +52,7 @@ type GP struct {
 	stdY  float64
 	// yStd caches the standardised targets from Fit so
 	// LogMarginalLikelihood's yᵀα term is a dot product instead of a
-	// kernel-matrix reconstruction. A Search's candidates leave it
-	// nil: their refit shares one standardisation and scores the
-	// likelihood itself.
+	// kernel-matrix reconstruction.
 	yStd   []float64
 	fitted bool
 	// fitHyper records the hyperparameters the current factor was
@@ -88,7 +86,7 @@ const maxKernelTable = 8192
 
 // syncKTab invalidates the integer-distance kernel table if the kernel
 // hyperparameters changed since it was built. Fit/Predict/PredictInto
-// call it on entry so kernel() can trust the table unconditionally.
+// call it on entry so the kernel can trust the table unconditionally.
 func (g *GP) syncKTab() {
 	if g.kTabHyper[0] != g.LengthScale || g.kTabHyper[1] != g.SignalVar {
 		g.kTab = g.kTab[:0]
@@ -96,105 +94,92 @@ func (g *GP) syncKTab() {
 	}
 }
 
-// growKTab extends the table through distance di. Kept out of kernel's
+// kern is the GP's kernel over its own table.
+func (g *GP) kern() rbf { return rbf{g.LengthScale, g.SignalVar, &g.kTab} }
+
+// readPost is what a prediction reads of the GP's fit, over a synced
+// kernel table; for a nil GP or before a successful Fit it is a
+// posterior without weights, whose predictAt panics.
+func (g *GP) readPost() posterior {
+	if g == nil || !g.Fitted() {
+		return posterior{}
+	}
+	g.syncKTab()
+	return posterior{g.kern(), &g.chol, g.xs, g.alpha, g.meanY, g.stdY}
+}
+
+// rbf is the RBF kernel σf²·exp(−½(d/ℓ)²) without the noise term,
+// read through the owner's integer-distance table tab, which it grows
+// in place: a GP's kTab, or a Search candidate's.
+type rbf struct {
+	ls, sf2 float64
+	tab     *[]float64
+}
+
+// grow extends the table through distance di. Kept out of at's
 // inlining budget: it runs a handful of times per hyperparameter set.
 //
 //go:noinline
-func (g *GP) growKTab(di int) {
-	for d := len(g.kTab); d <= di; d++ {
-		z := float64(d) / g.LengthScale
-		g.kTab = append(g.kTab, g.SignalVar*math.Exp(-0.5*z*z))
+func (k rbf) grow(di int) {
+	for d := len(*k.tab); d <= di; d++ {
+		z := float64(d) / k.ls
+		*k.tab = append(*k.tab, k.sf2*math.Exp(-0.5*z*z))
 	}
 }
 
-// sweepTablePrepared reports whether the query grid xs is consecutive
-// integers and every training input is integral, in which case it
-// grows the kernel table to cover every query↔training distance and
-// returns the grid's integer origin. PredictInto's fast path then
-// reads every kernel value straight out of the table.
-func (g *GP) sweepTablePrepared(xs []float64, m int) (int, bool) {
-	x0 := xs[0]
-	x0i := int(x0)
-	if float64(x0i) != x0 {
-		return 0, false
-	}
-	for j, x := range xs {
-		if x != x0+float64(j) {
-			return 0, false
-		}
-	}
-	maxIdx := 0
-	for _, xi := range g.xs {
-		p := int(xi)
-		if float64(p) != xi {
-			return 0, false
-		}
-		rel := p - x0i
-		if rel > maxIdx {
-			maxIdx = rel
-		}
-		if d := (m - 1) - rel; d > maxIdx {
-			maxIdx = d
-		}
-	}
-	if maxIdx > maxKernelTable {
-		return 0, false
-	}
-	if maxIdx >= len(g.kTab) {
-		g.growKTab(maxIdx)
-	}
-	return x0i, true
-}
-
-// kernel evaluates the RBF kernel without the noise term. Integral
-// input distances — the only kind the integer concurrency grid
-// produces — come from kTab; the table entry is σf²·exp(−½(d/ℓ)²)
-// with d the exact distance, bitwise equal to the direct expression
-// below because negating an exact difference and squaring it round
-// identically.
-func (g *GP) kernel(a, b float64) float64 {
+// at evaluates the kernel at inputs a and b. Integral input distances
+// — the only kind the integer concurrency grid produces — come from
+// the table; the table entry is σf²·exp(−½(d/ℓ)²) with d the exact
+// distance, bitwise equal to the direct expression below because
+// negating an exact difference and squaring it round identically.
+func (k rbf) at(a, b float64) float64 {
 	d := a - b
 	if di := int(d); float64(di) == d {
 		if di < 0 {
 			di = -di
 		}
 		if di >= 0 && di <= maxKernelTable {
-			if di >= len(g.kTab) {
-				g.growKTab(di)
+			if di >= len(*k.tab) {
+				k.grow(di)
 			}
-			return g.kTab[di]
+			return (*k.tab)[di]
 		}
 	}
-	z := d / g.LengthScale
-	return g.SignalVar * math.Exp(-0.5*z*z)
+	z := d / k.ls
+	return k.sf2 * math.Exp(-0.5*z*z)
 }
 
-// kernelRow fills row[:n+1] with k(xs[n], xs[0..n]) including the
-// noise jitter on the diagonal — the bordering row AppendRow consumes.
-func (g *GP) kernelRow(row, xs []float64, n int) []float64 {
+// row fills row[:n+1] with k(xs[n], xs[0..n]) plus, on the diagonal,
+// the noise variance noise and a little for numerical safety — the
+// bordering row AppendRow consumes.
+func (k rbf) row(row, xs []float64, n int, noise float64) []float64 {
 	row = row[:n+1]
 	for j, xj := range xs[:n+1] {
-		row[j] = g.kernel(xs[n], xj)
+		row[j] = k.at(xs[n], xj)
 	}
-	row[n] += g.jitter()
+	row[n] += noise + 1e-9
 	return row
 }
 
-// jitter is the diagonal's noise term: the noise variance plus a
-// little for numerical safety.
-func (g *GP) jitter() float64 { return g.NoiseVar + 1e-9 }
-
-// refactor builds the Cholesky factor from scratch, taking each
-// bordering row in row (at least len(xs) floats). A failure leaves the
-// GP unfitted.
-func (g *GP) refactor(xs, row []float64) error {
-	g.chol.Reset()
+// refactor builds c from scratch over xs under kernel k and noise
+// variance noise, taking each bordering row in row (at least len(xs)
+// floats). A failure leaves c empty.
+func refactor(c *linalg.Chol, k rbf, noise float64, xs, row []float64) error {
+	c.Reset()
 	for i := range xs {
-		if err := g.chol.AppendRow(g.kernelRow(row, xs, i)); err != nil {
-			g.chol.Reset()
-			g.fitted = false
+		if err := c.AppendRow(k.row(row, xs, i, noise)); err != nil {
+			c.Reset()
 			return fmt.Errorf("bayesopt: kernel matrix not PD: %w", err)
 		}
+	}
+	return nil
+}
+
+// refactor rebuilds the GP's factor; a failure leaves it unfitted.
+func (g *GP) refactor(xs, row []float64) error {
+	if err := refactor(&g.chol, g.kern(), g.NoiseVar, xs, row); err != nil {
+		g.fitted = false
+		return err
 	}
 	return nil
 }
@@ -271,14 +256,14 @@ func (g *GP) Fit(xs, ys []float64) error {
 	hyper := [3]float64{g.LengthScale, g.SignalVar, g.NoiseVar}
 	switch {
 	case g.fitted && hyper == g.fitHyper && extendsByOne(g.xs, xs):
-		if err := g.chol.AppendRow(g.kernelRow(row, xs, n-1)); err != nil {
+		if err := g.chol.AppendRow(g.kern().row(row, xs, n-1, g.NoiseVar)); err != nil {
 			if err := g.refactor(xs, row); err != nil {
 				return err
 			}
 		}
 	case g.fitted && hyper == g.fitHyper && slidesByOne(g.xs, xs):
 		g.chol.DropFirst()
-		if err := g.chol.AppendRow(g.kernelRow(row, xs, n-1)); err != nil {
+		if err := g.chol.AppendRow(g.kern().row(row, xs, n-1, g.NoiseVar)); err != nil {
 			if err := g.refactor(xs, row); err != nil {
 				return err
 			}
@@ -309,38 +294,94 @@ func grow(s []float64, n int) []float64 {
 
 // Fitted reports whether the GP holds a usable posterior: Fit has
 // succeeded at least once and the factor survives (a failed refit
-// invalidates it). A Search candidate that lost the last model
-// selection keeps its factor but no weights, and is not fitted.
-func (g *GP) Fitted() bool { return g.fitted && g.alpha != nil }
+// invalidates it).
+func (g *GP) Fitted() bool { return g.fitted }
 
 // Predict returns the posterior mean and standard deviation at x, in
 // the original target units. Predicting before a successful Fit panics
 // — a sequencing bug in the caller.
 func (g *GP) Predict(x float64) (mean, std float64) {
-	if !g.Fitted() {
-		panic("bayesopt: Predict before Fit")
-	}
-	g.syncKTab()
-	sc := borrow(2 * len(g.xs))
-	defer sc.release()
-	return g.predict(x, sc.buf)
+	p := g.readPost()
+	return p.predictAt(x)
 }
 
-// predict is Predict for a fitted GP with a synced kernel table,
-// working in buf (at least 2·len(g.xs) floats).
-func (g *GP) predict(x float64, buf []float64) (mean, std float64) {
-	n := len(g.xs)
-	kstar, v := buf[:n], buf[n:2*n]
-	for i, xi := range g.xs {
-		kstar[i] = g.kernel(x, xi)
+// posterior is what a prediction reads of a fit: the kernel, the
+// factor, the fitted inputs and their weights, and the target scaling.
+// A GP builds one over its own fit (readPost); a Search over its selected
+// candidate and the fit state it shares among its candidates. It is a
+// view, built where it is read.
+type posterior struct {
+	k           rbf
+	chol        *linalg.Chol
+	xs, alpha   []float64
+	meanY, stdY float64
+}
+
+// predictAt is Predict over the posterior, in borrowed scratch. It
+// panics on a posterior without weights.
+func (p *posterior) predictAt(x float64) (mean, std float64) {
+	if p.alpha == nil {
+		panic("bayesopt: Predict before Fit")
 	}
-	mu := linalg.Dot(kstar, g.alpha)
-	g.chol.SolveLowerInto(v, kstar)
-	varStar := g.SignalVar - linalg.Dot(v, v)
+	sc := borrow(2 * len(p.xs))
+	defer sc.release()
+	return p.predict(x, sc.buf)
+}
+
+// predict is the posterior at x with a synced kernel table, working in
+// buf (at least 2·len(p.xs) floats).
+func (p *posterior) predict(x float64, buf []float64) (mean, std float64) {
+	n := len(p.xs)
+	kstar, v := buf[:n], buf[n:2*n]
+	for i, xi := range p.xs {
+		kstar[i] = p.k.at(x, xi)
+	}
+	mu := linalg.Dot(kstar, p.alpha)
+	p.chol.SolveLowerInto(v, kstar)
+	varStar := p.k.sf2 - linalg.Dot(v, v)
 	if varStar < 0 {
 		varStar = 0
 	}
-	return mu*g.stdY + g.meanY, math.Sqrt(varStar) * g.stdY
+	return mu*p.stdY + p.meanY, math.Sqrt(varStar) * p.stdY
+}
+
+// sweepTablePrepared reports whether the query grid xs is consecutive
+// integers and every fitted input is integral, in which case it grows
+// the kernel table to cover every query↔training distance and returns
+// the grid's integer origin. predictInto's fast path then reads every
+// kernel value straight out of the table.
+func (p *posterior) sweepTablePrepared(xs []float64, m int) (int, bool) {
+	x0 := xs[0]
+	x0i := int(x0)
+	if float64(x0i) != x0 {
+		return 0, false
+	}
+	for j, x := range xs {
+		if x != x0+float64(j) {
+			return 0, false
+		}
+	}
+	maxIdx := 0
+	for _, xi := range p.xs {
+		q := int(xi)
+		if float64(q) != xi {
+			return 0, false
+		}
+		rel := q - x0i
+		if rel > maxIdx {
+			maxIdx = rel
+		}
+		if d := (m - 1) - rel; d > maxIdx {
+			maxIdx = d
+		}
+	}
+	if maxIdx > maxKernelTable {
+		return 0, false
+	}
+	if maxIdx >= len(*p.k.tab) {
+		p.k.grow(maxIdx)
+	}
+	return x0i, true
 }
 
 // PredictInto evaluates the posterior at every query point in one
@@ -364,17 +405,17 @@ func (g *GP) PredictInto(xs, means, stds []float64) {
 	if m == 0 {
 		return
 	}
-	g.syncKTab()
+	p := g.readPost()
 	sc := borrow(len(g.xs) * m)
-	g.predictInto(xs, means, stds, sc.buf)
+	p.predictInto(xs, means, stds, sc.buf)
 	sc.release()
 }
 
 // predictInto is PredictInto over caller-provided scratch b of at
-// least len(g.xs)·len(xs) floats, for a fitted GP with a synced kernel
-// table and a non-empty query grid.
-func (g *GP) predictInto(xs, means, stds, b []float64) {
-	m, n := len(xs), len(g.xs)
+// least len(p.xs)·len(xs) floats, for a posterior with weights and a
+// synced kernel table and a non-empty query grid.
+func (p *posterior) predictInto(xs, means, stds, b []float64) {
+	m, n := len(xs), len(p.xs)
 	// B is the n×m cross-covariance block in i-major layout:
 	// B[i*m+j] = k(xs[j], X[i]) — column j is Predict's k* vector.
 	b = b[:n*m]
@@ -383,45 +424,45 @@ func (g *GP) predictInto(xs, means, stds, b []float64) {
 	for j := range means {
 		means[j] = 0
 	}
-	if x0, ok := g.sweepTablePrepared(xs, m); ok {
+	if x0, ok := p.sweepTablePrepared(xs, m); ok {
 		// Fast path: consecutive-integer query grid over integral
 		// training inputs — the searcher's candidate sweep. Every
 		// kernel value is kTab[|j−p|], so each row is two strided
 		// table walks with no per-element kernel call; the table was
 		// grown to cover every distance above.
-		ktab := g.kTab
-		for i, xi := range g.xs {
+		ktab := *p.k.tab
+		for i, xi := range p.xs {
 			row := b[i*m : i*m+m]
-			p := int(xi) - x0
-			down := p // row[j] = ktab[p−j] for j < p
+			q := int(xi) - x0
+			down := q // row[j] = ktab[q−j] for j < q
 			if down > m {
 				down = m
 			}
 			for j := 0; j < down; j++ {
-				row[j] = ktab[p-j]
+				row[j] = ktab[q-j]
 			}
-			if p < m {
-				up := p // row[j] = ktab[j−p] for j ≥ p
+			if q < m {
+				up := q // row[j] = ktab[j−q] for j ≥ q
 				if up < 0 {
 					up = 0
 				}
-				copy(row[up:], ktab[up-p:m-p])
+				copy(row[up:], ktab[up-q:m-q])
 			}
-			linalg.AxpyInto(means, row, g.alpha[i])
+			linalg.AxpyInto(means, row, p.alpha[i])
 		}
 	} else {
-		for i, xi := range g.xs {
-			ai := g.alpha[i]
+		for i, xi := range p.xs {
+			ai := p.alpha[i]
 			row := b[i*m : i*m+m]
 			for j, x := range xs {
-				kv := g.kernel(x, xi)
+				kv := p.k.at(x, xi)
 				row[j] = kv
 				means[j] += kv * ai
 			}
 		}
 	}
 	// One forward solve for all points: column j becomes Predict's v.
-	g.chol.SolveLowerBatchInto(b, m)
+	p.chol.SolveLowerBatchInto(b, m)
 	// stds[j] accumulates Σᵢ vᵢ² in ascending-i order, matching
 	// linalg.Dot(v, v).
 	for j := range stds {
@@ -431,12 +472,12 @@ func (g *GP) predictInto(xs, means, stds, b []float64) {
 		linalg.AddSqInto(stds, b[i*m:i*m+m])
 	}
 	for j := range stds {
-		varStar := g.SignalVar - stds[j]
+		varStar := p.k.sf2 - stds[j]
 		if varStar < 0 {
 			varStar = 0
 		}
-		means[j] = means[j]*g.stdY + g.meanY
-		stds[j] = math.Sqrt(varStar) * g.stdY
+		means[j] = means[j]*p.stdY + p.meanY
+		stds[j] = math.Sqrt(varStar) * p.stdY
 	}
 }
 

@@ -58,10 +58,10 @@ func TestFitWithModelSelectionKeepsWorking(t *testing.T) {
 	if err := s.fitWithModelSelection(sc.buf); err != nil {
 		t.Fatal(err)
 	}
-	if !s.gp.Fitted() {
-		t.Fatal("model selection left the GP unfitted")
+	if s.win < 0 {
+		t.Fatal("model selection selected no candidate")
 	}
-	if s.gp.LengthScale <= 0 {
-		t.Fatalf("length scale = %v", s.gp.LengthScale)
+	if ls := s.cands[s.win].ls; ls <= 0 {
+		t.Fatalf("length scale = %v", ls)
 	}
 }

@@ -22,6 +22,11 @@ import (
 // only works in — standardised targets, kernel rows, update vectors,
 // the losers' weights, the posterior sweep — is borrowed per call from
 // a free list shared by all searchers (see scratch).
+//
+// What outlives a decision lives from the first observation to
+// Release: construction allocates no window, the first Next reserves
+// it in one block, and Release — called when the session the searcher
+// decides for ends — drops it. Next after Release panics.
 type Search struct {
 	// MaxN bounds the search space [1, MaxN].
 	MaxN int
@@ -34,25 +39,47 @@ type Search struct {
 	InitSamples int
 
 	// cands are the length-scale candidates {base/2, base, base·2},
-	// each a persistent GP whose factor updates incrementally as the
-	// window slides; gp is the one the last refit selected (nil
-	// before the first).
-	cands [3]GP
-	gp    *GP
-	hedge Hedge
-	rng   *rand.Rand
-	seen  int
+	// each a persistent factor that updates incrementally as the
+	// window slides; win indexes the one the last refit selected (−1
+	// before the first, after a failed one and after Release).
+	cands [3]candidate
+	win   int8
+	// synced records that the last refit left all three candidates
+	// fitted on fitXs, so the next one can update them together;
+	// released, that Release has run.
+	synced   bool
+	released bool
+	hedge    Hedge
+	rng      *rand.Rand
+	seen     int
 
 	// xs and ys are the observation window, one slot over for the
 	// append that precedes an eviction. fitXs is the window the
-	// candidates were last fitted on — one copy, which every
-	// candidate's xs aliases — and alpha the selected candidate's
-	// weights, the one fit output a later PosteriorSweep reads.
+	// candidates were last fitted on, and alpha, meanY and stdY the
+	// selected candidate's weights and target scaling: the fit output
+	// a later PosteriorSweep reads, shared by the three candidates.
 	xs, ys, fitXs, alpha []float64
-	// synced records that the last refit left all three candidates
-	// fitted on fitXs, so the next one can update them together.
-	synced bool
+	meanY, stdY          float64
 }
+
+// Every candidate has the searcher's signal and noise variances (of
+// standardised targets); only their length scales differ.
+const (
+	searchSignalVar = 1.0
+	searchNoiseVar  = 0.02
+)
+
+// candidate is one length scale's share of a Search: its factor over
+// fitXs and its integer-distance kernel table. Everything else a fit
+// holds lives once on the Search.
+type candidate struct {
+	ls   float64
+	tab  []float64
+	chol linalg.Chol
+}
+
+// kern is the candidate's kernel over its own table.
+func (c *candidate) kern() rbf { return rbf{c.ls, searchSignalVar, &c.tab} }
 
 var _ optimizer.Search = (*Search)(nil)
 
@@ -79,6 +106,7 @@ func NewWithSources(maxN int, src, hedgeSrc rand.Source) *Search {
 		MaxN:        maxN,
 		Window:      20,
 		InitSamples: 3,
+		win:         -1,
 		rng:         rand.New(src),
 	}
 	// Length scale relative to the domain keeps the surrogate smooth
@@ -89,19 +117,17 @@ func NewWithSources(maxN int, src, hedgeSrc rand.Source) *Search {
 		base = 1
 	}
 	for i, ls := range [3]float64{base / 2, base, base * 2} {
-		g := &s.cands[i]
-		g.LengthScale, g.SignalVar, g.NoiseVar = ls, 1.0, 0.02
-		g.syncKTab()
+		s.cands[i].ls = ls
 	}
 	s.hedge.init(defaultPortfolio, 0.5, rand.New(hedgeSrc))
-	s.reserve()
 	return s
 }
 
 // reserve sizes the searcher for its Window and MaxN in one block: the
 // window buffers, the fitted inputs and the winner's weights, and each
 // candidate's Window-row packed factor and MaxN-entry kernel table.
-// Contents carry over.
+// Contents carry over. observe calls it at the first observation and
+// whenever Window outgrows the block.
 func (s *Search) reserve() {
 	w, m := s.Window, s.MaxN
 	tri := linalg.PackedSize(w)
@@ -113,15 +139,33 @@ func (s *Search) reserve() {
 	s.alpha = append(buf[w:w:2*w], s.alpha...)
 	buf = buf[2*w:]
 	for i := range s.cands {
-		g := &s.cands[i]
-		g.chol.Rehome(buf[:0:tri])
-		g.kTab = append(buf[tri:tri:tri+m], g.kTab...)
-		g.xs = s.fitXs
+		c := &s.cands[i]
+		c.chol.Rehome(buf[:0:tri])
+		c.tab = append(buf[tri:tri:tri+m], c.tab...)
 		buf = buf[tri+m:]
 	}
-	if s.gp != nil {
-		s.gp.alpha = s.alpha
+}
+
+// Release drops what the searcher holds between decisions — the
+// window, the fitted inputs, the weights, the candidates' factors and
+// kernel tables and the portfolio's gains — once the session it
+// decides for has ended. A released searcher must not decide again:
+// Next panics rather than start a fresh window. Repeated calls are
+// no-ops.
+func (s *Search) Release() {
+	for i := range s.cands {
+		s.cands[i] = candidate{ls: s.cands[i].ls}
 	}
+	s.win, s.synced, s.released = -1, false, true
+	s.xs, s.ys, s.fitXs, s.alpha = nil, nil, nil, nil
+	s.hedge.gains, s.hedge.lastNominees = nil, nil
+}
+
+// post is what a prediction reads of the selected candidate's fit; the
+// caller checks one was selected (win ≥ 0).
+func (s *Search) post() posterior {
+	c := &s.cands[s.win]
+	return posterior{c.kern(), &c.chol, s.fitXs, s.alpha, s.meanY, s.stdY}
 }
 
 // scratchSize is the scratch one decision borrows: the refit's
@@ -140,6 +184,9 @@ func (s *Search) Name() string { return "bayesian-optimization" }
 
 // Next implements optimizer.Search.
 func (s *Search) Next(obs optimizer.Observation) int {
+	if s.released {
+		panic("bayesopt: Next after Release")
+	}
 	s.observe(float64(obs.N), obs.Utility)
 	if s.seen < s.InitSamples {
 		// Uniform random sampling phase (uniform prior, no bias).
@@ -166,20 +213,21 @@ func (s *Search) Next(obs optimizer.Observation) int {
 	m := s.MaxN
 	means, buf := carve(sc.buf, m)
 	stds, buf := carve(buf, m)
-	buf = s.sweep(means, stds, buf)
-	return s.hedge.proposeSweep(s.gp, 1, best, means, stds, &sc.stats, buf)
+	p := s.post()
+	buf = s.sweep(&p, means, stds, buf)
+	return s.hedge.proposeSweep(&p, 1, best, means, stds, &sc.stats, buf)
 }
 
-// sweep writes the selected candidate's posterior over the integer
-// grid [1, MaxN] into means and stds, working in buf, and returns what
-// it did not use of buf.
-func (s *Search) sweep(means, stds, buf []float64) []float64 {
+// sweep writes p's posterior over the integer grid [1, MaxN] into
+// means and stds, working in buf, and returns what it did not use of
+// buf.
+func (s *Search) sweep(p *posterior, means, stds, buf []float64) []float64 {
 	grid, buf := carve(buf, s.MaxN)
 	for i := range grid {
 		grid[i] = float64(i + 1)
 	}
-	b, buf := carve(buf, len(s.gp.xs)*s.MaxN)
-	s.gp.predictInto(grid, means, stds, b)
+	b, buf := carve(buf, len(p.xs)*s.MaxN)
+	p.predictInto(grid, means, stds, b)
 	return buf
 }
 
@@ -190,14 +238,15 @@ func (s *Search) sweep(means, stds, buf []float64) []float64 {
 // interface — a multi-agent server can amortise one sweep across its
 // own scoring instead of issuing MaxN scalar Predicts.
 func (s *Search) PosteriorSweep(means, stds []float64) bool {
-	if s.gp == nil || !s.gp.Fitted() {
+	if s.win < 0 {
 		return false
 	}
 	if len(means) != s.MaxN || len(stds) != s.MaxN {
 		panic(fmt.Sprintf("bayesopt: PosteriorSweep lengths %d,%d != MaxN %d", len(means), len(stds), s.MaxN))
 	}
-	sc := borrow(s.MaxN * (len(s.gp.xs) + 1))
-	s.sweep(means, stds, sc.buf)
+	sc := borrow(s.MaxN * (len(s.fitXs) + 1))
+	p := s.post()
+	s.sweep(&p, means, stds, sc.buf)
 	sc.release()
 	return true
 }
@@ -219,10 +268,11 @@ func (s *Search) PosteriorSweep(means, stds []float64) bool {
 //     or after a candidate failed — every candidate refactors, as does
 //     any candidate whose append is rejected;
 //   - the three alphas are solved in one interleaved pass
-//     (linalg.SolveInto3) and the winner's is kept.
+//     (linalg.SolveInto3) and only the winner's is kept.
 //
 // Per candidate the arithmetic is exactly GP.Fit's, so the winner and
-// its posterior are bitwise those of three independent fits.
+// its posterior are bitwise those of three independent fits. A refit
+// in which no candidate fits selects none (win −1).
 func (s *Search) fitWithModelSelection(buf []float64) error {
 	xs, n := s.xs, len(s.xs)
 	if n == 0 {
@@ -239,57 +289,48 @@ func (s *Search) fitWithModelSelection(buf []float64) error {
 	}
 	mean, std := standardise(yStd, s.ys)
 
-	c0, c1, c2 := &s.cands[0], &s.cands[1], &s.cands[2]
+	c0, c1, c2 := &s.cands[0].chol, &s.cands[1].chol, &s.cands[2].chol
 	errs := [3]error{errRefactor, errRefactor, errRefactor}
 	switch {
 	case s.synced && extendsByOne(s.fitXs, xs):
 		errs = s.appendRows(rows, xs)
 	case s.synced && slidesByOne(s.fitXs, xs):
-		linalg.DropFirst3(&c0.chol, &c1.chol, &c2.chol, update)
+		linalg.DropFirst3(c0, c1, c2, update)
 		errs = s.appendRows(rows, xs)
 	}
 	s.fitXs = append(s.fitXs[:0], xs...)
 	s.synced = true
 	for c := range s.cands {
-		g := &s.cands[c]
-		if errs[c] != nil {
-			errs[c] = g.refactor(xs, rows[c])
+		if g := &s.cands[c]; errs[c] != nil {
+			errs[c] = refactor(&g.chol, g.kern(), searchNoiseVar, xs, rows[c])
 		}
-		g.xs = s.fitXs
-		g.fitted = errs[c] == nil
-		s.synced = s.synced && g.fitted
+		s.synced = s.synced && errs[c] == nil
 	}
 
 	if s.synced {
-		linalg.SolveInto3(&c0.chol, &c1.chol, &c2.chol, alpha[0], yStd, alpha[1], yStd, alpha[2], yStd)
+		linalg.SolveInto3(c0, c1, c2, alpha[0], yStd, alpha[1], yStd, alpha[2], yStd)
 	} else {
 		for c := range s.cands {
-			if g := &s.cands[c]; g.fitted {
-				g.chol.SolveInto(alpha[c], yStd)
+			if errs[c] == nil {
+				s.cands[c].chol.SolveInto(alpha[c], yStd)
 			}
 		}
 	}
 	bestLML, win := math.Inf(-1), -1
 	for c := range s.cands {
-		g := &s.cands[c]
-		if !g.fitted {
+		if errs[c] != nil {
 			continue
 		}
-		if lml := logMarginal(yStd, alpha[c], &g.chol); lml > bestLML {
+		if lml := logMarginal(yStd, alpha[c], &s.cands[c].chol); lml > bestLML {
 			bestLML, win = lml, c
 		}
 	}
+	s.win = int8(win)
 	if win < 0 {
 		return fmt.Errorf("bayesopt: no length scale produced a valid fit")
 	}
-	// Only the winner keeps weights: a loser holds a factor but no
-	// posterior of its own, so it reports itself unfitted to Predict.
-	for c := range s.cands {
-		s.cands[c].alpha = nil
-	}
 	s.alpha = append(s.alpha[:0], alpha[win]...)
-	s.gp = &s.cands[win]
-	s.gp.alpha, s.gp.meanY, s.gp.stdY = s.alpha, mean, std
+	s.meanY, s.stdY = mean, std
 	return nil
 }
 
@@ -302,7 +343,7 @@ var errRefactor = errors.New("bayesopt: refactor")
 // error.
 func (s *Search) appendRows(rows [3][]float64, xs []float64) [3]error {
 	for c := range rows {
-		rows[c] = s.cands[c].kernelRow(rows[c], xs, len(xs)-1)
+		rows[c] = s.cands[c].kern().row(rows[c], xs, len(xs)-1, searchNoiseVar)
 	}
 	e0, e1, e2 := linalg.AppendRow3(&s.cands[0].chol, &s.cands[1].chol, &s.cands[2].chol, rows[0], rows[1], rows[2])
 	return [3]error{e0, e1, e2}
@@ -350,10 +391,10 @@ type Hedge struct {
 	gains []float64
 	rng   *rand.Rand
 
-	// nominees of the current round, kept to update gains next round
-	// (and reused as the next round's scratch once consumed).
+	// nominees of the last round, kept to update gains this round (and
+	// reused as this round's scratch once consumed). It and gains are
+	// allocated by the first round, so nil means no round yet.
 	lastNominees []int
-	hasNominees  bool
 }
 
 // NewHedge builds a portfolio with learning rate eta. It panics on an
@@ -373,13 +414,7 @@ func (h *Hedge) init(acqs []Acquisition, eta float64, rng *rand.Rand) {
 	if eta <= 0 {
 		panic(fmt.Sprintf("bayesopt: eta %v must be positive", eta))
 	}
-	*h = Hedge{
-		acqs:         acqs,
-		eta:          eta,
-		gains:        make([]float64, len(acqs)),
-		rng:          rng,
-		lastNominees: make([]int, len(acqs)),
-	}
+	*h = Hedge{acqs: acqs, eta: eta, rng: rng}
 }
 
 // statsSize is the scratch proposeSweep works in for an m-point sweep
@@ -397,13 +432,13 @@ func (h *Hedge) Propose(gp *GP, lo, hi int, best float64) int {
 	if m < 0 {
 		m = 0
 	}
+	p := gp.readPost()
 	n := 0
 	if m > 0 {
-		if !gp.Fitted() {
+		if p.alpha == nil {
 			panic("bayesopt: Predict before Fit")
 		}
-		gp.syncKTab()
-		n = len(gp.xs)
+		n = len(p.xs)
 	}
 	sc := borrow(2*m + 2*n + statsSize(m, len(h.acqs)))
 	defer sc.release()
@@ -411,9 +446,9 @@ func (h *Hedge) Propose(gp *GP, lo, hi int, best float64) int {
 	sds, buf := carve(buf, m)
 	kv, buf := carve(buf, 2*n)
 	for x := lo; x <= hi; x++ {
-		mus[x-lo], sds[x-lo] = gp.predict(float64(x), kv)
+		mus[x-lo], sds[x-lo] = p.predict(float64(x), kv)
 	}
-	return h.proposeSweep(gp, lo, best, mus, sds, &sc.stats, buf)
+	return h.proposeSweep(&p, lo, best, mus, sds, &sc.stats, buf)
 }
 
 // ProposeSweep returns the next integer point in [lo, lo+len(means)−1]
@@ -429,12 +464,13 @@ func (h *Hedge) Propose(gp *GP, lo, hi int, best float64) int {
 func (h *Hedge) ProposeSweep(gp *GP, lo int, best float64, means, stds []float64) int {
 	sc := borrow(statsSize(len(means), len(h.acqs)))
 	defer sc.release()
-	return h.proposeSweep(gp, lo, best, means, stds, &sc.stats, sc.buf)
+	p := gp.readPost()
+	return h.proposeSweep(&p, lo, best, means, stds, &sc.stats, sc.buf)
 }
 
-// proposeSweep is ProposeSweep working in st and buf (at least
-// statsSize floats).
-func (h *Hedge) proposeSweep(gp *GP, lo int, best float64, means, stds []float64, st *sweepStats, buf []float64) int {
+// proposeSweep is ProposeSweep over the posterior p, working in st and
+// buf (at least statsSize floats).
+func (h *Hedge) proposeSweep(p *posterior, lo int, best float64, means, stds []float64, st *sweepStats, buf []float64) int {
 	// Update gains with the posterior means at last round's nominees —
 	// the Hedge reward signal, normalised by the observed utility scale
 	// so units cannot destabilise the weights.
@@ -442,13 +478,16 @@ func (h *Hedge) proposeSweep(gp *GP, lo int, best float64, means, stds []float64
 	if scale < 1e-12 {
 		scale = 1e-12
 	}
-	if h.hasNominees {
+	if h.lastNominees == nil {
+		h.gains = make([]float64, len(h.acqs))
+		h.lastNominees = make([]int, len(h.acqs))
+	} else {
 		for i, x := range h.lastNominees {
 			var mu float64
 			if j := x - lo; j >= 0 && j < len(means) {
 				mu = means[j]
 			} else {
-				mu, _ = gp.Predict(float64(x))
+				mu, _ = p.predictAt(float64(x))
 			}
 			h.gains[i] += math.Tanh(mu / scale)
 		}
@@ -468,7 +507,6 @@ func (h *Hedge) proposeSweep(gp *GP, lo int, best float64, means, stds []float64
 		nominees[i] = lo + j
 	}
 	h.lastNominees = nominees
-	h.hasNominees = true
 
 	// Softmax draw over gains.
 	maxG := h.gains[0]
@@ -494,5 +532,10 @@ func (h *Hedge) proposeSweep(gp *GP, lo int, best float64, means, stds []float64
 	return nominees[len(nominees)-1]
 }
 
-// Gains returns a copy of the portfolio gains (diagnostics).
-func (h *Hedge) Gains() []float64 { return append([]float64(nil), h.gains...) }
+// Gains returns a copy of the portfolio gains (diagnostics): zeros
+// before the first round.
+func (h *Hedge) Gains() []float64 {
+	g := make([]float64, len(h.acqs))
+	copy(g, h.gains)
+	return g
+}

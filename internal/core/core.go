@@ -205,6 +205,16 @@ func (a *Agent) Decide(s transfer.Sample) transfer.Setting {
 // function it cannot vouch for.
 func (a *Agent) DecideIsolated() bool { return a.utilFn == nil }
 
+// Release implements session.Releaser: once the agent's session has
+// ended, a search that keeps state between decisions (a BO searcher's
+// window, factors and kernel tables) drops it. The agent must not
+// decide again.
+func (a *Agent) Release() {
+	if r, ok := a.search.(interface{ Release() }); ok {
+		r.Release()
+	}
+}
+
 // DisableHistory stops the agent from appending to its diagnostic
 // decision log. The log is the one per-agent allocation that grows
 // without bound (one Decision per epoch); fleet runs with a million

@@ -57,6 +57,36 @@ func TestSetFixedKnobs(t *testing.T) {
 	}
 }
 
+// TestAgentReleaseForwardsToSearch: an agent is a session.Releaser; a
+// BO agent's Release reaches its searcher, which then refuses to
+// decide, and an hc agent, whose search keeps nothing to drop, still
+// decides after one.
+func TestAgentReleaseForwardsToSearch(t *testing.T) {
+	sample := transfer.Sample{
+		Setting:  transfer.Setting{Concurrency: 2, Parallelism: 1, Pipelining: 1},
+		Duration: 3, Throughput: 1e9,
+	}
+	for _, algo := range []string{AlgoBayesian, AlgoHillClimbing} {
+		a, err := NewFleetAgent(algo, 8, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r session.Releaser = a
+		for i := 0; i < 5; i++ {
+			a.Decide(sample)
+		}
+		r.Release()
+		panicked := func() (did bool) {
+			defer func() { did = recover() != nil }()
+			a.Decide(sample)
+			return false
+		}()
+		if want := algo == AlgoBayesian; panicked != want {
+			t.Errorf("%s agent: Decide after Release panicked = %v, want %v", algo, panicked, want)
+		}
+	}
+}
+
 func TestAgentRecordsHistory(t *testing.T) {
 	a := NewGDAgent(16)
 	for i := 0; i < 5; i++ {

@@ -5,9 +5,11 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/parallel"
+	"repro/internal/scenario"
 )
 
 // reproduceGolden is the SHA-256 of `reproduce -seed 1` stdout, pinned
@@ -70,6 +72,35 @@ func TestFleetFlagGolden(t *testing.T) {
 		}
 		if got := hex.EncodeToString(h.Sum(nil)); got != fleetGolden {
 			t.Errorf("record %s: fleet report sha256 = %s, want %s", mode, got, fleetGolden)
+		}
+	}
+}
+
+// dynamicFleetGolden is the SHA-256 of the time-to-refairness report
+// for examples/scenarios/fleet-flap.json: what `fleet -scenario
+// examples/scenarios/fleet-flap.json` prints on stdout (its timing and
+// memory lines go to stderr). It is the one golden over DynamicFleet.
+const dynamicFleetGolden = "a4b43823437d56b313791fe0e31938c243666f976ab91b3f5cc0815fbbfaafdb"
+
+// TestDynamicFleetGolden pins DynamicFleet's report on the checked-in
+// capacity-flap document, serial and at 4 workers, to the checked-in
+// hash.
+func TestDynamicFleetGolden(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		doc, err := scenario.ParseFile(filepath.Join("..", "..", "examples", "scenarios", "fleet-flap.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := DynamicFleet(doc, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		if err := res.Render(h); err != nil {
+			t.Fatal(err)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != dynamicFleetGolden {
+			t.Errorf("workers=%d: fleet-flap report sha256 = %s, want %s", workers, got, dynamicFleetGolden)
 		}
 	}
 }

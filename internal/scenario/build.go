@@ -102,14 +102,15 @@ type Run struct {
 // bottleneck changes. The document is normalised and validated first,
 // so Build returns errors rather than panicking on bad input.
 func (d *Document) Build() (*Run, error) {
-	if err := d.Normalise(); err != nil {
+	roster, err := d.normalise()
+	if err != nil {
 		return nil, err
 	}
 	cfg, err := d.buildConfig()
 	if err != nil {
 		return nil, err
 	}
-	r := &Run{Doc: d, Config: cfg, AgentIDs: d.AgentIDs()}
+	r := &Run{Doc: d, Config: cfg, AgentIDs: roster}
 	n := 0
 	for i := range d.Agents {
 		a := &d.Agents[i]

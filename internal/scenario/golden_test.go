@@ -242,3 +242,81 @@ func TestZeroWorkersMeansHarnessDefault(t *testing.T) {
 		t.Errorf("event stream sha256 = %s, want %s", got, goldenFleetEvents)
 	}
 }
+
+// countingReleaser is a transparent controller wrapper that forwards
+// Decide, DecideIsolated and Release, counting its releases and any
+// decision asked of it after one.
+type countingReleaser struct {
+	inner    testbed.Controller
+	releases int
+	late     int
+}
+
+func (c *countingReleaser) Decide(s transfer.Sample) transfer.Setting {
+	if c.releases > 0 {
+		c.late++
+	}
+	return c.inner.Decide(s)
+}
+
+func (c *countingReleaser) DecideIsolated() bool {
+	iso, ok := c.inner.(session.IsolatedDecider)
+	return ok && iso.DecideIsolated()
+}
+
+func (c *countingReleaser) Release() {
+	c.releases++
+	if r, ok := c.inner.(session.Releaser); ok {
+		r.Release()
+	}
+}
+
+// TestEndedSessionsReleaseTheirControllers runs goldenFleetDoc with
+// every controller wrapped in a counting Releaser, at decide width 2
+// with the fan-out threshold lowered so isolated decisions run in
+// parallel, and checks that each of the 100 sessions that ended (80
+// leaves, 20 finishes) released its controller exactly once, that no
+// running session released, and that no controller decided after its
+// release. Under -race it also checks that a release never runs beside
+// a parallel decide.
+func TestEndedSessionsReleaseTheirControllers(t *testing.T) {
+	defer func(old int) { decideFanout = old }(decideFanout)
+	decideFanout = 2
+	run, err := goldenFleetDoc().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wrapped := make([]*countingReleaser, len(run.Participants))
+	for i := range run.Participants {
+		p := &run.Participants[i]
+		wrapped[i] = &countingReleaser{inner: p.Controller}
+		p.Controller = wrapped[i]
+	}
+	ended := map[string]int{}
+	_, err = run.Execute(ExecOptions{Workers: 8, Events: func(e session.Event) {
+		switch e.Kind {
+		case session.Leave, session.Finish, session.Error:
+			ended[e.Session]++
+		}
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ended) != 100 {
+		t.Fatalf("%d sessions ended, want 100 (80 leaves, 20 finishes)", len(ended))
+	}
+	total := 0
+	for i, c := range wrapped {
+		id := run.AgentIDs[i]
+		if c.releases != ended[id] {
+			t.Errorf("session %s: %d terminal events, %d releases", id, ended[id], c.releases)
+		}
+		if c.late > 0 {
+			t.Errorf("session %s: decided %d times after its release", id, c.late)
+		}
+		total += c.releases
+	}
+	if total != 100 {
+		t.Errorf("%d releases, want 100", total)
+	}
+}

@@ -345,6 +345,13 @@ func ParseFile(path string) (*Document, error) {
 // normalised document is fully explicit: re-normalising is a no-op,
 // and its canonical encoding (Canonical) is the scenario's identity.
 func (d *Document) Normalise() error {
+	_, err := d.normalise()
+	return err
+}
+
+// normalise is Normalise returning the expanded roster (AgentIDs) that
+// validation built, so Build does not expand it again.
+func (d *Document) normalise() ([]string, error) {
 	if d.Version == 0 {
 		d.Version = Version
 	}
@@ -395,7 +402,7 @@ func (d *Document) Normalise() error {
 			a.Dataset.Size = 1e9
 		}
 	}
-	return d.Validate()
+	return d.validate()
 }
 
 // fixedConcurrency parses "fixed:N".
@@ -432,18 +439,24 @@ func finiteNonNeg(v float64) bool {
 
 // Validate checks a (normalised) document without building anything.
 func (d *Document) Validate() error {
+	_, err := d.validate()
+	return err
+}
+
+// validate is Validate returning the expanded roster (AgentIDs).
+func (d *Document) validate() ([]string, error) {
 	if d.Version != Version {
-		return fmt.Errorf("scenario: unsupported version %d (want %d)", d.Version, Version)
+		return nil, fmt.Errorf("scenario: unsupported version %d (want %d)", d.Version, Version)
 	}
 	if d.Preset != "" && d.Environment != nil {
-		return fmt.Errorf("scenario: preset %q and explicit environment are mutually exclusive", d.Preset)
+		return nil, fmt.Errorf("scenario: preset %q and explicit environment are mutually exclusive", d.Preset)
 	}
 	if d.Preset == "" && d.Environment == nil {
-		return fmt.Errorf("scenario: need a preset or an environment")
+		return nil, fmt.Errorf("scenario: need a preset or an environment")
 	}
 	if d.Preset != "" {
 		if _, ok := PresetConfig(d.Preset); !ok {
-			return fmt.Errorf("scenario: unknown preset %q (have %s)", d.Preset, strings.Join(Presets(), ", "))
+			return nil, fmt.Errorf("scenario: unknown preset %q (have %s)", d.Preset, strings.Join(Presets(), ", "))
 		}
 	}
 	if d.Environment != nil {
@@ -459,30 +472,33 @@ func (d *Document) Validate() error {
 			}
 		}
 		if err := cfg.Validate(); err != nil {
-			return fmt.Errorf("scenario: environment: %w", err)
+			return nil, fmt.Errorf("scenario: environment: %w", err)
 		}
 	}
 	if !finitePos(d.DurationSeconds) {
-		return fmt.Errorf("scenario: duration %v must be positive and finite", d.DurationSeconds)
+		return nil, fmt.Errorf("scenario: duration %v must be positive and finite", d.DurationSeconds)
 	}
 	if !finitePos(d.TickSeconds) || d.TickSeconds > d.DurationSeconds {
-		return fmt.Errorf("scenario: tick %v must be positive, finite, and within the duration", d.TickSeconds)
+		return nil, fmt.Errorf("scenario: tick %v must be positive, finite, and within the duration", d.TickSeconds)
 	}
 	if !finitePos(d.RecordSeconds) {
-		return fmt.Errorf("scenario: record interval %v must be positive and finite", d.RecordSeconds)
+		return nil, fmt.Errorf("scenario: record interval %v must be positive and finite", d.RecordSeconds)
 	}
 	if len(d.Agents) == 0 {
-		return fmt.Errorf("scenario: no agents")
+		return nil, fmt.Errorf("scenario: no agents")
 	}
 	topoLinks, err := d.validateTopology()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	ids, err := d.validateAgents(topoLinks)
+	roster, ids, err := d.validateAgents(topoLinks)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return d.validateMutations(ids, topoLinks)
+	if err := d.validateMutations(roster, ids, topoLinks); err != nil {
+		return nil, err
+	}
+	return roster, nil
 }
 
 // validateTopology checks the topology spec and returns the set of
@@ -582,80 +598,81 @@ func agentRef(i int, a *AgentSpec, firstN int) string {
 }
 
 // validateAgents checks the roster against the topology's link set and
-// returns the expanded agent IDs.
-func (d *Document) validateAgents(topoLinks map[string]bool) (map[string]bool, error) {
+// returns the expanded agent IDs (AgentIDs), as a slice and as a set.
+func (d *Document) validateAgents(topoLinks map[string]bool) ([]string, map[string]bool, error) {
 	total := 0
-	ids := make(map[string]bool)
 	for i := range d.Agents {
 		a := &d.Agents[i]
 		firstN := total + 1
 		if a.Count < 1 {
-			return nil, fmt.Errorf("scenario: agent %d count %d must be ≥ 1", i, a.Count)
+			return nil, nil, fmt.Errorf("scenario: agent %d count %d must be ≥ 1", i, a.Count)
 		}
 		total += a.Count
 		if total > maxFleet {
-			return nil, fmt.Errorf("scenario: more than %d agents", maxFleet)
+			return nil, nil, fmt.Errorf("scenario: more than %d agents", maxFleet)
 		}
 		if a.Link != "" {
 			if topoLinks == nil {
-				return nil, fmt.Errorf("scenario: %s: link %q pinned but the document has no topology",
+				return nil, nil, fmt.Errorf("scenario: %s: link %q pinned but the document has no topology",
 					agentRef(i, a, firstN), a.Link)
 			}
 			if !topoLinks[a.Link] {
-				return nil, fmt.Errorf("scenario: %s: link %q is not defined in the topology",
+				return nil, nil, fmt.Errorf("scenario: %s: link %q is not defined in the topology",
 					agentRef(i, a, firstN), a.Link)
 			}
 		}
 		if !knownAlgorithm(a.Algorithm) {
-			return nil, fmt.Errorf("scenario: agent %d unknown algorithm %q", i, a.Algorithm)
+			return nil, nil, fmt.Errorf("scenario: agent %d unknown algorithm %q", i, a.Algorithm)
 		}
 		if !finiteNonNeg(a.JoinAt) {
-			return nil, fmt.Errorf("scenario: agent %d join_at %v must be non-negative and finite", i, a.JoinAt)
+			return nil, nil, fmt.Errorf("scenario: agent %d join_at %v must be non-negative and finite", i, a.JoinAt)
 		}
 		if !finiteNonNeg(a.JoinStagger) {
-			return nil, fmt.Errorf("scenario: agent %d join_stagger %v must be non-negative and finite", i, a.JoinStagger)
+			return nil, nil, fmt.Errorf("scenario: agent %d join_stagger %v must be non-negative and finite", i, a.JoinStagger)
 		}
 		if a.LeaveAt != 0 {
 			lastJoin := a.JoinAt + float64(a.Count-1)*a.JoinStagger
 			if !finitePos(a.LeaveAt) || a.LeaveAt <= lastJoin {
-				return nil, fmt.Errorf("scenario: agent %d leave_at %v must be after its last join %v", i, a.LeaveAt, lastJoin)
+				return nil, nil, fmt.Errorf("scenario: agent %d leave_at %v must be after its last join %v", i, a.LeaveAt, lastJoin)
 			}
 		}
 		if a.MaxConcurrency < 2 {
-			return nil, fmt.Errorf("scenario: agent %d max_concurrency %d must be ≥ 2", i, a.MaxConcurrency)
+			return nil, nil, fmt.Errorf("scenario: agent %d max_concurrency %d must be ≥ 2", i, a.MaxConcurrency)
 		}
 		if a.SampleInterval < 0 || math.IsNaN(a.SampleInterval) || math.IsInf(a.SampleInterval, 0) {
-			return nil, fmt.Errorf("scenario: agent %d sample_interval %v must be non-negative and finite", i, a.SampleInterval)
+			return nil, nil, fmt.Errorf("scenario: agent %d sample_interval %v must be non-negative and finite", i, a.SampleInterval)
 		}
 		if a.Initial != nil {
 			s := a.Initial
 			if s.Concurrency < 1 || s.Parallelism < 1 || s.Pipelining < 1 {
-				return nil, fmt.Errorf("scenario: agent %d initial setting cc=%d p=%d q=%d must be ≥ 1 each",
+				return nil, nil, fmt.Errorf("scenario: agent %d initial setting cc=%d p=%d q=%d must be ≥ 1 each",
 					i, s.Concurrency, s.Parallelism, s.Pipelining)
 			}
 		}
 		if ds := a.Dataset; ds != nil {
 			if ds.Count < 1 {
-				return nil, fmt.Errorf("scenario: agent %d dataset count %d must be ≥ 1", i, ds.Count)
+				return nil, nil, fmt.Errorf("scenario: agent %d dataset count %d must be ≥ 1", i, ds.Count)
 			}
 			if ds.Size < 1 {
-				return nil, fmt.Errorf("scenario: agent %d dataset size %d must be ≥ 1", i, ds.Size)
+				return nil, nil, fmt.Errorf("scenario: agent %d dataset size %d must be ≥ 1", i, ds.Size)
 			}
 			if _, _, ok := addBatch(0, 0, ds.Count, ds.Size); !ok {
-				return nil, fmt.Errorf("scenario: %s: dataset of %d files × %d bytes exceeds %d files or int64 bytes",
+				return nil, nil, fmt.Errorf("scenario: %s: dataset of %d files × %d bytes exceeds %d files or int64 bytes",
 					agentRef(i, a, firstN), ds.Count, ds.Size, maxAgentFiles)
 			}
 		}
 	}
 	// Expansion assigns final IDs; collect them for mutation refs and
 	// duplicate detection.
-	for _, id := range d.AgentIDs() {
+	roster := d.AgentIDs()
+	ids := make(map[string]bool, len(roster))
+	for _, id := range roster {
 		if ids[id] {
-			return nil, fmt.Errorf("scenario: duplicate agent ID %q", id)
+			return nil, nil, fmt.Errorf("scenario: duplicate agent ID %q", id)
 		}
 		ids[id] = true
 	}
-	return ids, nil
+	return roster, ids, nil
 }
 
 // AgentIDs returns the expanded roster's IDs in join-spec order:
@@ -728,8 +745,9 @@ type growth struct {
 	last         int
 }
 
-// validateMutations checks kinds, fields, references, and overlap.
-func (d *Document) validateMutations(agentIDs, topoLinks map[string]bool) error {
+// validateMutations checks kinds, fields, references, and overlap
+// against the expanded roster, as a slice and as a set.
+func (d *Document) validateMutations(roster []string, agentIDs, topoLinks map[string]bool) error {
 	type span struct {
 		key      string
 		from, to float64
@@ -810,7 +828,7 @@ func (d *Document) validateMutations(agentIDs, topoLinks map[string]bool) error 
 		}
 		spans = append(spans, span{key: m.mutKey(), from: m.At, to: to, idx: i})
 	}
-	if err := d.checkGrowth(grown); err != nil {
+	if err := d.checkGrowth(grown, roster); err != nil {
 		return err
 	}
 	// Overlap: same-key point mutations may not share a time, and a
@@ -837,11 +855,11 @@ func (d *Document) validateMutations(agentIDs, topoLinks map[string]bool) error 
 
 // checkGrowth rejects an agent whose dataset plus every batch grown
 // onto it leaves addBatch's bounds, so a growth cannot fail mid-run.
-func (d *Document) checkGrowth(grown map[string]growth) error {
+// ids is the expanded roster.
+func (d *Document) checkGrowth(grown map[string]growth, ids []string) error {
 	if len(grown) == 0 {
 		return nil
 	}
-	ids := d.AgentIDs()
 	n := 0
 	for i := range d.Agents {
 		a := &d.Agents[i]

@@ -40,6 +40,15 @@ type IsolatedDecider interface {
 	DecideIsolated() bool
 }
 
+// Releaser is the opt-in a Decider makes when it holds state that only
+// its decisions need: Finish, Leave and Fail call Release once, after
+// the terminal event, on the driver's goroutine — never beside a
+// Decide. A released controller is never asked to decide again.
+type Releaser interface {
+	Decider
+	Release()
+}
+
 // Env is the minimal contract a Session drives: reconfigure the
 // transfer and report completion.
 type Env interface {
@@ -153,10 +162,8 @@ func Init(s *Session, env Env, dec Decider, cfg Config) error {
 // ID returns the session's event identifier.
 func (s *Session) ID() string { return s.cfg.ID }
 
-// Started reports whether Start has been called.
-func (s *Session) Started() bool { return s.started }
-
-// Finished reports whether the session has ended (Finish or Leave).
+// Finished reports whether the session has ended (Finish, Leave or
+// Fail).
 func (s *Session) Finished() bool { return s.finished }
 
 // Epochs returns the number of completed decision epochs.
@@ -325,34 +332,31 @@ func (s *Session) conclude(now float64, p *Pending) error {
 	return nil
 }
 
-// Finish marks the transfer complete at time now and emits Finish.
-// Repeated calls are no-ops.
-func (s *Session) Finish(now float64) {
-	if !s.started || s.finished {
-		return
-	}
-	s.finished = true
-	s.emit(Event{Kind: Finish, Time: now})
-}
+// Finish marks the transfer complete at time now, emits Finish and
+// releases the controller (Releaser). Repeated calls are no-ops.
+func (s *Session) Finish(now float64) { s.end(Event{Kind: Finish, Time: now}) }
 
-// Leave removes the session before completion (a departing competitor)
-// and emits Leave. Repeated calls are no-ops.
-func (s *Session) Leave(now float64) {
-	if !s.started || s.finished {
-		return
-	}
-	s.finished = true
-	s.emit(Event{Kind: Leave, Time: now})
-}
+// Leave removes the session before completion (a departing competitor),
+// emits Leave and releases the controller (Releaser). Repeated calls
+// are no-ops.
+func (s *Session) Leave(now float64) { s.end(Event{Kind: Leave, Time: now}) }
 
-// Fail emits an Error event and ends the session. It is used by
-// drivers when the environment itself fails.
-func (s *Session) Fail(now float64, err error) {
+// Fail emits an Error event, ends the session and releases the
+// controller (Releaser). It is used by drivers when the environment
+// itself fails.
+func (s *Session) Fail(now float64, err error) { s.end(Event{Kind: Error, Time: now, Err: err}) }
+
+// end ends a started session once: it emits the terminal event e, then
+// hands the controller its Release, if it has one.
+func (s *Session) end(e Event) {
 	if !s.started || s.finished {
 		return
 	}
-	s.emit(Event{Kind: Error, Time: now, Err: err})
 	s.finished = true
+	s.emit(e)
+	if r, ok := s.dec.(Releaser); ok {
+		r.Release()
+	}
 }
 
 func (s *Session) emit(e Event) {

@@ -26,12 +26,25 @@ type Series struct {
 
 // Append adds an observation. Points must be appended in
 // non-decreasing time order; Append panics otherwise, as out-of-order
-// recording indicates a scheduling bug.
+// recording indicates a scheduling bug. A NaN time has no order, so it
+// panics too, first point included: every reader that searches or
+// scans by time (MeanBetween, Between, ConvergenceTime) relies on the
+// order.
 func (s *Series) Append(t, v float64) {
-	if n := len(s.Points); n > 0 && t < s.Points[n-1].Time {
-		panic(fmt.Sprintf("trace: out-of-order append to %q: %v after %v", s.Name, t, s.Points[n-1].Time))
+	if n := len(s.Points); math.IsNaN(t) || n > 0 && t < s.Points[n-1].Time {
+		s.misorderedAppend(t)
 	}
 	s.Points = append(s.Points, Point{Time: t, Value: v})
+}
+
+// misorderedAppend panics naming the time Append refused.
+//
+//go:noinline
+func (s *Series) misorderedAppend(t float64) {
+	if n := len(s.Points); n > 0 {
+		panic(fmt.Sprintf("trace: out-of-order append to %q: %v after %v", s.Name, t, s.Points[n-1].Time))
+	}
+	panic(fmt.Sprintf("trace: out-of-order append to %q: %v as the first point", s.Name, t))
 }
 
 // Len returns the number of points.

@@ -44,6 +44,46 @@ func TestSeriesAppendOutOfOrderPanics(t *testing.T) {
 	s.Append(4, 1)
 }
 
+// TestAppendRejectsNaNTime: a NaN time panics as an out-of-order time
+// does — as the first point, after ordered points, and in place of the
+// 5, NaN, 1 sequence that used to leave [5, NaN, 1] — and the refused
+// append leaves the series as it was.
+func TestAppendRejectsNaNTime(t *testing.T) {
+	nan := math.NaN()
+	for _, tc := range []struct {
+		name  string
+		times []float64
+	}{
+		{"first point", nil},
+		{"after ordered points", []float64{1, 2, 2}},
+		{"5, NaN, 1", []float64{5}},
+	} {
+		s := &Series{Name: "x"}
+		for _, tm := range tc.times {
+			s.Append(tm, 1)
+		}
+		if !appendPanics(s, nan) {
+			t.Errorf("%s: NaN time appended without a panic", tc.name)
+		}
+		if len(s.Points) != len(tc.times) {
+			t.Errorf("%s: %d points after the refused append, want %d", tc.name, len(s.Points), len(tc.times))
+		}
+	}
+	s := &Series{Name: "x"}
+	s.Append(5, 1)
+	appendPanics(s, nan)
+	if !appendPanics(s, 1) {
+		t.Error("1 appended after 5 (and a refused NaN) without a panic")
+	}
+}
+
+// appendPanics reports whether s.Append(tm, 0) panics.
+func appendPanics(s *Series, tm float64) (did bool) {
+	defer func() { did = recover() != nil }()
+	s.Append(tm, 0)
+	return false
+}
+
 func TestSeriesBetween(t *testing.T) {
 	s := &Series{Name: "x"}
 	for i := 0; i < 10; i++ {
