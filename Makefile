@@ -105,7 +105,7 @@ transparency:
 	$(call race2,TestUndeclaredControllersStayOnTheShardGoroutine|TestParallelControllerPanicSurfacesOnDriver,./internal/testbed/)
 	$(call race2,TestFleetStepAllocatesNothing|TestFleetStep10kAllocatesNothing|TestFleetRecordFull10kAllocatesNothing|TestSchedulerRunAllocatesNothing|TestRetuneTickAllocatesNothing,./internal/testbed/)
 	$(call race2,TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault|TestEndedSessionsReleaseTheirControllers,./internal/scenario/)
-	$(call race2,TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetGolden|TestDynamicFleetWorkersTransparent|TestTable1MatchesProbe,./internal/experiments/)
+	$(call race2,TestReproduceGolden|TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetGolden|TestDynamicFleetWorkersTransparent|TestTable1MatchesProbe,./internal/experiments/)
 	$(call race2,TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant|TestConcurrentDuplicatesRunOnce,./internal/webservice/)
 	$(call race2,TestRetainedScenarioHoldsOnlyWhatItServes|TestPackRaisesBitwise|TestSpilledRecordsStream|TestRetainedScenarioFootprint,./internal/webservice/)
 

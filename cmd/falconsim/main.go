@@ -157,7 +157,7 @@ func validateScenarios(paths []string) int {
 			fmt.Printf("FAIL %s: %v\n", f, err)
 			continue
 		}
-		fmt.Printf("ok   %s (%s: %d agents, %d mutations)\n", f, doc.Name, len(doc.AgentIDs()), len(doc.Mutations))
+		fmt.Printf("ok   %s (%s: %d agents, %d mutations)\n", f, doc.Name, doc.Sessions(), len(doc.Mutations))
 	}
 	if bad > 0 {
 		return 1

@@ -127,7 +127,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if set["seed"] {
 			doc.Seed = *seed
 		}
-		sessions := len(doc.AgentIDs())
+		sessions := doc.Sessions()
 		start := time.Now()
 		dr, err := experiments.ExecuteDynamicFleet(doc, *shards)
 		wall := time.Since(start)

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/stats"
-	"repro/internal/testbed"
 	"repro/internal/transfer"
 )
 
@@ -91,25 +90,6 @@ func (h *History) Cap() float64 {
 		}
 	}
 	return best
-}
-
-// PerProc estimates single-process throughput: the mean logged
-// throughput at the lowest concurrency, scaled down by that
-// concurrency.
-func (h *History) PerProc() float64 {
-	minCC := math.MaxInt
-	for _, e := range h.Entries {
-		if e.Concurrency < minCC {
-			minCC = e.Concurrency
-		}
-	}
-	var vals []float64
-	for _, e := range h.Entries {
-		if e.Concurrency == minCC {
-			vals = append(vals, e.Throughput/float64(e.Concurrency))
-		}
-	}
-	return stats.Mean(vals)
 }
 
 // OptimalConcurrency returns the concurrency HARP's view of the logs
@@ -238,37 +218,4 @@ func SyntheticHistory(perProc, cap float64, maxN int) *History {
 		h.Entries = append(h.Entries, LogEntry{Concurrency: n, Throughput: thr(n)})
 	}
 	return h
-}
-
-// Train collects a transfer-log history by actually running measurement
-// transfers on a testbed — the data-collection campaign HARP depends
-// on, compressed from the weeks-to-months the paper describes into
-// simulated minutes. Each concurrency in 1..maxN is measured `reps`
-// times with distinct noise seeds.
-func Train(cfg testbed.Config, seed int64, maxN, reps int) (*History, error) {
-	if maxN < 1 || reps < 1 {
-		return nil, fmt.Errorf("baselines: Train needs maxN ≥ 1 and reps ≥ 1, got %d, %d", maxN, reps)
-	}
-	h := &History{}
-	values := make([]int, maxN)
-	for i := range values {
-		values[i] = i + 1
-	}
-	mk := func() *transfer.Task {
-		t, err := transfer.NewTask("train", dataset.Uniform("train", 50000, int64(dataset.GB)), transfer.DefaultSetting())
-		if err != nil {
-			panic(err) // static inputs
-		}
-		return t
-	}
-	for rep := 0; rep < reps; rep++ {
-		tputs, _, err := testbed.SweepConcurrency(cfg, seed+int64(rep)*1007, mk, values, 12, 6)
-		if err != nil {
-			return nil, err
-		}
-		for i, n := range values {
-			h.Entries = append(h.Entries, LogEntry{Concurrency: n, Throughput: tputs[i] * 1e9})
-		}
-	}
-	return h, nil
 }

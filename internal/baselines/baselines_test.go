@@ -183,49 +183,6 @@ func TestHARPHoldsBetweenRecalibrations(t *testing.T) {
 	}
 }
 
-func TestTrainValidation(t *testing.T) {
-	if _, err := Train(testbed.Emulab(10e6), 1, 0, 1); err == nil {
-		t.Error("maxN 0 accepted")
-	}
-	if _, err := Train(testbed.Emulab(10e6), 1, 4, 0); err == nil {
-		t.Error("reps 0 accepted")
-	}
-	bad := testbed.Emulab(10e6)
-	bad.RTT = -1
-	if _, err := Train(bad, 1, 2, 1); err == nil {
-		t.Error("invalid config accepted")
-	}
-}
-
-func TestTrainProducesFaithfulHistory(t *testing.T) {
-	// Training on Emulab (10 Mbps per process, 100 Mbps link) must
-	// yield logs whose derived optimal concurrency ≈ 10 and capacity
-	// ≈ 100 Mbps — HARP then starts correctly *in that network*.
-	h, err := Train(testbed.Emulab(10e6), 1, 16, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := h.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if len(h.Entries) != 32 {
-		t.Fatalf("entries = %d, want 16×2", len(h.Entries))
-	}
-	if opt := h.OptimalConcurrency(); opt < 9 || opt > 12 {
-		t.Fatalf("trained optimal concurrency = %d, want ≈10", opt)
-	}
-	if cap := h.Cap(); cap < 90e6 || cap > 115e6 {
-		t.Fatalf("trained capacity = %v, want ≈100 Mbps", cap)
-	}
-	harp, err := NewHARP(h, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cc := harp.Setting().Concurrency; cc < 9 || cc > 12 {
-		t.Fatalf("HARP initial concurrency = %d, want ≈10", cc)
-	}
-}
-
 // Integration: HARP trained on 10G logs underperforms on a faster
 // network (Figure 2a's mechanism).
 func TestHARPWrongNetworkCapsThroughput(t *testing.T) {

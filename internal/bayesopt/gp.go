@@ -297,14 +297,6 @@ func grow(s []float64, n int) []float64 {
 // invalidates it).
 func (g *GP) Fitted() bool { return g.fitted }
 
-// Predict returns the posterior mean and standard deviation at x, in
-// the original target units. Predicting before a successful Fit panics
-// — a sequencing bug in the caller.
-func (g *GP) Predict(x float64) (mean, std float64) {
-	p := g.readPost()
-	return p.predictAt(x)
-}
-
 // posterior is what a prediction reads of a fit: the kernel, the
 // factor, the fitted inputs and their weights, and the target scaling.
 // A GP builds one over its own fit (readPost); a Search over its selected
@@ -479,21 +471,6 @@ func (p *posterior) predictInto(xs, means, stds, b []float64) {
 		means[j] = means[j]*p.stdY + p.meanY
 		stds[j] = math.Sqrt(varStar) * p.stdY
 	}
-}
-
-// LogMarginalLikelihood returns the log evidence of the fitted model,
-//
-//	log p(y|X) = −½·yᵀα − Σᵢ log Lᵢᵢ − n/2·log 2π
-//
-// (in standardised target units). Higher is better; Search uses it to
-// select the kernel length scale at each refit. It panics before a
-// successful Fit. The yᵀα quadratic term uses the standardised targets
-// cached by Fit, so no kernel evaluation happens here.
-func (g *GP) LogMarginalLikelihood() float64 {
-	if !g.Fitted() {
-		panic("bayesopt: LogMarginalLikelihood before Fit")
-	}
-	return logMarginal(g.yStd, g.alpha, &g.chol)
 }
 
 // logMarginal is the log evidence of a fit with standardised targets

@@ -174,9 +174,6 @@ func (a *Agent) SetFixedKnobs(parallelism, pipelining int) error {
 	return nil
 }
 
-// AlgorithmName returns the underlying search algorithm's name.
-func (a *Agent) AlgorithmName() string { return a.search.Name() }
-
 // SetUtilityFunc replaces the agent's utility function (nil restores
 // the default Eq 4 evaluation). The Figure 6 experiments use it to
 // compare linear and nonlinear concurrency regret.

@@ -2,8 +2,8 @@
 // throughout the paper's evaluation: the main 1000×1 GB dataset, and
 // the small / large / mixed datasets of §4.4 (multi-parameter
 // optimization). Datasets carry only metadata. The synthetic ones are
-// sizes alone, which is all the simulator reads, with names derived on
-// demand; named ones (manifests, real transfers) list every file.
+// sizes alone, which is all the simulator reads; named ones list every
+// file.
 package dataset
 
 import (
@@ -35,17 +35,15 @@ type File struct {
 
 // Dataset is an ordered collection of files, in one of two forms:
 //
-//   - named: Files lists every file, as a manifest or a real transfer
-//     does;
+//   - named: Files lists every file, as a real transfer does;
 //   - synthetic: built by this package from sizes alone, with Files
-//     nil. File i is named "<label>-NNNNNN.dat" on demand (FileName),
-//     and no per-file name is ever stored.
+//     nil; no per-file name is ever stored.
 //
-// Read files through Count, FileSize and FileName, which serve both
-// forms. Datasets are treated as immutable once built: the synthesizers
-// in this package may return the same *Dataset to multiple callers (and
-// to concurrent sweep workers), so callers must not modify Label or
-// Files after construction.
+// Read files through Count and FileSize, which serve both forms.
+// Datasets are treated as immutable once built: the synthesizers in
+// this package may return the same *Dataset to multiple callers (and to
+// concurrent sweep workers), so callers must not modify Label or Files
+// after construction.
 type Dataset struct {
 	// Label identifies the dataset in experiment output (e.g. "small").
 	Label string
@@ -111,16 +109,6 @@ func (d *Dataset) FileSize(i int) int64 {
 		i -= r.count
 	}
 	panic("unreachable")
-}
-
-// FileName returns the name of file i, 0 ≤ i < Count(): a named
-// dataset's stored name, or a synthetic dataset's "<label>-NNNNNN.dat".
-func (d *Dataset) FileName(i int) string {
-	if d.Files != nil {
-		return d.Files[i].Name
-	}
-	d.checkIndex(i)
-	return fileName(d.Label, i)
 }
 
 func (d *Dataset) checkIndex(i int) {

@@ -1,7 +1,6 @@
 package dataset
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"runtime"
@@ -13,37 +12,14 @@ import (
 // "<label>-NNNNNN.dat", zero-padded to at least six digits.
 func renderedName(label string, i int) string { return fmt.Sprintf("%s-%06d.dat", label, i) }
 
-// TestDerivedNamesMatchRenderedNames: names derived on demand equal the
-// rendered names, across the six-digit boundary too, and Mixed's names
-// stay unique through a manifest round trip.
+// TestDerivedNamesMatchRenderedNames: the names Grow derives for a
+// named dataset's new files equal the rendered names, across the
+// six-digit boundary too.
 func TestDerivedNamesMatchRenderedNames(t *testing.T) {
-	u := Uniform("u", 2_000_000, 1)
 	for _, i := range []int{0, 1, 9, 10, 999_999, 1_000_000, 1_234_567, 1_999_999} {
-		if got, want := u.FileName(i), renderedName("u", i); got != want {
-			t.Errorf("Uniform FileName(%d) = %q, want %q", i, got, want)
+		if got, want := fileName("u", i), renderedName("u", i); got != want {
+			t.Errorf("fileName(%d) = %q, want %q", i, got, want)
 		}
-	}
-	s := Small(1)
-	for _, i := range []int{0, 4242, s.Count() - 1} {
-		if got, want := s.FileName(i), renderedName("small", i); got != want {
-			t.Errorf("Small FileName(%d) = %q, want %q", i, got, want)
-		}
-	}
-	m := Mixed(1)
-	if got, want := m.FileName(m.Count()-1), renderedName("mixed", m.Count()-1); got != want {
-		t.Errorf("Mixed last name = %q, want %q", got, want)
-	}
-	var buf bytes.Buffer
-	if err := WriteManifest(&buf, m); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadManifest(&buf, "mixed")
-	if err != nil {
-		t.Fatalf("Mixed manifest does not read back valid: %v", err)
-	}
-	if back.Count() != m.Count() || back.TotalBytes() != m.TotalBytes() {
-		t.Fatalf("Mixed round trip: %d files / %d bytes, want %d / %d",
-			back.Count(), back.TotalBytes(), m.Count(), m.TotalBytes())
 	}
 }
 
@@ -134,7 +110,7 @@ func TestGrowNamedDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Files) != 4 || g.FileName(2) != "n-000002.dat" || g.FileSize(3) != 5 || g.TotalBytes() != 13 {
+	if len(g.Files) != 4 || g.Files[2].Name != "n-000002.dat" || g.FileSize(3) != 5 || g.TotalBytes() != 13 {
 		t.Fatalf("grown named dataset: %+v", g.Files)
 	}
 	clash := &Dataset{Label: "n", Files: []File{{Name: "a", Size: 1}, {Name: "n-000002.dat", Size: 2}}}

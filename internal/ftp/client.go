@@ -265,9 +265,6 @@ func (c *Client) Wait() error {
 // any bytes resent by stripe retries).
 func (c *Client) BytesSent() int64 { return c.bytesSent.Load() }
 
-// Retries returns the number of stripe retry attempts so far.
-func (c *Client) Retries() int64 { return c.retries.Load() }
-
 // Checkpoint returns the IDs of files fully delivered so far (including
 // files skipped via SkipCompleted). Feeding the result into a new
 // client's SkipCompleted resumes an interrupted transfer without
@@ -645,11 +642,4 @@ func (s *resizableSemaphore) Resize(capacity int) {
 	s.capacity = capacity
 	s.mu.Unlock()
 	s.cond.Broadcast()
-}
-
-// Capacity returns the current capacity.
-func (s *resizableSemaphore) Capacity() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capacity
 }

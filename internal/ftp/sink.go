@@ -31,9 +31,6 @@ func (d *DiscardSink) WriteAt(_, _ int64, data []byte) error {
 	return nil
 }
 
-// Bytes returns the total bytes received.
-func (d *DiscardSink) Bytes() int64 { return d.bytes.Load() }
-
 // DirSink writes each file ID to "<dir>/recv-<id>" using WriteAt, so
 // parallel stripes land at their offsets.
 type DirSink struct {
@@ -108,16 +105,6 @@ func (PatternSource) ReadAt(fileID, offset int64, buf []byte) error {
 type DirSource struct {
 	mu    sync.Mutex
 	paths map[int64]string
-}
-
-// Register associates a file ID with a filesystem path.
-func (s *DirSource) Register(fileID int64, path string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.paths == nil {
-		s.paths = make(map[int64]string)
-	}
-	s.paths[fileID] = path
 }
 
 // ReadAt implements Source.

@@ -107,13 +107,6 @@ func (s Store) EffectiveAggregate(threads int) float64 {
 	return capv
 }
 
-// SaturationThreads returns the minimum number of threads needed to
-// reach AggregateCap assuming each thread achieves PerProcCap — the
-// "optimal concurrency" of a transfer bottlenecked by this store.
-func (s Store) SaturationThreads() int {
-	return int(math.Ceil(s.AggregateCap / s.PerProcCap))
-}
-
 // Preset stores mirroring Table 1 of the paper. Capacities are the
 // "true" capacities a profiling tool (bonnie++) would report; the
 // effective behaviour under concurrency comes from EffectiveAggregate.

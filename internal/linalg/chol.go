@@ -22,8 +22,8 @@ import (
 //     size at once, for the searcher's three length-scale candidates.
 //
 // The packed layout touches n(n+1)/2 floats with direct indexing, so
-// solves run without the bounds checks and zero upper triangle of the
-// dense Matrix representation.
+// solves run without the bounds checks and zero upper triangle of a
+// dense row-major matrix.
 type Chol struct {
 	n    int
 	data []float64

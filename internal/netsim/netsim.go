@@ -291,9 +291,6 @@ func New() *Network {
 // SetLossModel replaces the loss model.
 func (n *Network) SetLossModel(m LossModel) { n.loss = m }
 
-// LossModel returns the current loss model.
-func (n *Network) LossModel() LossModel { return n.loss }
-
 // Classes returns the number of distinct flow classes in the most
 // recent allocation (0 before any allocation call).
 func (n *Network) Classes() int { return n.classes }
@@ -328,15 +325,6 @@ func (n *Network) SetCapacity(id string, capacity float64) {
 		panic(fmt.Sprintf("netsim: resource %q capacity %v must be positive", id, capacity))
 	}
 	n.resList[i].Capacity = capacity
-}
-
-// Resource returns a copy of the resource with the given ID.
-func (n *Network) Resource(id string) (Resource, bool) {
-	i, ok := n.index[id]
-	if !ok {
-		return Resource{}, false
-	}
-	return n.resList[i], true
 }
 
 // AllocateDense computes the max-min fair allocation for the given

@@ -64,16 +64,6 @@ func (t *Topology) AddLink(id, a, b string, capacity, latency float64) {
 	t.adj[b] = append(t.adj[b], e)
 }
 
-// Nodes returns the sorted node names.
-func (t *Topology) Nodes() []string {
-	out := make([]string, 0, len(t.nodes))
-	for n := range t.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Resources returns one Link resource per edge, for Network construction.
 func (t *Topology) Resources() []Resource {
 	ids := make([]string, 0, len(t.edges))
@@ -221,16 +211,6 @@ func distOr(m map[string]float64, k string) float64 {
 		return v
 	}
 	return math.Inf(1)
-}
-
-// BuildNetwork constructs a Network containing every edge as a Link
-// resource.
-func (t *Topology) BuildNetwork() *Network {
-	n := New()
-	for _, r := range t.Resources() {
-		n.AddResource(r)
-	}
-	return n
 }
 
 // Dumbbell returns the paper's Figure 3 topology: sender-side hosts and

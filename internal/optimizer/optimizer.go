@@ -253,10 +253,6 @@ func (g *GradientDescent) Next(obs Observation) int {
 	}
 }
 
-// Center returns the searcher's current concurrency estimate (the
-// midpoint of the probe pair).
-func (g *GradientDescent) Center() int { return g.center }
-
 // VecObservation is the outcome of evaluating one multi-parameter
 // setting.
 type VecObservation struct {
@@ -332,9 +328,6 @@ func NewConjugateGD(lo, hi []int) *ConjugateGD {
 
 // Name implements VecSearch.
 func (c *ConjugateGD) Name() string { return "conjugate-gd" }
-
-// Center returns the current multi-parameter estimate.
-func (c *ConjugateGD) Center() []int { return append([]int(nil), c.center...) }
 
 // probe returns the center shifted by delta along dim, clamped.
 func (c *ConjugateGD) probe(dim, delta int) []int {

@@ -82,9 +82,6 @@ func (d *DirectSearch) Next(obs Observation) int {
 	return clampInt(d.center-d.step, 1, d.MaxN)
 }
 
-// Center returns the incumbent.
-func (d *DirectSearch) Center() int { return d.center }
-
 // SPSA implements simultaneous-perturbation stochastic approximation in
 // the spirit of ProbData [48] (§5): perturb the setting by ±c, estimate
 // the gradient from the two noisy evaluations, and take a diminishing
@@ -174,6 +171,3 @@ func (s *SPSA) newDirection() {
 		s.delta = 1
 	}
 }
-
-// Center returns the current (continuous) iterate, rounded.
-func (s *SPSA) Center() int { return int(math.Round(s.center)) }

@@ -40,7 +40,7 @@ func TestHugeDatasetBuildsInConstantAllocations(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got := run.Participants[0].Task.Dataset().Count(); got != count {
+		if got := run.Participants[0].Task.RemainingFiles(); got != count {
 			t.Fatalf("built dataset has %d files, want %d", got, count)
 		}
 		return allocs

@@ -441,21 +441,6 @@ func buildController(algo string, maxN int, seed int64) (testbed.Controller, err
 	return nil, fmt.Errorf("unknown algorithm %q", algo)
 }
 
-// NewEngine constructs the run's engine with every compiled mutation
-// scheduled as a horizon.
-func (r *Run) NewEngine() (*testbed.Engine, error) {
-	eng, err := testbed.NewEngine(r.Config, r.Doc.Seed)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range r.Mutations {
-		if err := eng.ScheduleMutation(m); err != nil {
-			return nil, err
-		}
-	}
-	return eng, nil
-}
-
 // ExecOptions hook observers into an execution.
 type ExecOptions struct {
 	// Logf receives progress lines (joins, leaves, completions).

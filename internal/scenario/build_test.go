@@ -192,8 +192,7 @@ func TestCompileTopologyMutations(t *testing.T) {
 }
 
 // TestCompileGrowDataset: grow mutations compile to (count, size)
-// batches in schedule order, and the files they add cannot collide with
-// the base dataset or with other growths.
+// batches in schedule order, which extend the task's dataset.
 func TestCompileGrowDataset(t *testing.T) {
 	d := &Document{Preset: "emulab", Agents: []AgentSpec{{ID: "a"}},
 		Mutations: []MutationSpec{
@@ -208,7 +207,7 @@ func TestCompileGrowDataset(t *testing.T) {
 		t.Fatalf("%d compiled mutations", len(run.Mutations))
 	}
 	task := run.Participants[0].Task
-	base := task.Dataset().Count()
+	baseFiles, baseBytes := task.RemainingFiles(), task.BytesRemaining()
 	for i, want := range []struct {
 		count int
 		size  int64
@@ -221,18 +220,9 @@ func TestCompileGrowDataset(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// The grown files continue the base dataset's derived names, so they
-	// can never collide with it or with each other.
-	ds := task.Dataset()
-	seen := map[string]bool{}
-	for i := range ds.Count() {
-		if seen[ds.FileName(i)] {
-			t.Fatalf("duplicate grown file name %q", ds.FileName(i))
-		}
-		seen[ds.FileName(i)] = true
-	}
-	if ds.Count() != base+3 || ds.FileName(base) != "a-020000.dat" || ds.FileSize(base+2) != 7 {
-		t.Fatalf("grown dataset: %d files, first grown %q, last %d bytes", ds.Count(), ds.FileName(base), ds.FileSize(base+2))
+	if task.RemainingFiles() != baseFiles+3 || task.BytesRemaining() != baseBytes+2*5+7 {
+		t.Fatalf("grown task: %d files of %d bytes, want %d of %d",
+			task.RemainingFiles(), task.BytesRemaining(), baseFiles+3, baseBytes+2*5+7)
 	}
 }
 

@@ -77,6 +77,9 @@ func FuzzParse(f *testing.F) {
 		if h1 != h2 {
 			t.Fatalf("canonical round-trip changed the hash: %s vs %s", h1, h2)
 		}
+		if got, want := d.Sessions(), len(d.AgentIDs()); got != want {
+			t.Fatalf("Sessions() = %d, roster has %d", got, want)
+		}
 		// Small accepted documents build too (Build may still refuse
 		// one, e.g. cross-traffic above a link's capacity), so a build
 		// path that allocates per file fails on the seeds above.

@@ -143,30 +143,6 @@ func (e EnvSpec) Config() testbed.Config {
 	}
 }
 
-// EnvFromConfig converts a testbed.Config into its spec.
-func EnvFromConfig(c testbed.Config) EnvSpec {
-	return EnvSpec{
-		Name: c.Name,
-		SrcStore: StoreSpec{Name: c.SrcStore.Name, PerProcCap: c.SrcStore.PerProcCap,
-			AggregateCap: c.SrcStore.AggregateCap, ContentionKnee: c.SrcStore.ContentionKnee,
-			ContentionRate: c.SrcStore.ContentionRate, MaxDegradation: c.SrcStore.MaxDegradation},
-		DstStore: StoreSpec{Name: c.DstStore.Name, PerProcCap: c.DstStore.PerProcCap,
-			AggregateCap: c.DstStore.AggregateCap, ContentionKnee: c.DstStore.ContentionKnee,
-			ContentionRate: c.DstStore.ContentionRate, MaxDegradation: c.DstStore.MaxDegradation},
-		SrcHost: HostSpec{Name: c.SrcHost.Name, NICCap: c.SrcHost.NICCap, CPUCap: c.SrcHost.CPUCap,
-			ConnOverhead: c.SrcHost.ConnOverhead, MaxDegradation: c.SrcHost.MaxDegradation},
-		DstHost: HostSpec{Name: c.DstHost.Name, NICCap: c.DstHost.NICCap, CPUCap: c.DstHost.CPUCap,
-			ConnOverhead: c.DstHost.ConnOverhead, MaxDegradation: c.DstHost.MaxDegradation},
-		LinkCapacity:   c.LinkCapacity,
-		RTT:            c.RTT,
-		SampleInterval: c.SampleInterval,
-		NoiseStdDev:    c.NoiseStdDev,
-		RampTau:        c.RampTau,
-		Bottleneck:     c.Bottleneck,
-		Congestion:     c.Congestion,
-	}
-}
-
 // TopologySpec derives the environment's link capacity and RTT from a
 // routed graph: either an explicit node/link list or the Figure 3
 // dumbbell shorthand. The route between Src and Dst (minimum latency)
@@ -437,13 +413,8 @@ func finiteNonNeg(v float64) bool {
 	return v >= 0 && !math.IsInf(v, 0) && !math.IsNaN(v)
 }
 
-// Validate checks a (normalised) document without building anything.
-func (d *Document) Validate() error {
-	_, err := d.validate()
-	return err
-}
-
-// validate is Validate returning the expanded roster (AgentIDs).
+// validate checks a (normalised) document without building anything and
+// returns the expanded roster (AgentIDs).
 func (d *Document) validate() ([]string, error) {
 	if d.Version != Version {
 		return nil, fmt.Errorf("scenario: unsupported version %d (want %d)", d.Version, Version)
@@ -673,6 +644,16 @@ func (d *Document) validateAgents(topoLinks map[string]bool) ([]string, map[stri
 		ids[id] = true
 	}
 	return roster, ids, nil
+}
+
+// Sessions returns the expanded roster's length, len(AgentIDs()),
+// without building the IDs.
+func (d *Document) Sessions() int {
+	n := 0
+	for i := range d.Agents {
+		n += max(d.Agents[i].Count, 1)
+	}
+	return n
 }
 
 // AgentIDs returns the expanded roster's IDs in join-spec order:

@@ -265,3 +265,27 @@ func TestExampleScenariosBuild(t *testing.T) {
 		}
 	}
 }
+
+// EnvFromConfig converts a testbed.Config into its spec.
+func EnvFromConfig(c testbed.Config) EnvSpec {
+	return EnvSpec{
+		Name: c.Name,
+		SrcStore: StoreSpec{Name: c.SrcStore.Name, PerProcCap: c.SrcStore.PerProcCap,
+			AggregateCap: c.SrcStore.AggregateCap, ContentionKnee: c.SrcStore.ContentionKnee,
+			ContentionRate: c.SrcStore.ContentionRate, MaxDegradation: c.SrcStore.MaxDegradation},
+		DstStore: StoreSpec{Name: c.DstStore.Name, PerProcCap: c.DstStore.PerProcCap,
+			AggregateCap: c.DstStore.AggregateCap, ContentionKnee: c.DstStore.ContentionKnee,
+			ContentionRate: c.DstStore.ContentionRate, MaxDegradation: c.DstStore.MaxDegradation},
+		SrcHost: HostSpec{Name: c.SrcHost.Name, NICCap: c.SrcHost.NICCap, CPUCap: c.SrcHost.CPUCap,
+			ConnOverhead: c.SrcHost.ConnOverhead, MaxDegradation: c.SrcHost.MaxDegradation},
+		DstHost: HostSpec{Name: c.DstHost.Name, NICCap: c.DstHost.NICCap, CPUCap: c.DstHost.CPUCap,
+			ConnOverhead: c.DstHost.ConnOverhead, MaxDegradation: c.DstHost.MaxDegradation},
+		LinkCapacity:   c.LinkCapacity,
+		RTT:            c.RTT,
+		SampleInterval: c.SampleInterval,
+		NoiseStdDev:    c.NoiseStdDev,
+		RampTau:        c.RampTau,
+		Bottleneck:     c.Bottleneck,
+		Congestion:     c.Congestion,
+	}
+}

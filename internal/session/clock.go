@@ -1,9 +1,6 @@
 package session
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // Clock is the time base a session runtime runs on: seconds since the
 // run began. The simulated testbeds expose their virtual engine time
@@ -42,20 +39,3 @@ type VirtualClock struct {
 
 // Now returns the current virtual time in seconds.
 func (c *VirtualClock) Now() float64 { return c.now }
-
-// Advance moves the clock forward by dt seconds. It panics on negative
-// dt — virtual time never runs backwards.
-func (c *VirtualClock) Advance(dt float64) {
-	if dt < 0 {
-		panic(fmt.Sprintf("session: VirtualClock.Advance(%v) negative", dt))
-	}
-	c.now += dt
-}
-
-// Set jumps the clock to t. It panics when t is in the past.
-func (c *VirtualClock) Set(t float64) {
-	if t < c.now {
-		panic(fmt.Sprintf("session: VirtualClock.Set(%v) before now %v", t, c.now))
-	}
-	c.now = t
-}

@@ -159,15 +159,9 @@ func Init(s *Session, env Env, dec Decider, cfg Config) error {
 	return nil
 }
 
-// ID returns the session's event identifier.
-func (s *Session) ID() string { return s.cfg.ID }
-
 // Finished reports whether the session has ended (Finish, Leave or
 // Fail).
 func (s *Session) Finished() bool { return s.finished }
-
-// Epochs returns the number of completed decision epochs.
-func (s *Session) Epochs() int { return s.epochs }
 
 // Start joins the session at time now: the first measurement window
 // opens (window environments), the first decision epoch is scheduled

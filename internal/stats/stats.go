@@ -1,8 +1,6 @@
 // Package stats provides the statistical primitives shared across the
-// repository: summary statistics, exponentially-weighted moving
-// averages, Jain's fairness index (used to quantify fairness between
-// competing transfers), percentiles, and least-squares regression (the
-// substrate for the HARP baseline's historical throughput model).
+// repository: summary statistics, percentiles and Jain's fairness index
+// (used to quantify fairness between competing transfers).
 package stats
 
 import (
@@ -40,43 +38,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Min returns the smallest element of xs. It panics on an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Min of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Max returns the largest element of xs. It panics on an empty slice.
-func Max(xs []float64) float64 {
-	if len(xs) == 0 {
-		panic("stats: Max of empty slice")
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
 // linear interpolation between closest ranks. It panics on an empty
 // slice or out-of-range p.
@@ -102,9 +63,6 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
-// Median returns the 50th percentile of xs.
-func Median(xs []float64) float64 { return Percentile(xs, 50) }
-
 // JainIndex computes Jain's fairness index over per-agent allocations:
 //
 //	J = (Σ xᵢ)² / (n · Σ xᵢ²)
@@ -124,173 +82,4 @@ func JainIndex(xs []float64) float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(xs)) * sumSq)
-}
-
-// EWMA maintains an exponentially-weighted moving average with
-// smoothing factor alpha in (0, 1]. A larger alpha weights recent
-// observations more heavily. The zero value is not usable; construct
-// with NewEWMA.
-type EWMA struct {
-	alpha float64
-	value float64
-	init  bool
-}
-
-// NewEWMA returns an EWMA with the given smoothing factor.
-// It panics unless 0 < alpha ≤ 1.
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic(fmt.Sprintf("stats: EWMA alpha %v out of range (0,1]", alpha))
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Update folds x into the average and returns the new value.
-func (e *EWMA) Update(x float64) float64 {
-	if !e.init {
-		e.value = x
-		e.init = true
-	} else {
-		e.value = e.alpha*x + (1-e.alpha)*e.value
-	}
-	return e.value
-}
-
-// Value returns the current average (0 before the first Update).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether the EWMA has seen at least one sample.
-func (e *EWMA) Initialized() bool { return e.init }
-
-// LinearFit performs ordinary least squares for y = a + b·x and returns
-// the intercept a and slope b. It returns an error when fewer than two
-// points are supplied or when all x values coincide.
-func LinearFit(xs, ys []float64) (intercept, slope float64, err error) {
-	if len(xs) != len(ys) {
-		return 0, 0, fmt.Errorf("stats: LinearFit length mismatch %d != %d", len(xs), len(ys))
-	}
-	if len(xs) < 2 {
-		return 0, 0, fmt.Errorf("stats: LinearFit needs at least 2 points, got %d", len(xs))
-	}
-	mx, my := Mean(xs), Mean(ys)
-	num, den := 0.0, 0.0
-	for i := range xs {
-		dx := xs[i] - mx
-		num += dx * (ys[i] - my)
-		den += dx * dx
-	}
-	if den == 0 {
-		return 0, 0, fmt.Errorf("stats: LinearFit degenerate x values")
-	}
-	slope = num / den
-	intercept = my - slope*mx
-	return intercept, slope, nil
-}
-
-// PolyFit fits a polynomial of the given degree to (xs, ys) by solving
-// the normal equations (Vandermonde ᵀ V c = Vᵀ y) with Gaussian
-// elimination. The returned coefficients are ordered from the constant
-// term upward: y ≈ c[0] + c[1]·x + … + c[degree]·x^degree.
-func PolyFit(xs, ys []float64, degree int) ([]float64, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("stats: PolyFit length mismatch %d != %d", len(xs), len(ys))
-	}
-	if degree < 0 {
-		return nil, fmt.Errorf("stats: PolyFit negative degree %d", degree)
-	}
-	if len(xs) < degree+1 {
-		return nil, fmt.Errorf("stats: PolyFit needs %d points for degree %d, got %d", degree+1, degree, len(xs))
-	}
-	n := degree + 1
-	// Normal matrix M[i][j] = Σ x^(i+j); rhs[i] = Σ y·x^i.
-	m := make([][]float64, n)
-	rhs := make([]float64, n)
-	for i := range m {
-		m[i] = make([]float64, n)
-	}
-	for k := range xs {
-		xp := make([]float64, 2*n-1)
-		xp[0] = 1
-		for i := 1; i < len(xp); i++ {
-			xp[i] = xp[i-1] * xs[k]
-		}
-		for i := 0; i < n; i++ {
-			rhs[i] += ys[k] * xp[i]
-			for j := 0; j < n; j++ {
-				m[i][j] += xp[i+j]
-			}
-		}
-	}
-	coef, err := gaussianSolve(m, rhs)
-	if err != nil {
-		return nil, fmt.Errorf("stats: PolyFit: %w", err)
-	}
-	return coef, nil
-}
-
-// PolyEval evaluates a polynomial with coefficients ordered from the
-// constant term upward at x (Horner's method).
-func PolyEval(coef []float64, x float64) float64 {
-	y := 0.0
-	for i := len(coef) - 1; i >= 0; i-- {
-		y = y*x + coef[i]
-	}
-	return y
-}
-
-// gaussianSolve solves m·x = b in place with partial pivoting.
-func gaussianSolve(m [][]float64, b []float64) ([]float64, error) {
-	n := len(b)
-	for col := 0; col < n; col++ {
-		// Pivot: find the largest |entry| in this column.
-		pivot := col
-		for r := col + 1; r < n; r++ {
-			if math.Abs(m[r][col]) > math.Abs(m[pivot][col]) {
-				pivot = r
-			}
-		}
-		if math.Abs(m[pivot][col]) < 1e-12 {
-			return nil, fmt.Errorf("singular system at column %d", col)
-		}
-		m[col], m[pivot] = m[pivot], m[col]
-		b[col], b[pivot] = b[pivot], b[col]
-		for r := col + 1; r < n; r++ {
-			f := m[r][col] / m[col][col]
-			for c := col; c < n; c++ {
-				m[r][c] -= f * m[col][c]
-			}
-			b[r] -= f * b[col]
-		}
-	}
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		s := b[i]
-		for j := i + 1; j < n; j++ {
-			s -= m[i][j] * x[j]
-		}
-		x[i] = s / m[i][i]
-	}
-	return x, nil
-}
-
-// Clamp limits x to the inclusive range [lo, hi].
-func Clamp(x, lo, hi float64) float64 {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
-}
-
-// ClampInt limits x to the inclusive range [lo, hi].
-func ClampInt(x, lo, hi int) int {
-	if x < lo {
-		return lo
-	}
-	if x > hi {
-		return hi
-	}
-	return x
 }

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -39,28 +38,6 @@ func TestVarianceAndStdDev(t *testing.T) {
 	}
 }
 
-func TestMinMaxSum(t *testing.T) {
-	xs := []float64{3, -1, 7, 2}
-	if got := Min(xs); got != -1 {
-		t.Errorf("Min = %v", got)
-	}
-	if got := Max(xs); got != 7 {
-		t.Errorf("Max = %v", got)
-	}
-	if got := Sum(xs); got != 11 {
-		t.Errorf("Sum = %v", got)
-	}
-}
-
-func TestMinEmptyPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Min(nil) did not panic")
-		}
-	}()
-	Min(nil)
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{15, 20, 35, 40, 50}
 	if got := Percentile(xs, 0); got != 15 {
@@ -75,8 +52,8 @@ func TestPercentile(t *testing.T) {
 	if got := Percentile(xs, 25); got != 20 {
 		t.Errorf("P25 = %v", got)
 	}
-	if got := Median([]float64{1, 2, 3, 4}); !approx(got, 2.5, 1e-12) {
-		t.Errorf("Median = %v, want 2.5", got)
+	if got := Percentile([]float64{1, 2, 3, 4}, 50); !approx(got, 2.5, 1e-12) {
+		t.Errorf("P50 of an even count = %v, want 2.5", got)
 	}
 }
 
@@ -120,7 +97,7 @@ func TestJainIndexProperty(t *testing.T) {
 			}
 			xs = append(xs, v)
 		}
-		if Sum(xs) == 0 {
+		if Mean(xs) == 0 {
 			return true
 		}
 		j := JainIndex(xs)
@@ -136,149 +113,5 @@ func TestJainIndexProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := NewEWMA(0.5)
-	if e.Initialized() {
-		t.Fatal("fresh EWMA reports initialized")
-	}
-	e.Update(10)
-	if e.Value() != 10 {
-		t.Fatalf("first update = %v, want 10", e.Value())
-	}
-	e.Update(20)
-	if !approx(e.Value(), 15, 1e-12) {
-		t.Fatalf("second update = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMABadAlphaPanics(t *testing.T) {
-	for _, a := range []float64{0, -0.1, 1.1} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("NewEWMA(%v) did not panic", a)
-				}
-			}()
-			NewEWMA(a)
-		}()
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	// y = 3 + 2x exactly.
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{3, 5, 7, 9}
-	a, b, err := LinearFit(xs, ys)
-	if err != nil {
-		t.Fatalf("LinearFit: %v", err)
-	}
-	if !approx(a, 3, 1e-12) || !approx(b, 2, 1e-12) {
-		t.Fatalf("fit = (%v, %v), want (3, 2)", a, b)
-	}
-}
-
-func TestLinearFitErrors(t *testing.T) {
-	if _, _, err := LinearFit([]float64{1}, []float64{1}); err == nil {
-		t.Error("LinearFit with one point did not error")
-	}
-	if _, _, err := LinearFit([]float64{1, 1}, []float64{1, 2}); err == nil {
-		t.Error("LinearFit with constant x did not error")
-	}
-	if _, _, err := LinearFit([]float64{1, 2}, []float64{1}); err == nil {
-		t.Error("LinearFit with mismatched lengths did not error")
-	}
-}
-
-func TestPolyFitExactQuadratic(t *testing.T) {
-	// y = 1 - 2x + 0.5x²
-	want := []float64{1, -2, 0.5}
-	xs := []float64{-2, -1, 0, 1, 2, 3}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = PolyEval(want, x)
-	}
-	coef, err := PolyFit(xs, ys, 2)
-	if err != nil {
-		t.Fatalf("PolyFit: %v", err)
-	}
-	for i := range want {
-		if !approx(coef[i], want[i], 1e-8) {
-			t.Fatalf("coef = %v, want %v", coef, want)
-		}
-	}
-}
-
-func TestPolyFitErrors(t *testing.T) {
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, 2); err == nil {
-		t.Error("PolyFit with too few points did not error")
-	}
-	if _, err := PolyFit([]float64{1}, []float64{1, 2}, 1); err == nil {
-		t.Error("PolyFit with mismatched lengths did not error")
-	}
-	if _, err := PolyFit([]float64{1, 2}, []float64{1, 2}, -1); err == nil {
-		t.Error("PolyFit with negative degree did not error")
-	}
-}
-
-// Property: PolyFit recovers a random cubic exactly when given exact
-// samples at distinct points.
-func TestPolyFitRecoveryProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	f := func() bool {
-		coef := []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-		xs := []float64{-3, -2, -1, 0, 1, 2, 3, 4}
-		ys := make([]float64, len(xs))
-		for i, x := range xs {
-			ys[i] = PolyEval(coef, x)
-		}
-		got, err := PolyFit(xs, ys, 3)
-		if err != nil {
-			return false
-		}
-		for i := range coef {
-			if !approx(got[i], coef[i], 1e-6) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := 0; i < 50; i++ {
-		if !f() {
-			t.Fatal("PolyFit failed to recover a random cubic")
-		}
-	}
-}
-
-func TestPolyEval(t *testing.T) {
-	// 2 + 3x + x² at x=2 → 2+6+4 = 12
-	if got := PolyEval([]float64{2, 3, 1}, 2); got != 12 {
-		t.Fatalf("PolyEval = %v, want 12", got)
-	}
-	if got := PolyEval(nil, 5); got != 0 {
-		t.Fatalf("PolyEval(nil) = %v, want 0", got)
-	}
-}
-
-func TestClamp(t *testing.T) {
-	if got := Clamp(5, 0, 3); got != 3 {
-		t.Errorf("Clamp high = %v", got)
-	}
-	if got := Clamp(-1, 0, 3); got != 0 {
-		t.Errorf("Clamp low = %v", got)
-	}
-	if got := Clamp(2, 0, 3); got != 2 {
-		t.Errorf("Clamp mid = %v", got)
-	}
-	if got := ClampInt(10, 1, 4); got != 4 {
-		t.Errorf("ClampInt high = %v", got)
-	}
-	if got := ClampInt(0, 1, 4); got != 1 {
-		t.Errorf("ClampInt low = %v", got)
-	}
-	if got := ClampInt(2, 1, 4); got != 2 {
-		t.Errorf("ClampInt mid = %v", got)
 	}
 }

@@ -2,38 +2,24 @@ package stats
 
 import "math"
 
-// Streaming accumulates count, mean, variance, min, and max of a value
-// stream in constant space using Welford's online update — the
-// substrate for fleet-scale telemetry where materializing a
-// million-element slice per metric would defeat the memory diet.
+// Streaming accumulates the mean and variance of a value stream in
+// constant space using Welford's online update — the substrate for
+// fleet-scale telemetry where materializing a million-element slice per
+// metric would defeat the memory diet.
 //
 // The zero value is ready to use.
 type Streaming struct {
 	n        int64
 	mean, m2 float64
-	min, max float64
 }
 
 // Add folds one observation into the accumulator.
 func (s *Streaming) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	d := x - s.mean
 	s.mean += d / float64(s.n)
 	s.m2 += d * (x - s.mean)
 }
-
-// Count returns the number of observations.
-func (s *Streaming) Count() int64 { return s.n }
 
 // Mean returns the running mean, or 0 before any observation.
 func (s *Streaming) Mean() float64 {
@@ -54,19 +40,3 @@ func (s *Streaming) Variance() float64 {
 
 // StdDev returns the running population standard deviation.
 func (s *Streaming) StdDev() float64 { return math.Sqrt(s.Variance()) }
-
-// Min returns the smallest observation, or 0 before any observation.
-func (s *Streaming) Min() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.min
-}
-
-// Max returns the largest observation, or 0 before any observation.
-func (s *Streaming) Max() float64 {
-	if s.n == 0 {
-		return 0
-	}
-	return s.max
-}

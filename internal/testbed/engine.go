@@ -251,11 +251,6 @@ func NewEngine(cfg Config, seed int64) (*Engine, error) {
 	}, nil
 }
 
-// AllocClasses returns the number of distinct flow classes in the
-// engine's most recent allocation: tasks running the same parallelism
-// setting collapse into one class each.
-func (e *Engine) AllocClasses() int { return e.net.Classes() }
-
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
@@ -346,45 +341,12 @@ func (e *Engine) Task(id string) *transfer.Task {
 	return nil
 }
 
-// TaskIDs returns the registered task IDs in insertion order.
-func (e *Engine) TaskIDs() []string {
-	ids := make([]string, 0, e.soa.len())
-	for _, h := range e.order {
-		if i := e.hslot[h]; i >= 0 {
-			ids = append(ids, e.soa.task[i].ID())
-		}
-	}
-	return ids
-}
-
-// CurrentRate returns the task's instantaneous (smoothed) throughput in
-// bits/s, or 0 for unknown tasks.
-func (e *Engine) CurrentRate(id string) float64 { return e.rateOf(e.Handle(id)) }
-
 // rateOf is CurrentRate by handle.
 func (e *Engine) rateOf(h int32) float64 {
 	if i := e.slotOf(h); i >= 0 {
 		return e.soa.rate[i]
 	}
 	return 0
-}
-
-// CurrentLoss returns the task's latest loss estimate.
-func (e *Engine) CurrentLoss(id string) float64 {
-	if i := e.slotOf(e.Handle(id)); i >= 0 {
-		return e.soa.loss[i]
-	}
-	return 0
-}
-
-// AggregateRate returns the sum of all tasks' instantaneous rates,
-// accumulated in slot order so the float fold is deterministic.
-func (e *Engine) AggregateRate() float64 {
-	sum := 0.0
-	for _, r := range e.soa.rate {
-		sum += r
-	}
-	return sum
 }
 
 // TickCounts counts an engine's ticks by tier since construction (see

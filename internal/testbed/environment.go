@@ -40,9 +40,6 @@ func NewSimEnvironment(eng *Engine, task *transfer.Task) (*SimEnvironment, error
 	return e, nil
 }
 
-// Task returns the adapted task.
-func (e *SimEnvironment) Task() *transfer.Task { return e.task }
-
 // Apply implements session.Env: it retunes the simulated transfer.
 func (e *SimEnvironment) Apply(s transfer.Setting) error { return e.task.SetSetting(s) }
 

@@ -56,11 +56,6 @@ func horizonBlock(n int) int {
 	return 6*n + t
 }
 
-// init sizes the queue for handles 0..n-1 with storage of its own.
-func (q *horizonQueue) init(n int) {
-	q.carve(make([]int32, horizonBlock(n)), make([]float64, n))
-}
-
 // carve lays the queue for len(keys) handles over ints, which must
 // hold horizonBlock(len(keys)) int32s, and marks every handle absent.
 func (q *horizonQueue) carve(ints []int32, keys []float64) {
@@ -82,8 +77,6 @@ func (q *horizonQueue) carve(ints []int32, keys []float64) {
 	}
 	q.last, q.free = -1, -1
 }
-
-func (q *horizonQueue) len() int { return q.n }
 
 // slot is key's home slot in the table: a Fibonacci hash of its bits.
 func (q *horizonQueue) slot(key float64) int {

@@ -98,8 +98,8 @@ func TestStepUntilMatchesStepLoop(t *testing.T) {
 		if lr, mr := loop.CurrentRate(id), macro.CurrentRate(id); lr != mr {
 			t.Errorf("%s rate: loop %v, macro %v", id, lr, mr)
 		}
-		if lb, mb := loop.Task(id).BytesDone(), macro.Task(id).BytesDone(); lb != mb {
-			t.Errorf("%s bytes: loop %d, macro %d", id, lb, mb)
+		if lb, mb := loop.Task(id).BytesRemaining(), macro.Task(id).BytesRemaining(); lb != mb {
+			t.Errorf("%s bytes left: loop %d, macro %d", id, lb, mb)
 		}
 	}
 }
@@ -155,10 +155,10 @@ func TestSubByteRatesComplete(t *testing.T) {
 	}
 	eng.StepUntil(300, 0.25)
 	if !task.Done() {
-		t.Fatalf("sub-byte-rate transfer stalled: %d of 40 bytes after %v s", task.BytesDone(), eng.Now())
+		t.Fatalf("sub-byte-rate transfer stalled: %d of 40 bytes left after %v s", task.BytesRemaining(), eng.Now())
 	}
-	if task.BytesDone() != 40 {
-		t.Errorf("BytesDone = %d, want 40", task.BytesDone())
+	if task.BytesRemaining() != 0 {
+		t.Errorf("BytesRemaining = %d, want 0", task.BytesRemaining())
 	}
 }
 

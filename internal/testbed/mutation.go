@@ -154,10 +154,6 @@ func (e *Engine) NextMutation() float64 {
 	return math.Inf(1)
 }
 
-// PendingMutations returns how many scheduled mutations have not yet
-// applied.
-func (e *Engine) PendingMutations() int { return len(e.muts) - e.mutNext }
-
 // mutationDue reports whether a pending mutation's time has been
 // reached. RunTicks checks it before every tick, so a due mutation —
 // one scheduled in the past included — forces the next tick through a

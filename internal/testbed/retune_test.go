@@ -126,9 +126,9 @@ func TestRunTicksHonoursOutOfBandRetune(t *testing.T) {
 		for _, id := range ids {
 			r1, r2 := ticked.CurrentRate(id), stepped.CurrentRate(id)
 			l1, l2 := ticked.CurrentLoss(id), stepped.CurrentLoss(id)
-			b1, b2 := ticked.Task(id).BytesDone(), stepped.Task(id).BytesDone()
+			b1, b2 := ticked.Task(id).BytesRemaining(), stepped.Task(id).BytesRemaining()
 			if math.Float64bits(r1) != math.Float64bits(r2) || math.Float64bits(l1) != math.Float64bits(l2) || b1 != b2 {
-				t.Fatalf("tick %d task %s: RunTicks rate %v loss %v bytes %d; Step rate %v loss %v bytes %d",
+				t.Fatalf("tick %d task %s: RunTicks rate %v loss %v bytes left %d; Step rate %v loss %v bytes left %d",
 					tick, id, r1, l1, b1, r2, l2, b2)
 			}
 		}

@@ -129,13 +129,6 @@ func (ss *ShardSet) DecideWidth() int {
 	return w / min(w, len(ss.shards))
 }
 
-// Counts returns the work counts of every shard scheduler the set has
-// run, summed.
-func (ss *ShardSet) Counts() Counts { return ss.counts }
-
-// Shards returns the number of shards.
-func (ss *ShardSet) Shards() int { return len(ss.shards) }
-
 // Run steps every shard to the given horizon and returns the merged
 // timeline. Each shard builds its own Engine, schedules its mutations,
 // and runs its participants on its own scheduler; shards execute on the

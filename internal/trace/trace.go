@@ -28,8 +28,7 @@ type Series struct {
 // non-decreasing time order; Append panics otherwise, as out-of-order
 // recording indicates a scheduling bug. A NaN time has no order, so it
 // panics too, first point included: every reader that searches or
-// scans by time (MeanBetween, Between, ConvergenceTime) relies on the
-// order.
+// scans by time (MeanBetween, Between) relies on the order.
 func (s *Series) Append(t, v float64) {
 	if n := len(s.Points); math.IsNaN(t) || n > 0 && t < s.Points[n-1].Time {
 		s.misorderedAppend(t)
@@ -127,35 +126,6 @@ func (s *Series) MeanBetween(t0, t1 float64) float64 {
 		return 0
 	}
 	return sum / float64(n)
-}
-
-// ConvergenceTime returns the first time from which the series stays
-// within ±tol (relative) of target for at least `hold` seconds, or -1
-// if it never converges. It is how experiments measure "time to reach
-// the optimal concurrency".
-func (s *Series) ConvergenceTime(target, tol, hold float64) float64 {
-	if target == 0 {
-		return -1
-	}
-	start := -1.0
-	for _, p := range s.Points {
-		if math.Abs(p.Value-target) <= tol*math.Abs(target) {
-			if start < 0 {
-				start = p.Time
-			}
-			if p.Time-start >= hold {
-				return start
-			}
-		} else {
-			start = -1
-		}
-	}
-	// Converged at the tail but held less than `hold`: accept if the
-	// series simply ended while converged.
-	if start >= 0 && len(s.Points) > 0 && s.Points[len(s.Points)-1].Time-start >= hold/2 {
-		return start
-	}
-	return -1
 }
 
 // TimeSet is a collection of named series sharing a time axis.

@@ -142,40 +142,6 @@ func TestMeanBetweenMatchesBetween(t *testing.T) {
 	}
 }
 
-func TestConvergenceTime(t *testing.T) {
-	s := &Series{Name: "cc"}
-	// Climbs to 10 at t=5, stays.
-	for i := 0; i <= 20; i++ {
-		v := float64(i * 2)
-		if v > 10 {
-			v = 10
-		}
-		s.Append(float64(i), v)
-	}
-	if got := s.ConvergenceTime(10, 0.05, 5); got != 5 {
-		t.Fatalf("ConvergenceTime = %v, want 5", got)
-	}
-	if got := s.ConvergenceTime(50, 0.05, 5); got != -1 {
-		t.Fatalf("unreached target = %v, want -1", got)
-	}
-	if got := s.ConvergenceTime(0, 0.05, 5); got != -1 {
-		t.Fatalf("zero target = %v, want -1", got)
-	}
-}
-
-func TestConvergenceTimeResetsOnDeparture(t *testing.T) {
-	s := &Series{Name: "cc"}
-	s.Append(0, 10)
-	s.Append(1, 10)
-	s.Append(2, 3) // leaves the band
-	for i := 3; i <= 12; i++ {
-		s.Append(float64(i), 10)
-	}
-	if got := s.ConvergenceTime(10, 0.05, 5); got != 3 {
-		t.Fatalf("ConvergenceTime = %v, want 3 (after the excursion)", got)
-	}
-}
-
 func TestTimeSetGetLookupNames(t *testing.T) {
 	ts := &TimeSet{}
 	a := ts.Get("b-series")

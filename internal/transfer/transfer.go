@@ -50,9 +50,6 @@ func (s Setting) Validate() error {
 	return nil
 }
 
-// Connections returns the total TCP connections the setting opens (n×p).
-func (s Setting) Connections() int { return s.Concurrency * s.Parallelism }
-
 // String renders the setting as "cc=4 p=2 q=8".
 func (s Setting) String() string {
 	return fmt.Sprintf("cc=%d p=%d q=%d", s.Concurrency, s.Parallelism, s.Pipelining)
@@ -139,9 +136,6 @@ func (t *Task) sizeAt(i int) int64 {
 // ID returns the task identifier.
 func (t *Task) ID() string { return t.id }
 
-// Dataset returns the dataset being transferred.
-func (t *Task) Dataset() *dataset.Dataset { return t.ds }
-
 // Setting returns the task's current setting.
 func (t *Task) Setting() Setting { return t.setting }
 
@@ -189,14 +183,8 @@ func (t *Task) Extend(count int, size int64) error {
 // Done reports whether every byte of the dataset has been sent.
 func (t *Task) Done() bool { return t.nextFile >= t.files }
 
-// BytesDone returns the total bytes completed so far.
-func (t *Task) BytesDone() int64 { return t.bytesDone }
-
 // BytesRemaining returns the bytes not yet sent.
 func (t *Task) BytesRemaining() int64 { return t.totalBytes - t.bytesDone }
-
-// Elapsed returns the accumulated active transfer time in seconds.
-func (t *Task) Elapsed() float64 { return t.elapsed }
 
 // ActiveFiles returns how many files the task would transfer
 // simultaneously right now: the configured concurrency, bounded by the
@@ -212,10 +200,6 @@ func (t *Task) ActiveFiles() int {
 	return remaining
 }
 
-// ActiveConnections returns ActiveFiles×parallelism — the TCP
-// connections currently open.
-func (t *Task) ActiveConnections() int { return t.ActiveFiles() * t.setting.Parallelism }
-
 // RemainingFiles returns the number of files not yet fully sent.
 func (t *Task) RemainingFiles() int {
 	remaining := t.files - t.nextFile
@@ -223,19 +207,6 @@ func (t *Task) RemainingFiles() int {
 		remaining = 0
 	}
 	return remaining
-}
-
-// RemainingMeanFileSize returns the mean size in bytes of files not yet
-// completed, used by the pipelining efficiency model. Returns 0 when
-// the task is done. Computed in O(1) from the byte counters — this runs
-// on every simulation tick.
-func (t *Task) RemainingMeanFileSize() float64 {
-	remaining := t.files - t.nextFile
-	if remaining <= 0 {
-		return 0
-	}
-	sum := t.totalBytes - t.bytesDone
-	return float64(sum) / float64(remaining)
 }
 
 // Advance records that the task moved `bytes` bytes during `dt` seconds
@@ -290,21 +261,4 @@ func (t *Task) HorizonBytes() int64 {
 	// Distance to the remaining == Concurrency boundary: everything but
 	// the final Concurrency files, arithmetic over a uniform dataset.
 	return t.totalBytes - t.ds.TailBytes(t.setting.Concurrency) - t.bytesDone
-}
-
-// Progress returns the completed fraction in [0, 1].
-func (t *Task) Progress() float64 {
-	if t.totalBytes == 0 {
-		return 1
-	}
-	return float64(t.bytesDone) / float64(t.totalBytes)
-}
-
-// MeanThroughput returns the task's lifetime average throughput in
-// bits/s, or 0 before any time has elapsed.
-func (t *Task) MeanThroughput() float64 {
-	if t.elapsed == 0 {
-		return 0
-	}
-	return float64(t.bytesDone) * 8 / t.elapsed
 }

@@ -89,6 +89,3 @@ func (c *resultCache) put(key string, val *resultValue) {
 		delete(c.byKey, el.Value.(*cacheEntry).key)
 	}
 }
-
-// len reports the number of cached results.
-func (c *resultCache) len() int { return c.order.Len() }

@@ -228,17 +228,6 @@ func (p *progressTracker) apply(rec feedEntry) {
 	}
 }
 
-// foldRecords replays a record sequence through a fresh fold — the
-// reference implementation the SSE transparency test holds the polled
-// snapshot to.
-func foldRecords(recs []EventRecord) (float64, []AgentProgress) {
-	t := newProgressTracker()
-	for _, r := range recs {
-		t.apply(t.lower(r))
-	}
-	return t.snapshot()
-}
-
 // finish seals the whole feed, replaces it with an exact-length copy
 // — a finished feed is retained for as long as its scenario, so the
 // slack of append's doubling would be too — and returns its length.

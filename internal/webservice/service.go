@@ -99,7 +99,7 @@ func (r *ScenarioRequest) normalise() error {
 		if err != nil {
 			return err
 		}
-		if n := len(doc.AgentIDs()); n > maxDocAgents {
+		if n := doc.Sessions(); n > maxDocAgents {
 			return fmt.Errorf("scenario has %d agents; service accepts at most %d", n, maxDocAgents)
 		}
 		if doc.DurationSeconds > maxDocDuration {
@@ -308,19 +308,6 @@ type Service struct {
 	// and SSE streams close.
 	draining  chan struct{}
 	drainOnce sync.Once
-}
-
-// New returns an empty service whose worker pool admits one concurrent
-// scenario per CPU.
-func New() *Service {
-	return NewWithOptions(Options{})
-}
-
-// NewWithLimit returns an empty service that simulates at most limit
-// scenarios concurrently (minimum 1). Submissions are never rejected
-// for load: past the limit they queue in acceptance order.
-func NewWithLimit(limit int) *Service {
-	return NewWithOptions(Options{Workers: limit})
 }
 
 // NewWithOptions returns an empty service configured by opts; zero
