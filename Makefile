@@ -34,8 +34,10 @@ benchsmoke:
 # Memory-regression smoke (run in CI), one run per road, each inside a
 # checked-in peak-heap budget of about twice its measured peak, so only
 # a real per-session memory regression trips it:
-# - flag road: a 10k-session fleet in streaming-aggregate mode, measured
-#   45.6–50.1 MB (≈4.6 kB/session) against 96 MiB;
+# - flag road: a 10k-session fleet, its flags lowered onto a scenario
+#   document and its throughput streamed into window aggregates,
+#   measured 45.9–54.3 MB (50.1 MB in most runs, ≈5.0 kB/session; the
+#   same as before the lowering) against 96 MiB;
 # - document road: the 10k-session capacity-flap scenario with full
 #   recording, 8.7–10.8 s of simulation on a 2-core VM (it joins a
 #   session on most ticks for 500 of its 600 s, so 2 001 of its 2 400
@@ -54,7 +56,7 @@ FLEET_HEAP_BUDGET ?= 100663296
 DOC_FLEET_HEAP_BUDGET ?= 320000000
 
 memsmoke:
-	$(GO) run ./cmd/fleet -n 10000 -duration 120 -stagger 0.001 -record aggregate -seed 1 -maxheap $(FLEET_HEAP_BUDGET)
+	$(GO) run ./cmd/fleet -n 10000 -duration 120 -stagger 0.001 -seed 1 -maxheap $(FLEET_HEAP_BUDGET)
 	$(GO) run ./cmd/fleet -scenario examples/scenarios/fleet-10k-flap.json -maxheap $(DOC_FLEET_HEAP_BUDGET)
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a module of its
@@ -106,6 +108,7 @@ transparency:
 	$(call race2,TestFleetStepAllocatesNothing|TestFleetStep10kAllocatesNothing|TestFleetRecordFull10kAllocatesNothing|TestSchedulerRunAllocatesNothing|TestRetuneTickAllocatesNothing,./internal/testbed/)
 	$(call race2,TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault|TestEndedSessionsReleaseTheirControllers,./internal/scenario/)
 	$(call race2,TestReproduceGolden|TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetGolden|TestDynamicFleetWorkersTransparent|TestTable1MatchesProbe,./internal/experiments/)
+	$(call race2,TestFlagRoadGolden|TestFlagRoadMatchesDocument,./cmd/fleet/)
 	$(call race2,TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant|TestConcurrentDuplicatesRunOnce,./internal/webservice/)
 	$(call race2,TestRetainedScenarioHoldsOnlyWhatItServes|TestPackRaisesBitwise|TestSpilledRecordsStream|TestRetainedScenarioFootprint,./internal/webservice/)
 

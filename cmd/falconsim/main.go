@@ -191,8 +191,14 @@ func runScenarioFile(path string, seedOverride *int64, chart, events bool,
 	if err != nil {
 		fail("%v", err)
 	}
+	// Horizons are counted over every shard's schedule, so a mutation
+	// that reaches several shards counts once for each.
+	horizons := 0
+	for _, sp := range run.Shards {
+		horizons += len(sp.Mutations)
+	}
 	fmt.Printf("\nscenario %s on %s, %d agent(s), %.0fs, %d mutation horizon(s)\n",
-		doc.Name, run.Config.Name, len(run.AgentIDs), doc.DurationSeconds, len(run.Mutations))
+		doc.Name, run.Config.Name, len(run.AgentIDs), doc.DurationSeconds, horizons)
 	summarize(tl, run.AgentIDs, doc.DurationSeconds, chart)
 }
 

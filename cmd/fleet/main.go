@@ -11,8 +11,8 @@
 // Usage:
 //
 //	fleet [-n N] [-duration S] [-stagger S] [-maxn N] [-seed N] [-algos hc,gd,bo]
-//	      [-links K] [-shards W] [-record auto|full|aggregate|off] [-maxheap BYTES]
-//	      [-json] [-cpuprofile FILE] [-memprofile FILE]
+//	      [-links K] [-shards W] [-maxheap BYTES] [-json]
+//	      [-cpuprofile FILE] [-memprofile FILE]
 //	fleet -scenario FILE.json [-seed N] [-shards W] [-maxheap BYTES]
 //	      [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -23,24 +23,24 @@
 // its due sessions that many times wider instead (the decide width,
 // printed on stderr beside cpu/wall). -json replaces the report with a
 // one-line summary (Jain, aggregate Gbps, wall seconds,
-// session-seconds/sec, cpu/wall, decide width, peak heap, record mode).
+// session-seconds/sec, cpu/wall, decide width, peak heap).
 //
-// -record selects recording fidelity (see experiments.FleetConfig):
-// "auto" (default) uses full per-session timelines below 50 000
-// sessions and the constant-space streaming aggregates at or above —
-// both produce bitwise-identical metrics. -maxheap, when positive,
-// exits with status 1 if the post-run peak heap exceeds the budget (the
-// CI memory smoke), on either road.
+// The flags lower onto a scenario document (experiments.FleetDoc) with
+// one agent per session, and the run streams every session's
+// throughput into constant-space window aggregates rather than keeping
+// per-session timelines. -maxheap, when positive, exits with status 1
+// if the post-run peak heap exceeds the budget (the CI memory smoke),
+// on either road. On both roads stderr times the simulation and the
+// report apart, and the session-seconds/sec rate is the simulation's
+// alone.
 //
 // With -scenario, the flag-built fleet is replaced by a declarative
 // scenario document (see internal/scenario) and the run reports
 // time-to-refairness around every compiled link-capacity horizon via
-// experiments.DynamicFleet; stderr times the simulation and the report
-// apart, and the session-seconds/sec rate is the simulation's alone.
-// The document describes the fleet, so the
+// experiments.DynamicFleet. The document describes the fleet, so the
 // flags that build one (-n, -duration, -stagger, -maxn, -algos, -links,
-// -record, -json) are refused beside it rather than ignored; a
-// noise-free fleet is a document whose "env" sets "noise_std_dev": 0.
+// -json) are refused beside it rather than ignored; a noise-free fleet
+// is a document whose "env" sets "noise_std_dev": 0.
 //
 // The run is deterministic for a given flag set: the same seed always
 // produces byte-identical output, at any -shards.
@@ -66,7 +66,7 @@ func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // flagRoadOnly names the flags that build a fleet from flags; a
 // scenario document describes its own fleet, so -scenario refuses them.
-var flagRoadOnly = []string{"n", "duration", "stagger", "maxn", "algos", "links", "record", "json"}
+var flagRoadOnly = []string{"n", "duration", "stagger", "maxn", "algos", "links", "json"}
 
 // run holds main's body so profile-flushing defers execute before the
 // process exits with a status code.
@@ -81,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	algos := fs.String("algos", "hc,gd,bo", "comma-separated algorithm mix cycled across sessions")
 	links := fs.Int("links", 1, "number of independent bottleneck links; session i routes over link i mod links, each link runs as its own shard")
 	shards := fs.Int("shards", 0, "worker budget: max shards stepped concurrently, and with fewer shards than workers the width each decides on (0 = harness default, 1 = serial); never affects output")
-	record := fs.String("record", "auto", "recording fidelity: auto, full, aggregate, or off (auto = aggregate at ≥50000 sessions, full below); metrics are bitwise identical between full and aggregate")
 	maxheap := fs.Uint64("maxheap", 0, "exit 1 if post-run peak heap (runtime HeapSys) exceeds this many bytes (0 = no budget)")
 	jsonOut := fs.Bool("json", false, "emit a one-line machine-readable JSON summary instead of the report")
 	scenarioPath := fs.String("scenario", "", "run a declarative scenario document (JSON) through the dynamic-fleet report instead of the flag-built fleet")
@@ -145,7 +144,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		printRate(stderr, sessions, doc.SessionSeconds(), doc.DurationSeconds, wall)
 		fmt.Fprintf(stderr, "fleet: refairness report in %.2f s wall\n", reportWall.Seconds())
 		peakHeap, peakRSS := peakMemory()
-		return memoryStatus(stderr, "", peakHeap, peakRSS, sessions, *maxheap)
+		return memoryStatus(stderr, peakHeap, peakRSS, sessions, *maxheap)
 	}
 
 	var list []string
@@ -154,35 +153,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 			list = append(list, a)
 		}
 	}
-	recordMode := *record
-	if recordMode == "auto" {
-		// Full fidelity is O(sessions × samples) memory; past this
-		// point the streaming aggregates carry the run. Metrics are
-		// bitwise identical either way.
-		if *n >= 50000 {
-			recordMode = "aggregate"
-		} else {
-			recordMode = "full"
-		}
+	doc, err := experiments.FleetDoc(*n, *duration, *stagger, *maxn, *seed, list, *links)
+	if err != nil {
+		fmt.Fprintf(stderr, "fleet: %v\n", err)
+		return 1
 	}
 	start, cpu0 := time.Now(), cpuSeconds()
-	res, sum, err := experiments.Fleet(experiments.FleetConfig{
-		Sessions:   *n,
-		Duration:   *duration,
-		Stagger:    *stagger,
-		MaxN:       *maxn,
-		Seed:       *seed,
-		Algorithms: list,
-		Links:      *links,
-		Workers:    *shards,
-		RecordMode: recordMode,
-	})
+	fr, err := experiments.Fleet(doc, *shards)
 	wall := time.Since(start)
 	cpuOverWall := (cpuSeconds() - cpu0) / wall.Seconds()
 	if err != nil {
 		fmt.Fprintf(stderr, "fleet: %v\n", err)
 		return 1
 	}
+	start = time.Now()
+	res, sum := fr.Report()
+	reportWall := time.Since(start)
 	peakHeap, peakRSS := peakMemory()
 	if *jsonOut {
 		enc, err := json.Marshal(jsonSummary{*sum, wall.Seconds(), sum.SessionSeconds / wall.Seconds(), cpuOverWall,
@@ -198,7 +184,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	printRate(stderr, sum.Sessions, sum.SessionSeconds, sum.DurationSeconds, wall)
 	fmt.Fprintf(stderr, "fleet: cpu/wall %.2f, decide width %d\n", cpuOverWall, sum.DecideWidth)
-	return memoryStatus(stderr, "record "+sum.RecordMode+", ", peakHeap, peakRSS, sum.Sessions, *maxheap)
+	fmt.Fprintf(stderr, "fleet: contention report in %.2f s wall\n", reportWall.Seconds())
+	return memoryStatus(stderr, peakHeap, peakRSS, sum.Sessions, *maxheap)
 }
 
 // printRate prints the run's simulation rate: simulated session-seconds
@@ -208,12 +195,12 @@ func printRate(stderr io.Writer, sessions int, sessionSeconds, horizon float64, 
 		sessions, sessionSeconds, horizon, wall.Seconds(), sessionSeconds/wall.Seconds())
 }
 
-// memoryStatus prints the peak heap and RSS line (after prefix) and
-// returns the exit status: 1 when budget is positive and the peak heap
-// exceeds it, 0 otherwise.
-func memoryStatus(stderr io.Writer, prefix string, heap, rss uint64, sessions int, budget uint64) int {
-	fmt.Fprintf(stderr, "fleet: %speak heap %.1f MB (%.0f B/session), peak RSS %.1f MB\n",
-		prefix, float64(heap)/1e6, float64(heap)/float64(sessions), float64(rss)/1e6)
+// memoryStatus prints the peak heap and RSS line and returns the exit
+// status: 1 when budget is positive and the peak heap exceeds it, 0
+// otherwise.
+func memoryStatus(stderr io.Writer, heap, rss uint64, sessions int, budget uint64) int {
+	fmt.Fprintf(stderr, "fleet: peak heap %.1f MB (%.0f B/session), peak RSS %.1f MB\n",
+		float64(heap)/1e6, float64(heap)/float64(sessions), float64(rss)/1e6)
 	if budget > 0 && heap > budget {
 		fmt.Fprintf(stderr, "fleet: peak heap %d bytes exceeds -maxheap budget %d\n", heap, budget)
 		return 1

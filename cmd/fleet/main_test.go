@@ -2,13 +2,66 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
+
+// fleetGolden is the SHA-256 of what `fleet -n 600 -links 2 -duration
+// 120 -stagger 0.1 -seed 1` prints: a copy of fleetGolden in
+// internal/experiments/golden_test.go (TestFleetFlagGolden), which
+// pins the same report one layer down.
+const fleetGolden = "01c0ad16918ad95bfd0758cd2e09bf5fd7c915dd1c5b671232c72bbffe870d67"
+
+// TestFlagRoadGolden pins the command's stdout, flag parsing and
+// lowering included, to TestFleetFlagGolden's hash.
+func TestFlagRoadGolden(t *testing.T) {
+	var out, errOut bytes.Buffer
+	args := []string{"-n", "600", "-links", "2", "-duration", "120", "-stagger", "0.1", "-seed", "1"}
+	if code := run(args, &out, &errOut); code != 0 {
+		t.Fatalf("fleet exited %d:\n%s", code, errOut.String())
+	}
+	sum := sha256.Sum256(out.Bytes())
+	if got := hex.EncodeToString(sum[:]); got != fleetGolden {
+		t.Errorf("fleet %s stdout sha256 = %s, want %s", strings.Join(args, " "), got, fleetGolden)
+	}
+}
+
+// TestFlagRoadMatchesDocument: on one link, the command prints the
+// report of a document written out here by hand — one "s%04d-<algo>"
+// agent per session, the hc/gd/bo mix joining at i·stagger under the
+// document's seed and its default task — so the flags' lowering is
+// checked against an independent statement of it.
+func TestFlagRoadMatchesDocument(t *testing.T) {
+	const n, stagger = 60, 0.5
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-n", "60", "-links", "1", "-duration", "120", "-stagger", "0.5", "-seed", "1"}, &out, &errOut); code != 0 {
+		t.Fatalf("fleet exited %d:\n%s", code, errOut.String())
+	}
+	doc := &scenario.Document{Preset: "fleet", Seed: 1, DurationSeconds: 120}
+	for i := 0; i < n; i++ {
+		algo := []string{"hc", "gd", "bo"}[i%3]
+		doc.Agents = append(doc.Agents, scenario.AgentSpec{
+			ID: fmt.Sprintf("s%04d-%s", i, algo), Algorithm: algo, JoinAt: float64(i) * stagger, MaxConcurrency: 8})
+	}
+	fr, err := experiments.Fleet(doc, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ := fr.Report()
+	if want := res.String(); out.String() != want {
+		t.Errorf("fleet stdout differs from the hand-written document's report:\n--- fleet ---\n%s\n--- document ---\n%s", out.String(), want)
+	}
+}
 
 // TestJSONSummarySessionSeconds runs a small fleet through the command
 // with -json and pins sessions_per_sec to what the repo benchmark

@@ -140,10 +140,10 @@ func NewAgentByName(algo string, maxN int, seed int64) (*Agent, error) {
 // ~4.9 KiB table sources (two tables per BO agent ≈ 9.8 KiB, which
 // alone is ~3 GiB across a million sessions). The BO random stream
 // therefore differs from NewAgentByName's; hc and gd decide identically.
-// It is the constructor of every hc/gd/bo agent in a fleet, on both
-// roads: the flag-built fleet (experiments.Fleet) and every scenario
-// document (scenario.Build, behind fleet -scenario, falconsim
-// -scenario, the web service and the benchmark's fleets).
+// It is the constructor of every hc/gd/bo agent in a fleet: every
+// scenario document builds its agents with it (scenario.Build, behind
+// fleet and its flags, fleet -scenario, falconsim -scenario, the web
+// service and the benchmark's fleets).
 func NewFleetAgent(algo string, maxN int, seed int64) (*Agent, error) {
 	var a *Agent
 	var err error

@@ -1,9 +1,8 @@
 // Package dataset describes and synthesises the file collections used
 // throughout the paper's evaluation: the main 1000×1 GB dataset, and
 // the small / large / mixed datasets of §4.4 (multi-parameter
-// optimization). Datasets carry only metadata. The synthetic ones are
-// sizes alone, which is all the simulator reads; named ones list every
-// file.
+// optimization). Datasets carry only metadata: file sizes, which is
+// all the simulator reads. A real transfer names its files with File.
 package dataset
 
 import (
@@ -27,41 +26,34 @@ const (
 	TB = 1e12
 )
 
-// File is one transferable file: a name and a size in bytes.
+// File is one transferable file of a real transfer (internal/ftp): a
+// name and a size in bytes.
 type File struct {
 	Name string
 	Size int64
 }
 
-// Dataset is an ordered collection of files, in one of two forms:
-//
-//   - named: Files lists every file, as a real transfer does;
-//   - synthetic: built by this package from sizes alone, with Files
-//     nil; no per-file name is ever stored.
-//
-// Read files through Count and FileSize, which serve both forms.
-// Datasets are treated as immutable once built: the synthesizers in
-// this package may return the same *Dataset to multiple callers (and to
-// concurrent sweep workers), so callers must not modify Label or Files
-// after construction.
+// Dataset is an ordered collection of file sizes, built by this
+// package; no per-file name is ever stored. Read files through Count
+// and FileSize. Datasets are treated as immutable once built: the
+// synthesizers in this package may return the same *Dataset to
+// multiple callers (and to concurrent sweep workers), so callers must
+// not modify Label after construction.
 type Dataset struct {
 	// Label identifies the dataset in experiment output (e.g. "small").
 	Label string
-	// Files lists a named dataset's files; nil for a synthetic one.
-	Files []File
 
-	// A synthetic dataset's files are sizes in order, then each run in
-	// order. sizes holds no pointers, so the GC never scans it; a
-	// uniform dataset is one run and costs O(1) at any count.
+	// The files are sizes in order, then each run in order. sizes holds
+	// no pointers, so the GC never scans it; a uniform dataset is one
+	// run and costs O(1) at any count.
 	sizes []int64
 	runs  []run
 	count int
 
-	// total and validated memoize TotalBytes and Validate. They are
-	// written only while a dataset is being constructed inside this
-	// package (before the pointer is published), so concurrent readers
-	// need no locking; a Dataset assembled by hand leaves them zero and
-	// pays the linear cost.
+	// total and validated are set while a dataset is being
+	// constructed inside this package (before the pointer is
+	// published), so concurrent readers need no locking; a Dataset
+	// assembled by hand leaves them zero: it holds no files.
 	total     int64
 	validated bool
 }
@@ -73,30 +65,13 @@ type run struct {
 }
 
 // TotalBytes returns the sum of all file sizes.
-func (d *Dataset) TotalBytes() int64 {
-	if d.total > 0 {
-		return d.total
-	}
-	var t int64
-	for _, f := range d.Files {
-		t += f.Size
-	}
-	return t
-}
+func (d *Dataset) TotalBytes() int64 { return d.total }
 
 // Count returns the number of files.
-func (d *Dataset) Count() int {
-	if d.Files != nil {
-		return len(d.Files)
-	}
-	return d.count
-}
+func (d *Dataset) Count() int { return d.count }
 
 // FileSize returns the size in bytes of file i, 0 ≤ i < Count().
 func (d *Dataset) FileSize(i int) int64 {
-	if d.Files != nil {
-		return d.Files[i].Size
-	}
 	d.checkIndex(i)
 	if i < len(d.sizes) {
 		return d.sizes[i]
@@ -118,15 +93,9 @@ func (d *Dataset) checkIndex(i int) {
 }
 
 // TailBytes returns the total size of the last k files, 0 ≤ k ≤
-// Count(). A synthetic dataset's runs answer in O(runs), not O(k).
+// Count(). The runs answer in O(runs), not O(k).
 func (d *Dataset) TailBytes(k int) int64 {
 	var t int64
-	if d.Files != nil {
-		for _, f := range d.Files[len(d.Files)-k:] {
-			t += f.Size
-		}
-		return t
-	}
 	for j := len(d.runs) - 1; j >= 0 && k > 0; j-- {
 		n := min(k, d.runs[j].count)
 		t += int64(n) * d.runs[j].size
@@ -154,10 +123,7 @@ func (d *Dataset) MedianFileSize() int64 {
 	}
 	// Sort (size, multiplicity) groups, so a run counts once however
 	// many files it holds.
-	groups := make([]run, 0, len(d.Files)+len(d.sizes)+len(d.runs))
-	for _, f := range d.Files {
-		groups = append(groups, run{1, f.Size})
-	}
+	groups := make([]run, 0, len(d.sizes)+len(d.runs))
 	for _, s := range d.sizes {
 		groups = append(groups, run{1, s})
 	}
@@ -173,29 +139,12 @@ func (d *Dataset) MedianFileSize() int64 {
 	panic("unreachable")
 }
 
-// Validate checks structural invariants: a non-empty label, and every
-// file having a unique non-empty name and positive size. Datasets from
-// this package's synthesizers are valid by construction and return
-// immediately.
+// Validate checks structural invariants: a non-empty label. Datasets
+// from this package's synthesizers are valid by construction and
+// return immediately.
 func (d *Dataset) Validate() error {
-	if d.validated {
-		return nil
-	}
-	if d.Label == "" {
+	if !d.validated && d.Label == "" {
 		return fmt.Errorf("dataset: empty label")
-	}
-	seen := make(map[string]bool, len(d.Files))
-	for i, f := range d.Files {
-		if f.Name == "" {
-			return fmt.Errorf("dataset %q: file %d has empty name", d.Label, i)
-		}
-		if f.Size <= 0 {
-			return fmt.Errorf("dataset %q: file %q has non-positive size %d", d.Label, f.Name, f.Size)
-		}
-		if seen[f.Name] {
-			return fmt.Errorf("dataset %q: duplicate file name %q", d.Label, f.Name)
-		}
-		seen[f.Name] = true
 	}
 	return nil
 }
@@ -212,10 +161,8 @@ func BatchBytes(count int, size int64) (int64, bool) {
 
 // Grow returns a new dataset holding d's files followed by count more
 // files of the given size; d itself is unchanged, since datasets are
-// shared. A synthetic dataset gains one run. A named dataset stays
-// named: the new files take the synthetic names of their positions,
-// which must not collide with d's. It returns an error for a count or
-// size below 1, a total that overflows int64, or a name collision.
+// shared: the new dataset gains one run. It returns an error for a
+// count or size below 1, or a total that overflows int64.
 func (d *Dataset) Grow(count int, size int64) (*Dataset, error) {
 	// Every file holds at least one byte, so a byte total that fits
 	// int64 bounds the file count too.
@@ -225,46 +172,12 @@ func (d *Dataset) Grow(count int, size int64) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset %q: cannot grow by %d files of %d bytes: both must be ≥ 1 and the total fit int64",
 			d.Label, count, size)
 	}
-	if d.Files != nil {
-		files := make([]File, n, n+count)
-		copy(files, d.Files)
-		for i := n; i < n+count; i++ {
-			files = append(files, File{Name: fileName(d.Label, i), Size: size})
-		}
-		g := &Dataset{Label: d.Label, Files: files}
-		if err := g.Validate(); err != nil {
-			return nil, err
-		}
-		g.total, g.validated = total+add, true
-		return g, nil
-	}
 	runs := make([]run, len(d.runs), len(d.runs)+1)
 	copy(runs, d.runs)
 	return &Dataset{
 		Label: d.Label, sizes: d.sizes, runs: append(runs, run{count, size}),
 		count: n + count, total: total + add, validated: true,
 	}, nil
-}
-
-// fileName renders "<label>-NNNNNN.dat" (at least six digits,
-// zero-padded) without fmt, so deriving a name stays cheap.
-func fileName(label string, i int) string {
-	b := make([]byte, 0, len(label)+12)
-	b = append(b, label...)
-	b = append(b, '-')
-	if i < 1000000 {
-		var digits [6]byte
-		v := i
-		for j := 5; j >= 0; j-- {
-			digits[j] = byte('0' + v%10)
-			v /= 10
-		}
-		b = append(b, digits[:]...)
-	} else {
-		b = append(b, fmt.Sprintf("%06d", i)...)
-	}
-	b = append(b, ".dat"...)
-	return string(b)
 }
 
 // Uniform returns a dataset of count files, each of the given size. It

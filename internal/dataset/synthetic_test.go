@@ -1,27 +1,11 @@
 package dataset
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-// renderedName is the name every synthetic file has always carried:
-// "<label>-NNNNNN.dat", zero-padded to at least six digits.
-func renderedName(label string, i int) string { return fmt.Sprintf("%s-%06d.dat", label, i) }
-
-// TestDerivedNamesMatchRenderedNames: the names Grow derives for a
-// named dataset's new files equal the rendered names, across the
-// six-digit boundary too.
-func TestDerivedNamesMatchRenderedNames(t *testing.T) {
-	for _, i := range []int{0, 1, 9, 10, 999_999, 1_000_000, 1_234_567, 1_999_999} {
-		if got, want := fileName("u", i), renderedName("u", i); got != want {
-			t.Errorf("fileName(%d) = %q, want %q", i, got, want)
-		}
-	}
-}
 
 var (
 	sinkDataset *Dataset
@@ -99,23 +83,6 @@ func TestGrowAppendsARun(t *testing.T) {
 		if _, err := base.Grow(c.n, c.size); err == nil {
 			t.Errorf("Grow(%d, %d) accepted", c.n, c.size)
 		}
-	}
-}
-
-// TestGrowNamedDataset: a named dataset stays named when it grows, and
-// a batch whose derived names collide with stored ones is refused.
-func TestGrowNamedDataset(t *testing.T) {
-	d := &Dataset{Label: "n", Files: []File{{Name: "a", Size: 1}, {Name: "b", Size: 2}}}
-	g, err := d.Grow(2, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(g.Files) != 4 || g.Files[2].Name != "n-000002.dat" || g.FileSize(3) != 5 || g.TotalBytes() != 13 {
-		t.Fatalf("grown named dataset: %+v", g.Files)
-	}
-	clash := &Dataset{Label: "n", Files: []File{{Name: "a", Size: 1}, {Name: "n-000002.dat", Size: 2}}}
-	if _, err := clash.Grow(1, 1); err == nil {
-		t.Fatal("colliding name accepted")
 	}
 }
 

@@ -2,80 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/scenario"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
-
-// FleetConfig parameterizes a fleet-scale contention run: many
-// concurrent Falcon sessions optimizing independently against one
-// shared bottleneck. It is the workload the flow-class aggregated
-// allocator exists for — hundreds of flows collapsing to a handful of
-// classes.
-type FleetConfig struct {
-	// Sessions is the number of concurrent transfer sessions.
-	Sessions int
-	// Duration is the simulated horizon in seconds.
-	Duration float64
-	// Stagger is the join spacing in seconds: session i joins at
-	// i*Stagger, so the fleet ramps up instead of thundering in at t=0.
-	Stagger float64
-	// MaxN bounds each agent's concurrency search domain.
-	MaxN int
-	// Seed is the base seed; session i's agent is seeded Seed+i.
-	Seed int64
-	// Algorithms are cycled across sessions by index. Empty means
-	// the hc/gd/bo mix.
-	Algorithms []string
-	// Links is the number of independent 10 Gbps bottleneck links.
-	// Session i routes over link i mod Links, and each link runs as
-	// its own shard (testbed.ShardSet) because its sessions never
-	// contend with the others'. Default 1 — the classic single
-	// shared bottleneck.
-	Links int
-	// Workers bounds how many shards step concurrently (≤1 serial,
-	// 0 the parallel harness default). Never affects output.
-	Workers int
-	// RecordMode selects the run's recording fidelity: "full" (the
-	// default) keeps per-session throughput/concurrency/loss series,
-	// "aggregate" streams recording points into constant-space
-	// per-window accumulators (the million-session memory diet), and
-	// "off" records nothing. Every reported metric is bitwise
-	// identical between full and aggregate; off skips metrics
-	// entirely.
-	RecordMode string
-}
-
-// withDefaults fills zero fields with the standard fleet shape:
-// 500 sessions for 600 s on one 10 Gbps bottleneck.
-func (c FleetConfig) withDefaults() FleetConfig {
-	if c.Sessions <= 0 {
-		c.Sessions = 500
-	}
-	if c.Duration <= 0 {
-		c.Duration = 600
-	}
-	if c.Stagger < 0 {
-		c.Stagger = 0
-	}
-	if c.MaxN <= 0 {
-		c.MaxN = 8
-	}
-	if len(c.Algorithms) == 0 {
-		c.Algorithms = []string{core.AlgoHillClimbing, core.AlgoGradient, core.AlgoBayesian}
-	}
-	if c.Links <= 0 {
-		c.Links = 1
-	}
-	if c.RecordMode == "" {
-		c.RecordMode = testbed.RecordFull.String()
-	}
-	return c
-}
 
 // FleetSummary is the machine-readable distillation of a fleet run,
 // for cmd/fleet -json and the benchmark harness.
@@ -91,136 +25,176 @@ type FleetSummary struct {
 	ConvergedAtSeconds float64 `json:"converged_at_seconds"`
 	EquilibriumJain    float64 `json:"equilibrium_jain"`
 	AggregateGbps      float64 `json:"aggregate_gbps"`
-	// RecordMode is the recording fidelity the run used.
-	RecordMode string `json:"record_mode"`
 	// DecideWidth is how many goroutines each shard decided its due
 	// sets on (testbed.ShardSet.DecideWidth): a function of the worker
 	// budget and the shard count, never of the output.
 	DecideWidth int `json:"decide_width"`
 }
 
-// FleetTestbed returns the shared-bottleneck environment for fleet
-// runs: a 10 Gbps WAN-ish path (30 ms RTT) whose storage and hosts are
-// provisioned far above the link, so every session contends for the
-// same network resource. Per-process storage caps are loose enough
-// that the per-connection cap is the stream cap, identical across the
-// fleet — with one parallelism setting in play, every flow lands in a
-// handful of classes regardless of session count. The environment
-// itself is the scenario subsystem's "fleet" preset; this is a thin
-// wrapper so fleet experiments, scenario documents, and the cmds all
-// resolve the same config.
-func FleetTestbed() testbed.Config {
-	cfg, ok := scenario.PresetConfig("fleet")
-	if !ok {
-		panic("experiments: scenario preset \"fleet\" missing")
+// FleetDoc lowers cmd/fleet's flags onto a scenario document: sessions
+// Falcon sessions on the "fleet" preset's shared bottleneck, one agent
+// spec each, so that session i keeps roster index i and with it the
+// agent seed seed+i. Session i, named "s%04d-<algo>", runs algos[i mod
+// len(algos)] over concurrency domain [1, maxn] and joins at
+// i·stagger, so the fleet ramps up in index order. With links > 1 the
+// fleet spreads over that many parallel copies of the preset's link
+// (10 Gbps, 15 ms each way, so every route keeps the preset's 30 ms
+// RTT) with session i pinned to lnk<i mod links>; the partitioner runs
+// each link as its own shard, keyed lnk<k> and seeded seed+k.
+func FleetDoc(sessions int, duration, stagger float64, maxn int, seed int64, algos []string, links int) (*scenario.Document, error) {
+	if sessions < 1 {
+		return nil, fmt.Errorf("fleet: %d sessions; need at least one", sessions)
 	}
-	return cfg
+	if len(algos) == 0 {
+		return nil, fmt.Errorf("fleet: no algorithms")
+	}
+	// Zero values would take the document's defaults instead: a domain
+	// bound of 64, a seed of 1.
+	if maxn < 2 {
+		return nil, fmt.Errorf("fleet: max concurrency %d must be ≥ 2", maxn)
+	}
+	if seed == 0 {
+		return nil, fmt.Errorf("fleet: seed 0 reads as a document's default seed, 1; pick another")
+	}
+	if lastJoin := float64(sessions-1) * stagger; lastJoin >= duration {
+		return nil, fmt.Errorf("fleet: last join %.0fs is past the %.0fs horizon", lastJoin, duration)
+	}
+	doc := &scenario.Document{
+		Preset:          "fleet",
+		Seed:            seed,
+		DurationSeconds: duration,
+		Agents:          make([]scenario.AgentSpec, sessions),
+	}
+	if links > 1 {
+		env, _ := scenario.PresetConfig("fleet")
+		doc.Topology = &scenario.TopologySpec{Nodes: []string{"src", "dst"}, Src: "src", Dst: "dst"}
+		for k := 0; k < links; k++ {
+			doc.Topology.Links = append(doc.Topology.Links, scenario.LinkSpec{
+				ID: fmt.Sprintf("lnk%d", k), A: "src", B: "dst", Capacity: env.LinkCapacity, Latency: env.RTT / 2,
+			})
+		}
+	}
+	// Every session starts at two streams on a private dataset of
+	// 20 000 × 1 GB files, more than a fleet horizon drains. The specs
+	// share these two values, so normalising allocates neither per
+	// session.
+	initial := &scenario.SettingSpec{Concurrency: 2, Parallelism: 1, Pipelining: 1}
+	ds := &scenario.DatasetSpec{Count: 20000, Size: 1e9}
+	for i := range doc.Agents {
+		algo := algos[i%len(algos)]
+		a := &doc.Agents[i]
+		*a = scenario.AgentSpec{
+			ID:             fmt.Sprintf("s%04d-%s", i, algo),
+			Count:          1,
+			Algorithm:      algo,
+			JoinAt:         float64(i) * stagger,
+			MaxConcurrency: maxn,
+			Initial:        initial,
+			Dataset:        ds,
+		}
+		if links > 1 {
+			a.Link = doc.Topology.Links[i%links].ID
+		}
+	}
+	return doc, nil
 }
 
-// Fleet runs cfg.Sessions concurrent Falcon sessions (HC/GD/BO mix by
-// default) against the shared FleetTestbed bottleneck and reports
-// convergence time, Jain's fairness index, and aggregate throughput.
+// FleetRun is an executed fleet document awaiting its contention
+// report: the simulation and the report are two calls, so a caller can
+// time them apart.
+type FleetRun struct {
+	run         *scenario.Run
+	rec         *fleetRecorder
+	decideWidth int
+}
+
+// Fleet builds and runs a fleet document (FleetDoc) to its horizon,
+// streaming every session's throughput into constant-space window
+// accumulators instead of keeping per-session timelines. workers is
+// the run's worker budget (testbed.ShardSet.SetWorkers); the report
+// never depends on it.
+//
+// Fleet is intentionally NOT registered in All(): it is a scale/stress
+// workload driven by cmd/fleet, not a paper figure, and adding it to
+// the registry would change reproduce output.
+func Fleet(doc *scenario.Document, workers int) (*FleetRun, error) {
+	run, err := doc.Build()
+	if err != nil {
+		return nil, err
+	}
+	// The recorder finds a session's slot from its ID.
+	for i, id := range run.AgentIDs {
+		if k, ok := fleetIndex(id); !ok || k != i {
+			return nil, fmt.Errorf("fleet: agent %d is %q, not a fleet session (s%04d-<algo>)", i, id, i)
+		}
+	}
+	rec := newFleetRecorder(len(run.AgentIDs), doc.DurationSeconds, lastJoinOf(run))
+	ss, err := testbed.NewShardSet(run.ShardSpecs(), doc.RecordSeconds)
+	if err != nil {
+		return nil, err
+	}
+	ss.SetWorkers(workers)
+	ss.SetRecording(testbed.RecordAggregate, rec)
+	if _, err := ss.Run(doc.DurationSeconds, doc.TickSeconds); err != nil {
+		return nil, err
+	}
+	return &FleetRun{run: run, rec: rec, decideWidth: ss.DecideWidth()}, nil
+}
+
+// lastJoinOf is the latest join in the run's roster.
+func lastJoinOf(run *scenario.Run) float64 {
+	last := 0.0
+	for _, p := range run.Participants {
+		last = max(last, p.JoinAt)
+	}
+	return last
+}
+
+// Report renders the executed fleet's contention report: per-algorithm
+// equilibrium throughput and fairness, the fleet-wide convergence
+// time, and the aggregate throughput.
+func (f *FleetRun) Report() (*Result, *FleetSummary) {
+	r, sum := fleetReport(f.run, f.rec.stats())
+	sum.DecideWidth = f.decideWidth
+	return r, sum
+}
+
+// fleetReport renders a fleet's report from its distilled statistics.
 //
 // Convergence time is the earliest window start t ≥ the last join at
 // which Jain's index over per-session mean throughputs in [t, t+W]
 // reaches 0.9 (W is a tenth of the horizon, slid in half-window
 // steps). Equilibrium metrics are taken over the final quarter of the
 // run.
-//
-// Fleet is intentionally NOT registered in All(): it is a scale/stress
-// workload driven by cmd/fleet, not a paper figure, and adding it to
-// the registry would change reproduce output.
-func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
-	cfg = cfg.withDefaults()
-	mode, err := testbed.ParseRecordMode(cfg.RecordMode)
-	if err != nil {
-		return nil, nil, err
+func fleetReport(run *scenario.Run, fs *fleetStats) (*Result, *FleetSummary) {
+	doc := run.Doc
+	duration := doc.DurationSeconds
+	lastJoin := lastJoinOf(run)
+	links := 1
+	if doc.Topology != nil {
+		links = len(doc.Topology.Links)
 	}
-	env := FleetTestbed()
-	bottle := fmt.Sprintf("one %.0f Gbps bottleneck", env.LinkCapacity/1e9)
-	if cfg.Links > 1 {
-		bottle = fmt.Sprintf("%d × %.0f Gbps bottlenecks", cfg.Links, env.LinkCapacity/1e9)
+	linkGbps := run.Config.LinkCapacity / 1e9
+	algoOf := make([]string, 0, len(run.AgentIDs))
+	var mix []string
+	for _, a := range doc.Agents {
+		for j := 0; j < a.Count; j++ {
+			algoOf = append(algoOf, a.Algorithm)
+		}
+		if !slices.Contains(mix, a.Algorithm) {
+			mix = append(mix, a.Algorithm)
+		}
+	}
+
+	bottle := fmt.Sprintf("one %.0f Gbps bottleneck", linkGbps)
+	if links > 1 {
+		bottle = fmt.Sprintf("%d × %.0f Gbps bottlenecks", links, linkGbps)
 	}
 	r := &Result{
 		ID: "fleet",
 		Title: fmt.Sprintf("Fleet contention: %d sessions (%s) on %s",
-			cfg.Sessions, strings.Join(cfg.Algorithms, "/"), bottle),
+			len(algoOf), strings.Join(mix, "/"), bottle),
 		Header: []string{"Algorithm", "Sessions", "Mean ± σ (Mbps, equilibrium)", "p50/p90/p99 (Mbps)", "Jain (within algo)"},
-	}
-
-	// Session i joins at i·Stagger: the fleet ramps up in index order.
-	lastJoin := float64(cfg.Sessions-1) * cfg.Stagger
-	if lastJoin >= cfg.Duration {
-		return nil, nil, fmt.Errorf("fleet: last join %.0fs is past the %.0fs horizon", lastJoin, cfg.Duration)
-	}
-
-	shards := make([]testbed.ShardSpec, cfg.Links)
-	for k := range shards {
-		shards[k] = testbed.ShardSpec{
-			Key:    fmt.Sprintf("lnk%d", k),
-			Config: env,
-			Seed:   cfg.Seed + int64(k),
-		}
-	}
-	ids := make([]string, cfg.Sessions)
-	algoOf := make([]string, cfg.Sessions)
-	sessionSeconds := 0.0
-	for i := 0; i < cfg.Sessions; i++ {
-		algo := cfg.Algorithms[i%len(cfg.Algorithms)]
-		agent, err := core.NewFleetAgent(algo, cfg.MaxN, cfg.Seed+int64(i))
-		if err != nil {
-			return nil, nil, err
-		}
-		k := i % cfg.Links
-		id := fmt.Sprintf("s%04d-%s", i, algo)
-		ids[i] = id
-		algoOf[i] = algo
-		join := float64(i) * cfg.Stagger
-		sessionSeconds += cfg.Duration - join
-		shards[k].Parts = append(shards[k].Parts, testbed.Participant{
-			Task:       endlessTask(id, 2),
-			Controller: agent,
-			JoinAt:     join,
-		})
-	}
-
-	ss, err := testbed.NewShardSet(shards, 1)
-	if err != nil {
-		return nil, nil, err
-	}
-	ss.SetWorkers(cfg.Workers)
-	var rec *fleetRecorder
-	switch mode {
-	case testbed.RecordAggregate:
-		rec = newFleetRecorder(cfg.Sessions, cfg.Duration, lastJoin)
-		ss.SetRecording(mode, rec)
-	case testbed.RecordOff:
-		ss.SetRecording(mode, nil)
-	}
-	tl, err := ss.Run(cfg.Duration, 0.25)
-	if err != nil {
-		return nil, nil, err
-	}
-
-	sum := &FleetSummary{
-		Sessions:           cfg.Sessions,
-		Links:              cfg.Links,
-		DurationSeconds:    cfg.Duration,
-		SessionSeconds:     sessionSeconds,
-		ConvergedAtSeconds: -1,
-		RecordMode:         mode.String(),
-		DecideWidth:        ss.DecideWidth(),
-	}
-
-	if mode == testbed.RecordOff {
-		r.AddNote("record mode off: per-session metrics not recorded")
-		return r, sum, nil
-	}
-	var fs *fleetStats
-	if mode == testbed.RecordAggregate {
-		fs = rec.stats()
-	} else {
-		fs = fleetStatsFromTimeline(tl, cfg, ids, lastJoin)
 	}
 
 	aggregate := 0.0
@@ -230,8 +204,8 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 		perAlgo[algoOf[i]] = append(perAlgo[algoOf[i]], m)
 	}
 	eqJain := stats.JainIndex(fs.eqMeans)
-	eq0, eq1 := cfg.Duration*3/4, cfg.Duration
-	window := cfg.Duration / 10
+	eq0, eq1 := duration*3/4, duration
+	window := duration / 10
 
 	algos := make([]string, 0, len(perAlgo))
 	for a := range perAlgo {
@@ -255,47 +229,20 @@ func Fleet(cfg FleetConfig) (*Result, *FleetSummary, error) {
 	} else {
 		r.AddNote("fleet Jain never reached 0.9 after the last join at %.0fs", lastJoin)
 	}
-	if cfg.Links == 1 {
+	if links == 1 {
 		r.AddNote("equilibrium [%.0fs, %.0fs]: Jain %.3f, aggregate %.2f Gbps (link %.0f Gbps)",
-			eq0, eq1, eqJain, aggregate, env.LinkCapacity/1e9)
+			eq0, eq1, eqJain, aggregate, linkGbps)
 	} else {
 		r.AddNote("equilibrium [%.0fs, %.0fs]: Jain %.3f, aggregate %.2f Gbps (%d × %.0f Gbps links)",
-			eq0, eq1, eqJain, aggregate, cfg.Links, env.LinkCapacity/1e9)
+			eq0, eq1, eqJain, aggregate, links, linkGbps)
 	}
-	sum.ConvergedAtSeconds = fs.converged
-	sum.EquilibriumJain = eqJain
-	sum.AggregateGbps = aggregate
-	return r, sum, nil
-}
-
-// fleetStatsFromTimeline computes the fleet metrics from full-fidelity
-// per-session series — the reference arithmetic the streaming
-// fleetRecorder replicates bitwise.
-func fleetStatsFromTimeline(tl *testbed.Timeline, cfg FleetConfig, ids []string, lastJoin float64) *fleetStats {
-	// Convergence: slide a window of a tenth of the horizon from the
-	// last join forward in half-window steps until the fleet-wide Jain
-	// index over per-session means reaches 0.9.
-	window := cfg.Duration / 10
-	fleetJain := func(t0, t1 float64) float64 {
-		means := make([]float64, cfg.Sessions)
-		for i, id := range ids {
-			means[i] = tl.MeanThroughputGbps(id, t0, t1)
-		}
-		return stats.JainIndex(means)
+	return r, &FleetSummary{
+		Sessions:           len(algoOf),
+		Links:              links,
+		DurationSeconds:    duration,
+		SessionSeconds:     doc.SessionSeconds(),
+		ConvergedAtSeconds: fs.converged,
+		EquilibriumJain:    eqJain,
+		AggregateGbps:      aggregate,
 	}
-	converged := -1.0
-	for t := lastJoin; t+window <= cfg.Duration; t += window / 2 {
-		if fleetJain(t, t+window) >= 0.9 {
-			converged = t
-			break
-		}
-	}
-
-	// Equilibrium: final quarter of the run.
-	eq0, eq1 := cfg.Duration*3/4, cfg.Duration
-	eqMeans := make([]float64, cfg.Sessions)
-	for i, id := range ids {
-		eqMeans[i] = tl.MeanThroughputGbps(id, eq0, eq1)
-	}
-	return &fleetStats{converged: converged, eqMeans: eqMeans}
 }

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/scenario"
 )
 
 // TestFleetSmall runs a scaled-down fleet and checks the scenario's
@@ -10,17 +12,13 @@ import (
 // fleet reaches a fair equilibrium, and the shared bottleneck is well
 // utilized. The full 500-session acceptance run lives in cmd/fleet.
 func TestFleetSmall(t *testing.T) {
-	cfg := FleetConfig{Sessions: 45, Duration: 300, Stagger: 0.5, Seed: 3}
 	render := func() string {
-		res, _, err := Fleet(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.String()
+		out, _ := fleetStreamed(t, fleetDoc(t, 45, 300, 0.5, 3, 1), 0)
+		return out
 	}
 	out := render()
 	if out != render() {
-		t.Fatal("same FleetConfig produced different output across runs")
+		t.Fatal("same fleet flags produced different output across runs")
 	}
 	if !strings.Contains(out, "fleet Jain ≥0.9") {
 		t.Fatalf("fleet never reached Jain 0.9:\n%s", out)
@@ -29,6 +27,36 @@ func TestFleetSmall(t *testing.T) {
 		if !strings.Contains(out, algo) {
 			t.Fatalf("missing %s row:\n%s", algo, out)
 		}
+	}
+}
+
+// TestFleetDocRefusesBadFlags: flags the document would silently
+// replace by its defaults, or that leave sessions unjoined, are errors;
+// and Fleet refuses a document whose roster is not a lowered fleet's.
+func TestFleetDocRefusesBadFlags(t *testing.T) {
+	hgb := []string{"hc", "gd", "bo"}
+	for _, c := range []struct {
+		name              string
+		n, maxn           int
+		duration, stagger float64
+		seed              int64
+		algos             []string
+	}{
+		{"last join past horizon", 11, 8, 10, 1, 1, hgb},
+		{"zero horizon", 1, 8, 0, 0.5, 1, hgb},
+		{"no algorithms", 5, 8, 60, 0.5, 1, nil},
+		{"zero domain", 5, 0, 60, 0.5, 1, hgb},
+		{"no sessions", 0, 8, 60, 0.5, 1, hgb},
+		{"negative sessions", -5, 8, 60, 0.5, 1, hgb},
+		{"zero seed", 5, 8, 60, 0.5, 0, hgb},
+	} {
+		if _, err := FleetDoc(c.n, c.duration, c.stagger, c.maxn, c.seed, c.algos, 1); err == nil {
+			t.Errorf("%s: FleetDoc accepted it", c.name)
+		}
+	}
+	doc := &scenario.Document{Preset: "fleet", DurationSeconds: 60, Agents: []scenario.AgentSpec{{Count: 2}}}
+	if _, err := Fleet(doc, 1); err == nil {
+		t.Error("Fleet ran agents not named s<index>-<algo>")
 	}
 }
 

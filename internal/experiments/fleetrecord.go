@@ -7,25 +7,25 @@ import (
 )
 
 // fleetStats is the distilled measurement a fleet run's metrics are
-// rendered from, produced identically by the full-fidelity timeline
-// path and the streaming aggregate recorder: the fleet-wide convergence
-// time and each session's equilibrium mean throughput (Gbps, session
-// index order).
+// rendered from, produced by the streaming recorder (and, bitwise
+// identically, by the tests' full-timeline oracle): the fleet-wide
+// convergence time and each session's equilibrium mean throughput
+// (Gbps, session index order).
 type fleetStats struct {
 	converged float64
 	eqMeans   []float64
 }
 
-// fleetRecorder is the testbed.Recorder behind RecordAggregate fleet
-// runs. Instead of materializing per-session throughput series —
+// fleetRecorder is the testbed.Recorder behind every fleet run.
+// Instead of materializing per-session throughput series —
 // O(sessions × samples) memory, ~GBs at a million sessions — it folds
 // every recording point into per-session per-window (sum, count)
-// accumulators: the overlapping convergence windows the full-fidelity
-// path slides from the last join, plus the equilibrium quarter.
-// That is constant space per session per window, and because each
-// window's sum accumulates in the same time order the timeline's
-// MeanBetween(t0, t1) sums, the resulting means — and every
-// metric derived from them — are bitwise identical to full mode.
+// accumulators: the overlapping convergence windows slid from the last
+// join, plus the equilibrium quarter. That is constant space per
+// session per window, and because each window's sum accumulates in the
+// same time order a full timeline's MeanBetween(t0, t1) sums, the
+// resulting means — and every metric derived from them — are bitwise
+// identical to ones taken over full timelines.
 //
 // Concurrency: Attach and Record are called from shard worker
 // goroutines, never for the same session from two goroutines. The
@@ -36,9 +36,9 @@ type fleetRecorder struct {
 	slots    int // len(winStart) convergence windows + 1 equilibrium slot
 
 	// winStart is built by the same repeated t += window/2 additions
-	// the full-fidelity convergence scan performs, and winEnd[j] is the
-	// single add winStart[j]+window it passes to MeanBetween — so every
-	// boundary comparison is bit-identical across modes.
+	// a convergence scan over full timelines performs, and winEnd[j] is
+	// the single add winStart[j]+window it passes to MeanBetween — so
+	// every boundary comparison is bit-identical to that scan's.
 	winStart []float64
 	winEnd   []float64
 	halfWin  float64
@@ -50,9 +50,10 @@ type fleetRecorder struct {
 }
 
 // newFleetRecorder sizes the accumulators for a fleet of the given
-// shape. Windows replicate fleetStatsFromTimeline: width duration/10,
-// slid from lastJoin in half-window steps while they fit the horizon,
-// and the equilibrium slot covers [duration·3/4, duration).
+// shape. Windows replicate the tests' full-timeline oracle
+// (fleetStatsFromTimeline): width duration/10, slid from lastJoin in
+// half-window steps while they fit the horizon, and the equilibrium
+// slot covers [duration·3/4, duration).
 func newFleetRecorder(sessions int, duration, lastJoin float64) *fleetRecorder {
 	window := duration / 10
 	r := &fleetRecorder{
@@ -72,22 +73,26 @@ func newFleetRecorder(sessions int, duration, lastJoin float64) *fleetRecorder {
 	return r
 }
 
-// Attach recovers the session index from its fleet ID ("s<index>-…").
-func (r *fleetRecorder) Attach(id string) int32 {
-	if len(id) < 2 || id[0] != 's' {
-		panic(fmt.Sprintf("experiments: fleet recorder attached to non-fleet session %q", id))
-	}
-	i := 0
+// fleetIndex parses the session index out of a fleet ID ("s<index>-…").
+func fleetIndex(id string) (int, bool) {
 	k := 1
+	i := 0
 	for ; k < len(id) && id[k] != '-'; k++ {
 		c := id[k]
 		if c < '0' || c > '9' {
-			panic(fmt.Sprintf("experiments: fleet recorder attached to non-fleet session %q", id))
+			return 0, false
 		}
 		i = i*10 + int(c-'0')
 	}
-	if k == 1 || i >= r.sessions {
-		panic(fmt.Sprintf("experiments: fleet session %q out of range (%d sessions)", id, r.sessions))
+	return i, len(id) > 1 && id[0] == 's' && k > 1 && k < len(id)
+}
+
+// Attach recovers the session index from its fleet ID, which Fleet has
+// checked against the roster.
+func (r *fleetRecorder) Attach(id string) int32 {
+	i, ok := fleetIndex(id)
+	if !ok || i >= r.sessions {
+		panic(fmt.Sprintf("experiments: fleet recorder attached to non-fleet session %q", id))
 	}
 	return int32(i)
 }
@@ -121,7 +126,7 @@ func (r *fleetRecorder) Record(h int32, t, gbps float64) {
 }
 
 // stats distills the accumulators into fleetStats, replaying the
-// full-fidelity path's arithmetic: per-window per-session means in
+// full-timeline oracle's arithmetic: per-window per-session means in
 // session index order, first window whose Jain index reaches 0.9.
 func (r *fleetRecorder) stats() *fleetStats {
 	mean := func(i, j int) float64 {

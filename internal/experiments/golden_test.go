@@ -53,25 +53,21 @@ func TestReproduceGolden(t *testing.T) {
 // fleetGolden is the SHA-256 of the rendered Fleet report for a
 // 600-session, 2-link, 120 s, 0.1 s-stagger, seed-1 fleet: what
 // `fleet -n 600 -links 2 -duration 120 -stagger 0.1 -seed 1` prints.
-// Full and aggregate recording render the same bytes, so one constant
-// pins both. It pins the flag road (experiments.Fleet), which the
-// scenario package's TestFleetGolden does not reach.
+// The streaming report and the full-timeline oracle render the same
+// bytes, so one constant pins both. It pins the flag road (FleetDoc's
+// lowering and Fleet's report), which the scenario package's
+// TestFleetGolden does not reach.
 const fleetGolden = "01c0ad16918ad95bfd0758cd2e09bf5fd7c915dd1c5b671232c72bbffe870d67"
 
-// TestFleetFlagGolden pins experiments.Fleet's report in the full and
-// aggregate record modes to the checked-in hash.
+// TestFleetFlagGolden pins the lowered flag set's report, streamed and
+// recomputed from full timelines, to the checked-in hash.
 func TestFleetFlagGolden(t *testing.T) {
-	for _, mode := range []string{"full", "aggregate"} {
-		res, _, err := Fleet(FleetConfig{Sessions: 600, Duration: 120, Stagger: 0.1, Seed: 1, Links: 2, RecordMode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		if err := res.Render(h); err != nil {
-			t.Fatal(err)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != fleetGolden {
-			t.Errorf("record %s: fleet report sha256 = %s, want %s", mode, got, fleetGolden)
+	streamed, _ := fleetStreamed(t, fleetDoc(t, 600, 120, 0.1, 1, 2), 0)
+	full, _ := fleetFromTimeline(t, fleetDoc(t, 600, 120, 0.1, 1, 2))
+	for leg, out := range map[string]string{"streamed": streamed, "full-timeline": full} {
+		sum := sha256.Sum256([]byte(out))
+		if got := hex.EncodeToString(sum[:]); got != fleetGolden {
+			t.Errorf("%s: fleet report sha256 = %s, want %s", leg, got, fleetGolden)
 		}
 	}
 }

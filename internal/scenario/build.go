@@ -51,7 +51,6 @@ func PresetConfig(name string) (testbed.Config, bool) {
 // fleetConfig is the shared-bottleneck fleet environment: a 10 Gbps
 // WAN-ish path whose storage and hosts are provisioned far above the
 // link, so every session contends for the same network resource.
-// experiments.FleetTestbed delegates here.
 func fleetConfig() testbed.Config {
 	return testbed.Config{
 		Name:           "fleet",
@@ -68,9 +67,9 @@ func fleetConfig() testbed.Config {
 }
 
 // Run is a compiled scenario: the environment config, the expanded
-// participant roster (tasks already constructed), and the mutation
-// schedule as engine horizons. Tasks are stateful, so a Run drives at
-// most one execution; Build again for another.
+// participant roster (tasks already constructed), and each shard's
+// mutation schedule as engine horizons. Tasks are stateful, so a Run
+// drives at most one execution; Build again for another.
 type Run struct {
 	// Doc is the normalised source document.
 	Doc *Document
@@ -80,11 +79,6 @@ type Run struct {
 	AgentIDs []string
 	// Participants couple each agent's task, controller, and schedule.
 	Participants []testbed.Participant
-	// Mutations is the compiled schedule, sorted by time, lowered onto
-	// the default src→dst route. Legacy consumers driving Config +
-	// NewEngine directly use it; sharded execution uses the per-shard
-	// schedules in Shards.
-	Mutations []testbed.Mutation
 	// Shards partitions the roster into independent contention
 	// domains, in first-appearance order. Always at least one; for
 	// documents without pinned links it is exactly one shard holding
@@ -153,11 +147,7 @@ func (d *Document) Build() (*Run, error) {
 	if err := d.partition(r, d.baseConfig()); err != nil {
 		return nil, err
 	}
-	r.Mutations, err = d.compileMutations(cfg)
-	if err != nil {
-		return nil, err
-	}
-	// Per-shard schedules: same replay, lowered onto each shard's own
+	// Per-shard schedules: one replay, lowered onto each shard's own
 	// route, growths delivered to the owning shard.
 	routes := make([][]string, len(r.Shards))
 	for k := range r.Shards {
@@ -169,7 +159,7 @@ func (d *Document) Build() (*Run, error) {
 			shardOfAgent[r.AgentIDs[idx]] = k
 		}
 	}
-	perShard, err := d.compileMutationsFor(cfg, routes, shardOfAgent)
+	perShard, err := d.compileMutations(cfg, routes, shardOfAgent)
 	if err != nil {
 		return nil, err
 	}
@@ -296,26 +286,7 @@ func (d *Document) linkCapacities(cfg testbed.Config) map[string]float64 {
 	return caps
 }
 
-// compileMutations lowers the declarative schedule onto the default
-// src→dst route, for legacy consumers driving Run.Config + NewEngine
-// directly. It is the single-route case of compileMutationsFor.
-func (d *Document) compileMutations(cfg testbed.Config) ([]testbed.Mutation, error) {
-	route := []string{""}
-	if d.Topology != nil {
-		var err error
-		route, _, _, err = d.routeState()
-		if err != nil {
-			return nil, err
-		}
-	}
-	out, err := d.compileMutationsFor(cfg, [][]string{route}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return out[0], nil
-}
-
-// compileMutationsFor lowers the declarative schedule onto a set of
+// compileMutations lowers the declarative schedule onto a set of
 // routes: every event is replayed in time order over one shared
 // per-link capacity state, and whenever a route's bottleneck value
 // changes a testbed.MutLinkCapacity horizon is emitted to that route's
@@ -324,9 +295,8 @@ func (d *Document) compileMutations(cfg testbed.Config) ([]testbed.Mutation, err
 // route track state but emit nothing there (they cannot affect that
 // path). RTT and store mutations lower onto every schedule (they
 // describe the shared endpoints); grow-dataset mutations lower onto
-// the schedule shardOfAgent maps the target agent to (every schedule
-// gets index 0 when shardOfAgent is nil).
-func (d *Document) compileMutationsFor(cfg testbed.Config, routes [][]string, shardOfAgent map[string]int) ([][]testbed.Mutation, error) {
+// the schedule shardOfAgent maps the target agent to.
+func (d *Document) compileMutations(cfg testbed.Config, routes [][]string, shardOfAgent map[string]int) ([][]testbed.Mutation, error) {
 	out := make([][]testbed.Mutation, len(routes))
 	if len(d.Mutations) == 0 {
 		return out, nil
@@ -409,10 +379,7 @@ func (d *Document) compileMutationsFor(cfg testbed.Config, routes [][]string, sh
 		case KindDstStore:
 			emitAll(testbed.Mutation{At: ev.at, Kind: testbed.MutDstStore, Capacity: m.Capacity, PerProc: m.PerProc})
 		case KindGrowDataset:
-			k := 0
-			if shardOfAgent != nil {
-				k = shardOfAgent[m.Agent]
-			}
+			k := shardOfAgent[m.Agent]
 			out[k] = append(out[k], testbed.Mutation{At: ev.at, Kind: testbed.MutGrowDataset, Task: m.Agent, Count: m.Grow.Count, Size: m.Grow.Size})
 		}
 	}

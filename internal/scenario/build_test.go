@@ -133,8 +133,8 @@ func TestCompileCrossTrafficWave(t *testing.T) {
 		{At: 300, Kind: testbed.MutLinkCapacity, Capacity: 2.5e9},
 		{At: 420, Kind: testbed.MutLinkCapacity, Capacity: 10e9},
 	}
-	if !reflect.DeepEqual(run.Mutations, want) {
-		t.Fatalf("compiled = %+v, want %+v", run.Mutations, want)
+	if got := run.Shards[0].Mutations; !reflect.DeepEqual(got, want) {
+		t.Fatalf("compiled = %+v, want %+v", got, want)
 	}
 
 	// A wave claiming the whole link is a build error, not a zero cap.
@@ -186,8 +186,8 @@ func TestCompileTopologyMutations(t *testing.T) {
 		{At: 400, Kind: testbed.MutLinkCapacity, Capacity: 1e9},
 		{At: 450, Kind: testbed.MutLinkCapacity, Capacity: 4e9},
 	}
-	if !reflect.DeepEqual(run.Mutations, want) {
-		t.Fatalf("compiled = %+v\nwant %+v", run.Mutations, want)
+	if got := run.Shards[0].Mutations; !reflect.DeepEqual(got, want) {
+		t.Fatalf("compiled = %+v\nwant %+v", got, want)
 	}
 }
 
@@ -203,8 +203,9 @@ func TestCompileGrowDataset(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(run.Mutations) != 2 {
-		t.Fatalf("%d compiled mutations", len(run.Mutations))
+	muts := run.Shards[0].Mutations
+	if len(muts) != 2 {
+		t.Fatalf("%d compiled mutations", len(muts))
 	}
 	task := run.Participants[0].Task
 	baseFiles, baseBytes := task.RemainingFiles(), task.BytesRemaining()
@@ -212,7 +213,7 @@ func TestCompileGrowDataset(t *testing.T) {
 		count int
 		size  int64
 	}{{2, 5}, {1, 7}} {
-		m := run.Mutations[i]
+		m := muts[i]
 		if m.Kind != testbed.MutGrowDataset || m.Task != "a" || m.Count != want.count || m.Size != want.size {
 			t.Fatalf("mutation %d = %+v, want a grow of a by %d × %d", i, m, want.count, want.size)
 		}

@@ -117,8 +117,12 @@ func TestPartitionDefaultRouteSingleShard(t *testing.T) {
 	if len(run2.Shards) != 1 || run2.Shards[0].Key != "" {
 		t.Fatalf("topology-free doc: got %+v, want one shard with empty key", run2.Shards)
 	}
-	if !reflect.DeepEqual(run2.Shards[0].Mutations, run2.Mutations) {
-		t.Error("topology-free single shard mutations differ from legacy schedule")
+	want := []testbed.Mutation{
+		{At: 30, Kind: testbed.MutLinkCapacity, Capacity: 5e9},
+		{At: 40, Kind: testbed.MutLinkCapacity, Capacity: 10e9},
+	}
+	if got := run2.Shards[0].Mutations; !reflect.DeepEqual(got, want) {
+		t.Errorf("topology-free single shard mutations = %+v, want %+v", got, want)
 	}
 }
 

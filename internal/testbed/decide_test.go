@@ -199,7 +199,7 @@ func BenchmarkDecideFanout(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					ss.SetRecording(RecordOff, nil)
+					ss.SetRecording(RecordAggregate, discardRecorder{})
 					ss.SetWorkers(width)
 					b.StartTimer()
 					if _, err := ss.Run(300, 0.25); err != nil {

@@ -229,15 +229,12 @@ func (r *queueRun) step() bool {
 		r.done = r.done[:0]
 	}
 
-	// Recording. The boundary advances in every mode — it bounds the
-	// macro-step sizing — only what gets written differs.
+	// Recording. The boundary also bounds the macro-step sizing.
 	if t := eng.Now(); t >= r.nextRecord {
-		if s.recMode != RecordOff {
-			for w, word := range r.live {
-				for ; word != 0; word &= word - 1 {
-					i := w<<6 | bits.TrailingZeros64(word)
-					s.recordPoint(r.tl, i, r.envs[i].h, t)
-				}
+		for w, word := range r.live {
+			for ; word != 0; word &= word - 1 {
+				i := w<<6 | bits.TrailingZeros64(word)
+				s.recordPoint(r.tl, i, r.envs[i].h, t)
 			}
 		}
 		r.nextRecord = t + s.record

@@ -161,8 +161,8 @@ func BenchmarkFleetStep100k(b *testing.B) {
 // 10k, each spec's parts contiguous, joining 1 ms apart from offsets
 // 0, 0.3 and 0.6 ms — so consecutive joins come from different specs
 // and land far apart in part order. One op builds the scheduler
-// (untimed) and runs its 10 s join window with recording off; every
-// session joins inside it.
+// (untimed) and runs its 10 s join window, recording into a discard
+// recorder; every session joins inside it.
 func BenchmarkFleetBlockJoins(b *testing.B) {
 	const perSpec, stagger = 10000, 0.001
 	ds := dataset.Uniform("fleet-bench", 64, 400*int64(dataset.TB))
@@ -174,7 +174,7 @@ func BenchmarkFleetBlockJoins(b *testing.B) {
 			b.Fatal(err)
 		}
 		s := NewScheduler(eng, 1)
-		s.SetRecording(RecordOff, nil)
+		s.SetRecording(RecordAggregate, discardRecorder{})
 		s.Reserve(3 * perSpec)
 		for k := 0; k < 3; k++ {
 			for j := 0; j < perSpec; j++ {

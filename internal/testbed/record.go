@@ -1,21 +1,17 @@
 package testbed
 
-import (
-	"fmt"
-
-	"repro/internal/transfer"
-)
+import "repro/internal/transfer"
 
 // RecordMode selects what a Scheduler run records. The default,
-// RecordFull, keeps the original behaviour: per-session trace.Series
-// for throughput, concurrency, and loss — O(sessions × samples) memory,
-// which is the right fidelity for the pinned reproduce experiments and
-// small fleets but dominates the footprint of a million-session run.
+// RecordFull, keeps per-session trace.Series for throughput,
+// concurrency, and loss — O(sessions × samples) memory, which is the
+// right fidelity for the pinned reproduce experiments and small fleets
+// but dominates the footprint of a million-session run.
 // RecordAggregate drops the per-session timelines and instead streams
 // every throughput recording point into a caller-supplied Recorder
-// (constant space per session); RecordOff records nothing.
+// (constant space per session).
 //
-// The recording cadence is identical in every mode — nextRecord
+// The recording cadence is identical in both modes — nextRecord
 // boundaries still bound each macro-step — so the engine's stepping,
 // and therefore every simulated number, is bitwise independent of the
 // mode. Only what gets written down differs.
@@ -28,37 +24,7 @@ const (
 	// RecordAggregate streams throughput recording points into the
 	// attached Recorder; the returned Timeline stays empty.
 	RecordAggregate
-	// RecordOff records nothing; the returned Timeline stays empty.
-	RecordOff
 )
-
-// String implements fmt.Stringer.
-func (m RecordMode) String() string {
-	switch m {
-	case RecordFull:
-		return "full"
-	case RecordAggregate:
-		return "aggregate"
-	case RecordOff:
-		return "off"
-	default:
-		return fmt.Sprintf("RecordMode(%d)", uint8(m))
-	}
-}
-
-// ParseRecordMode parses "full", "aggregate", or "off".
-func ParseRecordMode(s string) (RecordMode, error) {
-	switch s {
-	case "full":
-		return RecordFull, nil
-	case "aggregate":
-		return RecordAggregate, nil
-	case "off":
-		return RecordOff, nil
-	default:
-		return RecordFull, fmt.Errorf("testbed: unknown record mode %q (want full, aggregate, or off)", s)
-	}
-}
 
 // Recorder consumes streaming throughput recordings in RecordAggregate
 // mode. Attach is called once per session at join time and returns the

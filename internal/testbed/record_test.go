@@ -31,13 +31,20 @@ func (c *captureRecorder) Record(h int32, t, gbps float64) {
 	c.points[id] = append(c.points[id], trace.Point{Time: t, Value: gbps})
 }
 
+// discardRecorder is a Recorder that keeps nothing: fixtures that time
+// the simulation alone record through it.
+type discardRecorder struct{}
+
+func (discardRecorder) Attach(string) int32            { return 0 }
+func (discardRecorder) Record(int32, float64, float64) {}
+
 // TestRecordModesEngineTransparent pins the RecordMode contract: the
 // simulation itself — every session event, in order, with bitwise-equal
-// times and samples — is identical in full, aggregate, and off modes,
+// times and samples — is identical in full and aggregate modes,
 // because the recording cadence still bounds every macro-step and only
 // what gets written differs. It further requires the aggregate stream
-// to reproduce the full-mode throughput series bitwise, and non-full
-// timelines to stay empty. Both Run (queue=true) and the always-tick
+// to reproduce the full-mode throughput series bitwise, and the
+// aggregate timeline to stay empty. Both Run (queue=true) and the always-tick
 // reference loop (queue=false) are exercised, since each has its own
 // recording loop.
 func TestRecordModesEngineTransparent(t *testing.T) {
@@ -57,8 +64,6 @@ func TestRecordModesEngineTransparent(t *testing.T) {
 		if mode == RecordAggregate {
 			rec = newCaptureRecorder()
 			s.SetRecording(mode, rec)
-		} else {
-			s.SetRecording(mode, nil)
 		}
 		var events []session.Event
 		s.SetEventSink(func(e session.Event) { events = append(events, e) })
@@ -71,27 +76,24 @@ func TestRecordModesEngineTransparent(t *testing.T) {
 		t.Run(fmt.Sprintf("queue=%v", queue), func(t *testing.T) {
 			full := run(queue, RecordFull)
 			agg := run(queue, RecordAggregate)
-			off := run(queue, RecordOff)
 
 			if len(full.tl.Finished) == 0 {
 				t.Fatal("scenario did not exercise completion")
 			}
-			for name, o := range map[string]outcome{"aggregate": agg, "off": off} {
-				if len(o.events) != len(full.events) {
-					t.Fatalf("%s mode: %d events, full mode %d", name, len(o.events), len(full.events))
+			if len(agg.events) != len(full.events) {
+				t.Fatalf("aggregate mode: %d events, full mode %d", len(agg.events), len(full.events))
+			}
+			for i := range agg.events {
+				if !reflect.DeepEqual(agg.events[i], full.events[i]) {
+					t.Fatalf("aggregate mode event %d differs:\n  full: %+v\n  aggregate:  %+v",
+						i, full.events[i], agg.events[i])
 				}
-				for i := range o.events {
-					if !reflect.DeepEqual(o.events[i], full.events[i]) {
-						t.Fatalf("%s mode event %d differs:\n  full: %+v\n  %s:  %+v",
-							name, i, full.events[i], name, o.events[i])
-					}
-				}
-				if got := len(o.tl.Throughput.Names()); got != 0 {
-					t.Fatalf("%s mode recorded %d throughput series, want 0", name, got)
-				}
-				if got := len(o.tl.Finished); got != 0 {
-					t.Fatalf("%s mode recorded %d finish times, want 0", name, got)
-				}
+			}
+			if got := len(agg.tl.Throughput.Names()); got != 0 {
+				t.Fatalf("aggregate mode recorded %d throughput series, want 0", got)
+			}
+			if got := len(agg.tl.Finished); got != 0 {
+				t.Fatalf("aggregate mode recorded %d finish times, want 0", got)
 			}
 
 			// The aggregate stream must be the full-mode series, point for
@@ -134,17 +136,4 @@ func TestSetRecordingRequiresRecorder(t *testing.T) {
 		}
 	}()
 	s.SetRecording(RecordAggregate, nil)
-}
-
-// TestParseRecordMode covers the string round trip.
-func TestParseRecordMode(t *testing.T) {
-	for _, m := range []RecordMode{RecordFull, RecordAggregate, RecordOff} {
-		got, err := ParseRecordMode(m.String())
-		if err != nil || got != m {
-			t.Fatalf("ParseRecordMode(%q) = %v, %v", m.String(), got, err)
-		}
-	}
-	if _, err := ParseRecordMode("bogus"); err == nil {
-		t.Fatal("ParseRecordMode accepted bogus mode")
-	}
 }

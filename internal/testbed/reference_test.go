@@ -105,11 +105,9 @@ func (r *refRun) step() bool {
 	}
 
 	if t := eng.Now(); t >= r.nextRecord {
-		if s.recMode != RecordOff {
-			for i := range s.parts {
-				if e := &s.parts[i]; e.sess != nil && !e.sess.Finished() {
-					s.recordPoint(r.tl, i, r.envs[i].h, t)
-				}
+		for i := range s.parts {
+			if e := &s.parts[i]; e.sess != nil && !e.sess.Finished() {
+				s.recordPoint(r.tl, i, r.envs[i].h, t)
 			}
 		}
 		r.nextRecord = t + s.record

@@ -11,9 +11,6 @@ func (t *Task) Dataset() *dataset.Dataset { return t.ds }
 // BytesDone returns the total bytes completed so far.
 func (t *Task) BytesDone() int64 { return t.bytesDone }
 
-// Elapsed returns the accumulated active transfer time in seconds.
-func (t *Task) Elapsed() float64 { return t.elapsed }
-
 // ActiveConnections returns ActiveFiles×parallelism — the TCP
 // connections currently open.
 func (t *Task) ActiveConnections() int { return t.ActiveFiles() * t.setting.Parallelism }
@@ -37,13 +34,4 @@ func (t *Task) Progress() float64 {
 		return 1
 	}
 	return float64(t.bytesDone) / float64(t.totalBytes)
-}
-
-// MeanThroughput returns the task's lifetime average throughput in
-// bits/s, or 0 before any time has elapsed.
-func (t *Task) MeanThroughput() float64 {
-	if t.elapsed == 0 {
-		return 0
-	}
-	return float64(t.bytesDone) * 8 / t.elapsed
 }

@@ -80,21 +80,4 @@ func TestTaskAccessors(t *testing.T) {
 	if task.Dataset() != ds {
 		t.Fatal("Dataset accessor wrong")
 	}
-	if task.Elapsed() != 0 {
-		t.Fatal("fresh task has elapsed time")
-	}
-	task.Advance(100, 2.5)
-	if task.Elapsed() != 2.5 {
-		t.Fatalf("Elapsed = %v, want 2.5", task.Elapsed())
-	}
-	if task.MeanThroughput() != 100*8/2.5 {
-		t.Fatalf("MeanThroughput = %v", task.MeanThroughput())
-	}
-}
-
-func TestMeanThroughputBeforeTime(t *testing.T) {
-	task, _ := NewTask("t", smallDS(), DefaultSetting())
-	if got := task.MeanThroughput(); got != 0 {
-		t.Fatalf("MeanThroughput with no elapsed time = %v, want 0", got)
-	}
 }

@@ -94,13 +94,12 @@ type Task struct {
 	setting Setting
 	gen     int // bumped on every SetSetting
 
-	totalBytes int64   // cached dataset size (datasets are immutable)
-	files      int     // cached dataset file count
-	nextFile   int     // index of the first file not yet fully sent
-	head       int64   // size of the file at nextFile; 0 once done
-	fileSent   int64   // bytes already sent of the file at nextFile
-	bytesDone  int64   // total bytes completed
-	elapsed    float64 // seconds of active transfer time
+	totalBytes int64 // cached dataset size (datasets are immutable)
+	files      int   // cached dataset file count
+	nextFile   int   // index of the first file not yet fully sent
+	head       int64 // size of the file at nextFile; 0 once done
+	fileSent   int64 // bytes already sent of the file at nextFile
+	bytesDone  int64 // total bytes completed
 }
 
 // NewTask creates a task over ds with the given initial setting.
@@ -222,7 +221,6 @@ func (t *Task) Advance(bytes int64, dt float64) int {
 	if t.Done() {
 		return 0
 	}
-	t.elapsed += dt
 	completed := 0
 	for bytes > 0 && t.nextFile < t.files {
 		need := t.head - t.fileSent
