@@ -109,6 +109,7 @@ transparency:
 	$(call race2,TestScenarioExecutionDeterministic|TestFleetGolden|TestZeroWorkersMeansHarnessDefault|TestEndedSessionsReleaseTheirControllers,./internal/scenario/)
 	$(call race2,TestReproduceGolden|TestFleetAggregateMatchesFull|TestFleetFlagGolden|TestDynamicFleetGolden|TestDynamicFleetWorkersTransparent|TestTable1MatchesProbe,./internal/experiments/)
 	$(call race2,TestFlagRoadGolden|TestFlagRoadMatchesDocument,./cmd/fleet/)
+	$(call race2,TestFlagRoadGolden|TestFlagRoadMatchesDocument,./cmd/falconsim/)
 	$(call race2,TestSSEStreamMatchesPolledProgress|TestCoalescedWaitersMatchSoloRun|TestDrainClosesSSEClients|TestSessionFrameMatchesJSONMarshal|FuzzSessionFrame|TestHeavySSEGolden|TestSSEReplayIsChunked|TestFollowerWakesOncePerInstant|TestMidRunFollowerMatchesReplay|TestFinishBetweenTailAndCheckKeepsLastInstant|TestConcurrentDuplicatesRunOnce,./internal/webservice/)
 	$(call race2,TestRetainedScenarioHoldsOnlyWhatItServes|TestPackRaisesBitwise|TestSpilledRecordsStream|TestRetainedScenarioFootprint,./internal/webservice/)
 

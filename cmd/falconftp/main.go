@@ -29,6 +29,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ftp"
+	"repro/internal/session"
 	"repro/internal/transfer"
 )
 
@@ -125,8 +126,8 @@ func send(args []string) {
 		if err := agent.SetFixedKnobs(*p, *q); err != nil {
 			fail("%v", err)
 		}
-		err = core.Run(ctx, client, agent, core.RunConfig{
-			SampleInterval: *interval,
+		err = session.Run(ctx, client, agent, session.Config{
+			Interval: interval.Seconds(),
 			OnSample: func(s transfer.Sample, next transfer.Setting) {
 				fmt.Printf("sample: %s → %.1f Mbps; next %s\n",
 					s.Setting, s.Throughput/1e6, next)

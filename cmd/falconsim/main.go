@@ -6,9 +6,10 @@
 //
 //	falconsim [-testbed NAME] [-algo gd|bo|hc|globus|harp|fixed:N]
 //	          [-agents N] [-stagger SECONDS] [-duration SECONDS]
-//	          [-seed N] [-chart]
+//	          [-seed N] [-maxcc N] [-chart] [-events]
 //	          [-cpuprofile FILE] [-memprofile FILE]
-//	falconsim -scenario FILE.json [-seed N] [-chart]
+//	falconsim -scenario FILE.json [-seed N] [-chart] [-events]
+//	          [-cpuprofile FILE] [-memprofile FILE]
 //	falconsim -validate FILE.json|DIR...
 //
 // Examples:
@@ -18,87 +19,150 @@
 //	falconsim -testbed emulab-1g -algo fixed:48 -duration 120
 //	falconsim -scenario examples/scenarios/fleet-flap.json
 //	falconsim -validate examples/scenarios
+//
+// The flags lower onto a scenario document (scenario.Flat, the
+// lowering behind the web service's flat request too): agent i is
+// "agent<i+1>", seeded seed+i, and joins at i·stagger. Both roads then
+// build and execute the document alike and print the same report under
+// their own header line. A document describes its own run, so
+// -scenario refuses the flags that build one (-testbed, -algo, -agents,
+// -stagger, -duration, -maxcc) rather than ignoring them; -seed
+// overrides the document's seed.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 
-	"repro/internal/baselines"
-	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/profiling"
 	"repro/internal/scenario"
 	"repro/internal/session"
 	"repro/internal/stats"
 	"repro/internal/testbed"
-	"repro/internal/transfer"
 )
 
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "falconsim: "+format+"\n", args...)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-// pickTestbed resolves a named environment through the scenario
-// subsystem's preset table, so the CLI, the webservice, and scenario
-// documents share one name space.
-func pickTestbed(name string) (testbed.Config, bool) {
-	return scenario.PresetConfig(name)
-}
+// flagRoadOnly names the flags that build a run from flags; a scenario
+// document describes its own run, so -scenario refuses them.
+var flagRoadOnly = []string{"testbed", "algo", "agents", "stagger", "duration", "maxcc"}
 
-func makeController(algo string, maxN int, seed int64) (testbed.Controller, transfer.Setting, error) {
-	initial := transfer.Setting{Concurrency: 2, Parallelism: 1, Pipelining: 1}
-	switch {
-	case algo == "gd" || algo == "bo" || algo == "hc":
-		a, err := core.NewAgentByName(algo, maxN, seed)
-		return a, initial, err
-	case algo == "globus":
-		g, err := baselines.NewGlobus(dataset.Main())
-		if err != nil {
-			return nil, initial, err
+// run holds main's body: it parses args, prints the report on stdout
+// and errors on stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("falconsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	tbName := fs.String("testbed", "emulab", "testbed: "+strings.Join(scenario.Presets(), ", "))
+	algo := fs.String("algo", "gd", "controller: gd, bo, hc, globus, harp, fixed:N")
+	agents := fs.Int("agents", 1, "number of competing transfer tasks")
+	stagger := fs.Float64("stagger", 120, "seconds between agent joins")
+	duration := fs.Float64("duration", 300, "simulated seconds")
+	seed := fs.Int64("seed", 1, "random seed")
+	maxN := fs.Int("maxcc", 64, "search-space upper bound for concurrency")
+	chart := fs.Bool("chart", true, "print ASCII charts")
+	events := fs.Bool("events", false, "print the typed session event stream as it happens")
+	scenarioPath := fs.String("scenario", "", "run a declarative scenario document (JSON) instead of the flag-built run")
+	validate := fs.Bool("validate", false, "validate the scenario files/directories given as arguments and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the simulation run to this file")
+	memprofile := fs.String("memprofile", "", "write a heap profile to this file after the run")
+	if err := fs.Parse(args); err != nil {
+		if err == flag.ErrHelp {
+			return 0
 		}
-		return g, g.Setting(), nil
-	case algo == "harp":
-		h, err := baselines.NewHARP(baselines.SyntheticHistory(1.2e9, 9.5e9, 16), maxN)
-		if err != nil {
-			return nil, initial, err
-		}
-		return h, h.Setting(), nil
-	case strings.HasPrefix(algo, "fixed:"):
-		n, err := strconv.Atoi(strings.TrimPrefix(algo, "fixed:"))
-		if err != nil || n < 1 {
-			return nil, initial, fmt.Errorf("bad fixed concurrency %q", algo)
-		}
-		s := transfer.Setting{Concurrency: n, Parallelism: 1, Pipelining: 1}
-		return testbed.FixedController{S: s}, s, nil
-	default:
-		return nil, initial, fmt.Errorf("unknown algorithm %q", algo)
+		return 2
 	}
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "falconsim: %v\n", err)
+		return 1
+	}
+	if *validate {
+		return validateScenarios(fs.Args(), stdout, stderr)
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	var doc *scenario.Document
+	var err error
+	if *scenarioPath != "" {
+		var refused []string
+		for _, name := range flagRoadOnly {
+			if set[name] {
+				refused = append(refused, "-"+name)
+			}
+		}
+		if len(refused) > 0 {
+			return fail(fmt.Errorf("%s cannot be used with -scenario: the document describes the run", strings.Join(refused, ", ")))
+		}
+		if doc, err = scenario.ParseFile(*scenarioPath); err != nil {
+			return fail(err)
+		}
+		if set["seed"] {
+			doc.Seed = *seed
+		}
+	} else if doc, err = scenario.Flat(*tbName, *algo, *agents, *stagger, *duration, *seed, *maxN); err != nil {
+		return fail(err)
+	}
+	r, err := doc.Build()
+	if err != nil {
+		return fail(err)
+	}
+	opt := scenario.ExecOptions{Logf: func(format string, args ...any) {
+		fmt.Fprintf(stdout, format+"\n", args...)
+	}}
+	if *events {
+		opt.Events = eventSink(stdout)
+	}
+	stopProfiles, err := profiling.Start(*cpuprofile, *memprofile)
+	if err != nil {
+		return fail(err)
+	}
+	tl, err := r.Execute(opt)
+	if perr := stopProfiles(); perr != nil {
+		return fail(perr)
+	}
+	if err != nil {
+		return fail(err)
+	}
+	if *scenarioPath == "" {
+		fmt.Fprintf(stdout, "\n%s on %s, %d agent(s), %.0fs\n", *algo, r.Config.Name, len(r.AgentIDs), doc.DurationSeconds)
+	} else {
+		// Horizons are counted over every shard's schedule, so a
+		// mutation that reaches several shards counts once for each.
+		horizons := 0
+		for _, sp := range r.Shards {
+			horizons += len(sp.Mutations)
+		}
+		fmt.Fprintf(stdout, "\nscenario %s on %s, %d agent(s), %.0fs, %d mutation horizon(s)\n",
+			doc.Name, r.Config.Name, len(r.AgentIDs), doc.DurationSeconds, horizons)
+	}
+	summarize(stdout, tl, r.AgentIDs, doc.DurationSeconds, *chart)
+	return 0
 }
 
 // eventSink prints the typed session event stream as it happens.
-func eventSink(e session.Event) {
-	switch e.Kind {
-	case session.Sample:
-		fmt.Printf("event t=%7.2f %-8s %-9s %.3f Gbps loss=%.4f\n",
-			e.Time, e.Session, e.Kind, e.Sample.Throughput/1e9, e.Sample.Loss)
-	case session.Decision, session.Apply:
-		fmt.Printf("event t=%7.2f %-8s %-9s %s\n", e.Time, e.Session, e.Kind, e.Setting)
-	case session.Error:
-		fmt.Printf("event t=%7.2f %-8s %-9s %v\n", e.Time, e.Session, e.Kind, e.Err)
-	default:
-		fmt.Printf("event t=%7.2f %-8s %-9s\n", e.Time, e.Session, e.Kind)
+func eventSink(w io.Writer) session.Sink {
+	return func(e session.Event) {
+		switch e.Kind {
+		case session.Sample:
+			fmt.Fprintf(w, "event t=%7.2f %-8s %-9s %.3f Gbps loss=%.4f\n",
+				e.Time, e.Session, e.Kind, e.Sample.Throughput/1e9, e.Sample.Loss)
+		case session.Decision, session.Apply:
+			fmt.Fprintf(w, "event t=%7.2f %-8s %-9s %s\n", e.Time, e.Session, e.Kind, e.Setting)
+		case session.Error:
+			fmt.Fprintf(w, "event t=%7.2f %-8s %-9s %v\n", e.Time, e.Session, e.Kind, e.Err)
+		default:
+			fmt.Fprintf(w, "event t=%7.2f %-8s %-9s\n", e.Time, e.Session, e.Kind)
+		}
 	}
 }
 
 // summarize prints the per-agent table, Jain index, and charts.
-func summarize(tl *testbed.Timeline, ids []string, duration float64, chart bool) {
-	fmt.Printf("%-10s %-18s %-14s\n", "agent", "mean Gbps (2nd half)", "mean cc")
+func summarize(w io.Writer, tl *testbed.Timeline, ids []string, duration float64, chart bool) {
+	fmt.Fprintf(w, "%-10s %-18s %-14s\n", "agent", "mean Gbps (2nd half)", "mean cc")
 	var shares []float64
 	for _, id := range ids {
 		tput := tl.MeanThroughputGbps(id, duration/2, duration)
@@ -107,28 +171,33 @@ func summarize(tl *testbed.Timeline, ids []string, duration float64, chart bool)
 		if s := tl.Concurrency.Lookup(id); s != nil {
 			cc = s.MeanAfter(duration / 2)
 		}
-		fmt.Printf("%-10s %-18.3f %-14.1f\n", id, tput, cc)
+		fmt.Fprintf(w, "%-10s %-18.3f %-14.1f\n", id, tput, cc)
 	}
 	if len(ids) > 1 {
-		fmt.Printf("Jain fairness index: %.3f\n", stats.JainIndex(shares))
+		fmt.Fprintf(w, "Jain fairness index: %.3f\n", stats.JainIndex(shares))
 	}
 	if chart {
-		fmt.Printf("\nthroughput (Gbps):\n%s", tl.Throughput.ASCIIChart(72, 12))
-		fmt.Printf("\nconcurrency:\n%s", tl.Concurrency.ASCIIChart(72, 12))
+		fmt.Fprintf(w, "\nthroughput (Gbps):\n%s", tl.Throughput.ASCIIChart(72, 12))
+		fmt.Fprintf(w, "\nconcurrency:\n%s", tl.Concurrency.ASCIIChart(72, 12))
 	}
 }
 
 // validateScenarios validates every scenario file in the given files
-// or directories (non-recursive, *.json) and reports per-file status.
-func validateScenarios(paths []string) int {
+// or directories (non-recursive, *.json), reports per-file status, and
+// returns the exit status.
+func validateScenarios(paths []string, stdout, stderr io.Writer) int {
+	fail := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "falconsim: "+format+"\n", args...)
+		return 1
+	}
 	if len(paths) == 0 {
-		fail("-validate needs scenario files or directories")
+		return fail("-validate needs scenario files or directories")
 	}
 	var files []string
 	for _, p := range paths {
 		info, err := os.Stat(p)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		if !info.IsDir() {
 			files = append(files, p)
@@ -136,10 +205,10 @@ func validateScenarios(paths []string) int {
 		}
 		matches, err := filepath.Glob(filepath.Join(p, "*.json"))
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		if len(matches) == 0 {
-			fail("no scenario files in %s", p)
+			return fail("no scenario files in %s", p)
 		}
 		files = append(files, matches...)
 	}
@@ -154,141 +223,13 @@ func validateScenarios(paths []string) int {
 		}
 		if err != nil {
 			bad++
-			fmt.Printf("FAIL %s: %v\n", f, err)
+			fmt.Fprintf(stdout, "FAIL %s: %v\n", f, err)
 			continue
 		}
-		fmt.Printf("ok   %s (%s: %d agents, %d mutations)\n", f, doc.Name, doc.Sessions(), len(doc.Mutations))
+		fmt.Fprintf(stdout, "ok   %s (%s: %d agents, %d mutations)\n", f, doc.Name, doc.Sessions(), len(doc.Mutations))
 	}
 	if bad > 0 {
 		return 1
 	}
 	return 0
-}
-
-// runScenarioFile executes a scenario document end to end.
-func runScenarioFile(path string, seedOverride *int64, chart, events bool,
-	cpuprofile, memprofile string) {
-	doc, err := scenario.ParseFile(path)
-	if err != nil {
-		fail("%v", err)
-	}
-	if seedOverride != nil {
-		doc.Seed = *seedOverride
-	}
-	run, err := doc.Build()
-	if err != nil {
-		fail("%v", err)
-	}
-	opt := scenario.ExecOptions{Logf: func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	}}
-	if events {
-		opt.Events = eventSink
-	}
-	stopProfiles := startProfiles(cpuprofile, memprofile)
-	tl, err := run.Execute(opt)
-	stopProfiles()
-	if err != nil {
-		fail("%v", err)
-	}
-	// Horizons are counted over every shard's schedule, so a mutation
-	// that reaches several shards counts once for each.
-	horizons := 0
-	for _, sp := range run.Shards {
-		horizons += len(sp.Mutations)
-	}
-	fmt.Printf("\nscenario %s on %s, %d agent(s), %.0fs, %d mutation horizon(s)\n",
-		doc.Name, run.Config.Name, len(run.AgentIDs), doc.DurationSeconds, horizons)
-	summarize(tl, run.AgentIDs, doc.DurationSeconds, chart)
-}
-
-// startProfiles begins CPU profiling and returns a func that stops it
-// and writes the heap profile; either path may be empty. Any profiling
-// error is fatal.
-func startProfiles(cpuprofile, memprofile string) func() {
-	stop, err := profiling.Start(cpuprofile, memprofile)
-	if err != nil {
-		fail("%v", err)
-	}
-	return func() {
-		if err := stop(); err != nil {
-			fail("%v", err)
-		}
-	}
-}
-
-func main() {
-	tbName := flag.String("testbed", "emulab", "testbed: "+strings.Join(scenario.Presets(), ", "))
-	algo := flag.String("algo", "gd", "controller: gd, bo, hc, globus, harp, fixed:N")
-	agents := flag.Int("agents", 1, "number of competing transfer tasks")
-	stagger := flag.Float64("stagger", 120, "seconds between agent joins")
-	duration := flag.Float64("duration", 300, "simulated seconds")
-	seed := flag.Int64("seed", 1, "random seed")
-	maxN := flag.Int("maxcc", 64, "search-space upper bound for concurrency")
-	chart := flag.Bool("chart", true, "print ASCII charts")
-	events := flag.Bool("events", false, "print the typed session event stream as it happens")
-	scenarioPath := flag.String("scenario", "", "run a declarative scenario document (JSON) instead of the flag-built run")
-	validate := flag.Bool("validate", false, "validate the scenario files/directories given as arguments and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the simulation run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file after the run")
-	flag.Parse()
-
-	if *validate {
-		os.Exit(validateScenarios(flag.Args()))
-	}
-	if *scenarioPath != "" {
-		// -seed overrides the document's seed only when set explicitly.
-		var seedOverride *int64
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "seed" {
-				seedOverride = seed
-			}
-		})
-		runScenarioFile(*scenarioPath, seedOverride, *chart, *events, *cpuprofile, *memprofile)
-		return
-	}
-	cfg, ok := pickTestbed(*tbName)
-	if !ok {
-		fail("unknown testbed %q", *tbName)
-	}
-	if *agents < 1 {
-		fail("need at least one agent")
-	}
-
-	eng, err := testbed.NewEngine(cfg, *seed)
-	if err != nil {
-		fail("%v", err)
-	}
-	sched := testbed.NewScheduler(eng, 1)
-	sched.SetLogf(func(format string, args ...any) {
-		fmt.Printf(format+"\n", args...)
-	})
-	if *events {
-		sched.SetEventSink(eventSink)
-	}
-	ids := make([]string, 0, *agents)
-	for i := 0; i < *agents; i++ {
-		ctrl, initial, err := makeController(*algo, *maxN, *seed+int64(i))
-		if err != nil {
-			fail("%v", err)
-		}
-		id := fmt.Sprintf("agent%d", i+1)
-		ids = append(ids, id)
-		task, err := transfer.NewTask(id, dataset.Uniform(id, 20000, int64(dataset.GB)), initial)
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := sched.Add(testbed.Participant{
-			Task: task, Controller: ctrl, JoinAt: float64(i) * *stagger,
-		}); err != nil {
-			fail("%v", err)
-		}
-	}
-
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
-	tl := sched.Run(*duration, 0.25)
-	stopProfiles()
-
-	fmt.Printf("\n%s on %s, %d agent(s), %.0fs\n", *algo, cfg.Name, *agents, *duration)
-	summarize(tl, ids, *duration, *chart)
 }

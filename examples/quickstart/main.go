@@ -14,8 +14,10 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/session"
 	"repro/internal/testbed"
 	"repro/internal/transfer"
+	"repro/internal/utility"
 )
 
 func main() {
@@ -40,22 +42,28 @@ func main() {
 	//    3 s sample transfer produces a (throughput, loss) observation,
 	//    the utility function scores it, and Gradient Descent proposes
 	//    the next concurrency.
-	agent := core.NewGDAgent(32)
+	//    Each decision reaches the session's event stream as a Decision
+	//    event: the sample it scored and the setting it chose.
 	sched := testbed.NewScheduler(eng, 1)
-	if err := sched.Add(testbed.Participant{Task: task, Controller: agent}); err != nil {
+	if err := sched.Add(testbed.Participant{Task: task, Controller: core.NewGDAgent(32)}); err != nil {
 		log.Fatal(err)
 	}
+	var decisions []session.Event
+	sched.SetEventSink(func(e session.Event) {
+		if e.Kind == session.Decision {
+			decisions = append(decisions, e)
+		}
+	})
 	timeline := sched.Run(180, 0.25)
 
-	// 4. Inspect the outcome.
+	// 4. Inspect the outcome, scoring each sample as the agent did.
 	fmt.Println("epoch-by-epoch decisions (first 12):")
-	for i, d := range agent.History() {
-		if i >= 12 {
-			break
-		}
+	params := utility.DefaultParams()
+	for i, d := range decisions[:min(12, len(decisions))] {
+		s := d.Sample
+		u := params.Evaluate(s.Setting.Concurrency, s.Setting.Parallelism, s.Throughput, s.Loss)
 		fmt.Printf("  sample %2d: cc=%-3d → %6.1f Mbps, loss %.2f%%, utility %8.0f → next cc=%d\n",
-			i+1, d.Sample.Setting.Concurrency, d.Sample.Throughput/1e6,
-			d.Sample.Loss*100, d.Utility/1e6, d.Next)
+			i+1, s.Setting.Concurrency, s.Throughput/1e6, s.Loss*100, u/1e6, d.Setting.Concurrency)
 	}
 	fmt.Printf("\nconverged throughput: %.1f Mbps (link capacity 100 Mbps)\n",
 		timeline.MeanThroughputGbps("demo", 90, 180)*1000)

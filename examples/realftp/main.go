@@ -22,6 +22,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/ftp"
+	"repro/internal/session"
 	"repro/internal/transfer"
 )
 
@@ -58,8 +59,8 @@ func main() {
 	defer cancel()
 
 	start := time.Now()
-	err := core.Run(ctx, client, agent, core.RunConfig{
-		SampleInterval: 500 * time.Millisecond,
+	err := session.Run(ctx, client, agent, session.Config{
+		Interval: 0.5,
 		OnSample: func(s transfer.Sample, next transfer.Setting) {
 			fmt.Printf("t=%5.1fs  %-14s → %7.1f Mbps   next: %s\n",
 				time.Since(start).Seconds(), s.Setting, s.Throughput/1e6, next)

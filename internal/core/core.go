@@ -6,10 +6,11 @@
 //
 // The Agent is a pure decision process: one call per sample transfer,
 // no clocks or goroutines, which makes it drivable both by the
-// simulated testbeds (testbed.Scheduler) and by the real-time Runner in
-// this package. Because every Falcon agent maximises the same strictly
-// concave utility, competing agents converge to a fair Nash equilibrium
-// (§3.1) — reproduced by the Figure 11–13 experiments.
+// simulated testbeds (testbed.Scheduler) and by the wall-clock session
+// loop of a real transfer (session.Run). Because every Falcon agent
+// maximises the same strictly concave utility, competing agents
+// converge to a fair Nash equilibrium (§3.1) — reproduced by the
+// Figure 11–13 experiments.
 package core
 
 import (
@@ -47,25 +48,12 @@ type Agent struct {
 	// utilFn overrides the default Eq 4 utility when non-nil (the
 	// Figure 6 experiments swap in the linear-regret Eq 3).
 	utilFn UtilityFunc
-
-	history   []Decision
-	noHistory bool
 }
 
 // UtilityFunc maps one sample's observables to a utility value:
 // concurrency n, parallelism p, aggregate throughput (bits/s), and
 // loss rate.
 type UtilityFunc func(n, p int, aggregate, loss float64) float64
-
-// Decision records one optimization step for diagnostics.
-type Decision struct {
-	// Sample is the observation that triggered the decision.
-	Sample transfer.Sample
-	// Utility is the computed utility of the sample.
-	Utility float64
-	// Next is the concurrency chosen for the next epoch.
-	Next int
-}
 
 // NewAgent builds an agent around a search algorithm and utility
 // parameters. It returns an error for a nil search or invalid params.
@@ -111,11 +99,10 @@ func NewHCAgent(maxN int) *Agent {
 
 // NewAgentByName builds an agent from an algorithm name ("hc", "gd",
 // "bo", "direct", "spsa"). The seed only affects "bo" and "spsa", which
-// draw from math/rand sources, and every decision is logged (History).
-// It is the constructor wherever bytes are pinned to that stream: the
-// paper experiments (experiments.All, reproduce) and the
-// single-transfer CLIs (falconsim's flag mode, falconftp). Fleets use
-// NewFleetAgent.
+// draw from math/rand sources. It is the constructor wherever bytes are
+// pinned to that stream — the paper experiments (experiments.All,
+// reproduce) — and of falconftp's real-transfer agent. Scenario
+// documents use NewFleetAgent.
 func NewAgentByName(algo string, maxN int, seed int64) (*Agent, error) {
 	switch algo {
 	case AlgoHillClimbing:
@@ -133,33 +120,23 @@ func NewAgentByName(algo string, maxN int, seed int64) (*Agent, error) {
 	}
 }
 
-// NewFleetAgent builds an agent for fleet-scale runs: the same decision
-// arithmetic as NewAgentByName, but with the per-agent footprint pared
-// down — the diagnostic decision history is off, and the seeded BO
-// searcher draws from 8-byte fastrand sources instead of math/rand's
-// ~4.9 KiB table sources (two tables per BO agent ≈ 9.8 KiB, which
-// alone is ~3 GiB across a million sessions). The BO random stream
-// therefore differs from NewAgentByName's; hc and gd decide identically.
-// It is the constructor of every hc/gd/bo agent in a fleet: every
-// scenario document builds its agents with it (scenario.Build, behind
-// fleet and its flags, fleet -scenario, falconsim -scenario, the web
-// service and the benchmark's fleets).
+// NewFleetAgent builds an agent for fleet-scale runs: NewAgentByName,
+// except that the seeded BO searcher draws from 8-byte fastrand sources
+// instead of math/rand's ~4.9 KiB table sources (two tables per BO
+// agent ≈ 9.8 KiB, which alone is ~3 GiB across a million sessions).
+// The BO random stream therefore differs from NewAgentByName's; hc and
+// gd decide identically. It is the constructor of every hc/gd/bo agent
+// a scenario document builds (scenario.Build, behind fleet and
+// falconsim on both their roads, the web service and the benchmark's
+// fleets).
 func NewFleetAgent(algo string, maxN int, seed int64) (*Agent, error) {
-	var a *Agent
-	var err error
 	if algo == AlgoBayesian {
-		a, err = NewAgent(
+		return NewAgent(
 			bayesopt.NewWithSources(maxN, fastrand.New(seed), fastrand.New(seed+1)),
 			utility.DefaultParams(),
 		)
-	} else {
-		a, err = NewAgentByName(algo, maxN, seed)
 	}
-	if err != nil {
-		return nil, err
-	}
-	a.DisableHistory()
-	return a, nil
+	return NewAgentByName(algo, maxN, seed)
 }
 
 // SetFixedKnobs fixes the parallelism and pipelining the agent attaches
@@ -190,16 +167,13 @@ func (a *Agent) Decide(s transfer.Sample) transfer.Setting {
 		u = a.params.Evaluate(s.Setting.Concurrency, s.Setting.Parallelism, s.Throughput, s.Loss)
 	}
 	next := a.search.Next(optimizer.Observation{N: s.Setting.Concurrency, Utility: u})
-	if !a.noHistory {
-		a.history = append(a.history, Decision{Sample: s, Utility: u, Next: next})
-	}
 	return transfer.Setting{Concurrency: next, Parallelism: a.parallelism, Pipelining: a.pipelining}
 }
 
 // DecideIsolated implements session.IsolatedDecider: Decide touches
-// only the agent's own search, rng and history, so agents may decide
-// concurrently — unless the agent runs a caller-supplied utility
-// function it cannot vouch for.
+// only the agent's own search and rng, so agents may decide concurrently
+// — unless the agent runs a caller-supplied utility function it cannot
+// vouch for.
 func (a *Agent) DecideIsolated() bool { return a.utilFn == nil }
 
 // Release implements session.Releaser: once the agent's session has
@@ -210,19 +184,6 @@ func (a *Agent) Release() {
 	if r, ok := a.search.(interface{ Release() }); ok {
 		r.Release()
 	}
-}
-
-// DisableHistory stops the agent from appending to its diagnostic
-// decision log. The log is the one per-agent allocation that grows
-// without bound (one Decision per epoch); fleet runs with a million
-// agents disable it and rely on the timeline/aggregate recorders
-// instead.
-func (a *Agent) DisableHistory() { a.noHistory = true }
-
-// History returns a copy of the recorded decisions, so callers can
-// hold or mutate the slice without aliasing the agent's live log.
-func (a *Agent) History() []Decision {
-	return append([]Decision(nil), a.history...)
 }
 
 // posteriorSweeper is the optional batched-posterior capability a

@@ -87,29 +87,45 @@ func TestAgentReleaseForwardsToSearch(t *testing.T) {
 	}
 }
 
-func TestAgentRecordsHistory(t *testing.T) {
-	a := NewGDAgent(16)
+// recordingSearch is a search that records every observation the agent
+// hands it before delegating.
+type recordingSearch struct {
+	optimizer.Search
+	seen []optimizer.Observation
+}
+
+func (r *recordingSearch) Next(obs optimizer.Observation) int {
+	r.seen = append(r.seen, obs)
+	return r.Search.Next(obs)
+}
+
+// TestAgentFeedsSearchSampleUtility: each decision hands the search the
+// sample's concurrency and its Eq 4 utility, and returns the search's
+// next concurrency with the agent's fixed knobs.
+func TestAgentFeedsSearchSampleUtility(t *testing.T) {
+	rec := &recordingSearch{Search: optimizer.NewGradientDescent(16)}
+	a, err := NewAgent(rec, utility.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 2
 	for i := 0; i < 5; i++ {
-		a.Decide(transfer.Sample{
-			Setting:  transfer.Setting{Concurrency: 2, Parallelism: 1, Pipelining: 1},
-			Duration: 3, Throughput: 1e9,
-		})
+		s := transfer.Sample{
+			Setting:  transfer.Setting{Concurrency: n, Parallelism: 1, Pipelining: 1},
+			Duration: 3, Throughput: 1e9 * float64(n), Loss: 0.001,
+		}
+		next := a.Decide(s)
+		obs := rec.seen[i]
+		if want := utility.DefaultParams().Evaluate(n, 1, s.Throughput, s.Loss); obs.N != n || obs.Utility != want {
+			t.Fatalf("decision %d: search saw %+v, want N=%d utility %v", i, obs, n, want)
+		}
+		if next.Concurrency < 1 || next.Concurrency > 16 || next.Parallelism != 1 || next.Pipelining != 1 {
+			t.Fatalf("decision %d: next %v out of bounds", i, next)
+		}
+		n = next.Concurrency
 	}
-	h := a.History()
-	if len(h) != 5 {
-		t.Fatalf("history length = %d, want 5", len(h))
-	}
-	if h[0].Utility == 0 {
-		t.Fatal("utility not recorded")
-	}
-	if h[0].Next < 1 || h[0].Next > 16 {
-		t.Fatalf("recorded next %d out of bounds", h[0].Next)
-	}
-	// History hands out a copy: callers must not be able to corrupt the
-	// agent's record, and later decisions must not mutate under them.
-	h[0].Utility = -1
-	if a.History()[0].Utility == -1 {
-		t.Fatal("History aliases the agent's internal slice")
+	if len(rec.seen) != 5 {
+		t.Fatalf("search saw %d observations for 5 decisions", len(rec.seen))
 	}
 }
 
@@ -322,14 +338,6 @@ func TestAgentsReduceConcurrencyWhenCompetitorJoins(t *testing.T) {
 	}
 }
 
-func TestRunnerIsExercisedBySimEnv(t *testing.T) {
-	// The Runner loop is tested against the ftp package's loopback
-	// environment in internal/ftp; here we check its input validation.
-	if err := Run(nil, nil, nil, RunConfig{}); err == nil {
-		t.Fatal("Run accepted nil environment")
-	}
-}
-
 // sampleFor builds a deterministic noise-free sample whose throughput
 // follows a concave curve in n — enough structure for every searcher
 // to produce a nontrivial trajectory.
@@ -341,22 +349,6 @@ func sampleFor(n int, t float64) transfer.Sample {
 		Throughput: tput,
 		Loss:       0.001 * float64(n),
 		Time:       t,
-	}
-}
-
-// TestFleetAgentHistoryOff pins the fleet constructor's memory diet:
-// no decision history accumulates.
-func TestFleetAgentHistoryOff(t *testing.T) {
-	a, err := NewFleetAgent(AlgoHillClimbing, 8, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 2
-	for step := 0; step < 50; step++ {
-		n = a.Decide(sampleFor(n, float64(step)*3)).Concurrency
-	}
-	if h := a.History(); len(h) != 0 {
-		t.Fatalf("fleet agent recorded %d history entries, want 0", len(h))
 	}
 }
 

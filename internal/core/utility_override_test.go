@@ -3,12 +3,17 @@ package core
 import (
 	"testing"
 
+	"repro/internal/optimizer"
 	"repro/internal/transfer"
 	"repro/internal/utility"
 )
 
 func TestSetUtilityFuncOverridesDefault(t *testing.T) {
-	a := NewGDAgent(16)
+	rec := &recordingSearch{Search: optimizer.NewGradientDescent(16)}
+	a, err := NewAgent(rec, utility.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
 	called := 0
 	a.SetUtilityFunc(func(n, p int, agg, loss float64) float64 {
 		called++
@@ -23,16 +28,16 @@ func TestSetUtilityFuncOverridesDefault(t *testing.T) {
 	if called != 1 {
 		t.Fatalf("override called %d times, want 1", called)
 	}
-	// The recorded utility must be the override's value, not Eq 4's.
+	// The search must see the override's value, not Eq 4's.
 	want := utility.LinearPenalty(4, 0.25e9, 0, 10, 0.01)
-	if got := a.History()[0].Utility; got != want {
-		t.Fatalf("recorded utility %v, want %v", got, want)
+	if got := rec.seen[0].Utility; got != want {
+		t.Fatalf("search saw utility %v, want %v", got, want)
 	}
 	// Restoring the default switches back to Eq 4.
 	a.SetUtilityFunc(nil)
 	a.Decide(sample)
 	eq4 := utility.DefaultParams().Evaluate(4, 1, 1e9, 0)
-	if got := a.History()[1].Utility; got != eq4 {
+	if got := rec.seen[1].Utility; got != eq4 {
 		t.Fatalf("restored utility %v, want Eq4 %v", got, eq4)
 	}
 }

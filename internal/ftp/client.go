@@ -17,7 +17,8 @@ import (
 // Client uploads a dataset to a Server, exposing the three Falcon knobs
 // live: Apply changes concurrency (active file workers), parallelism
 // (stripes per file), and pipelining (control-channel command prefetch)
-// while the transfer runs. Client satisfies core.Environment.
+// while the transfer runs. Client satisfies session.Environment, the
+// wall-clock contract session.Run drives.
 type Client struct {
 	// Addr is the server address.
 	Addr string
@@ -60,10 +61,6 @@ type Client struct {
 
 	doneMu    sync.Mutex
 	doneFiles map[int64]bool
-
-	winMu    sync.Mutex
-	winBytes int64     // bytesSent at the last BeginWindow
-	winStart time.Time // wall time of the last BeginWindow
 
 	started  bool
 	done     chan struct{}
@@ -129,7 +126,6 @@ func (c *Client) Start(initial transfer.Setting) error {
 
 	c.done = make(chan struct{})
 	c.stop = make(chan struct{})
-	c.BeginWindow()
 	c.announce = make(chan struct{}, 1)
 	c.sem = newResizableSemaphore(initial.Concurrency)
 	c.pool = newConnPool(c.Addr, c.MaxWorkers)
@@ -149,7 +145,7 @@ func (c *Client) Start(initial transfer.Setting) error {
 	return nil
 }
 
-// Apply implements core.Environment: it retunes the live transfer.
+// Apply implements session.Env: it retunes the live transfer.
 func (c *Client) Apply(s transfer.Setting) error {
 	if err := s.Validate(); err != nil {
 		return err
@@ -172,7 +168,7 @@ func (c *Client) Setting() transfer.Setting {
 	return c.setting
 }
 
-// Measure implements core.Environment: it observes throughput over
+// Measure implements session.Environment: it observes throughput over
 // roughly d (cut short if the transfer finishes) and reports zero loss
 // — the application layer on loopback is sender-limited (§3.1's L=0
 // case).
@@ -200,44 +196,7 @@ func (c *Client) Measure(d time.Duration) (transfer.Sample, error) {
 	}, c.Err()
 }
 
-// BeginWindow implements session.WindowEnv: it restarts measurement
-// accumulation, so the next TakeSample excludes everything sent before
-// this instant (e.g. a post-Apply warm-up transient).
-func (c *Client) BeginWindow() {
-	c.winMu.Lock()
-	c.winBytes = c.bytesSent.Load()
-	c.winStart = time.Now()
-	c.winMu.Unlock()
-}
-
-// TakeSample implements session.WindowEnv: it closes the measurement
-// window opened by the last BeginWindow (or Start, implicitly) and
-// returns the observed sample, then begins a new window. Unlike
-// Measure it never blocks — drivers own the cadence.
-func (c *Client) TakeSample() (transfer.Sample, error) {
-	if c.done == nil {
-		return transfer.Sample{}, errors.New("ftp: TakeSample before Start")
-	}
-	c.winMu.Lock()
-	start, startBytes := c.winStart, c.winBytes
-	c.winMu.Unlock()
-	elapsed := time.Since(start).Seconds()
-	if elapsed <= 0 {
-		return transfer.Sample{}, errors.New("ftp: empty measurement window")
-	}
-	bytes := c.bytesSent.Load() - startBytes
-	s := transfer.Sample{
-		Setting:    c.Setting(),
-		Duration:   elapsed,
-		Throughput: float64(bytes) * 8 / elapsed,
-		Loss:       0,
-		Time:       float64(time.Now().UnixNano()) / 1e9,
-	}
-	c.BeginWindow()
-	return s, c.Err()
-}
-
-// Done implements core.Environment.
+// Done implements session.Env.
 func (c *Client) Done() bool {
 	if c.done == nil {
 		return false

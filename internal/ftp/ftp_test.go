@@ -286,8 +286,8 @@ func TestFalconRunnerTunesRealTransfer(t *testing.T) {
 	var mu sync.Mutex
 	var lastTputs []float64
 	peak := 0.0
-	err := core.Run(ctx, c, agent, core.RunConfig{
-		SampleInterval: 400 * time.Millisecond,
+	err := session.Run(ctx, c, agent, session.Config{
+		Interval: 0.4,
 		OnSample: func(s transfer.Sample, next transfer.Setting) {
 			mu.Lock()
 			lastTputs = append(lastTputs, s.Throughput)
@@ -400,33 +400,20 @@ type steadyDecider struct{}
 func (steadyDecider) Decide(s transfer.Sample) transfer.Setting { return s.Setting }
 
 // TestSimAndRealShareSessionLoop proves the simulator and the real FTP
-// stack are driven by the same session loop: core.Run over a
-// testbed.SimEnvironment and over a loopback ftp.Client emit the same
-// canonical event stream — Join, then one (Sample, Decision, Apply)
-// triple per epoch, then Finish — differing only in epoch count.
+// stack are driven by the same session loop: a one-participant
+// testbed.Scheduler run and session.Run over a loopback ftp.Client emit
+// the same canonical event stream — Join, then one (Sample, Decision,
+// Apply) triple per epoch, then Finish — differing only in epoch count.
 func TestSimAndRealShareSessionLoop(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing-sensitive loopback test")
 	}
-	collect := func(env core.Environment, id string, interval time.Duration) []session.Kind {
-		t.Helper()
-		var mu sync.Mutex
-		var ks []session.Kind
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-		defer cancel()
-		err := core.Run(ctx, env, steadyDecider{}, core.RunConfig{
-			ID:             id,
-			SampleInterval: interval,
-			Events: func(e session.Event) {
-				mu.Lock()
-				ks = append(ks, e.Kind)
-				mu.Unlock()
-			},
-		})
-		if err != nil && ctx.Err() == nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		return ks
+	var mu sync.Mutex
+	kindsOf := map[string][]session.Kind{}
+	record := func(e session.Event) {
+		mu.Lock()
+		kindsOf[e.Session] = append(kindsOf[e.Session], e.Kind)
+		mu.Unlock()
 	}
 	// epochs validates the canonical grammar and returns the epoch count.
 	epochs := func(id string, ks []session.Kind) int {
@@ -446,7 +433,8 @@ func TestSimAndRealShareSessionLoop(t *testing.T) {
 		return len(mid) / 3
 	}
 
-	// Simulated path: a draining task on the engine's virtual clock.
+	// Simulated path: a draining task on the engine's virtual clock,
+	// run the way every simulated session runs.
 	eng, err := testbed.NewEngine(testbed.Emulab(10e6), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -456,11 +444,12 @@ func TestSimAndRealShareSessionLoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	simEnv, err := testbed.NewSimEnvironment(eng, task)
-	if err != nil {
+	sched := testbed.NewScheduler(eng, 1)
+	sched.SetEventSink(record)
+	if err := sched.Add(testbed.Participant{Task: task, Controller: steadyDecider{}, SampleInterval: 1}); err != nil {
 		t.Fatal(err)
 	}
-	simKinds := collect(simEnv, "sim", time.Second)
+	sched.Run(60, 0.25)
 
 	// Real path: a throttled loopback FTP transfer on the wall clock.
 	srv := startServer(t, &DiscardSink{}, 0)
@@ -473,8 +462,13 @@ func TestSimAndRealShareSessionLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	realKinds := collect(c, "real", 200*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	if err := session.Run(ctx, c, steadyDecider{}, session.Config{ID: "real", Interval: 0.2, Events: record}); err != nil && ctx.Err() == nil {
+		t.Fatalf("real: %v", err)
+	}
 
+	simKinds, realKinds := kindsOf["sim"], kindsOf["real"]
 	nSim, nReal := epochs("sim", simKinds), epochs("real", realKinds)
 	if nSim < 2 || nReal < 2 {
 		t.Fatalf("too few epochs to compare: sim=%d real=%d", nSim, nReal)

@@ -2,7 +2,7 @@
 // protocol over real TCP sockets, exercising the same application-layer
 // knobs Falcon tunes: concurrency (files in flight), parallelism
 // (striped data connections per file), and pipelining (control-channel
-// command prefetch). The client satisfies core.Environment, so a Falcon
+// command prefetch). The client satisfies session.Environment, so a Falcon
 // agent can tune a live transfer over loopback — the repository's
 // real-socket demonstration of the paper's system.
 //

@@ -104,7 +104,7 @@ func (d *Document) Build() (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &Run{Doc: d, Config: cfg, AgentIDs: roster}
+	r := &Run{Doc: d, Config: cfg, AgentIDs: roster, Participants: make([]testbed.Participant, 0, len(roster))}
 	n := 0
 	for i := range d.Agents {
 		a := &d.Agents[i]
@@ -126,10 +126,13 @@ func (d *Document) Build() (*Run, error) {
 			if ds == nil {
 				ds = dataset.Uniform(id, a.Dataset.Count, a.Dataset.Size)
 			}
-			initial := transfer.Setting{
-				Concurrency: a.Initial.Concurrency,
-				Parallelism: a.Initial.Parallelism,
-				Pipelining:  a.Initial.Pipelining,
+			var initial transfer.Setting
+			if ini := a.Initial; ini != nil {
+				initial = transfer.Setting{Concurrency: ini.Concurrency, Parallelism: ini.Parallelism, Pipelining: ini.Pipelining}
+			} else {
+				// Normalise leaves only globus and harp without one:
+				// they start at the setting their heuristic picks.
+				initial = ctrl.(interface{ Setting() transfer.Setting }).Setting()
 			}
 			task, err := transfer.NewTask(id, ds, initial)
 			if err != nil {
@@ -153,13 +156,24 @@ func (d *Document) Build() (*Run, error) {
 	for k := range r.Shards {
 		routes[k] = r.Shards[k].Links
 	}
-	shardOfAgent := make(map[string]int, len(r.AgentIDs))
-	for k := range r.Shards {
-		for _, idx := range r.Shards[k].Participants {
-			shardOfAgent[r.AgentIDs[idx]] = k
+	// Only grow-dataset mutations ask which shard runs an agent, so the
+	// index is built on the first ask, and never for one shard.
+	var shardOfAgent map[string]int
+	shardOf := func(id string) int {
+		if len(r.Shards) == 1 {
+			return 0
 		}
+		if shardOfAgent == nil {
+			shardOfAgent = make(map[string]int, len(r.AgentIDs))
+			for k := range r.Shards {
+				for _, idx := range r.Shards[k].Participants {
+					shardOfAgent[r.AgentIDs[idx]] = k
+				}
+			}
+		}
+		return shardOfAgent[id]
 	}
-	perShard, err := d.compileMutations(cfg, routes, shardOfAgent)
+	perShard, err := d.compileMutations(cfg, routes, shardOf)
 	if err != nil {
 		return nil, err
 	}
@@ -295,8 +309,8 @@ func (d *Document) linkCapacities(cfg testbed.Config) map[string]float64 {
 // route track state but emit nothing there (they cannot affect that
 // path). RTT and store mutations lower onto every schedule (they
 // describe the shared endpoints); grow-dataset mutations lower onto
-// the schedule shardOfAgent maps the target agent to.
-func (d *Document) compileMutations(cfg testbed.Config, routes [][]string, shardOfAgent map[string]int) ([][]testbed.Mutation, error) {
+// the schedule of the shard shardOf names for the target agent.
+func (d *Document) compileMutations(cfg testbed.Config, routes [][]string, shardOf func(agent string) int) ([][]testbed.Mutation, error) {
 	out := make([][]testbed.Mutation, len(routes))
 	if len(d.Mutations) == 0 {
 		return out, nil
@@ -379,7 +393,7 @@ func (d *Document) compileMutations(cfg testbed.Config, routes [][]string, shard
 		case KindDstStore:
 			emitAll(testbed.Mutation{At: ev.at, Kind: testbed.MutDstStore, Capacity: m.Capacity, PerProc: m.PerProc})
 		case KindGrowDataset:
-			k := shardOfAgent[m.Agent]
+			k := shardOf(m.Agent)
 			out[k] = append(out[k], testbed.Mutation{At: ev.at, Kind: testbed.MutGrowDataset, Task: m.Agent, Count: m.Grow.Count, Size: m.Grow.Size})
 		}
 	}
@@ -387,9 +401,8 @@ func (d *Document) compileMutations(cfg testbed.Config, routes [][]string, shard
 }
 
 // buildController constructs the agent's decision maker; the name
-// space matches cmd/falconsim's -algo flag. Falcon agents are
-// fleet-weight (core.NewFleetAgent): a document may hold a million of
-// them, and nothing on this road reads a decision log.
+// space is cmd/falconsim's -algo flag. Falcon agents are fleet-weight
+// (core.NewFleetAgent): a document may hold a million of them.
 func buildController(algo string, maxN int, seed int64) (testbed.Controller, error) {
 	switch {
 	case algo == "gd" || algo == "bo" || algo == "hc":

@@ -5,7 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/baselines"
 	"repro/internal/core"
+	"repro/internal/dataset"
+	"repro/internal/session"
 	"repro/internal/testbed"
 	"repro/internal/transfer"
 )
@@ -48,7 +51,7 @@ func TestBuildRoster(t *testing.T) {
 // TestBuildConstructsFleetAgents: every hc/gd/bo agent a document
 // builds is a fleet-weight agent — it decides exactly like
 // core.NewFleetAgent(algo, maxN, doc.Seed+n) for roster position n,
-// BO random stream included, and keeps no decision log.
+// BO random stream included.
 func TestBuildConstructsFleetAgents(t *testing.T) {
 	d := &Document{Preset: "fleet", Seed: 5, Agents: []AgentSpec{
 		{ID: "hc", Count: 2, Algorithm: "hc", MaxConcurrency: 8},
@@ -84,9 +87,6 @@ func TestBuildConstructsFleetAgents(t *testing.T) {
 				}
 				cur = got.Concurrency
 			}
-			if h := built.History(); len(h) != 0 {
-				t.Errorf("%s keeps a decision log of %d entries", run.AgentIDs[n], len(h))
-			}
 			n++
 		}
 	}
@@ -117,6 +117,65 @@ func TestSessionSecondsMatchesRoster(t *testing.T) {
 	}
 	if full := float64(len(run.Participants)) * d.DurationSeconds; want >= full {
 		t.Fatalf("roster covers %v session-seconds, not below sessions × horizon %v: joins and leaves are not exercised", want, full)
+	}
+}
+
+// TestBaselinesStartAtOwnSetting: a globus or harp spec without an
+// initial setting joins at the setting its controller picks, not at the
+// {2,1,1} default of the searchers; an explicit initial still wins.
+func TestBaselinesStartAtOwnSetting(t *testing.T) {
+	globus, err := baselines.NewGlobus(dataset.Main())
+	if err != nil {
+		t.Fatal(err)
+	}
+	harp, err := baselines.NewHARP(baselines.SyntheticHistory(1.2e9, 9.5e9, 16), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := &Document{Preset: "hpclab", DurationSeconds: 30, Agents: []AgentSpec{
+		{ID: "globus", Algorithm: "globus"},
+		{ID: "harp", Algorithm: "harp"},
+		{ID: "pinned", Algorithm: "harp", Initial: &SettingSpec{Concurrency: 3, Parallelism: 2, Pipelining: 1}},
+	}}
+	run, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	joins := map[string]transfer.Setting{}
+	if _, err := run.Execute(ExecOptions{Events: func(e session.Event) {
+		if e.Kind == session.Join {
+			joins[e.Session] = e.Setting
+		}
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]transfer.Setting{
+		"globus": globus.Setting(),
+		"harp":   harp.Setting(),
+		"pinned": {Concurrency: 3, Parallelism: 2, Pipelining: 1},
+	}
+	if !reflect.DeepEqual(joins, want) {
+		t.Fatalf("joined at %v, want %v", joins, want)
+	}
+}
+
+// TestFlatRefusesDefaults: a flat run states every value, so the zeros a
+// document would read as defaults are refused.
+func TestFlatRefusesDefaults(t *testing.T) {
+	if _, err := Flat("emulab", "gd", 2, 120, 300, 1, 64); err != nil {
+		t.Fatal(err)
+	}
+	refused := func(_ *Document, err error) bool { return err != nil }
+	for name, ok := range map[string]bool{
+		"algorithm":       refused(Flat("emulab", "", 2, 120, 300, 1, 64)),
+		"agents":          refused(Flat("emulab", "gd", 0, 120, 300, 1, 64)),
+		"duration":        refused(Flat("emulab", "gd", 2, 120, 0, 1, 64)),
+		"seed":            refused(Flat("emulab", "gd", 2, 120, 300, 0, 64)),
+		"max concurrency": refused(Flat("emulab", "gd", 2, 120, 300, 1, 0)),
+	} {
+		if !ok {
+			t.Errorf("zero %s accepted", name)
+		}
 	}
 }
 

@@ -234,7 +234,8 @@ type AgentSpec struct {
 	// when positive.
 	SampleInterval float64 `json:"sample_interval,omitempty"`
 	// Initial is the starting setting. Default {2,1,1} ({N,1,1} for
-	// fixed:N).
+	// fixed:N); globus and harp leave it empty and start at their
+	// controller's own setting.
 	Initial *SettingSpec `json:"initial,omitempty"`
 	// Dataset describes the transferred files.
 	Dataset *DatasetSpec `json:"dataset,omitempty"`
@@ -317,9 +318,42 @@ func ParseFile(path string) (*Document, error) {
 	return d, nil
 }
 
+// Flat lowers the flat form of a run — one preset, one algorithm for
+// every agent, agents joining stagger seconds apart — onto a normalised
+// document of one unnamed spec with Count agents: agent i (from 0) is
+// "agent<i+1>", seeded seed+i, joins at i·stagger, and transfers its
+// own default dataset from its algorithm's default initial setting.
+// cmd/falconsim's flags and the webservice's flat request both lower
+// through it. A document reads a zero as "use the default"; a flat run
+// states every value, so a zero agent count, duration, seed or
+// concurrency bound, or an empty algorithm, is an error.
+func Flat(preset, algorithm string, agents int, stagger, duration float64, seed int64, maxConcurrency int) (*Document, error) {
+	if algorithm == "" || agents == 0 || duration == 0 || seed == 0 || maxConcurrency == 0 {
+		return nil, fmt.Errorf("scenario: a flat run needs an algorithm and non-zero agents, duration, seed and max concurrency")
+	}
+	d := &Document{
+		Version:         Version,
+		Preset:          preset,
+		Seed:            seed,
+		DurationSeconds: duration,
+		Agents: []AgentSpec{{
+			Count:          agents,
+			Algorithm:      algorithm,
+			JoinStagger:    stagger,
+			MaxConcurrency: maxConcurrency,
+		}},
+	}
+	if err := d.Normalise(); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
 // Normalise fills defaults in place and validates the document. A
-// normalised document is fully explicit: re-normalising is a no-op,
-// and its canonical encoding (Canonical) is the scenario's identity.
+// normalised document is explicit but for a globus or harp agent's
+// initial setting, which its controller picks: re-normalising is a
+// no-op, and its canonical encoding (Canonical) is the scenario's
+// identity.
 func (d *Document) Normalise() error {
 	_, err := d.normalise()
 	return err
@@ -361,7 +395,7 @@ func (d *Document) normalise() ([]string, error) {
 		if a.MaxConcurrency == 0 {
 			a.MaxConcurrency = 64
 		}
-		if a.Initial == nil {
+		if a.Initial == nil && a.Algorithm != "globus" && a.Algorithm != "harp" {
 			ini := SettingSpec{Concurrency: 2, Parallelism: 1, Pipelining: 1}
 			if n, ok := fixedConcurrency(a.Algorithm); ok {
 				ini.Concurrency = n

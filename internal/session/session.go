@@ -1,11 +1,11 @@
 // Package session implements the unified Falcon control loop — the
 // paper's §3.2 cycle of sample → utility → search → apply — shared by
 // the simulated testbeds (testbed.Scheduler orchestrates N sessions
-// over the engine's virtual clock) and the real-time runner (core.Run
-// drives one session on a wall clock). One Session owns the epoch
-// cadence, warm-up discard, and decision flow for one participant, and
-// emits a typed Event stream that timelines, live status endpoints,
-// and CLI reporters consume.
+// over the engine's virtual clock) and real transfers (Run drives one
+// session on a wall clock). One Session owns the epoch cadence, warm-up
+// discard, and decision flow for one participant, and emits a typed
+// Event stream that timelines, live status endpoints, and CLI reporters
+// consume.
 //
 // Determinism: a Session performs no time or randomness reads of its
 // own. Drivers stamp every call with the current clock value, so a
@@ -31,9 +31,9 @@ type Decider interface {
 }
 
 // IsolatedDecider is the opt-in a Decider makes when its Decide touches
-// nothing but state the controller itself owns (its own searcher, rng
-// and history): DecideIsolated reporting true lets a driver run Decide
-// off its own goroutine, concurrently with other sessions' controllers.
+// nothing but state the controller itself owns (its own searcher and
+// rng): DecideIsolated reporting true lets a driver run Decide off its
+// own goroutine, concurrently with other sessions' controllers.
 // Controllers that do not implement it are only ever called inline.
 type IsolatedDecider interface {
 	Decider
@@ -59,20 +59,20 @@ type Env interface {
 }
 
 // Environment is a live transfer measured by blocking sampling — the
-// wall-clock contract. Measure blocks for roughly d while the transfer
-// proceeds, then returns the observed sample; the transfer continues
-// throughout, Falcon's monitoring runs beside the data movement (§3.2).
-// The real-FTP client and testbed.SimEnvironment (on simulated time)
-// implement it.
+// wall-clock contract Run drives. Measure blocks for roughly d while
+// the transfer proceeds, then returns the observed sample; the transfer
+// continues throughout, Falcon's monitoring runs beside the data
+// movement (§3.2). The real-FTP client (ftp.Client) implements it.
 type Environment interface {
 	Env
 	Measure(d time.Duration) (transfer.Sample, error)
 }
 
 // WindowEnv is a live transfer measured by cooperative windows — the
-// virtual-time contract. The driver advances time externally (stepping
-// the simulation engine); BeginWindow restarts measurement accumulation
-// and TakeSample closes the window instantaneously.
+// virtual-time contract Tick drives. The driver advances time
+// externally (stepping the simulation engine); BeginWindow restarts
+// measurement accumulation and TakeSample closes the window
+// instantaneously. The simulator (testbed.SimEnvironment) implements it.
 type WindowEnv interface {
 	Env
 	BeginWindow()
@@ -363,9 +363,8 @@ func (s *Session) emit(e Event) {
 
 // Run drives a Decider against a blocking Environment until the
 // transfer completes or the context is cancelled — the wall-clock
-// instantiation of the session loop, used by core.Run and thereby the
-// falconftp CLI. The clock is the environment's own (ClockSource) when
-// it has one, or a wall clock started at the call.
+// instantiation of the session loop, behind the falconftp CLI. Events
+// are stamped with a wall clock started at the call.
 //
 // Run returns nil on completion, the context error on cancellation,
 // and any Measure/Apply failure otherwise. Unlike the orchestrated
@@ -382,12 +381,7 @@ func Run(ctx context.Context, env Environment, dec Decider, cfg Config) error {
 	if err != nil {
 		return err
 	}
-	var clock Clock
-	if cs, ok := env.(ClockSource); ok {
-		clock = cs.Clock()
-	} else {
-		clock = NewWallClock()
-	}
+	clock := NewWallClock()
 	var initial transfer.Setting
 	if cur, ok := env.(interface{ Setting() transfer.Setting }); ok {
 		initial = cur.Setting()

@@ -300,25 +300,6 @@ func TestRunEmitsLifecycleEvents(t *testing.T) {
 	}
 }
 
-func TestVirtualClock(t *testing.T) {
-	var c VirtualClock
-	c.Advance(2.5)
-	c.Set(4)
-	if c.Now() != 4 {
-		t.Fatalf("Now = %v, want 4", c.Now())
-	}
-	for _, f := range []func(){func() { c.Advance(-1) }, func() { c.Set(1) }} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
 func TestMultiSink(t *testing.T) {
 	if MultiSink(nil, nil) != nil {
 		t.Fatal("all-nil MultiSink should be nil")

@@ -1,7 +1,5 @@
 package testbed
 
-import "repro/internal/transfer"
-
 // AllocClasses returns the number of distinct flow classes in the
 // engine's most recent allocation: tasks running the same parallelism
 // setting collapse into one class each.
@@ -39,9 +37,6 @@ func (e *Engine) AggregateRate() float64 {
 	}
 	return sum
 }
-
-// Task returns the adapted task.
-func (e *SimEnvironment) Task() *transfer.Task { return e.task }
 
 // init sizes the queue for handles 0..n-1 with storage of its own.
 func (q *horizonQueue) init(n int) {

@@ -53,10 +53,10 @@ func (s *Scheduler) SetRecording(mode RecordMode, rec Recorder) {
 	s.recorder = rec
 }
 
-// initSimEnvironment is NewSimEnvironment constructing in place: it
-// registers task with eng and overwrites *e. Fleet-scale runs carve
-// their environments out of one flat slab instead of a million heap
-// objects.
+// initSimEnvironment registers task with eng and overwrites *e with its
+// session environment, in place: fleet-scale runs carve their
+// environments out of one flat slab instead of a million heap objects.
+// It returns an error for duplicate or nil tasks.
 func initSimEnvironment(e *SimEnvironment, eng *Engine, task *transfer.Task) error {
 	h, err := eng.addTask(task)
 	if err != nil {

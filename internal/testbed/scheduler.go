@@ -14,7 +14,7 @@ import (
 // last decision epoch. Falcon agents, the Globus heuristic, and the
 // HARP model all satisfy this interface. It is an alias of
 // session.Decider: any controller that drives the simulator also
-// drives a real transfer through core.Run, and vice versa.
+// drives a real transfer through session.Run, and vice versa.
 type Controller = session.Decider
 
 // FixedController always returns the same setting (the Globus-style

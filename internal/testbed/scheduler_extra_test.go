@@ -55,8 +55,8 @@ func TestFailedSampleRetriesNextEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	task := bigTask("ghost", 2)
-	env, err := NewSimEnvironment(eng, task)
-	if err != nil {
+	env := new(SimEnvironment)
+	if err := initSimEnvironment(env, eng, task); err != nil {
 		t.Fatal(err)
 	}
 	var errs int

@@ -145,23 +145,10 @@ func (r *ScenarioRequest) normalise() error {
 	if _, ok := scenario.PresetConfig(r.Testbed); !ok {
 		return fmt.Errorf("unknown testbed %q", r.Testbed)
 	}
-	// Lower the flat request onto a document. One unnamed spec with
-	// Count expands to agents "agent1".."agentN" seeded Seed+i with
-	// default initial knobs and private per-agent datasets — exactly
-	// the participants the service built before it spoke documents.
-	doc := &scenario.Document{
-		Version:         scenario.Version,
-		Preset:          r.Testbed,
-		Seed:            r.Seed,
-		DurationSeconds: r.DurationSeconds,
-		Agents: []scenario.AgentSpec{{
-			Count:          r.Agents,
-			Algorithm:      r.Algorithm,
-			JoinStagger:    r.StaggerSeconds,
-			MaxConcurrency: r.MaxConcurrency,
-		}},
-	}
-	if err := doc.Normalise(); err != nil {
+	// The same lowering as falconsim's flags, so a flat request and
+	// its falconsim flag set are one run.
+	doc, err := scenario.Flat(r.Testbed, r.Algorithm, r.Agents, r.StaggerSeconds, r.DurationSeconds, r.Seed, r.MaxConcurrency)
+	if err != nil {
 		return err
 	}
 	r.doc = doc
