@@ -95,12 +95,13 @@ transparency:
 	$(call race2,TestPredictIntoMatchesPredict|TestRefitMatchesIndependentFits|TestSearchAllocationsIndependentOfCallCount,./internal/bayesopt/)
 	$(call race2,TestSearchReservesOnFirstObservation|TestReleasedSearchPanics|TestSearchConstructionFootprint,./internal/bayesopt/)
 	$(call race2,TestInterleavedUpdatesMatchSingleCalls,./internal/linalg/)
+	$(call race2,TestForEachOrderedCoversEveryIndexOnce|TestForEachOrderedInline|TestForEachOrderedZeroAndNegative|TestForEachOrderedPanicStopsHelpers|TestForEachOrderedAllocatesOnlyHelperStarts,./internal/parallel/)
 	$(call race2,TestSyntheticDatasetsHoldNoPerFileObjects,./internal/dataset/)
 	$(call race2,TestMeanBetweenMatchesBetween,./internal/trace/)
 	$(call race2,TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls,./internal/netsim/)
 	$(call race2,TestMutatedAllocationMatchesFreshNetwork|TestTopologyRouteUnderMutation|TestRetuneMatchesFreshAllocation,./internal/netsim/)
 	$(call race2,TestTickEqualsPhases|TestTerminalEventsReleaseDecider,./internal/session/)
-	$(call race2,TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestQueueLiveListUnderChurn|TestHorizonHeapProperty|TestHorizonQueueAllocatesNothing|TestSchedulerCountsPinned,./internal/testbed/)
+	$(call race2,TestEventQueueSchedulerIsTransparent|TestEventHorizonSteppingIsTransparent|TestQueueLiveListUnderChurn|TestHorizonHeapProperty|TestHorizonQueueAllocatesNothing|TestSchedulerCountsPinned|TestInvalidSettingInFanoutSurfacesOnCaller,./internal/testbed/)
 	$(call race2,TestTieredRunMatchesPerTickReference|TestClassAllocIsTransparent|TestRecordModesEngineTransparent|TestEventIndexAndSeriesByPart,./internal/testbed/)
 	$(call race2,TestMutationsTransparentAcrossModes,./internal/testbed/)
 	$(call race2,TestRunTicksHonoursOutOfBandRetune|TestSettingsOnlyTicksTakeTheRetuneTier|TestRetuneRefillsWhenOnlyCapacitiesMove,./internal/testbed/)

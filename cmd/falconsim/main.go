@@ -97,6 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if len(refused) > 0 {
 			return fail(fmt.Errorf("%s cannot be used with -scenario: the document describes the run", strings.Join(refused, ", ")))
 		}
+		// A document reads seed 0 as its default, 1: refused as the
+		// flag road refuses it, rather than run as seed 1.
+		if set["seed"] && *seed == 0 {
+			return fail(fmt.Errorf("-seed 0 reads as the document's default seed, 1; pick another"))
+		}
 		if doc, err = scenario.ParseFile(*scenarioPath); err != nil {
 			return fail(err)
 		}

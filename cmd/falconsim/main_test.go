@@ -95,3 +95,17 @@ func TestScenarioRefusesFlagRoadFlags(t *testing.T) {
 		}
 	}
 }
+
+// TestScenarioRefusesSeedZero: a document reads seed 0 as its default,
+// 1, so -seed 0 beside -scenario exits 1 naming the flag rather than
+// print the seed-1 run.
+func TestScenarioRefusesSeedZero(t *testing.T) {
+	var out, errOut bytes.Buffer
+	args := []string{"-scenario", "../../examples/scenarios/emulab.json", "-seed", "0"}
+	if code := run(args, &out, &errOut); code != 1 {
+		t.Errorf("%v exited %d, want 1", args, code)
+	}
+	if !strings.Contains(errOut.String(), "-seed 0") || out.Len() != 0 {
+		t.Errorf("%v: stderr %q does not name -seed 0, or stdout got %d bytes", args, errOut.String(), out.Len())
+	}
+}

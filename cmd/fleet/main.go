@@ -20,10 +20,12 @@
 // links (session i routes over link i mod K); each link's sessions run
 // as their own shard and -shards bounds how many shards step
 // concurrently; where shards are fewer than -shards, each shard decides
-// its due sessions that many times wider instead (the decide width,
-// printed on stderr beside cpu/wall). -json replaces the report with a
-// one-line summary (Jain, aggregate Gbps, wall seconds,
-// session-seconds/sec, cpu/wall, decide width, peak heap).
+// its due sessions that many times wider instead (the decide width).
+// On both roads stderr prints the simulation's cpu/wall beside the
+// decide width and how many loop heads fanned their decisions out over
+// it. -json replaces the report with a one-line summary (Jain,
+// aggregate Gbps, wall seconds, session-seconds/sec, cpu/wall, decide
+// width, fan-outs, isolated decisions, peak heap).
 //
 // The flags lower onto a scenario document (experiments.FleetDoc) with
 // one agent per session, and the run streams every session's
@@ -60,6 +62,7 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/profiling"
 	"repro/internal/scenario"
+	"repro/internal/testbed"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -117,6 +120,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "fleet: %s cannot be used with -scenario: the document describes the fleet\n", strings.Join(refused, ", "))
 			return 1
 		}
+		// A document reads seed 0 as its default, 1: refused as the
+		// flag road refuses it, rather than run as seed 1.
+		if set["seed"] && *seed == 0 {
+			fmt.Fprintln(stderr, "fleet: -seed 0 reads as the document's default seed, 1; pick another")
+			return 1
+		}
 		doc, err := scenario.ParseFile(*scenarioPath)
 		if err != nil {
 			fmt.Fprintf(stderr, "fleet: %v\n", err)
@@ -127,9 +136,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			doc.Seed = *seed
 		}
 		sessions := doc.Sessions()
-		start := time.Now()
+		start, cpu0 := time.Now(), cpuSeconds()
 		dr, err := experiments.ExecuteDynamicFleet(doc, *shards)
 		wall := time.Since(start)
+		cpuOverWall := (cpuSeconds() - cpu0) / wall.Seconds()
 		if err != nil {
 			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
@@ -142,6 +152,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		printRate(stderr, sessions, doc.SessionSeconds(), doc.DurationSeconds, wall)
+		c, width := dr.Counts()
+		printWork(stderr, cpuOverWall, c, width)
 		fmt.Fprintf(stderr, "fleet: refairness report in %.2f s wall\n", reportWall.Seconds())
 		peakHeap, peakRSS := peakMemory()
 		return memoryStatus(stderr, peakHeap, peakRSS, sessions, *maxheap)
@@ -183,7 +195,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	printRate(stderr, sum.Sessions, sum.SessionSeconds, sum.DurationSeconds, wall)
-	fmt.Fprintf(stderr, "fleet: cpu/wall %.2f, decide width %d\n", cpuOverWall, sum.DecideWidth)
+	c, width := fr.Counts()
+	printWork(stderr, cpuOverWall, c, width)
 	fmt.Fprintf(stderr, "fleet: contention report in %.2f s wall\n", reportWall.Seconds())
 	return memoryStatus(stderr, peakHeap, peakRSS, sum.Sessions, *maxheap)
 }
@@ -193,6 +206,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 func printRate(stderr io.Writer, sessions int, sessionSeconds, horizon float64, wall time.Duration) {
 	fmt.Fprintf(stderr, "fleet: %d sessions, %.0f session-seconds over %.0f s, simulated in %.2f s wall — %.0f session-seconds/sec\n",
 		sessions, sessionSeconds, horizon, wall.Seconds(), sessionSeconds/wall.Seconds())
+}
+
+// printWork prints how the simulation used the machine: its CPU
+// seconds per wall second, the width each shard decided on, and how
+// many of its loop heads fanned their decisions out over that width.
+func printWork(stderr io.Writer, cpuOverWall float64, c testbed.Counts, width int) {
+	fmt.Fprintf(stderr, "fleet: cpu/wall %.2f, decide width %d, %d fan-outs over %d loop heads\n",
+		cpuOverWall, width, c.Fanouts, c.LoopHeads)
 }
 
 // memoryStatus prints the peak heap and RSS line and returns the exit

@@ -9,6 +9,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -86,6 +87,8 @@ func TestJSONSummarySessionSeconds(t *testing.T) {
 		SessionsPerSec  float64  `json:"sessions_per_sec"`
 		CPUOverWall     *float64 `json:"cpu_over_wall"`
 		DecideWidth     *int     `json:"decide_width"`
+		Fanouts         *uint64  `json:"fanouts"`
+		Isolated        *uint64  `json:"isolated_decisions"`
 	}
 	if err := json.Unmarshal(bytes.TrimSpace(out.Bytes()), &sum); err != nil {
 		t.Fatalf("summary is not one JSON object: %v\n%s", err, out.String())
@@ -95,6 +98,11 @@ func TestJSONSummarySessionSeconds(t *testing.T) {
 	}
 	if sum.DecideWidth == nil || *sum.DecideWidth != 3 {
 		t.Errorf("decide_width = %v, want 3 (6 workers over 2 shards)", sum.DecideWidth)
+	}
+	// Every session is a Falcon agent, which decides in isolation; 15
+	// sessions a shard are too few to fan out.
+	if sum.Isolated == nil || *sum.Isolated == 0 || sum.Fanouts == nil || *sum.Fanouts != 0 {
+		t.Errorf("isolated_decisions = %v, fanouts = %v, want some isolated decisions and no fan-out", sum.Isolated, sum.Fanouts)
 	}
 	// A run this short may be charged no CPU tick at all.
 	if sum.CPUOverWall == nil || !(*sum.CPUOverWall >= 0 && *sum.CPUOverWall < 1024) {
@@ -111,6 +119,51 @@ func TestJSONSummarySessionSeconds(t *testing.T) {
 	if math.Abs(sum.SessionsPerSec-want) > 1e-9*want {
 		t.Errorf("sessions_per_sec = %v, want Σ(duration − join) / wall = %v (sessions × duration / wall would be %v)",
 			sum.SessionsPerSec, want, n*duration/sum.WallSeconds)
+	}
+}
+
+// smallDoc writes a 6-session, 30 s fleet document and returns its path.
+func smallDoc(t *testing.T) string {
+	t.Helper()
+	doc := filepath.Join(t.TempDir(), "small.json")
+	if err := os.WriteFile(doc, []byte(`{"preset": "fleet", "duration_seconds": 30,
+		"agents": [{"id": "s", "count": 6, "algorithm": "bo", "max_concurrency": 8}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return doc
+}
+
+// TestBothRoadsPrintWork: the flag road and the document road each
+// print one stderr line with the simulation's cpu/wall, its decide
+// width and its fan-outs over its loop heads.
+func TestBothRoadsPrintWork(t *testing.T) {
+	doc := smallDoc(t)
+	work := regexp.MustCompile(`(?m)^fleet: cpu/wall [0-9.]+, decide width 2, 0 fan-outs over [1-9][0-9]* loop heads$`)
+	for _, args := range [][]string{
+		{"-n", "6", "-duration", "30", "-stagger", "1", "-shards", "2"},
+		{"-scenario", doc, "-shards", "2"},
+	} {
+		var out, errOut bytes.Buffer
+		if code := run(args, &out, &errOut); code != 0 {
+			t.Fatalf("%v exited %d:\n%s", args, code, errOut.String())
+		}
+		if got := work.FindAllString(errOut.String(), -1); len(got) != 1 {
+			t.Errorf("%v: %d work lines on stderr, want 1:\n%s", args, len(got), errOut.String())
+		}
+	}
+}
+
+// TestScenarioRefusesSeedZero: a document reads seed 0 as its default,
+// 1, so -seed 0 beside -scenario exits 1 naming the flag rather than
+// run the seed-1 fleet.
+func TestScenarioRefusesSeedZero(t *testing.T) {
+	doc := smallDoc(t)
+	var out, errOut bytes.Buffer
+	if code := run([]string{"-scenario", doc, "-seed", "0"}, &out, &errOut); code != 1 {
+		t.Errorf("-seed 0 beside -scenario exited %d, want 1", code)
+	}
+	if !strings.Contains(errOut.String(), "-seed 0") || out.Len() != 0 {
+		t.Errorf("stderr %q does not name -seed 0, or stdout got %d bytes", errOut.String(), out.Len())
 	}
 }
 

@@ -66,6 +66,9 @@ type DynamicRun struct {
 	tl     *testbed.Timeline
 }
 
+// Counts reports how the simulation ran (scenario.Run.Counts).
+func (d *DynamicRun) Counts() (testbed.Counts, int) { return d.run.Counts() }
+
 // ExecuteDynamicFleet builds and runs the document — DynamicFleet's
 // simulation half.
 func ExecuteDynamicFleet(doc *scenario.Document, workers int) (*DynamicRun, error) {

@@ -29,6 +29,13 @@ type FleetSummary struct {
 	// sets on (testbed.ShardSet.DecideWidth): a function of the worker
 	// budget and the shard count, never of the output.
 	DecideWidth int `json:"decide_width"`
+	// Fanouts is how many loop heads spread their isolated decisions
+	// over the decide width, and IsolatedDecisions how many decisions
+	// controllers that declared isolation made (testbed.Counts): with
+	// DecideWidth, they say how much of the run could decide in
+	// parallel, and how much did.
+	Fanouts           uint64 `json:"fanouts"`
+	IsolatedDecisions uint64 `json:"isolated_decisions"`
 }
 
 // FleetDoc lowers cmd/fleet's flags onto a scenario document: sessions
@@ -105,6 +112,7 @@ func FleetDoc(sessions int, duration, stagger float64, maxn int, seed int64, alg
 type FleetRun struct {
 	run         *scenario.Run
 	rec         *fleetRecorder
+	counts      testbed.Counts
 	decideWidth int
 }
 
@@ -138,8 +146,12 @@ func Fleet(doc *scenario.Document, workers int) (*FleetRun, error) {
 	if _, err := ss.Run(doc.DurationSeconds, doc.TickSeconds); err != nil {
 		return nil, err
 	}
-	return &FleetRun{run: run, rec: rec, decideWidth: ss.DecideWidth()}, nil
+	return &FleetRun{run: run, rec: rec, counts: ss.Counts(), decideWidth: ss.DecideWidth()}, nil
 }
+
+// Counts reports how the simulation ran: its work counts summed over
+// the shards and the width each shard decided on.
+func (f *FleetRun) Counts() (testbed.Counts, int) { return f.counts, f.decideWidth }
 
 // lastJoinOf is the latest join in the run's roster.
 func lastJoinOf(run *scenario.Run) float64 {
@@ -156,6 +168,7 @@ func lastJoinOf(run *scenario.Run) float64 {
 func (f *FleetRun) Report() (*Result, *FleetSummary) {
 	r, sum := fleetReport(f.run, f.rec.stats())
 	sum.DecideWidth = f.decideWidth
+	sum.Fanouts, sum.IsolatedDecisions = f.counts.Fanouts, f.counts.Isolated
 	return r, sum
 }
 

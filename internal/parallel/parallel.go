@@ -90,3 +90,112 @@ func ForEachN(n, workers int, fn func(i int)) {
 		panic(p)
 	}
 }
+
+// Ordered is the reusable state of ordered fan-outs (ForEachOrdered):
+// one done flag per item, the shared claim cursor and the helpers'
+// first panic. A flag holds the sequence number of the fan-out whose
+// fn(i) last returned, so flags need no reset between fan-outs and a
+// caller that fans out often sizes them once. An Ordered runs one
+// fan-out at a time and must not be copied.
+type Ordered struct {
+	done   []atomic.Uint64
+	seq    uint64
+	n      int64
+	next   atomic.Int64
+	wg     sync.WaitGroup
+	failed atomic.Pointer[string]
+}
+
+// NewOrdered returns the state for ordered fan-outs of up to n items.
+// A larger fan-out still runs, but allocates its flags anew.
+func NewOrdered(n int) *Ordered { return &Ordered{done: make([]atomic.Uint64, max(n, 0))} }
+
+// ForEachOrdered runs fn(0) … fn(n-1) across at most workers
+// goroutines — the caller's own and workers-1 helpers, as ForEachN —
+// and then(0) … then(n-1) on the caller, in ascending i, each as soon
+// as its fn(i) has returned: then(i) overlaps the fn calls of higher
+// indexes still running on the helpers. While fn(i) is still running
+// elsewhere, the caller claims the next unclaimed index from the same
+// cursor rather than wait, and spin-yields only when none is left — a
+// wait bounded by one fn call. With workers ≤ 1 (or n == 1) it runs
+// fn(0), then(0), fn(1), then(1), … inline.
+//
+// A panic in fn is re-raised on the caller, as ForEachN re-raises it,
+// and a panic in then propagates as is; either way no helper claims
+// another index, and the panic leaves ForEachOrdered only after every
+// helper has stopped.
+func (o *Ordered) ForEachOrdered(n, workers int, fn, then func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+			then(i)
+		}
+		return
+	}
+	if n > len(o.done) {
+		o.done = make([]atomic.Uint64, n)
+	}
+	o.seq++
+	seq := o.seq
+	o.n = int64(n)
+	o.next.Store(0)
+	o.failed.Store(nil)
+	o.wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go o.help(seq, fn)
+	}
+	defer o.halt()
+	for i := 0; i < n; i++ {
+		for o.done[i].Load() != seq {
+			if p := o.failed.Load(); p != nil {
+				o.halt()
+				panic(*p)
+			}
+			if c := o.next.Add(1) - 1; c < o.n {
+				o.run(int(c), seq, fn)
+			} else {
+				runtime.Gosched()
+			}
+		}
+		then(i)
+	}
+}
+
+// help is a helper's loop: claim, run, until the cursor passes the end.
+func (o *Ordered) help(seq uint64, fn func(i int)) {
+	defer o.wg.Done()
+	for {
+		c := o.next.Add(1) - 1
+		if c >= o.n {
+			return
+		}
+		o.run(int(c), seq, fn)
+	}
+}
+
+// run calls fn(i) and raises its done flag; a panic instead records
+// the first failure and moves the cursor past the end, so no helper
+// claims another index.
+func (o *Ordered) run(i int, seq uint64, fn func(i int)) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg := fmt.Sprintf("parallel: worker panic on item %d: %v", i, r)
+			o.failed.CompareAndSwap(nil, &msg)
+			o.next.Store(o.n)
+		}
+	}()
+	fn(i)
+	o.done[i].Store(seq)
+}
+
+// halt stops the claims and waits for every helper to return.
+func (o *Ordered) halt() {
+	o.next.Store(o.n)
+	o.wg.Wait()
+}

@@ -1,9 +1,13 @@
 package parallel
 
 import (
+	"fmt"
+	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachNCoversEveryIndexOnce(t *testing.T) {
@@ -56,4 +60,171 @@ func TestForEachNPropagatesPanic(t *testing.T) {
 			panic("boom")
 		}
 	})
+}
+
+// goid is the calling goroutine's id, read from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return strings.Fields(string(buf))[1]
+}
+
+// TestForEachOrderedCoversEveryIndexOnce: every fn(i) runs once, and
+// then(0) … then(n-1) run on the caller in ascending order, each after
+// its own fn(i) returned — over fan-outs of one Ordered that grow past
+// the size it was made for and shrink again, so its reused flags are
+// exercised too.
+func TestForEachOrderedCoversEveryIndexOnce(t *testing.T) {
+	o := NewOrdered(8)
+	caller := goid()
+	for _, workers := range []int{1, 2, 4, 16} {
+		for _, n := range []int{1, 7, 100, 8, 3} {
+			counts := make([]atomic.Int32, n)
+			returned := make([]atomic.Bool, n)
+			var order []int
+			o.ForEachOrdered(n, workers, func(i int) {
+				counts[i].Add(1)
+				time.Sleep(time.Duration(i%3) * 10 * time.Microsecond)
+				returned[i].Store(true)
+			}, func(i int) {
+				if !returned[i].Load() {
+					t.Errorf("workers=%d n=%d: then(%d) ran before its fn returned", workers, n, i)
+				}
+				if g := goid(); g != caller {
+					t.Errorf("workers=%d n=%d: then(%d) ran on goroutine %s, not the caller's %s", workers, n, i, g, caller)
+				}
+				order = append(order, i)
+			})
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: fn(%d) ran %d times", workers, n, i, c)
+				}
+			}
+			for k, i := range order {
+				if i != k {
+					t.Fatalf("workers=%d n=%d: then order %v, want ascending", workers, n, order)
+				}
+			}
+			if len(order) != n {
+				t.Fatalf("workers=%d n=%d: then ran %d times", workers, n, len(order))
+			}
+		}
+	}
+}
+
+// TestForEachOrderedInline: with workers ≤ 1, or a single item, the
+// fan-out is the plain loop fn(0), then(0), fn(1), then(1), ….
+func TestForEachOrderedInline(t *testing.T) {
+	var o Ordered
+	for _, tc := range []struct{ n, workers int }{{4, 1}, {4, 0}, {4, -2}, {1, 8}} {
+		var log []string
+		o.ForEachOrdered(tc.n, tc.workers,
+			func(i int) { log = append(log, fmt.Sprintf("fn%d", i)) },
+			func(i int) { log = append(log, fmt.Sprintf("then%d", i)) })
+		var want []string
+		for i := 0; i < tc.n; i++ {
+			want = append(want, fmt.Sprintf("fn%d", i), fmt.Sprintf("then%d", i))
+		}
+		if !slices.Equal(log, want) {
+			t.Errorf("n=%d workers=%d: calls %v, want %v", tc.n, tc.workers, log, want)
+		}
+	}
+}
+
+func TestForEachOrderedZeroAndNegative(t *testing.T) {
+	var o Ordered
+	ran := false
+	o.ForEachOrdered(0, 4, func(int) { ran = true }, func(int) { ran = true })
+	o.ForEachOrdered(-3, 4, func(int) { ran = true }, func(int) { ran = true })
+	if ran {
+		t.Fatal("fn or then ran for non-positive n")
+	}
+}
+
+// TestForEachOrderedPanicStopsHelpers: a panic in fn — on a helper or
+// on the caller — or in then leaves ForEachOrdered on the caller only
+// after every helper has returned from fn and stopped claiming: no fn
+// is running when the caller recovers, far fewer than n ran, and no
+// helper goroutine outlives the call. A panic in fn is re-raised naming
+// its item, as ForEachN does; a panic in then keeps its own value.
+func TestForEachOrderedPanicStopsHelpers(t *testing.T) {
+	const n, at = 10000, 3
+	for _, tc := range []struct {
+		name string
+		inFn bool
+		want string
+	}{
+		{"fn", true, "parallel: worker panic on item 3: boom"},
+		{"then", false, "boom"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var o Ordered
+			before := runtime.NumGoroutine()
+			var running, calls atomic.Int32
+			var got any
+			var runningAtRecover int32
+			func() {
+				defer func() {
+					got = recover()
+					runningAtRecover = running.Load()
+				}()
+				o.ForEachOrdered(n, 4, func(i int) {
+					running.Add(1)
+					defer running.Add(-1)
+					calls.Add(1)
+					if tc.inFn && i == at {
+						panic("boom")
+					}
+					time.Sleep(50 * time.Microsecond)
+				}, func(i int) {
+					if !tc.inFn && i == at {
+						panic("boom")
+					}
+				})
+			}()
+			if s, _ := got.(string); s != tc.want {
+				t.Fatalf("recovered %v, want %q", got, tc.want)
+			}
+			if runningAtRecover != 0 {
+				t.Errorf("%d fn calls still running when the panic reached the caller", runningAtRecover)
+			}
+			if c := calls.Load(); c >= n/2 {
+				t.Errorf("%d of %d fn calls ran: the helpers kept claiming after the panic", c, n)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("%d goroutines before, %d after: helpers leaked", before, after)
+			}
+			// The Ordered is usable again after a panic.
+			var sum atomic.Int64
+			last := -1
+			o.ForEachOrdered(50, 4, func(i int) { sum.Add(int64(i)) }, func(i int) {
+				if i != last+1 {
+					t.Errorf("then(%d) after then(%d)", i, last)
+				}
+				last = i
+			})
+			if sum.Load() != 50*49/2 || last != 49 {
+				t.Errorf("fan-out after a panic: sum %d, last then %d", sum.Load(), last)
+			}
+		})
+	}
+}
+
+// TestForEachOrderedAllocatesOnlyHelperStarts: a fan-out on a reused
+// Ordered, with fn and then bound beforehand, allocates only the starts
+// of its workers-1 helper goroutines — no flags, cursor or panic slot.
+func TestForEachOrderedAllocatesOnlyHelperStarts(t *testing.T) {
+	var sum atomic.Int64
+	fn := func(i int) { sum.Add(int64(i)) }
+	then := func(int) {}
+	for _, workers := range []int{1, 2, 4} {
+		o := NewOrdered(16)
+		if a := testing.AllocsPerRun(200, func() { o.ForEachOrdered(16, workers, fn, then) }); a > float64(workers-1) {
+			t.Errorf("workers=%d: a fan-out allocates %v times, want at most %d", workers, a, workers-1)
+		}
+	}
 }

@@ -86,6 +86,9 @@ type Run struct {
 	Shards []ShardPlan
 
 	used bool
+	// counts and decideWidth are the executed ShardSet's (see Counts).
+	counts      testbed.Counts
+	decideWidth int
 }
 
 // Build compiles the document: resolve the environment (preset or
@@ -479,5 +482,12 @@ func (r *Run) Execute(opt ExecOptions) (*testbed.Timeline, error) {
 		ss.SetEventSink(opt.Events)
 	}
 	ss.SetWorkers(opt.Workers)
-	return ss.Run(r.Doc.DurationSeconds, r.Doc.TickSeconds)
+	tl, err := ss.Run(r.Doc.DurationSeconds, r.Doc.TickSeconds)
+	r.counts, r.decideWidth = ss.Counts(), ss.DecideWidth()
+	return tl, err
 }
+
+// Counts reports how Execute ran: its work counts summed over the
+// shards (testbed.ShardSet.Counts) and the width each shard decided
+// on (testbed.ShardSet.DecideWidth). Both are zero before Execute.
+func (r *Run) Counts() (testbed.Counts, int) { return r.counts, r.decideWidth }

@@ -49,9 +49,5 @@ func (q *horizonQueue) len() int { return q.n }
 // applied.
 func (e *Engine) PendingMutations() int { return len(e.muts) - e.mutNext }
 
-// Counts returns the work counts of every shard scheduler the set has
-// run, summed.
-func (ss *ShardSet) Counts() Counts { return ss.counts }
-
 // Shards returns the number of shards.
 func (ss *ShardSet) Shards() int { return len(ss.shards) }

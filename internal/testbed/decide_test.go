@@ -146,6 +146,54 @@ func TestParallelControllerPanicSurfacesOnDriver(t *testing.T) {
 	}
 }
 
+// isoInvalid declares itself isolated and, when armed, returns an
+// invalid setting (no streams) on its second decision.
+type isoInvalid struct {
+	armed bool
+	calls *int
+}
+
+func (b isoInvalid) Decide(s transfer.Sample) transfer.Setting {
+	*b.calls++
+	if b.armed && *b.calls == 2 {
+		return transfer.Setting{}
+	}
+	return s.Setting
+}
+func (isoInvalid) DecideIsolated() bool { return true }
+
+// TestInvalidSettingInFanoutSurfacesOnCaller: a setting that fails to
+// apply is found by the commit, which runs on the scheduler's goroutine
+// while the helpers still decide later chunks. Run panics once, on the
+// goroutine that called it, naming the task, and only after every
+// helper has stopped; none outlives it.
+func TestInvalidSettingInFanoutSurfacesOnCaller(t *testing.T) {
+	ss, err := NewShardSet(oneShard(t, 300, func(i int) Controller {
+		return isoInvalid{armed: i == 137, calls: new(int)}
+	}), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss.SetWorkers(8)
+	before := runtime.NumGoroutine()
+	var got any
+	func() {
+		defer func() { got = recover() }()
+		ss.Run(10, 0.25)
+	}()
+	msg, _ := got.(string)
+	if !strings.HasPrefix(msg, `testbed: controller for "p0137" produced invalid setting: `) {
+		t.Fatalf("Run panicked with %v, want the invalid setting of task p0137", got)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before Run, %d after: helpers leaked", before, after)
+	}
+}
+
 // TestDecideWidthRule: the decide width is the worker budget divided
 // among the shards stepping at once — derived, with no setter — and a
 // budget of 0 is the parallel harness default, as SetWorkers documents.
@@ -184,7 +232,7 @@ func TestDecideWidthRule(t *testing.T) {
 // threshold belongs where width 2 stops losing to width 1.
 func BenchmarkDecideFanout(b *testing.B) {
 	lowerDecideFanout(b, 1)
-	for _, n := range []int{64, 128, 192, 256, 512} {
+	for _, n := range []int{32, 64, 96, 128, 192, 256, 512} {
 		for _, width := range []int{1, 2} {
 			b.Run(fmt.Sprintf("n=%d/width=%d", n, width), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {

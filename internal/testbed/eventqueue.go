@@ -43,6 +43,10 @@ type queueRun struct {
 	// pend is the sessions ticking at the current loop head, in part
 	// order, each carried from its sample through its commit.
 	pend []pendingTick
+	// fan is the pipelined decide-and-commit's state, made at the
+	// run's first fan-out with a done flag for every chunk the run's
+	// parts can fill, and reused by every later one.
+	fan *parallel.Ordered
 
 	// partOf maps an engine task handle to the part that joined with it
 	// (-1 for handles minted outside this run), so the engine's drained
@@ -66,17 +70,17 @@ type pendingTick struct {
 }
 
 // decideFanout is the number of isolated decisions due at one loop head
-// from which deciding them on the scheduler's decide width pays for
-// waking the helpers. Measured with BenchmarkDecideFanout on the 2-core
-// reference VM (n hc/gd/bo agents all due together, 99 epochs, width 2
-// against width 1, medians of four runs): a fan-out costs its caller
-// 50–80 µs — a helper starts ≈ 0.3 ms late and the caller then waits
-// out the chunk it took — so 64 decisions lose 30 % (16.8 → 21.8 ms),
-// 128 lose 22 %, 160 lose 7 %, 192 and 224 break even, 256 gain 12 %
-// (81 → 71 ms) and 512 gain 17 % (170 → 141 ms). A variable, not a
+// from which deciding them on the scheduler's decide width, with each
+// chunk committed as soon as it is decided, pays for waking the
+// helpers. Measured with BenchmarkDecideFanout on the 2-core reference
+// VM (n hc/gd/bo agents all due together, 99 epochs, width 2 against
+// width 1, medians of four runs, two sets): 32 decisions are one chunk,
+// which runs inline at either width; 64 lose 16 % and 1 % (13.3 → 15.5
+// and 14.4 → 14.5 ms); 96 gain 11 % and 5 % (20.5 → 18.3 ms); 128 gain
+// 16–19 %, 192 24 % (41.7 → 31.7 ms) and 512 39 %. A variable, not a
 // constant, only so tests can lower it and drive the parallel phase
 // with small fleets.
-var decideFanout = 192
+var decideFanout = 96
 
 // decideChunk is how many consecutive pending ticks one fan-out work
 // item covers: workers take whole chunks, so neighbours in pend — which
@@ -124,8 +128,8 @@ func (s *Scheduler) newQueueRun(until, tick float64) *queueRun {
 // false once the horizon is reached. The phase order — lifecycle,
 // session ticks, engine advance, completion sweep, recording — is the
 // always-tick loop's; within the session ticks, what that loop does
-// session by session through Session.Tick runs here as sample, decide
-// and commit phases.
+// session by session through Session.Tick runs here as a sample phase
+// and then a decide-and-commit phase, pipelined when it fans out.
 func (r *queueRun) step() bool {
 	s := r.s
 	eng := s.eng
@@ -161,7 +165,7 @@ func (r *queueRun) step() bool {
 	}
 
 	// Decision epochs and warm-up expiry, owned by each session, in
-	// three phases. The popped deadline handles are exactly the sessions
+	// two phases. The popped deadline handles are exactly the sessions
 	// whose Tick would do anything: a Tick before a session's deadline is
 	// a no-op by construction.
 	//
@@ -176,18 +180,30 @@ func (r *queueRun) step() bool {
 		}
 	}
 	c.Isolated += uint64(isolated)
-	// Decide: controllers that declared themselves isolated run on
-	// private state only, so a due set worth the wake-up is spread over
-	// the decide width. Everything else is decided inline by the commit.
+	// Decide and commit. Commit runs on this goroutine in part order:
+	// events, Apply to the session's own task, the warm-up restart and
+	// the re-armed deadline, all as Tick interleaves them per session;
+	// a controller that did not declare itself isolated is decided
+	// inline by it. Isolated controllers run on private state only, so
+	// a due set worth the wake-up is decided a chunk at a time over the
+	// decide width, and each chunk is committed as soon as it is
+	// decided, while the helpers decide the chunks after it: no commit
+	// reads what a later chunk's decisions write, nor they what it
+	// writes.
 	if s.decideWidth > 1 && isolated >= decideFanout {
 		c.Fanouts++
-		parallel.ForEachN((len(r.pend)+decideChunk-1)/decideChunk, s.decideWidth, r.decide)
-	}
-	// Commit, in part order: events, Apply to the session's own task,
-	// the warm-up restart, and the re-armed deadline — all as Tick
-	// interleaves them per session.
-	for k := range r.pend {
-		r.commit(&r.pend[k], now)
+		if r.fan == nil {
+			r.fan = parallel.NewOrdered((len(s.parts) + decideChunk - 1) / decideChunk)
+		}
+		r.fan.ForEachOrdered((len(r.pend)+decideChunk-1)/decideChunk, s.decideWidth, r.decide, func(chunk int) {
+			for k := chunk * decideChunk; k < min((chunk+1)*decideChunk, len(r.pend)); k++ {
+				r.commit(&r.pend[k], now)
+			}
+		})
+	} else {
+		for k := range r.pend {
+			r.commit(&r.pend[k], now)
+		}
 	}
 
 	if hintDue {
@@ -307,8 +323,8 @@ func (r *queueRun) sample(i int32, now float64) int {
 }
 
 // decide runs the isolated controllers of the c-th chunk of pend. It is
-// the body of the parallel phase: a controller's panic is re-raised
-// naming its task and surfaces, through parallel.ForEachN, on the
+// the parallel half of a fan-out: a controller's panic is re-raised
+// naming its task and surfaces, through parallel.Ordered, on the
 // scheduler's goroutine.
 func (r *queueRun) decide(c int) {
 	var e *schedEntry

@@ -129,6 +129,11 @@ func (ss *ShardSet) DecideWidth() int {
 	return w / min(w, len(ss.shards))
 }
 
+// Counts returns the work counts of every shard scheduler the set has
+// run, summed: loop heads, horizons, fan-outs, isolated decisions and
+// engine tick tiers (see Counts).
+func (ss *ShardSet) Counts() Counts { return ss.counts }
+
 // Run steps every shard to the given horizon and returns the merged
 // timeline. Each shard builds its own Engine, schedules its mutations,
 // and runs its participants on its own scheduler; shards execute on the
