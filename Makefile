@@ -95,7 +95,7 @@ transparency:
 	$(call race2,TestPredictIntoMatchesPredict|TestRefitMatchesIndependentFits|TestSearchAllocationsIndependentOfCallCount,./internal/bayesopt/)
 	$(call race2,TestSearchReservesOnFirstObservation|TestReleasedSearchPanics|TestSearchConstructionFootprint,./internal/bayesopt/)
 	$(call race2,TestInterleavedUpdatesMatchSingleCalls,./internal/linalg/)
-	$(call race2,TestForEachOrderedCoversEveryIndexOnce|TestForEachOrderedInline|TestForEachOrderedZeroAndNegative|TestForEachOrderedPanicStopsHelpers|TestForEachOrderedAllocatesOnlyHelperStarts,./internal/parallel/)
+	$(call race2,TestForEachOrderedCoversEveryIndexOnce|TestForEachOrderedInline|TestForEachOrderedZeroAndNegative|TestForEachOrderedPanicStopsHelpers|TestForEachOrderedAllocatesOnlyHelperStarts|TestMapResultsInIndexOrder|TestMapReturnsLowestFailingError|TestMapPanicStopsHelpers|TestMapInline|TestMapZeroAndNegative,./internal/parallel/)
 	$(call race2,TestSyntheticDatasetsHoldNoPerFileObjects,./internal/dataset/)
 	$(call race2,TestMeanBetweenMatchesBetween,./internal/trace/)
 	$(call race2,TestClassAggregationTransparencyProperty|TestClassCacheAcrossCalls,./internal/netsim/)

@@ -56,7 +56,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"syscall"
 	"time"
 
 	"repro/internal/experiments"
@@ -136,10 +135,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 			doc.Seed = *seed
 		}
 		sessions := doc.Sessions()
-		start, cpu0 := time.Now(), cpuSeconds()
+		start, cpu0 := time.Now(), profiling.CPUSeconds()
 		dr, err := experiments.ExecuteDynamicFleet(doc, *shards)
 		wall := time.Since(start)
-		cpuOverWall := (cpuSeconds() - cpu0) / wall.Seconds()
+		cpuOverWall := (profiling.CPUSeconds() - cpu0) / wall.Seconds()
 		if err != nil {
 			fmt.Fprintf(stderr, "fleet: %v\n", err)
 			return 1
@@ -170,10 +169,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "fleet: %v\n", err)
 		return 1
 	}
-	start, cpu0 := time.Now(), cpuSeconds()
+	start, cpu0 := time.Now(), profiling.CPUSeconds()
 	fr, err := experiments.Fleet(doc, *shards)
 	wall := time.Since(start)
-	cpuOverWall := (cpuSeconds() - cpu0) / wall.Seconds()
+	cpuOverWall := (profiling.CPUSeconds() - cpu0) / wall.Seconds()
 	if err != nil {
 		fmt.Fprintf(stderr, "fleet: %v\n", err)
 		return 1
@@ -245,17 +244,6 @@ type jsonSummary struct {
 	PeakHeapBytes   uint64  `json:"peak_heap_bytes"`
 	PeakRSSBytes    uint64  `json:"peak_rss_bytes"`
 	BytesPerSession float64 `json:"bytes_per_session"`
-}
-
-// cpuSeconds is the process's user plus system CPU time so far, from
-// getrusage; 0 where that fails.
-func cpuSeconds() float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		return 0
-	}
-	tv := func(t syscall.Timeval) float64 { return float64(t.Sec) + float64(t.Usec)/1e6 }
-	return tv(ru.Utime) + tv(ru.Stime)
 }
 
 // peakMemory reports the process's peak heap (runtime HeapSys — the

@@ -10,10 +10,12 @@
 // -chart prints compact ASCII charts of the timeline figures.
 //
 // -parallel controls the worker pool: independent experiments (and
-// independent sweep points within an experiment) execute across that
-// many goroutines, with per-trial seeds fixed by the trial index and
+// independent trials within an experiment) execute across that many
+// goroutines, with per-trial seeds fixed by the trial index and
 // results assembled in paper order, so the output is byte-identical
-// for every -parallel value, including 1 (serial). Each simulated
+// for every -parallel value, including 1 (serial). When the run ends,
+// one line on stderr reports the experiments run, their wall time and
+// cpu/wall — how much of the pool the run kept busy. Each simulated
 // transfer inside an experiment is one session loop (internal/session)
 // ticked on the testbed's virtual clock — the same loop that drives
 // real FTP transfers on the wall clock — so figures reproduce the
@@ -27,6 +29,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 
 	"repro/internal/experiments"
 	"repro/internal/parallel"
@@ -94,6 +97,7 @@ func run() int {
 	// same width.
 	parallel.SetWorkers(*workers)
 
+	start, cpu0 := time.Now(), profiling.CPUSeconds()
 	failed := 0
 	for _, out := range experiments.Run(runners, *seed, *workers) {
 		fmt.Printf("running %s (%s)...\n", out.Runner.ID, out.Runner.Name)
@@ -137,6 +141,9 @@ func run() int {
 		}
 		fmt.Println()
 	}
+	wall := time.Since(start).Seconds()
+	fmt.Fprintf(os.Stderr, "reproduce: %d experiments in %.2f s wall, cpu/wall %.2f\n",
+		len(runners), wall, (profiling.CPUSeconds()-cpu0)/wall)
 	if failed > 0 {
 		return 1
 	}

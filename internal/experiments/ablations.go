@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/bayesopt"
 	"repro/internal/core"
 	"repro/internal/optimizer"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/transfer"
@@ -23,7 +25,7 @@ func AblationK(seed int64) (*Result, error) {
 		Header: []string{"K", "Concave limit 2/ln K", "Converged cc", "Throughput (Mbps)"},
 	}
 	cfg := testbed.EmulabGigabit(20.83e6)
-	for _, k := range []float64{1.005, 1.01, 1.02, 1.05, 1.10} {
+	if err := addRows(r, []float64{1.005, 1.01, 1.02, 1.05, 1.10}, func(k float64) ([]string, error) {
 		params := utility.Params{B: utility.DefaultB, K: k}
 		agent, err := core.NewAgent(optimizer.NewGradientDescent(100), params)
 		if err != nil {
@@ -35,10 +37,12 @@ func AblationK(seed int64) (*Result, error) {
 		}
 		cc := tl.Concurrency.Lookup("t").MeanAfter(300)
 		tput := tl.MeanThroughputGbps("t", 300, 480)
-		r.AddRow(fmt.Sprintf("%.3f", k),
+		return []string{fmt.Sprintf("%.3f", k),
 			fmt.Sprintf("%.0f", utility.ConcaveLimit(k)),
 			fmt.Sprintf("%.0f", cc),
-			fmt.Sprintf("%.0f", tput*1000))
+			fmt.Sprintf("%.0f", tput*1000)}, nil
+	}); err != nil {
+		return nil, err
 	}
 	r.AddNote("paper §3.1: K=1.02 balances stability and reach; K=1.10 converges below the optimum when the optimum is high")
 	return r, nil
@@ -55,7 +59,7 @@ func AblationB(seed int64) (*Result, error) {
 		Header: []string{"B", "Converged cc", "Utilization", "Mean loss"},
 	}
 	cfg := testbed.Emulab(10e6)
-	for _, b := range []float64{0, 1, 10, 100} {
+	if err := addRows(r, []float64{0, 1, 10, 100}, func(b float64) ([]string, error) {
 		params := utility.Params{B: b, K: utility.DefaultK}
 		agent, err := core.NewAgent(optimizer.NewGradientDescent(32), params)
 		if err != nil {
@@ -68,10 +72,12 @@ func AblationB(seed int64) (*Result, error) {
 		cc := tl.Concurrency.Lookup("t").MeanAfter(150)
 		tput := tl.MeanThroughputGbps("t", 150, 300)
 		loss := tl.Loss.Lookup("t").MeanAfter(150)
-		r.AddRow(fmt.Sprintf("%.0f", b),
+		return []string{fmt.Sprintf("%.0f", b),
 			fmt.Sprintf("%.1f", cc),
 			fmt.Sprintf("%.0f%%", tput*1e9/cfg.LinkCapacity*100),
-			pct(loss))
+			pct(loss)}, nil
+	}); err != nil {
+		return nil, err
 	}
 	r.AddNote("paper §3.1: B=10 keeps loss below 1%% while achieving over 95%% utilization")
 	return r, nil
@@ -86,7 +92,7 @@ func AblationInterval(seed int64) (*Result, error) {
 		Title:  "Sensitivity to sample-transfer duration (Emulab, optimum 10)",
 		Header: []string{"Interval (s)", "Time to 90% utilization (s)", "Converged throughput (Mbps)"},
 	}
-	for _, interval := range []float64{1, 3, 5, 10} {
+	if err := addRows(r, []float64{1, 3, 5, 10}, func(interval float64) ([]string, error) {
 		cfg := testbed.Emulab(10e6)
 		eng, err := testbed.NewEngine(cfg, seed)
 		if err != nil {
@@ -119,8 +125,10 @@ func AblationInterval(seed int64) (*Result, error) {
 		if conv >= 0 {
 			convStr = fmt.Sprintf("%.0f", conv)
 		}
-		r.AddRow(fmt.Sprintf("%.0f", interval), convStr,
-			fmt.Sprintf("%.0f", tl.MeanThroughputGbps("t", 150, 300)*1000))
+		return []string{fmt.Sprintf("%.0f", interval), convStr,
+			fmt.Sprintf("%.0f", tl.MeanThroughputGbps("t", 150, 300)*1000)}, nil
+	}); err != nil {
+		return nil, err
 	}
 	r.AddNote("the paper's 3-5 s choice trades convergence speed against measurement fidelity (§3.2: each sample takes at least 3-5 s to be accurate)")
 	return r, nil
@@ -138,7 +146,7 @@ func AblationWindow(seed int64) (*Result, error) {
 		Header: []string{"Window", "Throughput before change (Gbps)", "Throughput after change (Gbps)", "Share of post-change optimum"},
 	}
 	cfg := testbed.HPCLab()
-	for _, window := range []int{5, 20, 100} {
+	if err := addRows(r, []int{5, 20, 100}, func(window int) ([]string, error) {
 		bo := bayesopt.New(32, seed)
 		bo.Window = window
 		agent, err := core.NewAgent(bo, utility.DefaultParams())
@@ -158,9 +166,11 @@ func AblationWindow(seed int64) (*Result, error) {
 		before := tl.MeanThroughputGbps("falcon", 150, 300)
 		after := tl.MeanThroughputGbps("falcon", 420, 600)
 		// Post-change fair share ≈ half of the 27 Gbps write capacity.
-		r.AddRow(fmt.Sprintf("%d", window),
+		return []string{fmt.Sprintf("%d", window),
 			fmt.Sprintf("%.2f", before), fmt.Sprintf("%.2f", after),
-			fmt.Sprintf("%.0f%%", after/13.5*100))
+			fmt.Sprintf("%.0f%%", after/13.5*100)}, nil
+	}); err != nil {
+		return nil, err
 	}
 	r.AddNote("paper §3.2: limiting past observations to 20 forces periodic exploration and quick discovery of a new optimum")
 	return r, nil
@@ -177,7 +187,7 @@ func AblationWarmup(seed int64) (*Result, error) {
 		Header: []string{"Warm-up", "Concurrency reached by 900 s", "Throughput (Mbps, late)"},
 	}
 	cfg := testbed.EmulabGigabit(20.83e6)
-	for _, warmup := range []float64{-1, 1} {
+	if err := addRows(r, []float64{-1, 1}, func(warmup float64) ([]string, error) {
 		eng, err := testbed.NewEngine(cfg, seed)
 		if err != nil {
 			return nil, err
@@ -195,7 +205,9 @@ func AblationWarmup(seed int64) (*Result, error) {
 		if warmup > 0 {
 			label = fmt.Sprintf("%.0f s", warmup)
 		}
-		r.AddRow(label, fmt.Sprintf("%.0f", cc), fmt.Sprintf("%.0f", tput*1000))
+		return []string{label, fmt.Sprintf("%.0f", cc), fmt.Sprintf("%.0f", tput*1000)}, nil
+	}); err != nil {
+		return nil, err
 	}
 	r.AddNote("the paper measures samples only after the transfer has run 'for a sufficient amount of time' (§3) — this ablation shows why")
 	return r, nil
@@ -214,7 +226,7 @@ func AblationSearch(seed int64) (*Result, error) {
 		Header: []string{"Algorithm", "Time to reach ≥43 (s)", "Throughput (Mbps, late)"},
 	}
 	cfg := testbed.EmulabGigabit(20.83e6)
-	for _, algo := range []string{core.AlgoHillClimbing, core.AlgoGradient, core.AlgoBayesian, core.AlgoDirectSearch, core.AlgoSPSA} {
+	if err := addRows(r, []string{core.AlgoHillClimbing, core.AlgoGradient, core.AlgoBayesian, core.AlgoDirectSearch, core.AlgoSPSA}, func(algo string) ([]string, error) {
 		agent, err := core.NewAgentByName(algo, 100, seed)
 		if err != nil {
 			return nil, err
@@ -231,7 +243,9 @@ func AblationSearch(seed int64) (*Result, error) {
 			}
 		}
 		tput := tl.MeanThroughputGbps(algo, 700, 900)
-		r.AddRow(algo, reach, fmt.Sprintf("%.0f", tput*1000))
+		return []string{algo, reach, fmt.Sprintf("%.0f", tput*1000)}, nil
+	}); err != nil {
+		return nil, err
 	}
 	r.AddNote("gd/bo converge fastest; hc, direct search, and SPSA trail — §5's case against derivative-free and stochastic-approximation methods")
 	return r, nil
@@ -250,7 +264,7 @@ func AblationBBR(seed int64) (*Result, error) {
 		Title:  "Falcon under loss-based vs model-based congestion control (Emulab, optimum 10)",
 		Header: []string{"Congestion", "Converged cc", "Utilization", "Mean loss"},
 	}
-	for _, cc := range []string{"cubic", "bbr"} {
+	if err := addRows(r, []string{"cubic", "bbr"}, func(cc string) ([]string, error) {
 		cfg := testbed.Emulab(10e6)
 		cfg.Congestion = cc
 		agent := core.NewGDAgent(32)
@@ -261,8 +275,10 @@ func AblationBBR(seed int64) (*Result, error) {
 		conv := tl.Concurrency.Lookup("t").MeanAfter(150)
 		tput := tl.MeanThroughputGbps("t", 150, 300)
 		loss := tl.Loss.Lookup("t").MeanAfter(150)
-		r.AddRow(cc, fmt.Sprintf("%.1f", conv),
-			fmt.Sprintf("%.0f%%", tput*1e9/cfg.LinkCapacity*100), pct(loss))
+		return []string{cc, fmt.Sprintf("%.1f", conv),
+			fmt.Sprintf("%.0f%%", tput*1e9/cfg.LinkCapacity*100), pct(loss)}, nil
+	}); err != nil {
+		return nil, err
 	}
 	r.AddNote("Falcon converges to the same concurrency either way: the Kⁿ regret is congestion-control-agnostic (§6)")
 	return r, nil
@@ -278,24 +294,29 @@ func AblationNoise(seed int64) (*Result, error) {
 		Title:  "Measurement-noise sensitivity (Emulab, optimum 10)",
 		Header: []string{"Noise σ", "GD throughput (Mbps)", "GD cc σ", "BO throughput (Mbps)", "BO cc σ"},
 	}
-	for _, noise := range []float64{0, 0.01, 0.03, 0.06} {
-		row := []string{fmt.Sprintf("%.0f%%", noise*100)}
-		for _, algo := range []string{core.AlgoGradient, core.AlgoBayesian} {
-			cfg := testbed.Emulab(10e6)
-			cfg.NoiseStdDev = noise
-			agent, err := core.NewAgentByName(algo, 32, seed)
-			if err != nil {
-				return nil, err
-			}
-			tl, err := runScenario(cfg, seed, 300, testbed.Participant{Task: endlessTask(algo, 2), Controller: agent})
-			if err != nil {
-				return nil, err
-			}
-			tput := tl.MeanThroughputGbps(algo, 150, 300)
-			ccSD := stats.StdDev(tl.Concurrency.Lookup(algo).Between(150, 300).Values())
-			row = append(row, fmt.Sprintf("%.0f", tput*1000), fmt.Sprintf("%.1f", ccSD))
+	noises := []float64{0, 0.01, 0.03, 0.06}
+	algos := []string{core.AlgoGradient, core.AlgoBayesian}
+	cells, err := parallel.Map(len(noises)*len(algos), func(i int) ([]string, error) {
+		algo := algos[i%len(algos)]
+		cfg := testbed.Emulab(10e6)
+		cfg.NoiseStdDev = noises[i/len(algos)]
+		agent, err := core.NewAgentByName(algo, 32, seed)
+		if err != nil {
+			return nil, err
 		}
-		r.AddRow(row...)
+		tl, err := runScenario(cfg, seed, 300, testbed.Participant{Task: endlessTask(algo, 2), Controller: agent})
+		if err != nil {
+			return nil, err
+		}
+		tput := tl.MeanThroughputGbps(algo, 150, 300)
+		ccSD := stats.StdDev(tl.Concurrency.Lookup(algo).Between(150, 300).Values())
+		return []string{fmt.Sprintf("%.0f", tput*1000), fmt.Sprintf("%.1f", ccSD)}, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, noise := range noises {
+		r.AddRow(slices.Concat([]string{fmt.Sprintf("%.0f%%", noise*100)}, cells[2*k], cells[2*k+1])...)
 	}
 	r.AddNote("both algorithms hold near-optimal throughput through realistic noise; concurrency wander grows with σ (§4.6)")
 	return r, nil

@@ -6,6 +6,7 @@ import (
 	"repro/internal/baselines"
 	"repro/internal/core"
 	"repro/internal/dataset"
+	"repro/internal/parallel"
 	"repro/internal/testbed"
 	"repro/internal/transfer"
 )
@@ -22,42 +23,44 @@ func Fig14(seed int64) (*Result, error) {
 	// HARP history: trained on a 10 Gbps-class network, as the paper's
 	// deployments were.
 	hist := baselines.SyntheticHistory(1.2e9, 9.5e9, 16)
-	for _, cfg := range []testbed.Config{testbed.HPCLab(), testbed.XSEDE(), testbed.CampusCluster()} {
-		horizon := 300.0
-		run := func(name string, ctrl testbed.Controller, initial transfer.Setting) (float64, error) {
-			task := mustTask(name, dataset.Uniform(name, 20000, int64(dataset.GB)), initial)
-			tl, err := runScenario(cfg, seed, horizon, testbed.Participant{Task: task, Controller: ctrl})
+	cfgs := []testbed.Config{testbed.HPCLab(), testbed.XSEDE(), testbed.CampusCluster()}
+	names := []string{"globus", "harp", "falcon-gd", "falcon-bo"}
+	const horizon = 300.0
+	tputs, err := parallel.Map(len(cfgs)*len(names), func(i int) (float64, error) {
+		name := names[i%len(names)]
+		var ctrl testbed.Controller
+		initial := transfer.DefaultSetting()
+		initial.Concurrency = 2
+		switch name {
+		case "globus":
+			globus, err := baselines.NewGlobus(ds)
 			if err != nil {
 				return 0, err
 			}
-			return tl.MeanThroughputGbps(name, horizon*0.4, horizon), nil
+			ctrl, initial = globus, globus.Setting()
+		case "harp":
+			harp, err := baselines.NewHARP(hist, 64)
+			if err != nil {
+				return 0, err
+			}
+			ctrl, initial = harp, harp.Setting()
+		case "falcon-gd":
+			ctrl = core.NewGDAgent(32)
+		default:
+			ctrl = core.NewBOAgent(32, seed)
 		}
-		globus, err := baselines.NewGlobus(ds)
+		task := mustTask(name, dataset.Uniform(name, 20000, int64(dataset.GB)), initial)
+		tl, err := runScenario(cfgs[i/len(names)], seed, horizon, testbed.Participant{Task: task, Controller: ctrl})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		gT, err := run("globus", globus, globus.Setting())
-		if err != nil {
-			return nil, err
-		}
-		harp, err := baselines.NewHARP(hist, 64)
-		if err != nil {
-			return nil, err
-		}
-		hT, err := run("harp", harp, harp.Setting())
-		if err != nil {
-			return nil, err
-		}
-		start := transfer.DefaultSetting()
-		start.Concurrency = 2
-		gdT, err := run("falcon-gd", core.NewGDAgent(32), start)
-		if err != nil {
-			return nil, err
-		}
-		boT, err := run("falcon-bo", core.NewBOAgent(32, seed), start)
-		if err != nil {
-			return nil, err
-		}
+		return tl.MeanThroughputGbps(name, horizon*0.4, horizon), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for c, cfg := range cfgs {
+		gT, hT, gdT, boT := tputs[4*c], tputs[4*c+1], tputs[4*c+2], tputs[4*c+3]
 		r.AddRow(cfg.Name,
 			fmt.Sprintf("%.2f", gT), fmt.Sprintf("%.2f", hT),
 			fmt.Sprintf("%.2f", gdT), fmt.Sprintf("%.2f", boT),
@@ -86,25 +89,26 @@ func Fig15(seed int64) (*Result, error) {
 		{"large", dataset.Large(seed)},
 		{"mixed", dataset.Mixed(seed)},
 	}
-	horizon := 420.0
-	for _, s := range sets {
-		start := transfer.Setting{Concurrency: 2, Parallelism: 1, Pipelining: 1}
-		single := core.NewGDAgent(32)
-		tl1, err := runScenario(cfg, seed, horizon,
-			testbed.Participant{Task: mustTask("falcon", s.ds, start), Controller: single})
-		if err != nil {
-			return nil, err
+	const horizon = 420.0
+	tputs, err := parallel.Map(2*len(sets), func(i int) (float64, error) {
+		id, start := "falcon", transfer.Setting{Concurrency: 2, Parallelism: 1, Pipelining: 1}
+		var ctrl testbed.Controller = core.NewGDAgent(32)
+		if i%2 == 1 {
+			id, start = "falcon-mp", transfer.Setting{Concurrency: 2, Parallelism: 2, Pipelining: 2}
+			ctrl = core.NewDefaultMultiAgent(32, 8, 32)
 		}
-		t1 := tl1.MeanThroughputGbps("falcon", horizon*0.3, horizon)
-
-		multi := core.NewDefaultMultiAgent(32, 8, 32)
-		startMP := transfer.Setting{Concurrency: 2, Parallelism: 2, Pipelining: 2}
-		tl2, err := runScenario(cfg, seed, horizon,
-			testbed.Participant{Task: mustTask("falcon-mp", s.ds, startMP), Controller: multi})
+		tl, err := runScenario(cfg, seed, horizon,
+			testbed.Participant{Task: mustTask(id, sets[i/2].ds, start), Controller: ctrl})
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		t2 := tl2.MeanThroughputGbps("falcon-mp", horizon*0.3, horizon)
+		return tl.MeanThroughputGbps(id, horizon*0.3, horizon), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for k, s := range sets {
+		t1, t2 := tputs[2*k], tputs[2*k+1]
 		r.AddRow(s.name, fmt.Sprintf("%.2f", t1), fmt.Sprintf("%.2f", t2), fmt.Sprintf("%+.0f%%", 100*(t2/t1-1)))
 	}
 	r.AddNote("paper: MP up to +30%% for small/mixed (pipelining), −18%% for large (slower convergence, non-concave Eq 7)")
@@ -123,30 +127,37 @@ func Fig16(seed int64) (*Result, error) {
 	}
 	cfg := testbed.StampedeCometWAN()
 	ds := dataset.Friendliness(seed)
-	horizon := 600.0
+	const horizon = 600.0
 
-	run := func(label, algo string) error {
+	scenarios := []struct{ label, algo string }{
+		{"Falcon-GD joins", core.AlgoGradient},
+		{"Falcon-BO joins", core.AlgoBayesian},
+	}
+	tls, err := parallel.Map(len(scenarios), func(i int) (*testbed.Timeline, error) {
 		globus, err := baselines.NewGlobus(ds)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		harp, err := baselines.NewHARP(baselines.SyntheticHistory(1.1e9, 10.5e9, 16), 64)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		falcon, err := core.NewAgentByName(algo, 64, seed)
+		falcon, err := core.NewAgentByName(scenarios[i].algo, 64, seed)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		start := transfer.Setting{Concurrency: 2, Parallelism: 1, Pipelining: 1}
-		tl, err := runScenario(cfg, seed, horizon,
+		return runScenario(cfg, seed, horizon,
 			testbed.Participant{Task: mustTask("globus", dataset.Uniform("g", 20000, int64(dataset.GB)), globus.Setting()), Controller: globus},
 			testbed.Participant{Task: mustTask("harp", dataset.Uniform("h", 20000, int64(dataset.GB)), harp.Setting()), Controller: harp, JoinAt: 60},
 			testbed.Participant{Task: mustTask("falcon", dataset.Uniform("f", 20000, int64(dataset.GB)), start), Controller: falcon, JoinAt: 120},
 		)
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, sc := range scenarios {
+		tl := tls[i]
 		// Throughput of the incumbents before vs after Falcon joins:
 		// steady-state impact plus the worst 30 s window (BO's
 		// high-concurrency probing shows up as a transient dip even
@@ -164,20 +175,13 @@ func Fig16(seed int64) (*Result, error) {
 		}
 		impact := 100 * (1 - (gAfter+hAfter)/(gBefore+hBefore))
 		dip := 100 * (1 - worst/(gBefore+hBefore))
-		r.AddRow(label,
+		r.AddRow(sc.label,
 			fmt.Sprintf("%.2f→%.2f", gBefore, gAfter),
 			fmt.Sprintf("%.2f→%.2f", hBefore, hAfter),
 			fmt.Sprintf("%.2f", fT),
 			fmt.Sprintf("%.0f%%", impact),
 			fmt.Sprintf("%.0f%%", dip))
-		copyChart(r.Chart("throughput-"+label), &tl.Throughput)
-		return nil
-	}
-	if err := run("Falcon-GD joins", core.AlgoGradient); err != nil {
-		return nil, err
-	}
-	if err := run("Falcon-BO joins", core.AlgoBayesian); err != nil {
-		return nil, err
+		copyChart(r.Chart("throughput-"+sc.label), &tl.Throughput)
 	}
 	r.AddNote("paper: GD affects incumbents only 15-20%%; BO is aggressive (up to ~70%% degradation)")
 	return r, nil

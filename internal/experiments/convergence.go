@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 )
@@ -18,42 +19,37 @@ func Fig7(seed int64) (*Result, error) {
 		Header: []string{"Algorithm", "Time to reach ≥43 (s)", "Throughput after convergence (Mbps)"},
 	}
 	cfg := testbed.EmulabGigabit(20.83e6)
-	type res struct {
-		name  string
-		reach float64
-		tput  float64
+	algos := []string{core.AlgoHillClimbing, core.AlgoGradient, core.AlgoBayesian}
+	tls, err := parallel.Map(len(algos), func(i int) (*testbed.Timeline, error) {
+		agent, err := core.NewAgentByName(algos[i], 100, seed)
+		if err != nil {
+			return nil, err
+		}
+		return runScenario(cfg, seed, 900, testbed.Participant{Task: endlessTask(algos[i], 2), Controller: agent})
+	})
+	if err != nil {
+		return nil, err
 	}
-	var results []res
-	for _, algo := range []string{core.AlgoHillClimbing, core.AlgoGradient, core.AlgoBayesian} {
-		agent, err := core.NewAgentByName(algo, 100, seed)
-		if err != nil {
-			return nil, err
-		}
-		tl, err := runScenario(cfg, seed, 900, testbed.Participant{Task: endlessTask(algo, 2), Controller: agent})
-		if err != nil {
-			return nil, err
-		}
-		reach := -1.0
+	reaches := make([]float64, len(algos))
+	for i, algo := range algos {
+		tl := tls[i]
+		reaches[i] = -1
 		for _, p := range tl.Concurrency.Lookup(algo).Points {
 			if p.Value >= 43 {
-				reach = p.Time
+				reaches[i] = p.Time
 				break
 			}
 		}
-		tput := tl.MeanThroughputGbps(algo, 700, 900)
-		results = append(results, res{algo, reach, tput})
+		reachStr := "never"
+		if reaches[i] >= 0 {
+			reachStr = fmt.Sprintf("%.0f", reaches[i])
+		}
+		r.AddRow(algo, reachStr, fmt.Sprintf("%.0f", tl.MeanThroughputGbps(algo, 700, 900)*1000))
 		copyChart(r.Chart("concurrency"), &tl.Concurrency)
 	}
-	for _, x := range results {
-		reachStr := "never"
-		if x.reach >= 0 {
-			reachStr = fmt.Sprintf("%.0f", x.reach)
-		}
-		r.AddRow(x.name, reachStr, fmt.Sprintf("%.0f", x.tput*1000))
-	}
-	if results[0].reach > 0 && results[1].reach > 0 {
+	if reaches[0] > 0 && reaches[1] > 0 {
 		r.AddNote("HC/GD convergence-time ratio %.1fx (paper: ~7x; GD+BO <30s, HC >250s)",
-			results[0].reach/results[1].reach)
+			reaches[0]/reaches[1])
 	}
 	return r, nil
 }
@@ -68,14 +64,25 @@ func Fig8(seed int64) (*Result, error) {
 		Header: []string{"Algorithm pair", "Jain index (mid-run)", "Jain index (late)", "Aggregate (Mbps, late)"},
 	}
 	cfg := testbed.EmulabGigabit(20.83e6)
-	run := func(mk func() testbed.Controller, label string) error {
-		tl, err := runScenario(cfg, seed, 900,
+	pairs := []struct {
+		label string
+		mk    func() testbed.Controller
+	}{
+		{"hc", func() testbed.Controller { return core.NewHCAgent(100) }},
+		{"gd", func() testbed.Controller { return core.NewGDAgent(100) }},
+	}
+	tls, err := parallel.Map(len(pairs), func(i int) (*testbed.Timeline, error) {
+		label, mk := pairs[i].label, pairs[i].mk
+		return runScenario(cfg, seed, 900,
 			testbed.Participant{Task: endlessTask(label+"-a", 2), Controller: mk()},
 			testbed.Participant{Task: endlessTask(label+"-b", 2), Controller: mk(), JoinAt: 120},
 		)
-		if err != nil {
-			return err
-		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, pair := range pairs {
+		tl, label := tls[i], pair.label
 		midA := tl.MeanThroughputGbps(label+"-a", 240, 420)
 		midB := tl.MeanThroughputGbps(label+"-b", 240, 420)
 		lateA := tl.MeanThroughputGbps(label+"-a", 700, 900)
@@ -85,13 +92,6 @@ func Fig8(seed int64) (*Result, error) {
 			fmt.Sprintf("%.3f", stats.JainIndex([]float64{lateA, lateB})),
 			fmt.Sprintf("%.0f", (lateA+lateB)*1000))
 		copyChart(r.Chart("throughput-"+label), &tl.Throughput)
-		return nil
-	}
-	if err := run(func() testbed.Controller { return core.NewHCAgent(100) }, "hc"); err != nil {
-		return nil, err
-	}
-	if err := run(func() testbed.Controller { return core.NewGDAgent(100) }, "gd"); err != nil {
-		return nil, err
 	}
 	r.AddNote("HC reaches fairness eventually but far more slowly than GD (paper Figure 8)")
 	return r, nil

@@ -11,9 +11,9 @@ import (
 
 // allNetworks runs one Falcon agent per Table 1 testbed and reports the
 // converged throughput and concurrency — the content of Figures 9 (GD)
-// and 10 (BO). The four testbeds share no engine, so they run across
-// the parallel worker pool into per-network slots that are assembled in
-// Table 1 order — byte-identical to a serial loop.
+// and 10 (BO). The four testbeds share no engine, so they run as
+// parallel.Map trials whose results are reported in Table 1 order —
+// byte-identical to a serial loop.
 func allNetworks(id, title, algo string, seed int64) (*Result, error) {
 	r := &Result{
 		ID:     id,
@@ -21,43 +21,38 @@ func allNetworks(id, title, algo string, seed int64) (*Result, error) {
 		Header: []string{"Testbed", "Converged throughput (Gbps)", "Converged concurrency", "Capacity (Gbps)"},
 	}
 	cfgs := testbed.Table1()
-	type slot struct {
+	const horizon = 300.0
+	type trial struct {
 		tl       *testbed.Timeline
 		capacity float64
-		err      error
 	}
-	slots := make([]slot, len(cfgs))
-	parallel.ForEach(len(cfgs), func(i int) {
+	trials, err := parallel.Map(len(cfgs), func(i int) (trial, error) {
 		cfg := cfgs[i]
 		agent, err := core.NewAgentByName(algo, 32, seed)
 		if err != nil {
-			slots[i].err = err
-			return
+			return trial{}, err
 		}
-		tl, err := runScenario(cfg, seed, 300, testbed.Participant{Task: endlessTask(cfg.Name, 2), Controller: agent})
+		tl, err := runScenario(cfg, seed, horizon, testbed.Participant{Task: endlessTask(cfg.Name, 2), Controller: agent})
 		if err != nil {
-			slots[i].err = err
-			return
+			return trial{}, err
 		}
 		eng, err := testbed.NewEngine(cfg, seed)
 		if err != nil {
-			slots[i].err = err
-			return
+			return trial{}, err
 		}
-		slots[i] = slot{tl: tl, capacity: eng.EndToEndCapacity()}
+		return trial{tl, eng.EndToEndCapacity()}, nil
 	})
-	const horizon = 300.0
+	if err != nil {
+		return nil, err
+	}
 	for i, cfg := range cfgs {
-		if slots[i].err != nil {
-			return nil, slots[i].err
-		}
-		tl := slots[i].tl
+		tl, capacity := trials[i].tl, trials[i].capacity
 		tput := tl.MeanThroughputGbps(cfg.Name, horizon*0.5, horizon)
 		cc := tl.Concurrency.Lookup(cfg.Name).MeanAfter(horizon * 0.5)
-		r.AddRow(cfg.Name, fmt.Sprintf("%.2f", tput), fmt.Sprintf("%.1f", cc), gbps(slots[i].capacity))
+		r.AddRow(cfg.Name, fmt.Sprintf("%.2f", tput), fmt.Sprintf("%.1f", cc), gbps(capacity))
 		copyChart(r.Chart("throughput"), &tl.Throughput)
 		copyChart(r.Chart("concurrency"), &tl.Concurrency)
-		r.AddNote("%s: %.0f%% of end-to-end capacity", cfg.Name, 100*tput*1e9/slots[i].capacity)
+		r.AddNote("%s: %.0f%% of end-to-end capacity", cfg.Name, 100*tput*1e9/capacity)
 	}
 	return r, nil
 }

@@ -199,6 +199,16 @@ func Run(runners []Runner, seed int64, workers int) []Outcome {
 	return out
 }
 
+// addRows runs one independent trial per x in xs through parallel.Map,
+// each returning its report row, and appends the rows to r in xs order.
+func addRows[T any](r *Result, xs []T, trial func(x T) ([]string, error)) error {
+	rows, err := parallel.Map(len(xs), func(i int) ([]string, error) { return trial(xs[i]) })
+	for _, row := range rows {
+		r.AddRow(row...)
+	}
+	return err
+}
+
 // gbps formats a bits/s value in Gbps.
 func gbps(bits float64) string { return fmt.Sprintf("%.2f", bits/1e9) }
 

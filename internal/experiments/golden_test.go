@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"repro/internal/parallel"
@@ -20,8 +21,21 @@ import (
 // `go run ./cmd/reproduce -seed 1 | sha256sum`).
 const reproduceGolden = "36c4ea8f846489069ec9716f7c00855d164ad36bb5037d932ac408281c8fdd4d"
 
-// renderReproduce writes what cmd/reproduce prints for the full suite.
-func renderReproduce(t *testing.T, w io.Writer, seed int64, workers int) {
+// chartsGolden is the SHA-256 over every chart of the seed-1 suite as
+// `reproduce -chart -csv DIR -svg DIR` writes it: per result in paper
+// order, its charts in sorted name order, each as the -chart block
+// ("-- <id>/<name> --" and the ASCII chart), then TimeSet.WriteCSV,
+// then WriteSVG. Render omits charts, so reproduceGolden does not pin
+// them. WriteCSV sorts its columns by name, so the ASCII and SVG
+// renders are what pin the order of a chart's series. The constant was
+// taken before the experiments' trials moved onto parallel.Map, from
+// the serial per-experiment loops.
+const chartsGolden = "ea01002c9ba80e48e1d367564b379f86ec579693514710270dda2a1638271b6a"
+
+// renderReproduce writes what cmd/reproduce prints for the full suite
+// to w, and every result's charts, as chartsGolden frames them, to
+// charts.
+func renderReproduce(t *testing.T, w, charts io.Writer, seed int64, workers int) {
 	t.Helper()
 	old := parallel.Workers()
 	parallel.SetWorkers(workers)
@@ -35,17 +49,35 @@ func renderReproduce(t *testing.T, w io.Writer, seed int64, workers int) {
 			t.Fatalf("%s: %v", out.Runner.ID, err)
 		}
 		fmt.Fprintln(w)
+		names := make([]string, 0, len(out.Result.Charts))
+		for name := range out.Result.Charts {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			ts := out.Result.Charts[name]
+			fmt.Fprintf(charts, "-- %s/%s --\n%s", out.Result.ID, name, ts.ASCIIChart(72, 12))
+			if err := ts.WriteCSV(charts); err != nil {
+				t.Fatal(err)
+			}
+			if err := ts.WriteSVG(charts, 720, 320, out.Result.ID+" "+name); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 }
 
-// TestReproduceGolden pins the full `reproduce -seed 1` render, at
-// -parallel 1 and 8, to the checked-in hash.
+// TestReproduceGolden pins the full `reproduce -seed 1` render and
+// every chart, at -parallel 1 and 8, to the checked-in hashes.
 func TestReproduceGolden(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		h := sha256.New()
-		renderReproduce(t, h, 1, workers)
+		h, hc := sha256.New(), sha256.New()
+		renderReproduce(t, h, hc, 1, workers)
 		if got := hex.EncodeToString(h.Sum(nil)); got != reproduceGolden {
 			t.Errorf("parallel=%d: reproduce -seed 1 sha256 = %s, want %s", workers, got, reproduceGolden)
+		}
+		if got := hex.EncodeToString(hc.Sum(nil)); got != chartsGolden {
+			t.Errorf("parallel=%d: seed-1 charts sha256 = %s, want %s", workers, got, chartsGolden)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/baselines"
 	"repro/internal/dataset"
+	"repro/internal/parallel"
 	"repro/internal/testbed"
 	"repro/internal/transfer"
 )
@@ -83,8 +84,8 @@ func Fig1b(seed int64) (*Result, error) {
 		{"hpclab", testbed.HPCLab(), 16},
 		{"campus", testbed.CampusCluster(), 16},
 	}
-	for _, e := range envs {
-		mk := func() *transfer.Task { return endlessTask("opt", 1) }
+	mk := func() *transfer.Task { return endlessTask("opt", 1) }
+	if err := addRows(r, envs, func(e env) ([]string, error) {
 		opt, err := testbed.OptimalConcurrency(e.cfg, seed, mk, e.maxN, 0.03)
 		if err != nil {
 			return nil, err
@@ -93,7 +94,9 @@ func Fig1b(seed int64) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		r.AddRow(e.name, fmt.Sprintf("%d", opt), fmt.Sprintf("%.2f", tputs[0]))
+		return []string{e.name, fmt.Sprintf("%d", opt), fmt.Sprintf("%.2f", tputs[0])}, nil
+	}); err != nil {
+		return nil, err
 	}
 	r.AddNote("no single concurrency value is optimal everywhere — the paper's case for online adaptation")
 	return r, nil
@@ -111,27 +114,28 @@ func Fig2a(seed int64) (*Result, error) {
 	cfg := testbed.HPCLab()
 	ds := dataset.Main()
 
-	globus, err := baselines.NewGlobus(ds)
+	tls, err := parallel.Map(2, func(i int) (*testbed.Timeline, error) {
+		if i == 0 {
+			globus, err := baselines.NewGlobus(ds)
+			if err != nil {
+				return nil, err
+			}
+			gt := mustTask("globus", dataset.Uniform("g", 20000, int64(dataset.GB)), globus.Setting())
+			return runScenario(cfg, seed, 180, testbed.Participant{Task: gt, Controller: globus})
+		}
+		// HARP trained in a 10 Gbps network (Figure 2a's premise).
+		harp, err := baselines.NewHARP(baselines.SyntheticHistory(1.2e9, 9.5e9, 16), 64)
+		if err != nil {
+			return nil, err
+		}
+		ht := mustTask("harp", dataset.Uniform("h", 20000, int64(dataset.GB)), harp.Setting())
+		return runScenario(cfg, seed, 180, testbed.Participant{Task: ht, Controller: harp})
+	})
 	if err != nil {
 		return nil, err
 	}
-	gt := mustTask("globus", dataset.Uniform("g", 20000, int64(dataset.GB)), globus.Setting())
-	tlG, err := runScenario(cfg, seed, 180, testbed.Participant{Task: gt, Controller: globus})
-	if err != nil {
-		return nil, err
-	}
+	tlG, tlH := tls[0], tls[1]
 	gTput := tlG.MeanThroughputGbps("globus", 60, 180)
-
-	// HARP trained in a 10 Gbps network (Figure 2a's premise).
-	harp, err := baselines.NewHARP(baselines.SyntheticHistory(1.2e9, 9.5e9, 16), 64)
-	if err != nil {
-		return nil, err
-	}
-	ht := mustTask("harp", dataset.Uniform("h", 20000, int64(dataset.GB)), harp.Setting())
-	tlH, err := runScenario(cfg, seed, 180, testbed.Participant{Task: ht, Controller: harp})
-	if err != nil {
-		return nil, err
-	}
 	hTput := tlH.MeanThroughputGbps("harp", 60, 180)
 
 	eng, err := testbed.NewEngine(cfg, seed)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/testbed"
 	"repro/internal/utility"
@@ -65,27 +66,28 @@ func Fig6b(seed int64) (*Result, error) {
 		Header: []string{"Form", "Converged concurrency", "Throughput (Mbps)"},
 	}
 	cfg := testbed.EmulabGigabit(20.83e6)
-	run := func(name string, fn core.UtilityFunc) error {
+	forms := []struct {
+		name string
+		fn   core.UtilityFunc
+	}{
+		{"linear C=0.01", linearUtilityFunc(0.01)},
+		{"linear C=0.02", linearUtilityFunc(0.02)},
+		{"nonlinear K=1.02", nil},
+	}
+	tls, err := parallel.Map(len(forms), func(i int) (*testbed.Timeline, error) {
 		agent := core.NewGDAgent(100)
-		agent.SetUtilityFunc(fn)
-		tl, err := runScenario(cfg, seed, 480, testbed.Participant{Task: endlessTask(name, 2), Controller: agent})
-		if err != nil {
-			return err
-		}
-		cc := tl.Concurrency.Lookup(name).MeanAfter(300)
-		tput := tl.MeanThroughputGbps(name, 300, 480)
-		r.AddRow(name, fmt.Sprintf("%.0f", cc), fmt.Sprintf("%.0f", tput*1000))
+		agent.SetUtilityFunc(forms[i].fn)
+		return runScenario(cfg, seed, 480, testbed.Participant{Task: endlessTask(forms[i].name, 2), Controller: agent})
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i, f := range forms {
+		tl := tls[i]
+		cc := tl.Concurrency.Lookup(f.name).MeanAfter(300)
+		tput := tl.MeanThroughputGbps(f.name, 300, 480)
+		r.AddRow(f.name, fmt.Sprintf("%.0f", cc), fmt.Sprintf("%.0f", tput*1000))
 		copyChart(r.Chart("concurrency"), &tl.Concurrency)
-		return nil
-	}
-	if err := run("linear C=0.01", linearUtilityFunc(0.01)); err != nil {
-		return nil, err
-	}
-	if err := run("linear C=0.02", linearUtilityFunc(0.02)); err != nil {
-		return nil, err
-	}
-	if err := run("nonlinear K=1.02", nil); err != nil {
-		return nil, err
 	}
 	r.AddNote("paper: C=0.02 converges to ~26 with ~45%% lower throughput; C=0.01 and nonlinear reach ~48")
 	return r, nil
@@ -103,7 +105,7 @@ func Fig6c(seed int64) (*Result, error) {
 	}
 	cfg := testbed.EmulabGigabit(20.83e6)
 	type agentStats struct{ mean, sd float64 }
-	run := func(name string, fn core.UtilityFunc) (agentStats, agentStats, error) {
+	run := func(name string, fn core.UtilityFunc) ([2]agentStats, error) {
 		a1 := core.NewGDAgent(100)
 		a2 := core.NewGDAgent(100)
 		if fn != nil {
@@ -115,22 +117,24 @@ func Fig6c(seed int64) (*Result, error) {
 			testbed.Participant{Task: endlessTask(name+"-b", 2), Controller: a2, JoinAt: 120},
 		)
 		if err != nil {
-			return agentStats{}, agentStats{}, err
+			return [2]agentStats{}, err
 		}
 		tail := func(id string) agentStats {
 			s := tl.Concurrency.Lookup(id).Between(450, 700)
 			return agentStats{mean: s.Mean(), sd: stats.StdDev(s.Values())}
 		}
-		return tail(name + "-a"), tail(name + "-b"), nil
+		return [2]agentStats{tail(name + "-a"), tail(name + "-b")}, nil
 	}
-	la, lb, err := run("linear", linearUtilityFunc(0.01))
+	pairs, err := parallel.Map(2, func(i int) ([2]agentStats, error) {
+		if i == 0 {
+			return run("linear", linearUtilityFunc(0.01))
+		}
+		return run("nonlinear", nil)
+	})
 	if err != nil {
 		return nil, err
 	}
-	na, nb, err := run("nonlinear", nil)
-	if err != nil {
-		return nil, err
-	}
+	la, lb, na, nb := pairs[0][0], pairs[0][1], pairs[1][0], pairs[1][1]
 	fmtA := func(a agentStats) string { return fmt.Sprintf("%.0f ±%.1f", a.mean, a.sd) }
 	r.AddRow("linear C=0.01", fmtA(la), fmtA(lb), fmt.Sprintf("%.0f", la.mean+lb.mean))
 	r.AddRow("nonlinear K=1.02", fmtA(na), fmtA(nb), fmt.Sprintf("%.0f", na.mean+nb.mean))

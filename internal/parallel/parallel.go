@@ -2,9 +2,10 @@
 // experiment harness. Work items are identified by index; callers write
 // results into index-addressed slots, so the assembled output is
 // independent of goroutine scheduling and byte-identical to a serial
-// run. Each item's own computation must be self-contained (its own
-// engine, its own RNG seeded from the item index) — the pool adds no
-// synchronisation between items.
+// run. Map is the idiom for N independent trials whose results a
+// caller then reports serially. Each item's own computation must be
+// self-contained (its own engine, its own RNG seeded from the item
+// index) — the pool adds no synchronisation between items.
 package parallel
 
 import (
@@ -14,7 +15,7 @@ import (
 	"sync/atomic"
 )
 
-// defaultWorkers is the pool width used by ForEach. It defaults to
+// defaultWorkers is the pool width used by Map. It defaults to
 // GOMAXPROCS and is adjusted by SetWorkers (the -parallel CLI flag).
 var defaultWorkers atomic.Int64
 
@@ -32,9 +33,23 @@ func SetWorkers(n int) {
 	defaultWorkers.Store(int64(n))
 }
 
-// ForEach runs fn(0) … fn(n-1) across the default number of workers
-// and returns when all calls have finished.
-func ForEach(n int, fn func(i int)) { ForEachN(n, Workers(), fn) }
+// Map runs fn(0) … fn(n-1) on Workers() goroutines and returns their
+// results in index order. If any call fails, Map returns the error of
+// the lowest failing index — the one a serial loop would have stopped
+// at — and no results. With Workers() ≤ 1 every call runs inline on
+// the caller, in index order; a panic in fn is re-raised as ForEachN
+// re-raises it.
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	out := make([]T, max(n, 0))
+	errs := make([]error, len(out))
+	ForEachN(n, Workers(), func(i int) { out[i], errs[i] = fn(i) })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
 
 // ForEachN runs fn(0) … fn(n-1) across at most workers goroutines —
 // the caller's own and workers-1 helpers, so a short fan-out costs no

@@ -228,3 +228,137 @@ func TestForEachOrderedAllocatesOnlyHelperStarts(t *testing.T) {
 		}
 	}
 }
+
+// withWorkers sets the default pool width for one test.
+func withWorkers(t *testing.T, n int) {
+	t.Helper()
+	old := Workers()
+	SetWorkers(n)
+	t.Cleanup(func() { SetWorkers(old) })
+}
+
+// TestMapResultsInIndexOrder: results land by index whatever order the
+// calls finish in.
+func TestMapResultsInIndexOrder(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 16} {
+		withWorkers(t, workers)
+		const n = 100
+		got, err := Map(n, func(i int) (int, error) {
+			time.Sleep(time.Duration((n-i)%5) * 10 * time.Microsecond)
+			return i * i, nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != n {
+			t.Fatalf("workers=%d: %d results, want %d", workers, len(got), n)
+		}
+		for i, v := range got {
+			if v != i*i {
+				t.Fatalf("workers=%d: result %d = %d, want %d", workers, i, v, i*i)
+			}
+		}
+	}
+}
+
+// TestMapReturnsLowestFailingError: when a higher index fails first,
+// Map still returns the lower index's error, as a serial loop would.
+func TestMapReturnsLowestFailingError(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		withWorkers(t, workers)
+		highFailed := make(chan struct{})
+		errLow, errHigh := fmt.Errorf("low"), fmt.Errorf("high")
+		got, err := Map(6, func(i int) (int, error) {
+			switch i {
+			case 1:
+				<-highFailed
+				return 0, errLow
+			case 4:
+				close(highFailed)
+				return 0, errHigh
+			}
+			return i, nil
+		})
+		if err != errLow || got != nil {
+			t.Fatalf("workers=%d: Map = %v, %v; want nil, %v", workers, got, err, errLow)
+		}
+	}
+}
+
+// TestMapPanicStopsHelpers: a panic in fn reaches the caller naming its
+// item, as ForEachN raises it, only after every helper has returned.
+func TestMapPanicStopsHelpers(t *testing.T) {
+	withWorkers(t, 4)
+	before := runtime.NumGoroutine()
+	var running atomic.Int32
+	var got any
+	var runningAtRecover int32
+	func() {
+		defer func() {
+			got = recover()
+			runningAtRecover = running.Load()
+		}()
+		Map(200, func(i int) (int, error) {
+			running.Add(1)
+			defer running.Add(-1)
+			if i == 3 {
+				panic("boom")
+			}
+			time.Sleep(20 * time.Microsecond)
+			return i, nil
+		})
+	}()
+	if s, _ := got.(string); s != "parallel: worker panic on item 3: boom" {
+		t.Fatalf("recovered %v", got)
+	}
+	if runningAtRecover != 0 {
+		t.Errorf("%d calls still running when the panic reached the caller", runningAtRecover)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if after := runtime.NumGoroutine(); after > before {
+		t.Errorf("%d goroutines before, %d after: helpers leaked", before, after)
+	}
+}
+
+// TestMapInline: with one worker (or a width clamped to one) every call
+// runs on the caller's goroutine, in index order, and no goroutine
+// starts.
+func TestMapInline(t *testing.T) {
+	caller := goid()
+	for _, workers := range []int{1, 0, -2} {
+		withWorkers(t, workers)
+		before := runtime.NumGoroutine()
+		var order []int
+		got, err := Map(5, func(i int) (string, error) {
+			if g := goid(); g != caller {
+				t.Errorf("workers=%d: fn(%d) ran on goroutine %s, not the caller's %s", workers, i, g, caller)
+			}
+			if g := runtime.NumGoroutine(); g > before {
+				t.Errorf("workers=%d: %d goroutines during fn(%d), %d before", workers, g, i, before)
+			}
+			order = append(order, i)
+			return fmt.Sprint(i), nil
+		})
+		if err != nil || !slices.Equal(got, []string{"0", "1", "2", "3", "4"}) {
+			t.Fatalf("workers=%d: Map = %v, %v", workers, got, err)
+		}
+		if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+			t.Errorf("workers=%d: call order %v, want ascending", workers, order)
+		}
+	}
+}
+
+func TestMapZeroAndNegative(t *testing.T) {
+	for _, n := range []int{0, -3} {
+		got, err := Map(n, func(int) (int, error) {
+			t.Fatal("fn ran for non-positive n")
+			return 0, nil
+		})
+		if err != nil || got == nil || len(got) != 0 {
+			t.Errorf("n=%d: Map = %#v, %v; want an empty result", n, got, err)
+		}
+	}
+}

@@ -1,12 +1,24 @@
 // Package profiling starts and stops the CPU and heap profiles behind
-// the commands' -cpuprofile and -memprofile flags.
+// the commands' -cpuprofile and -memprofile flags, and reads the CPU
+// time they report beside their wall time.
 package profiling
 
 import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"syscall"
 )
+
+// CPUSeconds is the process's user plus system CPU time so far, from
+// getrusage; 0 where that fails.
+func CPUSeconds() float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		return 0
+	}
+	return float64(ru.Utime.Nano()+ru.Stime.Nano()) / 1e9
+}
 
 // Start begins a CPU profile written to cpu and returns a stop function
 // that ends it and then writes a heap profile, taken after a GC, to

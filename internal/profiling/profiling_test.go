@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // TestStartWritesBothProfiles: a started-then-stopped pair of profiles
@@ -26,5 +27,16 @@ func TestStartWritesBothProfiles(t *testing.T) {
 		if info.Size() == 0 {
 			t.Errorf("%s is empty", filepath.Base(path))
 		}
+	}
+}
+
+// TestCPUSecondsCountsWork: the process CPU clock moves forward across
+// a busy loop.
+func TestCPUSecondsCountsWork(t *testing.T) {
+	before := CPUSeconds()
+	for deadline := time.Now().Add(50 * time.Millisecond); time.Now().Before(deadline); {
+	}
+	if after := CPUSeconds(); after <= before {
+		t.Errorf("CPUSeconds %v after 50 ms of work, %v before", after, before)
 	}
 }

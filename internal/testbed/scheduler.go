@@ -438,42 +438,33 @@ func SweepConcurrency(cfg Config, seed int64, ds func() *transfer.Task, values [
 	if settleTime <= 0 || measureTime <= 0 {
 		return nil, nil, fmt.Errorf("testbed: sweep times must be positive")
 	}
-	tputs := make([]float64, len(values))
-	losses := make([]float64, len(values))
-	errs := make([]error, len(values))
-	parallel.ForEach(len(values), func(i int) {
+	samples, err := parallel.Map(len(values), func(i int) (transfer.Sample, error) {
 		eng, err := NewEngine(cfg, seed+int64(i))
 		if err != nil {
-			errs[i] = err
-			return
+			return transfer.Sample{}, err
 		}
 		task := ds()
 		set := task.Setting()
 		set.Concurrency = values[i]
 		if err := task.SetSetting(set); err != nil {
-			errs[i] = err
-			return
+			return transfer.Sample{}, err
 		}
 		if err := eng.AddTask(task); err != nil {
-			errs[i] = err
-			return
+			return transfer.Sample{}, err
 		}
 		const tick = 0.25
 		eng.StepUntil(settleTime, tick)
 		eng.BeginWindow(task.ID())
 		eng.StepUntil(settleTime+measureTime, tick)
-		sample, err := eng.TakeSample(task.ID())
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		tputs[i] = sample.Throughput / 1e9
-		losses[i] = sample.Loss
+		return eng.TakeSample(task.ID())
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
+	}
+	tputs := make([]float64, len(values))
+	losses := make([]float64, len(values))
+	for i, s := range samples {
+		tputs[i], losses[i] = s.Throughput/1e9, s.Loss
 	}
 	return tputs, losses, nil
 }
